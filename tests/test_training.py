@@ -1,5 +1,7 @@
 """Initialization classes, schedule, Adam + restart, and the train loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,38 @@ class TestInitParameters:
         fused = init_parameters(toy_config(), toy_fusion("both", "self_attention"), 7)
         for name, t in plain.items():
             np.testing.assert_array_equal(t.data, fused[name].data)
+
+
+# sha256 over (name, shape, little-endian float64 bytes) of every parameter in
+# names() order, at the toy shape with seed 5; one row per fusion branch
+INIT_DIGESTS = [
+    ("none", "baseline", {}, "c7ed8195584dfa5b7c9cb87ddbf312297b7497834f352ca668506a0c8a1494d9"),
+    ("encoder", "avg", {}, "2f288f18e8c93c910be08651659eb7ec15f10932b9be64b20dd7812f62722ae9"),
+    ("decoder", "avg", {}, "72d185f0232111a686dd57a0a93717055906d3599d15e814284692f163e7c830"),
+    ("both", "avg", {}, "753624a0d2c7f635959e80f14741ff9e6a3ce7df046cb1c24b5e868cbca658ec"),
+    ("encoder", "fnn", {}, "994d62352453ffe57b8f68d3509672bf77ca0705033850fd6a6a9c98c3cf886f"),
+    ("decoder", "fnn", {}, "584aa050bbb759130352f06207cbbacd0d873ccee9c4caaa2ebbd2570b09b486"),
+    ("both", "fnn", {}, "7e5345887a6b794115b190635d3d242a715b9f896b71fab183e8b457bb131407"),
+    ("encoder", "self_attention", {}, "b87ac8ef801383d42b41e3791a18c23b5e7019149de1fd0eb125f83433aef5f8"),
+    ("decoder", "self_attention", {}, "f432363c1f4661a348395cd748671be21f81a57d58c35659ef9ed2bebed35f45"),
+    ("both", "self_attention", {}, "0488e0678d41eab6ea8d52da127b462292af34d4fe9794da0fd40a654d4f6e81"),
+    ("both", "self_attention", {"share_w1": False}, "ad1f162b248385945cf2a8fda56adb7240ad30be853d71aad019a0f8d6a9e93c"),
+    ("both", "self_attention", {"share_layer_embedding": False}, "741db5a5ef9ff2c47d50909d0f4696c6d9dcba588b31846b069e06fe25e5e43d"),
+    ("both", "self_attention", {"include_embedding": False}, "3a480804c4ae9d1bb039b869808a6d2d8f66e84b8b730dffcca2126621c1149f"),
+    ("both", "fnn", {"include_embedding": False}, "518e69dac0d10e2b7a2035990ddc7dd87c533ddec5e5d235dc002e6b44ec60ab"),
+]
+
+
+@pytest.mark.parametrize("side,kind,overrides,digest", INIT_DIGESTS)
+def test_init_values_are_pinned(side, kind, overrides, digest):
+    """Initial values stay bit-identical across refactors, per fusion branch."""
+    store = init_parameters(toy_config(), toy_fusion(side, kind, **overrides), 5)
+    h = hashlib.sha256()
+    for name, t in store.items():
+        h.update(name.encode())
+        h.update(repr(t.shape).encode())
+        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestSchedule:
