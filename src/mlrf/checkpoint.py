@@ -10,13 +10,14 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .autodiff import ParamStore
+from .autodiff import ParamStore, Tensor
 from .fusion import FusionConfig
 from .model import ModelConfig, Transformer
 from .training import AdamState, TrainConfig
@@ -87,10 +88,15 @@ def load_checkpoint(path) -> Checkpoint:
     header = json.loads(rest[:n].decode("utf-8"))
     blob = rest[n:]
 
+    counts = [math.prod(shape) for _, shape in header["tensors"]]
+    if len(blob) != 8 * sum(counts):
+        raise ValueError(
+            f"corrupt checkpoint {path}: {len(blob)} data bytes, "
+            f"but its tensor index needs {8 * sum(counts)}"
+        )
     tensors: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
+    for (name, shape), count in zip(header["tensors"], counts):
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         tensors[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 8
@@ -114,30 +120,15 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def restore_params(params: ParamStore, tensors: dict[str, np.ndarray]) -> None:
-    """Overwrite a parameter store in place; shapes and names must match."""
-    names = set(params.names())
-    saved = set(tensors)
-    if names != saved:
-        missing = sorted(names - saved)
-        extra = sorted(saved - names)
-        raise ValueError(
-            f"checkpoint does not match model: missing={missing[:5]} extra={extra[:5]}"
-        )
-    for name, t in params.items():
-        arr = tensors[name]
-        if tuple(arr.shape) != t.shape:
-            raise ValueError(
-                f"shape mismatch for {name}: checkpoint {arr.shape} vs model {t.shape}"
-            )
-        t.data = arr.copy()
-
-
 def build_model(ckpt: Checkpoint) -> Transformer:
-    """Reconstruct the saved model (weights included)."""
-    model = Transformer(ckpt.model_config, ckpt.fusion_config, seed=int(ckpt.meta.get("seed", 0)))
-    restore_params(model.params, ckpt.tensors)
-    return model
+    """Reconstruct the saved model; its parameters are the checkpoint's arrays."""
+    params = ParamStore()
+    for name, arr in ckpt.tensors.items():
+        params.add(name, Tensor(arr))
+    return Transformer(
+        ckpt.model_config, ckpt.fusion_config, params=params,
+        seed=int(ckpt.meta.get("seed", 0)),
+    )
 
 
 def restore_optimizer(ckpt: Checkpoint, params: ParamStore) -> AdamState:

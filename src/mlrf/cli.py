@@ -21,13 +21,11 @@ from .config import ConfigError, RunConfig, build_corpora, load_config
 from .data import BOS_ID, EOS_ID, ParallelCorpus, Vocabulary, make_batches
 from .decoding import BeamConfig, translate_ids
 from .metrics import corpus_bleu
-from .model import Transformer
+from .model import Transformer, param_specs, parameter_breakdown
 from .training import (
     AdamState,
     StepMetrics,
-    count_parameters,
     evaluate_teacher_forced,
-    parameter_breakdown,
     restart_adam,
     train_epoch,
 )
@@ -356,10 +354,9 @@ def cmd_param_count(args) -> int:
     except ConfigError:
         _, _, src_vocab, tgt_vocab = build_corpora(run_cfg.data, run_cfg.seed)
         model_cfg = run_cfg.model_config(len(src_vocab), len(tgt_vocab))
-    model = Transformer(model_cfg, run_cfg.fusion, seed=run_cfg.seed)
-    total = count_parameters(model.params)
-    print(f"total\t{total}")
-    for group, n in parameter_breakdown(model.params).items():
+    groups = parameter_breakdown(param_specs(model_cfg, run_cfg.fusion))
+    print(f"total\t{sum(groups.values())}")
+    for group, n in groups.items():
         print(f"{group}\t{n}")
     return 0
 

@@ -18,7 +18,6 @@ Every parametric kind ends with its own layer normalization.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,8 +25,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-
-log = logging.getLogger(__name__)
 
 SIDES = ("none", "encoder", "decoder", "both")
 KINDS = ("baseline", "avg", "fnn", "self_attention")
@@ -226,63 +223,3 @@ def fuse_side(
         first_layer=0 if cfg.include_embedding else 1,
     )
     return fused, trace
-
-
-def attach_fusion(model, cfg: FusionConfig):
-    """Rebuild ``model`` with ``cfg`` attached (same seed, same core weights)."""
-    if cfg.side == "both" and cfg.enc_kind == cfg.dec_kind == "baseline":
-        log.warning("side=both with baseline on both sides degenerates to baseline")
-    return model.with_fusion(cfg)
-
-
-# ---------------------------------------------------------------------------
-# closed-form parameter accounting (kept in lock-step with init_parameters)
-
-
-def kind_param_delta(
-    kind: str,
-    n_inputs: int,
-    d: int,
-    d_a: int,
-    d_f: int,
-    n_hop: int,
-    share_w1: bool,
-    count_layer_embed: bool = True,
-) -> int:
-    """Extra trainable scalars one fusion site adds over the baseline path.
-
-    ``n_inputs`` is the number of fused layers (n_layers+1 when the
-    embedding layer is included).  For self-attention fusion the layer
-    embedding table is counted only when ``count_layer_embed`` (a shared
-    table must be counted once, not per side).
-    """
-    if kind == "baseline":
-        return 0
-    if kind == "avg":
-        return 2 * d  # post-fusion norm only
-    if kind == "fnn":
-        return (n_inputs * d) * d_f + d_f + d_f * d + d + 2 * d
-    if kind == "self_attention":
-        w1 = d * d_a if share_w1 else n_inputs * d * d_a
-        w2 = d_a * n_hop
-        emb = n_inputs * d if count_layer_embed else 0
-        fnn = (n_hop * d) * d_f + d_f + d_f * d + d
-        return w1 + w2 + emb + fnn + 2 * d
-    raise ValueError(f"unknown fusion kind {kind!r}")
-
-
-def fusion_param_count(cfg: FusionConfig, n_layers: int, d: int) -> int:
-    """Total trainable scalars the whole fusion configuration adds."""
-    n_inputs = n_layers + 1 if cfg.include_embedding else n_layers
-    total = 0
-    counted_shared_embed = False
-    for side in ("encoder", "decoder"):
-        kind = cfg.kind_for(side)
-        count_embed = True
-        if kind == "self_attention" and cfg.share_layer_embedding:
-            count_embed = not counted_shared_embed
-            counted_shared_embed = True
-        total += kind_param_delta(
-            kind, n_inputs, d, cfg.d_a, cfg.d_f, cfg.n_hop, cfg.share_w1, count_embed
-        )
-    return total

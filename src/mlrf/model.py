@@ -15,19 +15,17 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
+from .fusion import AttentionTrace, FusionConfig, fuse_side, layer_embedding_name
 
 log = logging.getLogger(__name__)
 
 MASK_PENALTY = -1e9
-
-# per-layer representations, embedding output first; always n_layers+1 entries
-LayerStack = list
 
 
 @dataclass(frozen=True)
@@ -56,6 +54,130 @@ class ModelConfig:
             raise ValueError("d_model must be even for sinusoidal positions")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+
+
+# ---------------------------------------------------------------------------
+# parameter table
+
+
+class ParamSpec(NamedTuple):
+    """One trainable tensor: its name, shape and initialization class.
+
+    ``fan_in`` sets the bound of the ``"uniform"`` class and is 0 otherwise.
+    """
+
+    name: str
+    shape: tuple[int, ...]
+    init: str
+    fan_in: int = 0
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+
+def param_specs(config: ModelConfig, fusion: FusionConfig) -> list[ParamSpec]:
+    """Every trainable tensor of the model, in initialization draw order.
+
+    Initialization classes:
+
+    * ``"normal"``       word embeddings, N(0, sd = d^-0.5)
+    * ``"layer_index"``  layer-index embeddings, U(-0.1, 0.1)
+    * ``"ones"`` / ``"zeros"``  layer-norm gain / bias
+    * ``"uniform"``      everything else, U(-1/sqrt(fan_in), 1/sqrt(fan_in));
+                         biases use their layer's fan_in
+
+    Core parameters come before any fusion parameters, so two models that
+    differ only in fusion attachment draw identical core weights.
+    """
+    d = config.d_model
+    specs: list[ParamSpec] = []
+
+    def dense(prefix: str, w: str, b: str, fan_in: int, fan_out: int) -> None:
+        specs.append(ParamSpec(f"{prefix}.{w}", (fan_in, fan_out), "uniform", fan_in))
+        specs.append(ParamSpec(f"{prefix}.{b}", (fan_out,), "uniform", fan_in))
+
+    def norm(prefix: str) -> None:
+        specs.append(ParamSpec(f"{prefix}.gain", (d,), "ones"))
+        specs.append(ParamSpec(f"{prefix}.bias", (d,), "zeros"))
+
+    def attention(prefix: str) -> None:
+        for n in ("q", "k", "v", "o"):
+            dense(prefix, f"w{n}", f"b{n}", d, d)
+
+    def ffn(prefix: str, d_in: int, d_hidden: int) -> None:
+        dense(prefix, "w1", "b1", d_in, d_hidden)
+        dense(prefix, "w2", "b2", d_hidden, d)
+
+    specs.append(ParamSpec("src_embed.weight", (config.src_vocab, d), "normal"))
+    specs.append(ParamSpec("tgt_embed.weight", (config.tgt_vocab, d), "normal"))
+    for i in range(config.n_layers):
+        attention(f"encoder.layer{i}.self_attn")
+        norm(f"encoder.layer{i}.norm1")
+        ffn(f"encoder.layer{i}.ffn", d, config.d_ff)
+        norm(f"encoder.layer{i}.norm2")
+    for i in range(config.n_layers):
+        attention(f"decoder.layer{i}.self_attn")
+        norm(f"decoder.layer{i}.norm1")
+        attention(f"decoder.layer{i}.cross_attn")
+        norm(f"decoder.layer{i}.norm2")
+        ffn(f"decoder.layer{i}.ffn", d, config.d_ff)
+        norm(f"decoder.layer{i}.norm3")
+    dense("output", "weight", "bias", d, config.tgt_vocab)
+
+    n_inputs = config.n_layers + 1 if fusion.include_embedding else config.n_layers
+    for side in ("encoder", "decoder"):
+        kind = fusion.kind_for(side)
+        if kind == "baseline":
+            continue
+        prefix = f"fusion.{side}"
+        if kind == "fnn":
+            ffn(f"{prefix}.fnn", n_inputs * d, fusion.d_f)
+        elif kind == "self_attention":
+            # inner projections carry no bias
+            if fusion.share_w1:
+                w1_names = [f"{prefix}.att.w1"]
+            else:
+                w1_names = [f"{prefix}.att.w1.layer{l}" for l in range(n_inputs)]
+            for name in w1_names:
+                specs.append(ParamSpec(name, (d, fusion.d_a), "uniform", d))
+            specs.append(
+                ParamSpec(f"{prefix}.att.w2", (fusion.d_a, fusion.n_hop), "uniform", fusion.d_a)
+            )
+            embed = layer_embedding_name(fusion, side)
+            if all(s.name != embed for s in specs):  # a shared table comes once
+                specs.append(ParamSpec(embed, (n_inputs, d), "layer_index"))
+            ffn(f"{prefix}.fnn", fusion.n_hop * d, fusion.d_f)
+        norm(f"{prefix}.post_norm")
+    return specs
+
+
+def parameter_breakdown(specs: Sequence[ParamSpec]) -> dict[str, int]:
+    """Scalar counts grouped by top-level component."""
+    groups = {"embeddings": 0, "encoder": 0, "decoder": 0, "fusion": 0, "output": 0}
+    for spec in specs:
+        if spec.name.startswith(("src_embed", "tgt_embed")):
+            groups["embeddings"] += spec.size
+        else:
+            groups[spec.name.split(".", 1)[0]] += spec.size
+    return groups
+
+
+def check_params(params: ParamStore, specs: Sequence[ParamSpec]) -> None:
+    """Raise ValueError naming every missing, extra or mis-shaped tensor."""
+    expected = {s.name: s.shape for s in specs}
+    missing = sorted(set(expected) - set(params.names()))
+    extra = sorted(set(params.names()) - set(expected))
+    misshaped = [
+        f"{name} {t.shape} vs {expected[name]}"
+        for name, t in params.items()
+        if name in expected and t.shape != expected[name]
+    ]
+    if missing or extra or misshaped:
+        raise ValueError(
+            f"parameter store does not match the model: missing={missing[:5]} "
+            f"extra={extra[:5]} shape mismatch={misshaped[:5]}"
+        )
 
 
 def positional_encoding(seq_len: int, d: int) -> np.ndarray:
@@ -211,8 +333,8 @@ def decoder_layer(
 @dataclass
 class ForwardResult:
     logits: Tensor  # [sum(tgt_lengths) x tgt_vocab]
-    encoder_trace: "AttentionTrace | None"
-    decoder_trace: "AttentionTrace | None"
+    encoder_trace: AttentionTrace | None
+    decoder_trace: AttentionTrace | None
 
 
 class Transformer:
@@ -225,15 +347,16 @@ class Transformer:
     """
 
     def __init__(self, config: ModelConfig, fusion=None, params=None, seed: int = 0):
-        from .fusion import FusionConfig  # deferred: fusion imports this module
-
+        """Draw fresh weights from ``seed``, or adopt ``params`` after checking
+        them against ``param_specs``."""
         self.config = config
         self.fusion = fusion if fusion is not None else FusionConfig()
-        self.seed = seed
         if params is None:
-            from .training import init_parameters
+            from .training import init_parameters  # deferred: training imports this module
 
             params = init_parameters(config, self.fusion, seed)
+        else:
+            check_params(params, param_specs(config, self.fusion))
         self.params = params
         self.dropout_rng = np.random.default_rng(seed)
         self._pe = positional_encoding(config.max_len, config.d_model)
@@ -251,7 +374,7 @@ class Transformer:
         rate = self.config.dropout if train else 0.0
         return ad.dropout(x, rate, self.dropout_rng)
 
-    def encode(self, src_ids, src_lengths: Sequence[int], train: bool = False) -> LayerStack:
+    def encode(self, src_ids, src_lengths: Sequence[int], train: bool = False) -> list[Tensor]:
         """Run the encoder; returns n_layers+1 reps (embedding output first)."""
         cfg = self.config
         rate = cfg.dropout if train else 0.0
@@ -273,7 +396,7 @@ class Transformer:
         enc_rep: Tensor,
         src_lengths: Sequence[int],
         train: bool = False,
-    ) -> LayerStack:
+    ) -> list[Tensor]:
         """Decoder stack over gold prefixes (inputs already BOS-shifted)."""
         cfg = self.config
         rate = cfg.dropout if train else 0.0
@@ -291,16 +414,12 @@ class Transformer:
 
     # -- fusion hooks
 
-    def encoder_output(self, stack: LayerStack):
+    def encoder_output(self, stack: list[Tensor]):
         """Representation handed to the decoder: fused, or the top layer."""
-        from .fusion import fuse_side
-
         return fuse_side(stack, "encoder", self.fusion, self.params)
 
-    def decoder_output(self, stack: LayerStack):
+    def decoder_output(self, stack: list[Tensor]):
         """Representation handed to the output projection."""
-        from .fusion import fuse_side
-
         return fuse_side(stack, "decoder", self.fusion, self.params)
 
     def output_logits(self, rep: Tensor) -> Tensor:
@@ -328,7 +447,3 @@ class Transformer:
 
     def reseed_dropout(self, seed) -> None:
         self.dropout_rng = np.random.default_rng(seed)
-
-    def with_fusion(self, fusion) -> "Transformer":
-        """Same core weights (same seed), different fusion attachment."""
-        return Transformer(self.config, fusion, seed=self.seed)

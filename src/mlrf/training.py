@@ -1,13 +1,6 @@
 """Initialization, the warmup/restart Adam recipe, and the training loop.
 
-Initialization classes:
-
-* word embeddings          ~ N(0, sd = d^-0.5)
-* layer-index embeddings   ~ U(-0.1, 0.1)
-* layer-norm gain/bias     = 1 / 0
-* everything else          ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), biases
-                             using their layer's fan_in
-
+Initialization draws the tensors of ``model.param_specs`` in table order.
 Phase 1 uses the width-scaled warmup schedule; phase 2 restarts Adam
 (moments and step zeroed) and trains at a small fixed rate with smaller
 mini-batches.
@@ -24,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .fusion import FusionConfig, layer_embedding_name
-from .model import ModelConfig, Transformer
+from .fusion import FusionConfig
+from .model import ModelConfig, ParamSpec, Transformer, param_specs
 
 log = logging.getLogger(__name__)
 
@@ -59,115 +52,30 @@ class TrainConfig:
 # parameter initialization
 
 
-def _uniform(rng, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _add_linear(store, rng, prefix: str, fan_in: int, fan_out: int) -> None:
-    store.add(f"{prefix}.w", Tensor(_uniform(rng, fan_in, (fan_in, fan_out))))
-    store.add(f"{prefix}.b", Tensor(_uniform(rng, fan_in, (fan_out,))))
-
-
-def _add_norm(store, prefix: str, d: int) -> None:
-    store.add(f"{prefix}.gain", Tensor(np.ones(d)))
-    store.add(f"{prefix}.bias", Tensor(np.zeros(d)))
-
-
-def _add_attention(store, rng, prefix: str, d: int) -> None:
-    for name in ("q", "k", "v", "o"):
-        store.add(f"{prefix}.w{name}", Tensor(_uniform(rng, d, (d, d))))
-        store.add(f"{prefix}.b{name}", Tensor(_uniform(rng, d, (d,))))
-
-
-def _add_ffn(store, rng, prefix: str, d_in: int, d_hidden: int, d_out: int) -> None:
-    store.add(f"{prefix}.w1", Tensor(_uniform(rng, d_in, (d_in, d_hidden))))
-    store.add(f"{prefix}.b1", Tensor(_uniform(rng, d_in, (d_hidden,))))
-    store.add(f"{prefix}.w2", Tensor(_uniform(rng, d_hidden, (d_hidden, d_out))))
-    store.add(f"{prefix}.b2", Tensor(_uniform(rng, d_hidden, (d_out,))))
-
-
-def _add_fusion_side(store, rng, side: str, kind: str, cfg, fcfg: FusionConfig) -> None:
-    if kind == "baseline":
-        return
-    d = cfg.d_model
-    prefix = f"fusion.{side}"
-    n_inputs = cfg.n_layers + 1 if fcfg.include_embedding else cfg.n_layers
-    if kind == "avg":
-        _add_norm(store, f"{prefix}.post_norm", d)
-        return
-    if kind == "fnn":
-        _add_ffn(store, rng, f"{prefix}.fnn", n_inputs * d, fcfg.d_f, d)
-        _add_norm(store, f"{prefix}.post_norm", d)
-        return
-    # self_attention: inner projections carry no bias
-    if fcfg.share_w1:
-        store.add(f"{prefix}.att.w1", Tensor(_uniform(rng, d, (d, fcfg.d_a))))
-    else:
-        for l in range(n_inputs):
-            store.add(
-                f"{prefix}.att.w1.layer{l}", Tensor(_uniform(rng, d, (d, fcfg.d_a)))
-            )
-    store.add(f"{prefix}.att.w2", Tensor(_uniform(rng, fcfg.d_a, (fcfg.d_a, fcfg.n_hop))))
-    emb_name = layer_embedding_name(fcfg, side)
-    if emb_name not in store:
-        store.add(emb_name, Tensor(rng.uniform(-0.1, 0.1, size=(n_inputs, d))))
-    _add_ffn(store, rng, f"{prefix}.fnn", fcfg.n_hop * d, fcfg.d_f, d)
-    _add_norm(store, f"{prefix}.post_norm", d)
+def _draw(rng: np.random.Generator, spec: ParamSpec) -> np.ndarray:
+    if spec.init == "uniform":
+        bound = 1.0 / math.sqrt(spec.fan_in)
+        return rng.uniform(-bound, bound, size=spec.shape)
+    if spec.init == "normal":
+        return rng.normal(0.0, spec.shape[1] ** -0.5, spec.shape)
+    if spec.init == "layer_index":
+        return rng.uniform(-0.1, 0.1, size=spec.shape)
+    if spec.init == "ones":
+        return np.ones(spec.shape)
+    if spec.init == "zeros":
+        return np.zeros(spec.shape)
+    raise ValueError(f"unknown initialization class {spec.init!r} for {spec.name}")
 
 
 def init_parameters(
     config: ModelConfig, fusion: FusionConfig, seed: int
 ) -> ParamStore:
-    """Draw every trainable tensor; bit-identical for equal seeds.
-
-    Core parameters are drawn before any fusion parameters, so two models
-    that differ only in fusion attachment share identical core weights.
-    """
+    """Draw every tensor of ``param_specs`` in order; bit-identical for equal seeds."""
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    d = config.d_model
-
-    sd = d ** -0.5
-    store.add("src_embed.weight", Tensor(rng.normal(0.0, sd, (config.src_vocab, d))))
-    store.add("tgt_embed.weight", Tensor(rng.normal(0.0, sd, (config.tgt_vocab, d))))
-
-    for i in range(config.n_layers):
-        prefix = f"encoder.layer{i}"
-        _add_attention(store, rng, f"{prefix}.self_attn", d)
-        _add_norm(store, f"{prefix}.norm1", d)
-        _add_ffn(store, rng, f"{prefix}.ffn", d, config.d_ff, d)
-        _add_norm(store, f"{prefix}.norm2", d)
-    for i in range(config.n_layers):
-        prefix = f"decoder.layer{i}"
-        _add_attention(store, rng, f"{prefix}.self_attn", d)
-        _add_norm(store, f"{prefix}.norm1", d)
-        _add_attention(store, rng, f"{prefix}.cross_attn", d)
-        _add_norm(store, f"{prefix}.norm2", d)
-        _add_ffn(store, rng, f"{prefix}.ffn", d, config.d_ff, d)
-        _add_norm(store, f"{prefix}.norm3", d)
-
-    store.add("output.weight", Tensor(_uniform(rng, d, (d, config.tgt_vocab))))
-    store.add("output.bias", Tensor(_uniform(rng, d, (config.tgt_vocab,))))
-
-    _add_fusion_side(store, rng, "encoder", fusion.kind_for("encoder"), config, fusion)
-    _add_fusion_side(store, rng, "decoder", fusion.kind_for("decoder"), config, fusion)
+    for spec in param_specs(config, fusion):
+        store.add(spec.name, Tensor(_draw(rng, spec)))
     return store
-
-
-def count_parameters(params: ParamStore) -> int:
-    return params.count_scalars()
-
-
-def parameter_breakdown(params: ParamStore) -> dict[str, int]:
-    """Scalar counts grouped by top-level component."""
-    groups = {"embeddings": 0, "encoder": 0, "decoder": 0, "fusion": 0, "output": 0}
-    for name, t in params.items():
-        if name.startswith(("src_embed", "tgt_embed")):
-            groups["embeddings"] += t.size
-        else:
-            groups[name.split(".", 1)[0]] += t.size
-    return groups
 
 
 # ---------------------------------------------------------------------------

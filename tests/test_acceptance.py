@@ -30,7 +30,6 @@ from mlrf.model import ModelConfig, Transformer
 from mlrf.training import (
     AdamState,
     TrainConfig,
-    count_parameters,
     evaluate_teacher_forced,
     init_parameters,
     lr_schedule,
@@ -129,7 +128,7 @@ def test_c01_parameter_count_reconstruction():
     }
     got = {}
     for name, (fusion, expect) in expected_millions.items():
-        total = count_parameters(init_parameters(cfg, fusion, seed=0))
+        total = init_parameters(cfg, fusion, seed=0).count_scalars()
         got[name] = total
         assert abs(total / 1e6 - expect) / expect < 0.01, (name, total)
     report("C1 parameter-count reconstruction", f"totals={got}")

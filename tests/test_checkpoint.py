@@ -1,17 +1,13 @@
 """Checkpoint container: byte round-trips, state restoration, validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
-from mlrf.checkpoint import (
-    build_model,
-    load_checkpoint,
-    restore_optimizer,
-    restore_params,
-    save_checkpoint,
-)
-from mlrf.model import Transformer
+from mlrf.checkpoint import build_model, load_checkpoint, restore_optimizer, save_checkpoint
+from mlrf.fusion import FusionConfig
 from mlrf.training import AdamState, TrainConfig, adam_step
 from tests.conftest import toy_config, toy_model, random_sentences
 
@@ -95,19 +91,34 @@ class TestValidation:
         model, state = trained_model()
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, None, None, {})
-        ckpt = load_checkpoint(path)
-        other = Transformer(toy_config(d_model=16, d_ff=32), model.fusion, seed=0)
+        ckpt = replace(load_checkpoint(path), model_config=toy_config(d_model=16, d_ff=32))
         with pytest.raises(ValueError, match="mismatch|does not match"):
-            restore_params(other.params, ckpt.tensors)
+            build_model(ckpt)
 
     def test_rejects_missing_tensor(self, tmp_path):
         model, _ = trained_model()
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, None, None, {})
-        ckpt = load_checkpoint(path)
-        plain = toy_model(seed=0)  # no fusion parameters
+        # a model without fusion finds the saved fusion tensors extra
+        ckpt = replace(load_checkpoint(path), fusion_config=FusionConfig())
         with pytest.raises(ValueError, match="does not match"):
-            restore_params(plain.params, ckpt.tensors)
+            build_model(ckpt)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        model, _ = trained_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, None, None, {})
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="m.ckpt"):
+            load_checkpoint(path)
+
+    def test_rejects_truncated_data(self, tmp_path):
+        model, _ = trained_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, None, None, {})
+        path.write_bytes(path.read_bytes()[:-12])
+        with pytest.raises(ValueError, match="m.ckpt"):
+            load_checkpoint(path)
 
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,7 +1,9 @@
 """End-to-end command-line runs on a miniature copy task."""
 
+import numpy as np
 import pytest
 
+from mlrf import training
 from mlrf.checkpoint import build_model, load_checkpoint
 from mlrf.cli import main, read_trace_file
 from mlrf.data import EOS_ID, Vocabulary
@@ -232,6 +234,22 @@ class TestParamCount:
         totals = dict(line.split("\t") for line in out.strip().splitlines())
         assert int(totals["total"]) == 11_898_652  # 3+3 layers, d=256, Dec-SA(4)
         assert int(totals["embeddings"]) == (8389 + 6428) * 256
+
+    def test_draws_no_weights(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("param-count drew random numbers")
+
+        monkeypatch.setattr(training, "init_parameters", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert main(["param-count", "--config", "configs/de_en_shaped.cfg"]) == 0
+        assert capsys.readouterr().out == (
+            "total\t11898652\n"
+            "embeddings\t3793152\n"
+            "encoder\t2369280\n"
+            "decoder\t3160320\n"
+            "fusion\t923904\n"
+            "output\t1651996\n"
+        )
 
     def test_derives_vocab_from_data_section(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -4,18 +4,10 @@ import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
-from mlrf.fusion import (
-    FusionConfig,
-    attach_fusion,
-    fusion_param_count,
-    fuse_avg,
-    fuse_baseline,
-    fuse_self_attention,
-    kind_param_delta,
-)
-
-from mlrf.training import count_parameters, init_parameters
-from tests.conftest import random_sentences, toy_model
+from mlrf.fusion import FusionConfig, fuse_avg, fuse_baseline, fuse_self_attention
+from mlrf.model import Transformer, param_specs
+from mlrf.training import init_parameters
+from tests.conftest import random_sentences, toy_config, toy_model
 from tests.gradcheck import max_rel_err, numeric_grad_at
 
 ALL_SIDES_AND_KINDS = [
@@ -58,7 +50,7 @@ class TestBaseline:
     def test_adds_no_parameters(self):
         plain = toy_model(seed=0)
         fused = toy_model("decoder", "baseline", seed=0)
-        assert count_parameters(plain.params) == count_parameters(fused.params)
+        assert plain.params.count_scalars() == fused.params.count_scalars()
 
 
 class TestAvg:
@@ -88,7 +80,7 @@ class TestAvg:
         plain = toy_model(seed=0)
         fused = toy_model("decoder", "avg", seed=0)
         d = plain.config.d_model
-        assert count_parameters(fused.params) - count_parameters(plain.params) == 2 * d
+        assert fused.params.count_scalars() - plain.params.count_scalars() == 2 * d
 
 
 class TestFnn:
@@ -183,23 +175,17 @@ class TestSelfAttention:
 
 class TestAttach:
     def test_both_sides_with_distinct_kinds(self):
-        model = toy_model()
-        fused = attach_fusion(
-            model,
+        fused = Transformer(
+            toy_config(),
             FusionConfig(
                 side="both", enc_kind="fnn", dec_kind="self_attention",
                 n_hop=3, d_a=16, d_f=12,
             ),
+            seed=3,
         )
         result, _ = forward_toy(fused)
         assert result.encoder_trace is None  # fnn side has no trace
         assert result.decoder_trace is not None
-
-    def test_degenerate_both_baseline_warns(self, caplog):
-        model = toy_model()
-        with caplog.at_level("WARNING"):
-            attach_fusion(model, FusionConfig(side="both"))
-        assert any("degenerates" in r.message for r in caplog.records)
 
     def test_include_embedding_changes_input_length_by_one(self):
         with_emb = toy_model("decoder", "self_attention", include_embedding=True)
@@ -244,6 +230,59 @@ class TestReachabilityAndShapes:
         assert dec.shape == (3, model.config.d_model)
 
 
+# Closed-form parameter accounting, written independently of param_specs so
+# the table (and the store drawn from it) can be checked against it.
+
+
+def kind_param_delta(
+    kind: str,
+    n_inputs: int,
+    d: int,
+    d_a: int,
+    d_f: int,
+    n_hop: int,
+    share_w1: bool,
+    count_layer_embed: bool = True,
+) -> int:
+    """Extra trainable scalars one fusion site adds over the baseline path.
+
+    ``n_inputs`` is the number of fused layers (n_layers+1 when the
+    embedding layer is included).  For self-attention fusion the layer
+    embedding table is counted only when ``count_layer_embed`` (a shared
+    table must be counted once, not per side).
+    """
+    if kind == "baseline":
+        return 0
+    if kind == "avg":
+        return 2 * d  # post-fusion norm only
+    if kind == "fnn":
+        return (n_inputs * d) * d_f + d_f + d_f * d + d + 2 * d
+    if kind == "self_attention":
+        w1 = d * d_a if share_w1 else n_inputs * d * d_a
+        w2 = d_a * n_hop
+        emb = n_inputs * d if count_layer_embed else 0
+        fnn = (n_hop * d) * d_f + d_f + d_f * d + d
+        return w1 + w2 + emb + fnn + 2 * d
+    raise ValueError(f"unknown fusion kind {kind!r}")
+
+
+def fusion_param_count(cfg: FusionConfig, n_layers: int, d: int) -> int:
+    """Total trainable scalars the whole fusion configuration adds."""
+    n_inputs = n_layers + 1 if cfg.include_embedding else n_layers
+    total = 0
+    counted_shared_embed = False
+    for side in ("encoder", "decoder"):
+        kind = cfg.kind_for(side)
+        count_embed = True
+        if kind == "self_attention" and cfg.share_layer_embedding:
+            count_embed = not counted_shared_embed
+            counted_shared_embed = True
+        total += kind_param_delta(
+            kind, n_inputs, d, cfg.d_a, cfg.d_f, cfg.n_hop, cfg.share_w1, count_embed
+        )
+    return total
+
+
 class TestParameterAccounting:
     @pytest.mark.parametrize("side,kind", ALL_SIDES_AND_KINDS)
     @pytest.mark.parametrize("share_w1", [True, False])
@@ -253,10 +292,10 @@ class TestParameterAccounting:
         fused = toy_model(
             side, kind, seed=0, share_w1=share_w1, include_embedding=include_embedding
         )
-        delta = count_parameters(fused.params) - count_parameters(base.params)
-        assert delta == fusion_param_count(
-            fused.fusion, base.config.n_layers, base.config.d_model
-        )
+        expected = fusion_param_count(fused.fusion, base.config.n_layers, base.config.d_model)
+        assert fused.params.count_scalars() - base.params.count_scalars() == expected
+        rows = param_specs(fused.config, fused.fusion)
+        assert sum(s.size for s in rows if s.name.startswith("fusion.")) == expected
 
     def test_split_layer_embedding_counts_twice(self):
         cfg = toy_model().config
@@ -268,11 +307,11 @@ class TestParameterAccounting:
             side="both", enc_kind="self_attention", dec_kind="self_attention",
             n_hop=3, d_a=16, d_f=12, share_layer_embedding=False,
         )
-        n_shared = count_parameters(init_parameters(cfg, shared, 0))
-        n_split = count_parameters(init_parameters(cfg, split, 0))
+        n_shared = init_parameters(cfg, shared, 0).count_scalars()
+        n_split = init_parameters(cfg, split, 0).count_scalars()
         rows = cfg.n_layers + 1
         assert n_split - n_shared == rows * cfg.d_model
-        assert n_split - count_parameters(init_parameters(cfg, FusionConfig(), 0)) == \
+        assert n_split - init_parameters(cfg, FusionConfig(), 0).count_scalars() == \
             fusion_param_count(split, cfg.n_layers, cfg.d_model)
 
     def test_per_layer_w1_delta(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
+from mlrf.fusion import FusionConfig
 from mlrf.model import (
     Transformer,
     block_mask,
@@ -12,7 +13,8 @@ from mlrf.model import (
     multi_head_attention,
     positional_encoding,
 )
-from tests.conftest import toy_config, toy_model, random_sentences
+from mlrf.training import init_parameters
+from tests.conftest import toy_config, toy_fusion, toy_model, random_sentences
 from tests.gradcheck import max_rel_err, numeric_grad_at
 
 
@@ -226,3 +228,24 @@ class TestFullModelGradients:
             ana = 0.0 if p.grad is None else float(p.grad.reshape(-1)[idx])
             num = numeric_grad_at(loss, p.data, idx)
             assert max_rel_err(ana, num) < 1e-4, name
+
+
+class TestAdoptedParams:
+    def test_store_of_another_width_is_rejected_at_construction(self):
+        store = init_parameters(toy_config(d_model=16, d_ff=32), FusionConfig(), 0)
+        with pytest.raises(
+            ValueError, match=r"mismatch=\['decoder\.layer0\.cross_attn\.bk \(16,\) vs \(8,\)'"
+        ):
+            Transformer(toy_config(), FusionConfig(), params=store)
+
+    def test_missing_and_extra_tensors_are_named(self):
+        store = init_parameters(toy_config(), toy_fusion("decoder", "avg"), 0)
+        with pytest.raises(ValueError, match=r"extra=\['fusion\.decoder\.post_norm\.bias'"):
+            Transformer(toy_config(), FusionConfig(), params=store)
+        with pytest.raises(ValueError, match=r"missing=\['fusion\.encoder\.post_norm\.bias'"):
+            Transformer(toy_config(), toy_fusion("both", "avg"), params=store)
+
+    def test_matching_store_is_adopted_as_is(self):
+        fusion = toy_fusion("both", "self_attention", share_w1=False)
+        store = init_parameters(toy_config(), fusion, 0)
+        assert Transformer(toy_config(), fusion, params=store).params is store

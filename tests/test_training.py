@@ -9,12 +9,11 @@ from mlrf.autodiff import ParamStore, Tensor
 from mlrf.data import ParallelCorpus, Vocabulary, generate_synthetic, make_batches
 from mlrf.data import SyntheticTaskSpec
 from mlrf.fusion import FusionConfig
-from mlrf.model import ModelConfig, Transformer
+from mlrf.model import ModelConfig, Transformer, param_specs
 from mlrf.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    count_parameters,
     evaluate_teacher_forced,
     init_parameters,
     lr_schedule,
@@ -265,6 +264,9 @@ class TestTrainLoop:
 class TestCounts:
     def test_count_is_sum_of_sizes(self):
         model = toy_model("decoder", "self_attention")
-        assert count_parameters(model.params) == sum(
+        assert model.params.count_scalars() == sum(
             t.size for _, t in model.params.items()
+        )
+        assert model.params.count_scalars() == sum(
+            s.size for s in param_specs(model.config, model.fusion)
         )
