@@ -261,6 +261,36 @@ class TestTrainLoop:
         assert metrics.phase == "restarted"
 
 
+# Losses of four train_steps with dropout on, recorded from the packed-sequence
+# implementation.  A change of batch layout must leave them in place to
+# rounding; a changed dropout draw moves them by about 1e-2.
+PINNED_LOSSES = {
+    ("decoder", "self_attention"): [
+        2.3348006389294396, 2.4197643538424747, 2.355006261552468, 2.39425436260911,
+    ],
+    ("encoder", "fnn"): [
+        2.8422518126928717, 2.704655534747905, 2.7988830171651453, 2.5064588492031987,
+    ],
+    ("both", "avg"): [
+        2.716692414990627, 2.5237962443934676, 2.6598982701882448, 2.33471220222874,
+    ],
+}
+
+
+@pytest.mark.parametrize("side,kind", sorted(PINNED_LOSSES))
+def test_training_losses_are_pinned(side, kind):
+    spec = SyntheticTaskSpec("copy", alphabet=7, min_len=1, max_len=6, count=16, seed=12)
+    vocab = Vocabulary(f"s{i}" for i in range(7))
+    batches = make_batches(generate_synthetic(spec), vocab, vocab, 4)
+    assert len({tuple(b.tgt_mask.sum(axis=1)) for b in batches}) == 4  # ragged batches
+    model = Transformer(toy_config(dropout=0.1), toy_fusion(side, kind), seed=5)
+    model.reseed_dropout(6)
+    state = AdamState(model.params)
+    cfg = TrainConfig(warmup_steps=20, seed=5)
+    losses = [train_step(model, batch, state, cfg).loss for batch in batches]
+    np.testing.assert_allclose(losses, PINNED_LOSSES[side, kind], rtol=1e-12, atol=0)
+
+
 class TestCounts:
     def test_count_is_sum_of_sizes(self):
         model = toy_model("decoder", "self_attention")
