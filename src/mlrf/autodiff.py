@@ -155,10 +155,13 @@ def tanh(x: Tensor) -> Tensor:
     return _make(y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose expects a matrix, got shape {x.shape}")
-    return _make(x.data.T.copy(), (x,), lambda g: (g.T,))
+def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes (reverse them when ``axes`` is None), as ``np.transpose``."""
+    axes = tuple(reversed(range(x.data.ndim))) if axes is None else tuple(axes)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ValueError(f"transpose axes {axes} do not permute shape {x.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -186,7 +189,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def slice_(x: Tensor, key) -> Tensor:
-    """Basic indexing (ints and slices); backward scatters into a zero buffer."""
+    """Ints, slices or a boolean mask over the leading axes; backward scatters
+    into a zero buffer."""
     data = x.data[key]
     shape = x.shape
 
@@ -215,11 +219,24 @@ def mean_(x: Tensor, axis: int | None = None) -> Tensor:
     return scale(sum_(x, axis=axis), 1.0 / n)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scale kept units by 1/(1-rate); identity at rate 0."""
+def dropout(
+    x: Tensor, rate: float, rng: np.random.Generator, mask: np.ndarray | None = None
+) -> Tensor:
+    """Inverted dropout: scale kept units by 1/(1-rate); identity at rate 0.
+
+    With a boolean ``mask`` over the leading axes of ``x``, the draw covers
+    only the masked-in rows, in row-major order, and every other row is
+    zeroed.  A padded batch then consumes the generator exactly as its real
+    tokens laid end to end would.
+    """
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    if mask is None:
+        keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    else:
+        keep = np.zeros(x.shape)
+        n = int(np.count_nonzero(mask))
+        keep[mask] = (rng.random((n,) + x.shape[mask.ndim :]) >= rate) / (1.0 - rate)
     return _make(x.data * keep, (x,), lambda g: (g * keep,))
 
 
@@ -228,15 +245,30 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes.
+
+    ``a`` may carry leading batch axes.  A 2-D ``b`` (a weight) multiplies
+    every row of ``a``, and its gradient is one GEMM over the flattened rows;
+    otherwise ``b`` must carry the same batch axes as ``a``.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    batched = b.data.ndim > 2 and b.shape[:-2] == a.shape[:-2]
+    if a.data.ndim < 2 or not (b.data.ndim == 2 or batched) or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    data = a.data @ b.data
+    if b.data.ndim == 2:
+        rows = a.data.reshape(-1, a.shape[-1])
+        data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
 
-    def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        def vjp(g):
+            g = g.reshape(-1, g.shape[-1])
+            return (g @ b.data.T).reshape(a.shape), rows.T @ g
 
-    return _make(data, (a, b), vjp)
+        return _make(data, (a, b), vjp)
+
+    def batched_vjp(g):
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
+
+    return _make(a.data @ b.data, (a, b), batched_vjp)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -250,7 +282,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     rows = table.shape[0]
 
     def vjp(g):
-        buf = np.zeros((rows,) + g.shape[1:])
+        buf = np.zeros((rows,) + g.shape[ids.ndim :])
         np.add.at(buf, ids, g)
         return (buf,)
 

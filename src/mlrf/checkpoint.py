@@ -78,17 +78,34 @@ def save_checkpoint(
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+_HEADER_KEYS = ("model", "fusion", "train", "optimizer", "tensors")
+
+
+def _read_header(rest: bytes, path) -> tuple[dict, list[int], bytes]:
+    """The header after the magic line, each tensor's element count, and the
+    data after the header; ValueError naming ``path`` if the header is cut
+    or malformed."""
+    try:
+        size_line, rest = rest.split(b"\n", 1)
+        n = int(size_line)
+        if not 0 < n <= len(rest):
+            raise ValueError(f"header length {n}, but {len(rest)} bytes follow")
+        header = json.loads(rest[:n].decode("utf-8"))
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise ValueError(f"header lacks {missing}")
+        counts = [math.prod(int(k) for k in shape) for _, shape in header["tensors"]]
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"corrupt checkpoint {path}: {exc}") from exc
+    return header, counts, rest[n:]
+
+
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
-    magic, rest = raw.split(b"\n", 1)
+    magic, _, rest = raw.partition(b"\n")
     if magic.decode("ascii", "replace") != MAGIC:
         raise ValueError(f"not a checkpoint file: {path}")
-    size_line, rest = rest.split(b"\n", 1)
-    n = int(size_line)
-    header = json.loads(rest[:n].decode("utf-8"))
-    blob = rest[n:]
-
-    counts = [math.prod(shape) for _, shape in header["tensors"]]
+    header, counts, blob = _read_header(rest, path)
     if len(blob) != 8 * sum(counts):
         raise ValueError(
             f"corrupt checkpoint {path}: {len(blob)} data bytes, "

@@ -18,10 +18,10 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import build_model, load_checkpoint, restore_optimizer, save_checkpoint
 from .config import ConfigError, RunConfig, build_corpora, load_config
-from .data import BOS_ID, EOS_ID, ParallelCorpus, Vocabulary, make_batches
+from .data import BOS_ID, EOS_ID, ParallelCorpus, Vocabulary, make_batches, synthetic_vocabulary
 from .decoding import BeamConfig, translate_ids
 from .metrics import corpus_bleu
-from .model import Transformer, param_specs, parameter_breakdown
+from .model import Transformer, one_sentence, param_specs, parameter_breakdown
 from .training import (
     AdamState,
     StepMetrics,
@@ -270,21 +270,20 @@ def export_attention(model, src_vocab, tgt_vocab, lines, side: str, beam: BeamCo
         if not tokens:
             continue
         src_ids = src_vocab.encode(tokens) + [EOS_ID]
+        src, src_mask = one_sentence(src_ids)
         if side == "encoder":
             with ad.no_grad():
-                _, trace = model.encoder_output(model.encode(src_ids, [len(src_ids)]))
+                _, trace = model.encoder_output(model.encode(src, src_mask), src_mask)
             pos_tokens = tokens + ["<eos>"]
         else:
             # decode first, then force the decoded sequence to read its
             # trace; position j is labeled with the token predicted there
             out_ids = translate_ids(model, src_ids, beam)
-            tgt_in = [BOS_ID] + out_ids
+            tgt_in, tgt_mask = one_sentence([BOS_ID] + out_ids)
             with ad.no_grad():
-                enc_rep, _ = model.encoder_output(model.encode(src_ids, [len(src_ids)]))
-                stack = model.decode_teacher_forced(
-                    tgt_in, [len(tgt_in)], enc_rep, [len(src_ids)]
-                )
-                _, trace = model.decoder_output(stack)
+                enc_rep, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
+                stack = model.decode_teacher_forced(tgt_in, tgt_mask, enc_rep, src_mask)
+                _, trace = model.decoder_output(stack, tgt_mask)
             pos_tokens = tgt_vocab.decode(out_ids, strip_reserved=False) + ["<eos>"]
         if trace is None:
             raise ValueError(f"{side} side has no self-attention fusion")
@@ -352,7 +351,10 @@ def cmd_param_count(args) -> int:
     try:
         model_cfg = run_cfg.model_config()
     except ConfigError:
-        _, _, src_vocab, tgt_vocab = build_corpora(run_cfg.data, run_cfg.seed)
+        if run_cfg.data.task is not None:  # no need to generate the corpora
+            src_vocab = tgt_vocab = synthetic_vocabulary(run_cfg.data.alphabet)
+        else:
+            _, _, src_vocab, tgt_vocab = build_corpora(run_cfg.data, run_cfg.seed)
         model_cfg = run_cfg.model_config(len(src_vocab), len(tgt_vocab))
     groups = parameter_breakdown(param_specs(model_cfg, run_cfg.fusion))
     print(f"total\t{sum(groups.values())}")

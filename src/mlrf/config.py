@@ -20,6 +20,7 @@ from .data import (
     build_vocab,
     generate_synthetic,
     load_parallel_text,
+    synthetic_vocabulary,
 )
 from .decoding import BeamConfig
 from .fusion import FusionConfig
@@ -199,6 +200,9 @@ def load_config(path) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+    errors = _length_errors(model_kw["max_len"], data_cfg, decode.get("max_len"))
+    if errors:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     return RunConfig(
         seed=run.get("seed", 1),
         model=model_kw,
@@ -207,6 +211,29 @@ def load_config(path) -> RunConfig:
         data=data_cfg,
         decode=decode_cfg,
     )
+
+
+def _length_errors(model_max: int, data: DataConfig, decode_max: int | None) -> list[str]:
+    """Lengths the model cannot hold: a data sentence plus its EOS (source)
+    or BOS (target) slot, and an explicit decode length plus BOS."""
+    errors = []
+    if data.task is not None:
+        key, longest = "max_len", data.max_len
+    elif data.train_src or data.train_tgt:
+        key, longest = "max_sentence_len", data.max_sentence_len
+    else:
+        key, longest = None, 0  # no data configured
+    if key is not None and model_max < longest + 1:
+        errors.append(
+            f"[model] max_len = {model_max} is below [data] {key} = {longest} "
+            f"plus one BOS/EOS slot"
+        )
+    if decode_max is not None and decode_max > model_max - 1:
+        errors.append(
+            f"[decode] max_len = {decode_max} exceeds [model] max_len - 1 = "
+            f"{model_max - 1} (the decoder prefix holds BOS)"
+        )
+    return errors
 
 
 def build_corpora(
@@ -235,8 +262,7 @@ def build_corpora(
                     seed=seed + 1,
                 )
             )
-        # the full symbol set, independent of which symbols were sampled
-        vocab = Vocabulary(f"s{i}" for i in range(cfg.alphabet))
+        vocab = synthetic_vocabulary(cfg.alphabet)
         return train, valid, vocab, vocab
 
     if not (cfg.train_src and cfg.train_tgt):

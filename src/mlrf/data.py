@@ -137,6 +137,11 @@ class SyntheticTaskSpec:
             raise ValueError("alphabet and count must be positive")
 
 
+def synthetic_vocabulary(alphabet: int) -> Vocabulary:
+    """The full symbol set of a synthetic task, whichever symbols are sampled."""
+    return Vocabulary(f"s{i}" for i in range(alphabet))
+
+
 def generate_synthetic(spec: SyntheticTaskSpec) -> ParallelCorpus:
     """Random symbol sequences; target is the source (copy) or its reverse."""
     rng = np.random.default_rng(spec.seed)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import BOS_ID, EOS_ID
-from .model import Transformer
+from .model import Transformer, one_sentence
 
 StepFn = Callable[[Sequence[int]], np.ndarray]
 
@@ -125,20 +125,16 @@ class SentenceScorer:
 
     def __init__(self, model: Transformer, src_ids: Sequence[int]):
         self.model = model
-        self.src_len = len(src_ids)
+        src, self.src_mask = one_sentence(src_ids)
         with ad.no_grad():
-            stack = model.encode(np.asarray(src_ids, dtype=np.int64), [self.src_len])
-            self.enc_rep, _ = model.encoder_output(stack)
+            stack = model.encode(src, self.src_mask)
+            self.enc_rep, _ = model.encoder_output(stack, self.src_mask)
 
     def __call__(self, prefix: Sequence[int]) -> np.ndarray:
+        tgt, tgt_mask = one_sentence(prefix)
         with ad.no_grad():
-            stack = self.model.decode_teacher_forced(
-                np.asarray(prefix, dtype=np.int64),
-                [len(prefix)],
-                self.enc_rep,
-                [self.src_len],
-            )
-            rep, _ = self.model.decoder_output(stack)
+            stack = self.model.decode_teacher_forced(tgt, tgt_mask, self.enc_rep, self.src_mask)
+            rep, _ = self.model.decoder_output(stack, tgt_mask)
             logits = self.model.output_logits(rep).data[-1]
         z = logits - logits.max()
         return z - np.log(np.exp(z).sum())

@@ -75,8 +75,10 @@ class FusionConfig:
 class AttentionTrace:
     """Per-position hop-by-layer weights from a self-attention fusion.
 
-    ``weights[t, p, l]`` is hop p's weight on included layer l at position t;
-    each (t, p) row is a probability distribution over layers.
+    ``weights[..., p, l]`` is hop p's weight on included layer l at a
+    position; each (position, p) row is a probability distribution over
+    layers.  The model's traces are [t, p, l] over the real tokens of a
+    batch in row-major order.
     ``first_layer`` is the stack index of weight column 0 (0 when the
     embedding layer is included, else 1).
     """
@@ -135,7 +137,7 @@ def fuse_fnn(stack: Sequence[Tensor], params: ParamStore, prefix: str) -> Tensor
     """Concatenate the included layers featurewise and mix with an FNN."""
     if not stack:
         raise ValueError("empty layer stack")
-    flat = stack[0] if len(stack) == 1 else ad.concat(list(stack), axis=1)
+    flat = stack[0] if len(stack) == 1 else ad.concat(list(stack), axis=-1)
     return _final_norm(_fusion_fnn(flat, params, prefix), params, prefix)
 
 
@@ -155,8 +157,10 @@ def fuse_self_attention(
     the layer axis gives every hop a distribution over layers.  Hop-wise
     weighted sums are stacked, flattened, and mixed by the final FNN.
     With a single hop the stacked intermediate is just one width-d vector.
+    Every representation is [..., d]; the leading axes are positions.
     """
     n_layers = len(stack)
+    lead = stack[0].shape[:-1]
     if layer_embed.shape[0] != n_layers:
         raise ValueError(
             f"layer embedding rows {layer_embed.shape[0]} != stack size {n_layers}"
@@ -170,18 +174,18 @@ def fuse_self_attention(
     for l, zt in enumerate(tagged):
         w1 = params[f"{prefix}.att.w1" if share_w1 else f"{prefix}.att.w1.layer{l}"]
         e = ad.matmul(ad.tanh(ad.matmul(zt, w1)), params[f"{prefix}.att.w2"])
-        energies.append(ad.reshape(e, (e.shape[0], n_hop, 1)))
-    att = ad.softmax(ad.concat(energies, axis=2), axis=2)
+        energies.append(ad.reshape(e, lead + (n_hop, 1)))
+    att = ad.softmax(ad.concat(energies, axis=-1), axis=-1)
 
     hops = []
     for p in range(n_hop):
         acc = None
         for l, zt in enumerate(tagged):
-            w = ad.reshape(att[:, p, l], (zt.shape[0], 1))
+            w = ad.reshape(att[..., p, l], lead + (1,))
             term = ad.mul(w, zt)
             acc = term if acc is None else ad.add(acc, term)
         hops.append(acc)
-    stacked = hops[0] if n_hop == 1 else ad.concat(hops, axis=1)
+    stacked = hops[0] if n_hop == 1 else ad.concat(hops, axis=-1)
 
     fused = _final_norm(_fusion_fnn(stacked, params, prefix), params, prefix)
     return fused, AttentionTrace(att.data.copy(), first_layer)

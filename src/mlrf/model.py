@@ -4,10 +4,15 @@ Both stacks return the full list of per-layer representations (the embedding
 output at index 0, then one entry per layer) so a fusion function can consume
 any of them instead of just the top.
 
-Batches are processed as packed sequences: sentences are concatenated along
-the time axis and attention is confined to sentence blocks by additive masks.
-Masked logits get -1e9, which underflows to an exact zero weight after
-softmax, so packing is equivalent to running sentences one at a time.
+A batch keeps its padded layout: ids and boolean masks are [B, L] with
+each sentence's real tokens first, and activations are [B, L, d].  Heads
+split by reshape into [B, H, L, d/H], so attention scores are [B, H, Lq, Lk]
+per sentence.  Keys at pad positions, and later positions in decoder
+self-attention, get a -1e9 penalty that underflows to an exact zero weight
+after softmax, so a padded batch computes what one-at-a-time runs compute.
+``forward`` trims the batch to its longest sentence and hands only the real
+target rows to the decoder-side fusion and the output projection, so
+logits are [n_target_tokens x V] in row-major token order.
 """
 
 from __future__ import annotations
@@ -193,36 +198,25 @@ def positional_encoding(seq_len: int, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# packed-sequence helpers
+# padded batches
 
 
-def packed_positions(lengths: Sequence[int]) -> np.ndarray:
-    """Within-sentence position index for each row of a packed batch."""
-    return np.concatenate([np.arange(n, dtype=np.int64) for n in lengths])
+def one_sentence(ids) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of one unpadded sentence: [1 x n] ids and an all-true mask."""
+    ids = np.asarray(ids, dtype=np.int64)[None]
+    return ids, np.ones(ids.shape, dtype=bool)
 
 
-def block_mask(q_lens: Sequence[int], k_lens: Sequence[int]) -> np.ndarray:
-    """Boolean [sum(q) x sum(k)] mask allowing attention within paired blocks."""
-    if len(q_lens) != len(k_lens):
-        raise ValueError("query and key batches have different sentence counts")
-    mask = np.zeros((sum(q_lens), sum(k_lens)), dtype=bool)
-    qi = ki = 0
-    for qn, kn in zip(q_lens, k_lens):
-        mask[qi : qi + qn, ki : ki + kn] = True
-        qi += qn
-        ki += kn
-    return mask
-
-
-def causal_block_mask(lengths: Sequence[int]) -> np.ndarray:
-    """Block mask further restricted to positions at or before the query."""
-    total = sum(lengths)
-    mask = np.zeros((total, total), dtype=bool)
-    start = 0
-    for n in lengths:
-        mask[start : start + n, start : start + n] = np.tril(np.ones((n, n), bool))
-        start += n
-    return mask
+def _trim_batch(ids, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the trailing columns that hold no real token in any row."""
+    ids, mask = np.asarray(ids, dtype=np.int64), np.asarray(mask, dtype=bool)
+    if ids.ndim != 2 or ids.shape != mask.shape:
+        raise ValueError(f"ids {ids.shape} and mask {mask.shape} must be equal [B x L]")
+    used = np.flatnonzero(mask.any(axis=0))
+    if used.size == 0:
+        raise ValueError("batch holds no real token")
+    width = int(used[-1]) + 1
+    return ids[:, :width], mask[:, :width]
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +234,39 @@ def multi_head_attention(
 ) -> Tensor:
     """Scaled dot-product attention over ``n_heads`` splits of the width.
 
-    ``mask`` is boolean [len_q x len_k]; disallowed entries receive a -1e9
-    penalty before the softmax.  Rows with no allowed key still produce a
-    defined (uniform) output; they are only flagged at debug log level.
+    ``q`` is [B x Lq x d]; ``k`` and ``v`` are [B x Lk x d].  ``mask`` is
+    boolean and broadcasts to [B x 1 x Lq x Lk] ([B x 1 x 1 x Lk] for key
+    padding alone); disallowed entries receive a -1e9 penalty before the
+    softmax.  Rows with no allowed key still produce a defined (uniform)
+    output; they are only flagged at debug log level.
     """
-    d = q.shape[1]
-    if k.shape[1] != d or v.shape[1] != d:
-        raise ValueError(f"attention width mismatch: {q.shape}/{k.shape}/{v.shape}")
+    b, lq, d = q.shape
+    lk = k.shape[1]
+    if k.shape != (b, lk, d) or v.shape != k.shape:
+        raise ValueError(f"attention shape mismatch: {q.shape}/{k.shape}/{v.shape}")
     penalty = None
     if mask is not None:
-        if mask.shape != (q.shape[0], k.shape[0]):
-            raise ValueError(
-                f"mask shape {mask.shape} != ({q.shape[0]}, {k.shape[0]})"
-            )
-        if log.isEnabledFor(logging.DEBUG) and not mask.any(axis=1).all():
+        full = (b, 1, lq, lk)
+        if mask.ndim != 4 or any(m not in (1, n) for m, n in zip(mask.shape, full)):
+            raise ValueError(f"mask shape {mask.shape} does not broadcast to {full}")
+        if log.isEnabledFor(logging.DEBUG) and not mask.any(axis=-1).all():
             log.debug("attention row with every key masked at %s", prefix)
-        penalty = np.where(mask, 0.0, MASK_PENALTY)
-
-    qp = ad.add(ad.matmul(q, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
-    kp = ad.add(ad.matmul(k, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
-    vp = ad.add(ad.matmul(v, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
+        penalty = Tensor(np.where(mask, 0.0, MASK_PENALTY))
 
     dh = d // n_heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
-    heads = []
-    for h in range(n_heads):
-        cols = np.s_[:, h * dh : (h + 1) * dh]
-        scores = ad.scale(ad.matmul(qp[cols], ad.transpose(kp[cols])), inv_sqrt)
-        if penalty is not None:
-            scores = ad.add(scores, Tensor(penalty))
-        heads.append(ad.matmul(ad.softmax(scores, axis=1), vp[cols]))
-    merged = heads[0] if n_heads == 1 else ad.concat(heads, axis=1)
+
+    def split_heads(x: Tensor, name: str, axes: tuple[int, ...]) -> Tensor:
+        x = ad.add(ad.matmul(x, params[f"{prefix}.w{name}"]), params[f"{prefix}.b{name}"])
+        return ad.transpose(ad.reshape(x, (b, x.shape[1], n_heads, dh)), axes)
+
+    qh = split_heads(q, "q", (0, 2, 1, 3))  # [B, H, Lq, dh]
+    kt = split_heads(k, "k", (0, 2, 3, 1))  # [B, H, dh, Lk]
+    vh = split_heads(v, "v", (0, 2, 1, 3))  # [B, H, Lk, dh]
+    scores = ad.scale(ad.matmul(qh, kt), 1.0 / math.sqrt(dh))
+    if penalty is not None:
+        scores = ad.add(scores, penalty)
+    heads = ad.matmul(ad.softmax(scores, axis=-1), vh)
+    merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, lq, d))
     return ad.add(ad.matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
 
@@ -279,10 +275,10 @@ def feed_forward(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     return ad.add(ad.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
 
 
-def _post_norm(x: Tensor, sub: Tensor, params, prefix, rate, rng) -> Tensor:
+def _post_norm(x: Tensor, sub: Tensor, params, prefix, rate, rng, tokens) -> Tensor:
     """Residual wrapper: layer_norm(x + dropout(sublayer(x)))."""
     return ad.layer_norm(
-        ad.add(x, ad.dropout(sub, rate, rng)),
+        ad.add(x, ad.dropout(sub, rate, rng, tokens)),
         params[f"{prefix}.gain"],
         params[f"{prefix}.bias"],
     )
@@ -296,11 +292,14 @@ def encoder_layer(
     mask: np.ndarray | None,
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    tokens: np.ndarray | None = None,
 ) -> Tensor:
+    """One encoder layer on [B x L x d]; ``tokens`` marks the real positions
+    that dropout draws for."""
     att = multi_head_attention(x, x, x, n_heads, params, f"{prefix}.self_attn", mask)
-    x = _post_norm(x, att, params, f"{prefix}.norm1", rate, rng)
+    x = _post_norm(x, att, params, f"{prefix}.norm1", rate, rng, tokens)
     ffn = feed_forward(x, params, f"{prefix}.ffn")
-    return _post_norm(x, ffn, params, f"{prefix}.norm2", rate, rng)
+    return _post_norm(x, ffn, params, f"{prefix}.norm2", rate, rng, tokens)
 
 
 def decoder_layer(
@@ -313,17 +312,18 @@ def decoder_layer(
     cross_mask: np.ndarray | None,
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    tokens: np.ndarray | None = None,
 ) -> Tensor:
     att = multi_head_attention(
         z, z, z, n_heads, params, f"{prefix}.self_attn", causal_mask
     )
-    z = _post_norm(z, att, params, f"{prefix}.norm1", rate, rng)
+    z = _post_norm(z, att, params, f"{prefix}.norm1", rate, rng, tokens)
     cross = multi_head_attention(
         z, enc_rep, enc_rep, n_heads, params, f"{prefix}.cross_attn", cross_mask
     )
-    z = _post_norm(z, cross, params, f"{prefix}.norm2", rate, rng)
+    z = _post_norm(z, cross, params, f"{prefix}.norm2", rate, rng, tokens)
     ffn = feed_forward(z, params, f"{prefix}.ffn")
-    return _post_norm(z, ffn, params, f"{prefix}.norm3", rate, rng)
+    return _post_norm(z, ffn, params, f"{prefix}.norm3", rate, rng, tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def decoder_layer(
 
 @dataclass
 class ForwardResult:
-    logits: Tensor  # [sum(tgt_lengths) x tgt_vocab]
+    logits: Tensor  # [n_target_tokens x tgt_vocab], row-major token order
     encoder_trace: AttentionTrace | None
     decoder_trace: AttentionTrace | None
 
@@ -363,28 +363,30 @@ class Transformer:
 
     # -- embedding + stacks
 
-    def _embed(self, table: str, ids: np.ndarray, lengths, train: bool) -> Tensor:
+    def _embed(self, table: str, ids, tokens: np.ndarray, train: bool) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
-        if any(n > self.config.max_len for n in lengths):
+        if ids.shape[1] > self.config.max_len:
             raise ValueError(
-                f"sentence length exceeds max_len={self.config.max_len}"
+                f"sentence length {ids.shape[1]} exceeds max_len={self.config.max_len}"
             )
         x = ad.embedding_lookup(self.params[table], ids)
-        x = ad.add(x, Tensor(self._pe[packed_positions(lengths)]))
+        x = ad.add(x, Tensor(self._pe[: ids.shape[1]]))
         rate = self.config.dropout if train else 0.0
-        return ad.dropout(x, rate, self.dropout_rng)
+        return ad.dropout(x, rate, self.dropout_rng, tokens)
 
-    def encode(self, src_ids, src_lengths: Sequence[int], train: bool = False) -> list[Tensor]:
-        """Run the encoder; returns n_layers+1 reps (embedding output first)."""
+    def encode(self, src_ids, src_mask, train: bool = False) -> list[Tensor]:
+        """Run the encoder on [B x L] ids; returns n_layers+1 reps of
+        [B x L x d] (embedding output first)."""
         cfg = self.config
         rate = cfg.dropout if train else 0.0
-        mask = block_mask(src_lengths, src_lengths)
-        stack = [self._embed("src_embed.weight", src_ids, src_lengths, train)]
+        src_mask = np.asarray(src_mask, dtype=bool)
+        keys = src_mask[:, None, None, :]
+        stack = [self._embed("src_embed.weight", src_ids, src_mask, train)]
         for i in range(cfg.n_layers):
             stack.append(
                 encoder_layer(
                     stack[-1], self.params, f"encoder.layer{i}",
-                    cfg.n_heads, mask, rate, self.dropout_rng,
+                    cfg.n_heads, keys, rate, self.dropout_rng, src_mask,
                 )
             )
         return stack
@@ -392,35 +394,46 @@ class Transformer:
     def decode_teacher_forced(
         self,
         tgt_in_ids,
-        tgt_lengths: Sequence[int],
+        tgt_mask,
         enc_rep: Tensor,
-        src_lengths: Sequence[int],
+        src_mask,
         train: bool = False,
     ) -> list[Tensor]:
         """Decoder stack over gold prefixes (inputs already BOS-shifted)."""
         cfg = self.config
         rate = cfg.dropout if train else 0.0
-        causal = causal_block_mask(tgt_lengths)
-        cross = block_mask(tgt_lengths, src_lengths)
-        stack = [self._embed("tgt_embed.weight", tgt_in_ids, tgt_lengths, train)]
+        tgt_mask = np.asarray(tgt_mask, dtype=bool)
+        n = tgt_mask.shape[1]
+        causal = np.tril(np.ones((n, n), dtype=bool)) & tgt_mask[:, None, None, :]
+        cross = np.asarray(src_mask, dtype=bool)[:, None, None, :]
+        stack = [self._embed("tgt_embed.weight", tgt_in_ids, tgt_mask, train)]
         for i in range(cfg.n_layers):
             stack.append(
                 decoder_layer(
                     stack[-1], enc_rep, self.params, f"decoder.layer{i}",
-                    cfg.n_heads, causal, cross, rate, self.dropout_rng,
+                    cfg.n_heads, causal, cross, rate, self.dropout_rng, tgt_mask,
                 )
             )
         return stack
 
     # -- fusion hooks
 
-    def encoder_output(self, stack: list[Tensor]):
-        """Representation handed to the decoder: fused, or the top layer."""
-        return fuse_side(stack, "encoder", self.fusion, self.params)
+    def encoder_output(self, stack: list[Tensor], src_mask):
+        """Representation handed to the decoder, [B x L x d]: fused, or the
+        top layer.  A fusion trace covers the real positions only."""
+        rep, trace = fuse_side(stack, "encoder", self.fusion, self.params)
+        if trace is not None:
+            trace = AttentionTrace(
+                trace.weights[np.asarray(src_mask, dtype=bool)], trace.first_layer
+            )
+        return rep, trace
 
-    def decoder_output(self, stack: list[Tensor]):
-        """Representation handed to the output projection."""
-        return fuse_side(stack, "decoder", self.fusion, self.params)
+    def decoder_output(self, stack: list[Tensor], tgt_mask):
+        """Representation handed to the output projection, [n_tokens x d]:
+        the real target rows, taken before fusion so padding costs nothing."""
+        tgt_mask = np.asarray(tgt_mask, dtype=bool)
+        rows = [rep[tgt_mask] for rep in stack]
+        return fuse_side(rows, "decoder", self.fusion, self.params)
 
     def output_logits(self, rep: Tensor) -> Tensor:
         return ad.add(
@@ -430,17 +443,19 @@ class Transformer:
     def forward(
         self,
         src_ids,
-        src_lengths: Sequence[int],
+        src_mask,
         tgt_in_ids,
-        tgt_lengths: Sequence[int],
+        tgt_mask,
         train: bool = False,
     ) -> ForwardResult:
-        """Teacher-forced logits for a packed batch, plus any fusion traces."""
-        enc_rep, enc_trace = self.encoder_output(self.encode(src_ids, src_lengths, train))
-        stack = self.decode_teacher_forced(
-            tgt_in_ids, tgt_lengths, enc_rep, src_lengths, train
+        """Teacher-forced logits for a padded batch, plus any fusion traces."""
+        src_ids, src_mask = _trim_batch(src_ids, src_mask)
+        tgt_in_ids, tgt_mask = _trim_batch(tgt_in_ids, tgt_mask)
+        enc_rep, enc_trace = self.encoder_output(
+            self.encode(src_ids, src_mask, train), src_mask
         )
-        dec_rep, dec_trace = self.decoder_output(stack)
+        stack = self.decode_teacher_forced(tgt_in_ids, tgt_mask, enc_rep, src_mask, train)
+        dec_rep, dec_trace = self.decoder_output(stack, tgt_mask)
         return ForwardResult(self.output_logits(dec_rep), enc_trace, dec_trace)
 
     # -- misc

@@ -169,14 +169,11 @@ class StepMetrics:
     accuracy: float
 
 
-def batch_to_packed(batch, pad_id: int = 0):
-    """Strip padding from a batch into packed (ids, lengths) triples."""
-    src_lens = [int(m.sum()) for m in batch.src_mask]
-    tgt_lens = [int(m.sum()) for m in batch.tgt_mask]
-    src = np.concatenate([row[:n] for row, n in zip(batch.src, src_lens)])
-    tgt_in = np.concatenate([row[:n] for row, n in zip(batch.tgt_in, tgt_lens)])
-    tgt_out = np.concatenate([row[:n] for row, n in zip(batch.tgt_out, tgt_lens)])
-    return src, src_lens, tgt_in, tgt_lens, tgt_out
+def _batch_forward(model: Transformer, batch, train: bool):
+    """Logits for the real target tokens of ``batch`` and their gold ids,
+    both in row-major order."""
+    result = model.forward(batch.src, batch.src_mask, batch.tgt_in, batch.tgt_mask, train)
+    return result.logits, batch.tgt_out[batch.tgt_mask]
 
 
 def train_step(
@@ -187,9 +184,8 @@ def train_step(
     pad_id: int = 0,
 ) -> StepMetrics:
     """Forward, backward, and one optimizer update on a single batch."""
-    src, src_lens, tgt_in, tgt_lens, tgt_out = batch_to_packed(batch, pad_id)
-    result = model.forward(src, src_lens, tgt_in, tgt_lens, train=True)
-    loss = ad.cross_entropy(result.logits, tgt_out, pad_id=pad_id)
+    logits, tgt_out = _batch_forward(model, batch, train=True)
+    loss = ad.cross_entropy(logits, tgt_out, pad_id=pad_id)
     model.params.zero_grads()
     ad.backward(loss)
     if cfg.clip_norm is not None:
@@ -199,7 +195,7 @@ def train_step(
     else:
         lr = lr_schedule(state.t + 1, model.config.d_model, cfg.warmup_steps)
     adam_step(model.params, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    acc = token_accuracy(result.logits.data, tgt_out, pad_id)
+    acc = token_accuracy(logits.data, tgt_out, pad_id)
     return StepMetrics(state.t, state.phase, lr, loss.item(), acc)
 
 
@@ -240,11 +236,10 @@ def evaluate_teacher_forced(
     losses, correct, total = [], 0, 0
     with ad.no_grad():
         for batch in batches:
-            src, src_lens, tgt_in, tgt_lens, tgt_out = batch_to_packed(batch, pad_id)
-            result = model.forward(src, src_lens, tgt_in, tgt_lens, train=False)
-            losses.append(ad.cross_entropy(result.logits, tgt_out, pad_id).item())
+            logits, tgt_out = _batch_forward(model, batch, train=False)
+            losses.append(ad.cross_entropy(logits, tgt_out, pad_id).item())
             live = tgt_out != pad_id
-            pred = result.logits.data.argmax(axis=1)
+            pred = logits.data.argmax(axis=1)
             correct += int((pred[live] == tgt_out[live]).sum())
             total += int(live.sum())
     return {

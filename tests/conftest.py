@@ -37,6 +37,14 @@ def random_sentences(rng, count, max_len=5, vocab=11):
     return ids, lengths
 
 
+def padded(ids, lengths):
+    """Packed (ids, lengths) as a padded batch: [B x max(lengths)] ids and mask."""
+    mask = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
+    out = np.zeros(mask.shape, dtype=np.int64)
+    out[mask] = ids
+    return out, mask
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

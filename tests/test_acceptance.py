@@ -37,7 +37,7 @@ from mlrf.training import (
     train_epoch,
     train_step,
 )
-from tests.conftest import random_sentences, toy_config, toy_fusion
+from tests.conftest import padded, random_sentences, toy_config, toy_fusion
 from tests.gradcheck import max_rel_err, numeric_grad_at
 
 
@@ -152,10 +152,10 @@ def test_c02_gradient_correctness(side, kind):
 
     def loss():
         with ad.no_grad():
-            r = model.forward(src_ids, src_lens, tgt_ids, tgt_lens)
+            r = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
             return ad.cross_entropy(r.logits, tgt_out).item()
 
-    result = model.forward(src_ids, src_lens, tgt_ids, tgt_lens)
+    result = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
     model.params.zero_grads()
     ad.backward(ad.cross_entropy(result.logits, tgt_out))
 
@@ -185,7 +185,7 @@ def test_c03_baseline_equivalence():
         tgt_out = np.concatenate([tgt_ids[1:], [EOS_ID]])
         grads = []
         for model in (plain, fused):
-            res = model.forward(src_ids, src_lens, tgt_ids, tgt_lens, train=True)
+            res = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens), train=True)
             model.params.zero_grads()
             ad.backward(ad.cross_entropy(res.logits, tgt_out))
             grads.append((res.logits.data, model))
@@ -203,7 +203,7 @@ def test_c04_fusion_distribution_invariants():
     for trial in range(5):
         src_ids, src_lens = random_sentences(rng, 2)
         tgt_ids, tgt_lens = random_sentences(rng, 2)
-        res = model.forward(src_ids, src_lens, tgt_ids, tgt_lens)
+        res = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
         for trace in (res.encoder_trace, res.decoder_trace):
             w = trace.weights
             assert ((w >= 0) & (w <= 1)).all()
@@ -213,7 +213,7 @@ def test_c04_fusion_distribution_invariants():
     d, d_f = single.config.d_model, single.fusion.d_f
     assert single.params["fusion.decoder.fnn.w1"].shape == (d, d_f)
     src_ids, src_lens = random_sentences(rng, 1)
-    res = single.forward(src_ids, src_lens, src_ids, src_lens)
+    res = single.forward(*padded(src_ids, src_lens), *padded(src_ids, src_lens))
     assert res.decoder_trace.weights.shape[1] == 1
     report("C4 fusion distribution invariants", "sums within 1e-9; 1 hop -> 1 vector")
 
@@ -395,8 +395,8 @@ def test_c10_determinism_and_persistence(tmp_path):
     rng = np.random.default_rng(5)
     src_ids, src_lens = random_sentences(rng, 2, vocab=10)
     with ad.no_grad():
-        la = model.forward(src_ids, src_lens, src_ids, src_lens).logits.data
-        lb = again.forward(src_ids, src_lens, src_ids, src_lens).logits.data
+        la = model.forward(*padded(src_ids, src_lens), *padded(src_ids, src_lens)).logits.data
+        lb = again.forward(*padded(src_ids, src_lens), *padded(src_ids, src_lens)).logits.data
     np.testing.assert_array_equal(la, lb)
 
     run_training(_tiny_run_config(phase1=2, phase2=0), tmp_path / "partial")

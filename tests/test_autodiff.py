@@ -187,6 +187,72 @@ class TestElementwise:
         assert max_rel_err(x.grad, numeric_grad(loss, x.data)) < 1e-6
 
 
+
+def assert_grads_match(run, leaves, tol=1e-6):
+    """Backward of sum(run() * w) against central differences, per leaf."""
+    w = rng.standard_normal(run().shape)
+
+    def loss():
+        with ad.no_grad():
+            return float((run().data * w).sum())
+
+    ad.backward(ad.sum_(ad.mul(run(), ad.Tensor(w))))
+    for t in leaves:
+        assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < tol
+
+
+class TestBatchedOps:
+    def test_matmul_rows_by_weight(self):
+        a = leaf(rng.standard_normal((2, 3, 4)))
+        b = leaf(rng.standard_normal((4, 5)))
+        out = ad.matmul(a, b)
+        np.testing.assert_allclose(out.data, a.data @ b.data, atol=1e-14)
+        assert_grads_match(lambda: ad.matmul(a, b), [a, b])
+
+    def test_matmul_batched_by_batched(self):
+        a = leaf(rng.standard_normal((2, 3, 4, 5)))
+        b = leaf(rng.standard_normal((2, 3, 5, 2)))
+        assert_grads_match(lambda: ad.matmul(a, b), [a, b])
+
+    def test_matmul_rejects_unequal_batch_axes(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            ad.matmul(leaf(np.ones((2, 3, 4))), leaf(np.ones((3, 4, 5))))
+        with pytest.raises(ValueError, match="mismatch"):
+            ad.matmul(leaf(np.ones((3, 4))), leaf(np.ones(4)))
+
+    def test_transpose_with_axes(self):
+        x = leaf(rng.standard_normal((2, 3, 4, 5)))
+        out = ad.transpose(x, (0, 2, 3, 1))
+        np.testing.assert_array_equal(out.data, x.data.transpose(0, 2, 3, 1))
+        assert_grads_match(lambda: ad.transpose(x, (0, 2, 3, 1)), [x])
+        with pytest.raises(ValueError):
+            ad.transpose(x, (0, 1, 1, 2))
+
+    def test_embedding_lookup_with_2d_ids(self):
+        table = leaf(rng.standard_normal((5, 3)))
+        ids = np.array([[1, 3, 0], [3, 4, 0]])
+        assert ad.embedding_lookup(table, ids).shape == (2, 3, 3)
+        assert_grads_match(lambda: ad.embedding_lookup(table, ids), [table])
+        np.testing.assert_array_equal(table.grad[2], 0.0)
+
+    def test_boolean_mask_selects_rows_in_row_major_order(self):
+        x = leaf(rng.standard_normal((2, 3, 4)))
+        mask = np.array([[True, True, False], [True, False, False]])
+        np.testing.assert_array_equal(x[mask].data, x.data.reshape(6, 4)[[0, 1, 3]])
+        assert_grads_match(lambda: x[mask], [x])
+        np.testing.assert_array_equal(x.grad[~mask], 0.0)
+
+    def test_masked_dropout_draws_for_real_rows_only(self):
+        x = leaf(rng.standard_normal((2, 3, 4)))
+        mask = np.array([[True, True, False], [True, False, False]])
+        out = ad.dropout(x, 0.5, np.random.default_rng(7), mask)
+        rows = ad.dropout(ad.Tensor(x.data[mask]), 0.5, np.random.default_rng(7))
+        np.testing.assert_array_equal(out.data[mask], rows.data)
+        np.testing.assert_array_equal(out.data[~mask], 0.0)
+        assert_grads_match(lambda: ad.dropout(x, 0.5, np.random.default_rng(7), mask), [x])
+        np.testing.assert_array_equal(x.grad[~mask], 0.0)
+        assert np.abs(x.grad[mask]).sum() > 0
+
 class TestCrossEntropy:
     def test_saturated_correct_prediction(self):
         logits = np.zeros((1, 4))

@@ -9,7 +9,7 @@ from mlrf import autodiff as ad
 from mlrf.checkpoint import build_model, load_checkpoint, restore_optimizer, save_checkpoint
 from mlrf.fusion import FusionConfig
 from mlrf.training import AdamState, TrainConfig, adam_step
-from tests.conftest import toy_config, toy_model, random_sentences
+from tests.conftest import padded, toy_config, toy_model, random_sentences
 
 
 def trained_model(seed=51):
@@ -21,7 +21,7 @@ def trained_model(seed=51):
     tgt_ids, tgt_lens = random_sentences(rng, 2)
     tgt_out = np.concatenate([tgt_ids[1:], [2]])
     for _ in range(3):
-        result = model.forward(src_ids, src_lens, tgt_ids, tgt_lens, train=True)
+        result = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens), train=True)
         loss = ad.cross_entropy(result.logits, tgt_out)
         model.params.zero_grads()
         ad.backward(loss)
@@ -60,8 +60,8 @@ class TestRoundTrip:
         src_ids, src_lens = random_sentences(rng, 2)
         tgt_ids, tgt_lens = random_sentences(rng, 2)
         with ad.no_grad():
-            a = model.forward(src_ids, src_lens, tgt_ids, tgt_lens)
-            b = again.forward(src_ids, src_lens, tgt_ids, tgt_lens)
+            a = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
+            b = again.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
         np.testing.assert_array_equal(a.logits.data, b.logits.data)
 
     def test_optimizer_state_round_trips(self, tmp_path):
@@ -119,6 +119,24 @@ class TestValidation:
         path.write_bytes(path.read_bytes()[:-12])
         with pytest.raises(ValueError, match="m.ckpt"):
             load_checkpoint(path)
+
+    def test_header_cut_or_garbled_names_the_file(self, tmp_path):
+        model, _ = trained_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, None, None, {})
+        raw = path.read_bytes()
+        magic_end = raw.index(b"\n") + 1
+        size_end = raw.index(b"\n", magic_end) + 1
+        for broken in (
+            raw[:100],  # inside the JSON header
+            raw[:magic_end],  # no size line
+            raw[: size_end - 2],  # inside the size line
+            raw[:magic_end] + b"twelve\n" + raw[size_end:],
+            raw[:magic_end] + b"2\n[]" + raw[size_end:],
+        ):
+            path.write_bytes(broken)
+            with pytest.raises(ValueError, match=r"corrupt checkpoint .*m\.ckpt"):
+                load_checkpoint(path)
 
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.bin"

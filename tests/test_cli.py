@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from mlrf import training
+from mlrf import config, data, training
 from mlrf.checkpoint import build_model, load_checkpoint
 from mlrf.cli import main, read_trace_file
+from mlrf.config import ConfigError, load_config
 from mlrf.data import EOS_ID, Vocabulary
 from mlrf.decoding import SentenceScorer, greedy_decode
 
@@ -130,6 +131,39 @@ class TestTrain:
         assert "wibble" in err and "heads" in err
 
 
+class TestConfigLengths:
+    def test_repo_configs_load(self, tmp_path):
+        for path in ("configs/de_en_shaped.cfg", "configs/toy_copy.cfg", write_cfg(tmp_path)):
+            load_config(path)
+
+    def test_model_too_short_for_synthetic_data(self, tmp_path):
+        # source plus EOS is 13 tokens; before this check training crashed mid-epoch
+        path = tmp_path / "short.cfg"
+        path.write_text(
+            TINY_CFG.format(phase1=1, phase2=0)
+            .replace("max_len = 10", "max_len = 12")
+            .replace("max_len = 5", "max_len = 12")
+        )
+        with pytest.raises(ConfigError, match=r"\[model\] max_len = 12 .*\[data\] max_len = 12"):
+            load_config(path)
+
+    def test_model_too_short_for_file_data(self, tmp_path):
+        path = tmp_path / "files.cfg"
+        path.write_text(
+            "[model]\nlayers = 1\nd_model = 8\nd_ff = 8\nheads = 2\nmax_len = 50\n"
+            "[data]\ntrain_src = a.txt\ntrain_tgt = b.txt\n"
+        )
+        with pytest.raises(ConfigError, match="max_sentence_len = 50"):
+            load_config(path)
+
+    def test_decode_longer_than_model(self, tmp_path):
+        path = tmp_path / "decode.cfg"
+        path.write_text(TINY_CFG.format(phase1=1, phase2=0).replace("max_len = 8", "max_len = 10"))
+        with pytest.raises(ConfigError, match=r"\[decode\] max_len = 10"):
+            load_config(path)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+
 class TestTranslate:
     def test_writes_one_line_per_input(self, trained, tmp_path):
         _, out = trained
@@ -249,6 +283,22 @@ class TestParamCount:
             "decoder\t3160320\n"
             "fusion\t923904\n"
             "output\t1651996\n"
+        )
+
+    def test_synthetic_vocab_generates_no_corpus(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("param-count generated a corpus")
+
+        monkeypatch.setattr(config, "generate_synthetic", refuse)
+        monkeypatch.setattr(data, "generate_synthetic", refuse)
+        assert main(["param-count", "--config", "configs/toy_copy.cfg"]) == 0
+        assert capsys.readouterr().out == (
+            "total\t52728\n"
+            "embeddings\t1536\n"
+            "encoder\t17088\n"
+            "decoder\t25664\n"
+            "fusion\t7648\n"
+            "output\t792\n"
         )
 
     def test_derives_vocab_from_data_section(self, tmp_path, capsys):

@@ -18,8 +18,7 @@ from mlrf.data import (
     load_parallel_text,
     make_batches,
 )
-from mlrf.training import batch_to_packed
-from tests.conftest import toy_model
+from tests.conftest import padded, toy_model
 
 
 class TestVocabulary:
@@ -152,16 +151,15 @@ class TestBatches:
         corpus, vocab = small_setup()
         model = toy_model(seed=41)
         batch = make_batches(corpus, vocab, vocab, 5)[0]
-        src, src_lens, tgt_in, tgt_lens, tgt_out = batch_to_packed(batch)
         with ad.no_grad():
-            result = model.forward(src, src_lens, tgt_in, tgt_lens)
-            batch_loss = ad.cross_entropy(result.logits, tgt_out).item()
+            result = model.forward(*_batch_args(batch))
+            batch_loss = ad.cross_entropy(result.logits, batch.tgt_out[batch.tgt_mask]).item()
 
         total, count = 0.0, 0
         for src_toks, tgt_toks in corpus.pairs[:5]:
             s, t_in, t_out = encode_pair(src_toks, tgt_toks, vocab, vocab)
             with ad.no_grad():
-                r = model.forward(np.array(s), [len(s)], np.array(t_in), [len(t_in)])
+                r = model.forward(*padded(s, [len(s)]), *padded(t_in, [len(t_in)]))
                 loss = ad.cross_entropy(r.logits, np.array(t_out)).item()
             total += loss * len(t_out)
             count += len(t_out)
@@ -172,16 +170,15 @@ class TestBatches:
         model = toy_model(seed=43)
         batch = make_batches(corpus, vocab, vocab, 5)[0]
         widen = lambda m: np.hstack([m, np.zeros((len(batch), 2), dtype=m.dtype)])  # noqa: E731
-        padded = Batch(
+        wide = Batch(
             widen(batch.src), widen(batch.tgt_in), widen(batch.tgt_out),
             widen(batch.src) != PAD_ID, widen(batch.tgt_out) != PAD_ID,
         )
         with ad.no_grad():
-            a = model.forward(*_packed_args(batch))
-            b = model.forward(*_packed_args(padded))
+            a = model.forward(*_batch_args(batch))
+            b = model.forward(*_batch_args(wide))
         np.testing.assert_array_equal(a.logits.data, b.logits.data)
 
 
-def _packed_args(batch):
-    src, src_lens, tgt_in, tgt_lens, _ = batch_to_packed(batch)
-    return src, src_lens, tgt_in, tgt_lens
+def _batch_args(batch):
+    return batch.src, batch.src_mask, batch.tgt_in, batch.tgt_mask

@@ -7,7 +7,7 @@ from mlrf import autodiff as ad
 from mlrf.fusion import FusionConfig, fuse_avg, fuse_baseline, fuse_self_attention
 from mlrf.model import Transformer, param_specs
 from mlrf.training import init_parameters
-from tests.conftest import random_sentences, toy_config, toy_model
+from tests.conftest import padded, random_sentences, toy_config, toy_model
 from tests.gradcheck import max_rel_err, numeric_grad_at
 
 ALL_SIDES_AND_KINDS = [
@@ -22,13 +22,13 @@ def forward_toy(model, rng_seed=11):
     src_ids, src_lens = random_sentences(rng, 2)
     tgt_ids, tgt_lens = random_sentences(rng, 2)
     tgt_out = np.concatenate([tgt_ids[1:], [2]])
-    return model.forward(src_ids, src_lens, tgt_ids, tgt_lens), tgt_out
+    return model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens)), tgt_out
 
 
 class TestBaseline:
     def test_returns_top_layer_object(self):
         model = toy_model()
-        stack = model.encode(np.array([4, 5, 6]), [3])
+        stack = model.encode(*padded(np.array([4, 5, 6]), [3]))
         assert fuse_baseline(stack) is stack[-1]
 
     def test_empty_stack_rejected(self):
@@ -89,11 +89,11 @@ class TestFnn:
             model = toy_model("decoder", "fnn", include_embedding=include)
             (res, _), d = forward_toy(model), model.config.d_model
             assert res.logits.shape[1] == model.config.tgt_vocab
-            stack = model.encode(np.array([4, 5, 6]), [3])
+            src, src_mask = padded(np.array([4, 5, 6]), [3])
+            enc, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
+            tgt, tgt_mask = padded(np.array([1, 4]), [2])
             fused, _ = model.decoder_output(
-                model.decode_teacher_forced(
-                    np.array([1, 4]), [2], model.encoder_output(stack)[0], [3]
-                )
+                model.decode_teacher_forced(tgt, tgt_mask, enc, src_mask), tgt_mask
             )
             assert fused.shape == (2, d)
 
@@ -221,13 +221,13 @@ class TestReachabilityAndShapes:
     @pytest.mark.parametrize("side,kind", ALL_SIDES_AND_KINDS)
     def test_fused_shape_matches_sequence_by_width(self, side, kind):
         model = toy_model(side, kind)
-        src = np.array([4, 5, 6, 7])
-        stack = model.encode(src, [4])
-        enc, _ = model.encoder_output(stack)
-        assert enc.shape == (4, model.config.d_model)
-        dec_stack = model.decode_teacher_forced(np.array([1, 4, 5]), [3], enc, [4])
-        dec, _ = model.decoder_output(dec_stack)
-        assert dec.shape == (3, model.config.d_model)
+        src, src_mask = padded(np.array([4, 5, 6, 7, 8, 9]), [4, 2])
+        enc, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
+        assert enc.shape == (2, 4, model.config.d_model)
+        tgt, tgt_mask = padded(np.array([1, 4, 5, 1]), [3, 1])
+        dec_stack = model.decode_teacher_forced(tgt, tgt_mask, enc, src_mask)
+        dec, _ = model.decoder_output(dec_stack, tgt_mask)
+        assert dec.shape == (4, model.config.d_model)
 
 
 # Closed-form parameter accounting, written independently of param_specs so

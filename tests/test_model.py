@@ -7,14 +7,12 @@ from mlrf import autodiff as ad
 from mlrf.fusion import FusionConfig
 from mlrf.model import (
     Transformer,
-    block_mask,
-    causal_block_mask,
     encoder_layer,
     multi_head_attention,
     positional_encoding,
 )
 from mlrf.training import init_parameters
-from tests.conftest import toy_config, toy_fusion, toy_model, random_sentences
+from tests.conftest import padded, toy_config, toy_fusion, toy_model, random_sentences
 from tests.gradcheck import max_rel_err, numeric_grad_at
 
 
@@ -36,19 +34,6 @@ class TestPositionalEncoding:
             positional_encoding(4, 5)
 
 
-class TestMasks:
-    def test_block_mask_confines_attention(self):
-        m = block_mask([2, 3], [2, 3])
-        assert m[:2, :2].all() and m[2:, 2:].all()
-        assert not m[:2, 2:].any() and not m[2:, :2].any()
-
-    def test_causal_block_mask_is_lower_triangular_per_block(self):
-        m = causal_block_mask([3, 2])
-        np.testing.assert_array_equal(m[:3, :3], np.tril(np.ones((3, 3), bool)))
-        np.testing.assert_array_equal(m[3:, 3:], np.tril(np.ones((2, 2), bool)))
-        assert not m[:3, 3:].any() and not m[3:, :3].any()
-
-
 class TestMultiHeadAttention:
     def setup_method(self):
         self.model = toy_model()
@@ -57,18 +42,18 @@ class TestMultiHeadAttention:
 
     def test_single_position_passes_value_through(self):
         r = np.random.default_rng(0)
-        x = ad.Tensor(r.standard_normal((1, 8)))
+        x = ad.Tensor(r.standard_normal((1, 1, 8)))
         out = multi_head_attention(x, x, x, 2, self.params, self.prefix)
         p = self.params
-        v = x.data @ p[f"{self.prefix}.wv"].data + p[f"{self.prefix}.bv"].data
+        v = x.data[0] @ p[f"{self.prefix}.wv"].data + p[f"{self.prefix}.bv"].data
         expect = v @ p[f"{self.prefix}.wo"].data + p[f"{self.prefix}.bo"].data
-        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], expect, atol=1e-12)
 
     def test_fully_masked_row_is_finite_and_flagged(self, caplog):
         r = np.random.default_rng(0)
-        x = ad.Tensor(r.standard_normal((3, 8)))
-        mask = np.ones((3, 3), bool)
-        mask[1, :] = False  # every key hidden from query 1
+        x = ad.Tensor(r.standard_normal((1, 3, 8)))
+        mask = np.ones((1, 1, 3, 3), bool)
+        mask[..., 1, :] = False  # every key hidden from query 1
         with caplog.at_level("DEBUG", logger="mlrf.model"):
             out = multi_head_attention(x, x, x, 2, self.params, self.prefix, mask)
         assert np.isfinite(out.data).all()
@@ -76,14 +61,14 @@ class TestMultiHeadAttention:
 
     def test_weights_are_distributions_and_output_reconstructs(self):
         r = np.random.default_rng(1)
-        x = ad.Tensor(r.standard_normal((4, 8)))
-        mask = causal_block_mask([4])
-        out = multi_head_attention(x, x, x, 2, self.params, self.prefix, mask)
+        x = ad.Tensor(r.standard_normal((1, 4, 8)))
+        mask = np.tril(np.ones((4, 4), bool))
+        out = multi_head_attention(x, x, x, 2, self.params, self.prefix, mask[None, None])
 
         p = self.params
-        q = x.data @ p[f"{self.prefix}.wq"].data + p[f"{self.prefix}.bq"].data
-        k = x.data @ p[f"{self.prefix}.wk"].data + p[f"{self.prefix}.bk"].data
-        v = x.data @ p[f"{self.prefix}.wv"].data + p[f"{self.prefix}.bv"].data
+        q = x.data[0] @ p[f"{self.prefix}.wq"].data + p[f"{self.prefix}.bq"].data
+        k = x.data[0] @ p[f"{self.prefix}.wk"].data + p[f"{self.prefix}.bk"].data
+        v = x.data[0] @ p[f"{self.prefix}.wv"].data + p[f"{self.prefix}.bv"].data
         merged = []
         for h in range(2):
             s = np.s_[:, h * 4 : (h + 1) * 4]
@@ -93,12 +78,23 @@ class TestMultiHeadAttention:
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
             merged.append(w @ v[s])
         expect = np.hstack(merged) @ p[f"{self.prefix}.wo"].data + p[f"{self.prefix}.bo"].data
-        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], expect, atol=1e-12)
+
+    def test_key_padding_hides_pad_keys(self):
+        r = np.random.default_rng(3)
+        x = ad.Tensor(r.standard_normal((2, 4, 8)))
+        keys = np.array([[True] * 4, [True, True, False, False]])
+        out = multi_head_attention(x, x, x, 2, self.params, self.prefix, keys[:, None, None])
+        short = ad.Tensor(x.data[1:, :2])
+        alone = multi_head_attention(short, short, short, 2, self.params, self.prefix)
+        np.testing.assert_allclose(out.data[1, :2], alone.data[0], atol=1e-12)
 
     def test_mask_shape_mismatch(self):
-        x = ad.Tensor(np.zeros((3, 8)))
+        x = ad.Tensor(np.zeros((1, 3, 8)))
         with pytest.raises(ValueError):
-            multi_head_attention(x, x, x, 2, self.params, self.prefix, np.ones((2, 3), bool))
+            multi_head_attention(
+                x, x, x, 2, self.params, self.prefix, np.ones((1, 1, 2, 3), bool)
+            )
 
 
 class TestEncoderLayer:
@@ -109,7 +105,7 @@ class TestEncoderLayer:
             if name.startswith(prefix) and "norm" not in name:
                 t.data[:] = 0.0
         r = np.random.default_rng(2)
-        x = ad.Tensor(r.standard_normal((5, 8)))
+        x = ad.Tensor(r.standard_normal((1, 5, 8)))
         out = encoder_layer(x, model.params, prefix, 2, None)
         ones, zeros = ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8))
         expect = ad.layer_norm(ad.layer_norm(x, ones, zeros), ones, zeros)
@@ -117,15 +113,15 @@ class TestEncoderLayer:
 
     def test_shape_preserved(self):
         model = toy_model()
-        x = ad.Tensor(np.random.default_rng(3).standard_normal((6, 8)))
+        x = ad.Tensor(np.random.default_rng(3).standard_normal((2, 6, 8)))
         out = encoder_layer(x, model.params, "encoder.layer1", 2, None)
         assert out.shape == x.shape
 
     def test_gradient_through_layer(self):
         model = toy_model()
         r = np.random.default_rng(4)
-        x = ad.Tensor(r.standard_normal((3, 8)), requires_grad=True)
-        w = r.standard_normal((3, 8))
+        x = ad.Tensor(r.standard_normal((1, 3, 8)), requires_grad=True)
+        w = r.standard_normal((1, 3, 8))
 
         def loss():
             with ad.no_grad():
@@ -143,23 +139,22 @@ class TestEncoderLayer:
 class TestStacks:
     def test_single_layer_returns_two_reps(self):
         model = Transformer(toy_config(n_layers=1), seed=0)
-        stack = model.encode(np.array([4, 5, 6]), [3])
+        stack = model.encode(*padded(np.array([4, 5, 6]), [3]))
         assert len(stack) == 2
 
     def test_encode_deterministic_at_eval(self):
-        a = toy_model(seed=5).encode(np.array([4, 5]), [2])
-        b = toy_model(seed=5).encode(np.array([4, 5]), [2])
+        a = toy_model(seed=5).encode(*padded(np.array([4, 5]), [2]))
+        b = toy_model(seed=5).encode(*padded(np.array([4, 5]), [2]))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.data, y.data)
 
     def test_layers_transform_their_input(self, rng):
         model = toy_model(seed=6)
-        ids, lengths = random_sentences(rng, 2)
+        ids, mask = padded(*random_sentences(rng, 2))
+        enc, _ = model.encoder_output(model.encode(ids, mask), mask)
         for stack in (
-            model.encode(ids, lengths),
-            model.decode_teacher_forced(
-                ids, lengths, model.encoder_output(model.encode(ids, lengths))[0], lengths
-            ),
+            model.encode(ids, mask),
+            model.decode_teacher_forced(ids, mask, enc, mask),
         ):
             assert len(stack) == model.config.n_layers + 1
             for lo, hi in zip(stack, stack[1:]):
@@ -169,35 +164,35 @@ class TestStacks:
     def test_too_long_sentence_rejected(self):
         model = toy_model()
         with pytest.raises(ValueError, match="max_len"):
-            model.encode(np.full(9, 4), [9])
+            model.encode(*padded(np.full(9, 4), [9]))
 
 
 class TestCausality:
     def test_suffix_tokens_cannot_leak_backward(self):
         model = toy_model(seed=7)
-        src = np.array([4, 5, 6])
-        enc, _ = model.encoder_output(model.encode(src, [3]))
+        src, src_mask = padded(np.array([4, 5, 6]), [3])
+        enc, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
         tgt_a = np.array([1, 4, 5, 6, 7])
         tgt_b = tgt_a.copy()
         j = 2
         tgt_b[j + 1 :] = [9, 10]  # change only positions after j
-        stack_a = model.decode_teacher_forced(tgt_a, [5], enc, [3])
-        stack_b = model.decode_teacher_forced(tgt_b, [5], enc, [3])
+        stack_a = model.decode_teacher_forced(*padded(tgt_a, [5]), enc, src_mask)
+        stack_b = model.decode_teacher_forced(*padded(tgt_b, [5]), enc, src_mask)
         for a, b in zip(stack_a, stack_b):
-            np.testing.assert_array_equal(a.data[: j + 1], b.data[: j + 1])
+            np.testing.assert_array_equal(a.data[:, : j + 1], b.data[:, : j + 1])
 
-    def test_packed_batch_equals_per_sentence(self, rng):
-        """Block masking makes packed processing match one-at-a-time runs."""
+    def test_padded_batch_equals_per_sentence(self, rng):
+        """Masking makes a padded batch match one-at-a-time runs."""
         model = toy_model(seed=8)
         src_ids, src_lens = random_sentences(rng, 3)
         tgt_ids, tgt_lens = random_sentences(rng, 3)
-        res = model.forward(src_ids, src_lens, tgt_ids, tgt_lens)
+        res = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
         so = np.cumsum([0] + src_lens)
         to = np.cumsum([0] + tgt_lens)
         for i in range(3):
             single = model.forward(
-                src_ids[so[i] : so[i + 1]], [src_lens[i]],
-                tgt_ids[to[i] : to[i + 1]], [tgt_lens[i]],
+                *padded(src_ids[so[i] : so[i + 1]], [src_lens[i]]),
+                *padded(tgt_ids[to[i] : to[i + 1]], [tgt_lens[i]]),
             )
             np.testing.assert_allclose(
                 res.logits.data[to[i] : to[i + 1]], single.logits.data, atol=1e-9
@@ -213,10 +208,10 @@ class TestFullModelGradients:
 
         def loss():
             with ad.no_grad():
-                r = model.forward(src_ids, src_lens, tgt_ids, tgt_lens)
+                r = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
                 return ad.cross_entropy(r.logits, tgt_out).item()
 
-        result = model.forward(src_ids, src_lens, tgt_ids, tgt_lens)
+        result = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
         model.params.zero_grads()
         ad.backward(ad.cross_entropy(result.logits, tgt_out))
 
