@@ -81,40 +81,41 @@ def save_checkpoint(
 _HEADER_KEYS = ("model", "fusion", "train", "optimizer", "tensors")
 
 
-def _read_header(rest: bytes, path) -> tuple[dict, list[int], bytes]:
+def _read_header(raw: bytes, path) -> tuple[dict, list[int], int]:
     """The header after the magic line, each tensor's element count, and the
-    data after the header; ValueError naming ``path`` if the header is cut
-    or malformed."""
+    offset of the tensor data; ValueError naming ``path`` if the header is
+    cut or malformed.  Works on offsets: the file is not copied."""
+    start = len(MAGIC) + 1
     try:
-        size_line, rest = rest.split(b"\n", 1)
-        n = int(size_line)
-        if not 0 < n <= len(rest):
-            raise ValueError(f"header length {n}, but {len(rest)} bytes follow")
-        header = json.loads(rest[:n].decode("utf-8"))
+        end = raw.find(b"\n", start)
+        if end < 0:
+            raise ValueError("no header length line")
+        n = int(raw[start:end])
+        if not 0 < n <= len(raw) - end - 1:
+            raise ValueError(f"header length {n}, but {len(raw) - end - 1} bytes follow")
+        header = json.loads(raw[end + 1 : end + 1 + n].decode("utf-8"))
         missing = [k for k in _HEADER_KEYS if k not in header]
         if missing:
             raise ValueError(f"header lacks {missing}")
         counts = [math.prod(int(k) for k in shape) for _, shape in header["tensors"]]
     except (ValueError, TypeError) as exc:
         raise ValueError(f"corrupt checkpoint {path}: {exc}") from exc
-    return header, counts, rest[n:]
+    return header, counts, end + 1 + n
 
 
 def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
-    magic, _, rest = raw.partition(b"\n")
-    if magic.decode("ascii", "replace") != MAGIC:
+    if not raw.startswith(MAGIC.encode("ascii") + b"\n"):
         raise ValueError(f"not a checkpoint file: {path}")
-    header, counts, blob = _read_header(rest, path)
-    if len(blob) != 8 * sum(counts):
+    header, counts, offset = _read_header(raw, path)
+    if len(raw) - offset != 8 * sum(counts):
         raise ValueError(
-            f"corrupt checkpoint {path}: {len(blob)} data bytes, "
+            f"corrupt checkpoint {path}: {len(raw) - offset} data bytes, "
             f"but its tensor index needs {8 * sum(counts)}"
         )
     tensors: dict[str, np.ndarray] = {}
-    offset = 0
     for (name, shape), count in zip(header["tensors"], counts):
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         tensors[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 8
 
