@@ -262,33 +262,46 @@ class TestTrainLoop:
 
 
 # Losses of four train_steps with dropout on, recorded from the packed-sequence
-# implementation.  A change of batch layout must leave them in place to
-# rounding; a changed dropout draw moves them by about 1e-2.
-PINNED_LOSSES = {
-    ("decoder", "self_attention"): [
-        2.3348006389294396, 2.4197643538424747, 2.355006261552468, 2.39425436260911,
-    ],
-    ("encoder", "fnn"): [
-        2.8422518126928717, 2.704655534747905, 2.7988830171651453, 2.5064588492031987,
-    ],
-    ("both", "avg"): [
+# implementation (the last three cases from the padded one).  A change of
+# batch or layer-stack layout must leave them in place to rounding; a changed
+# dropout draw moves them by about 1e-2.
+PINNED_LOSSES = [
+    ("both", "avg", {}, [
         2.716692414990627, 2.5237962443934676, 2.6598982701882448, 2.33471220222874,
-    ],
-}
+    ]),
+    ("decoder", "self_attention", {}, [
+        2.3348006389294396, 2.4197643538424747, 2.355006261552468, 2.39425436260911,
+    ]),
+    ("encoder", "fnn", {}, [
+        2.8422518126928717, 2.704655534747905, 2.7988830171651453, 2.5064588492031987,
+    ]),
+    ("encoder", "self_attention", {"share_w1": False, "include_embedding": False}, [
+        2.6429097619383013, 2.5076461643673027, 2.44139389447674, 2.334519517960685,
+    ]),
+    ("both", "self_attention", {"n_hop": 1}, [
+        2.4632932623684294, 2.6023942668955224, 2.4847228704077127, 2.609927466824196,
+    ]),
+    ("decoder", "fnn", {"include_embedding": False}, [
+        2.493909199867786, 2.340047735872804, 2.5422008844051014, 2.2888749499138625,
+    ]),
+]
 
 
-@pytest.mark.parametrize("side,kind", sorted(PINNED_LOSSES))
-def test_training_losses_are_pinned(side, kind):
+@pytest.mark.parametrize("side,kind,overrides,expected", [
+    pytest.param(*case, id="-".join([*case[:2], *(f"{k}={v}" for k, v in case[2].items())]))
+    for case in PINNED_LOSSES
+])
+def test_training_losses_are_pinned(side, kind, overrides, expected):
     spec = SyntheticTaskSpec("copy", alphabet=7, min_len=1, max_len=6, count=16, seed=12)
     vocab = Vocabulary(f"s{i}" for i in range(7))
     batches = make_batches(generate_synthetic(spec), vocab, vocab, 4)
     assert len({tuple(b.tgt_mask.sum(axis=1)) for b in batches}) == 4  # ragged batches
-    model = Transformer(toy_config(dropout=0.1), toy_fusion(side, kind), seed=5)
+    model = Transformer(toy_config(dropout=0.1), toy_fusion(side, kind, **overrides), seed=5)
     model.reseed_dropout(6)
     state = AdamState(model.params)
     cfg = TrainConfig(warmup_steps=20, seed=5)
     losses = [train_step(model, batch, state, cfg).loss for batch in batches]
-    np.testing.assert_allclose(losses, PINNED_LOSSES[side, kind], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(losses, expected, rtol=1e-12, atol=0)
 
 
 class TestCounts:
