@@ -170,22 +170,11 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join equal-shaped tensors along a new ``axis``, as ``np.stack``."""
     ts = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-
-    def vjp(g):
-        grads = []
-        start = 0
-        for n in sizes:
-            idx = [np.s_[:]] * g.ndim
-            idx[axis] = np.s_[start : start + n]
-            grads.append(g[tuple(idx)])
-            start += n
-        return tuple(grads)
-
-    return _make(data, ts, vjp)
+    data = np.stack([t.data for t in ts], axis=axis)
+    return _make(data, ts, lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
 def slice_(x: Tensor, key) -> Tensor:

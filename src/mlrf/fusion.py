@@ -3,15 +3,18 @@
 A fusion layer sits on top of the encoder stack, the decoder stack, or both.
 It sees every layer's representation at a position (optionally including the
 embedding layer at index 0) and produces a single width-d vector, so nothing
-downstream changes size.  Four kinds are supported:
+downstream changes size.  The parametric kinds take the included layers as
+one stacked tensor ``[..., n, d]``: leading axes are positions, axis -2 is
+the layer axis.  Four kinds are supported:
 
 * ``baseline``         - the top layer, untouched (no extra parameters)
-* ``avg``              - arithmetic mean of the included layers
-* ``fnn``              - concatenate the layers, then a one-hidden-layer FNN
+* ``avg``              - arithmetic mean over the layer axis
+* ``fnn``              - the layers flattened to ``[..., n*d]`` (a featurewise
+                         concatenation), then a one-hidden-layer FNN
 * ``self_attention``   - multi-hop attention over the layer axis with learned
                          layer-index embeddings; each hop yields a probability
                          distribution over layers and a weighted sum, the hops
-                         are stacked and mixed by a final FNN
+                         are flattened and mixed by a final FNN
 
 Every parametric kind ends with its own layer normalization.
 """
@@ -116,14 +119,9 @@ def _final_norm(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     )
 
 
-def fuse_avg(stack: Sequence[Tensor], params: ParamStore, prefix: str) -> Tensor:
-    """Mean of the included layers, then the post-fusion layer norm."""
-    if not stack:
-        raise ValueError("empty layer stack")
-    total = stack[0]
-    for rep in stack[1:]:
-        total = ad.add(total, rep)
-    return _final_norm(ad.scale(total, 1.0 / len(stack)), params, prefix)
+def fuse_avg(layers: Tensor, params: ParamStore, prefix: str) -> Tensor:
+    """Mean of the stacked layers ``[..., n, d]``, then the post-fusion norm."""
+    return _final_norm(ad.mean_(layers, axis=-2), params, prefix)
 
 
 def _fusion_fnn(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
@@ -133,61 +131,54 @@ def _fusion_fnn(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     return ad.add(ad.matmul(h, params[f"{prefix}.fnn.w2"]), params[f"{prefix}.fnn.b2"])
 
 
-def fuse_fnn(stack: Sequence[Tensor], params: ParamStore, prefix: str) -> Tensor:
-    """Concatenate the included layers featurewise and mix with an FNN."""
-    if not stack:
-        raise ValueError("empty layer stack")
-    flat = stack[0] if len(stack) == 1 else ad.concat(list(stack), axis=-1)
+def _flatten_last_two(x: Tensor) -> Tensor:
+    return ad.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def fuse_fnn(layers: Tensor, params: ParamStore, prefix: str) -> Tensor:
+    """Flatten the stacked layers ``[..., n, d]`` to ``[..., n*d]`` (layer 0's
+    features first) and mix them with an FNN."""
+    flat = _flatten_last_two(layers)
     return _final_norm(_fusion_fnn(flat, params, prefix), params, prefix)
 
 
 def fuse_self_attention(
-    stack: Sequence[Tensor],
+    layers: Tensor,
     params: ParamStore,
     prefix: str,
     layer_embed: Tensor,
-    n_hop: int,
     share_w1: bool,
     first_layer: int = 0,
 ) -> tuple[Tensor, AttentionTrace]:
-    """Multi-hop attention over the layer axis.
+    """Multi-hop attention over the layer axis of ``layers`` ``[..., n, d]``.
 
-    Each included layer gets its index embedding added, energies come from a
-    one-hidden-layer network (tanh inner activation), and a softmax across
-    the layer axis gives every hop a distribution over layers.  Hop-wise
-    weighted sums are stacked, flattened, and mixed by the final FNN.
-    With a single hop the stacked intermediate is just one width-d vector.
-    Every representation is [..., d]; the leading axes are positions.
+    Every layer gets its index embedding (row l of the ``[n, d]`` table)
+    added.  Energies ``[..., n, n_hop]`` come from a one-hidden-layer network
+    with a tanh inner activation; ``att.w2`` has one column per hop.  A
+    softmax across the layer axis gives every hop a distribution over
+    layers, one batched matmul takes the hop-wise weighted sums
+    ``[..., n_hop, d]``, and these are flattened and mixed by the final FNN.
+    With a single hop the flattened intermediate is just one width-d vector.
     """
-    n_layers = len(stack)
-    lead = stack[0].shape[:-1]
+    n_layers = layers.shape[-2]
     if layer_embed.shape[0] != n_layers:
         raise ValueError(
             f"layer embedding rows {layer_embed.shape[0]} != stack size {n_layers}"
         )
     # z-tilde: content plus layer-index information
-    tagged = [
-        ad.add(rep, layer_embed[l : l + 1, :]) for l, rep in enumerate(stack)
-    ]
-    # energies per (position, hop, layer)
-    energies = []
-    for l, zt in enumerate(tagged):
-        w1 = params[f"{prefix}.att.w1" if share_w1 else f"{prefix}.att.w1.layer{l}"]
-        e = ad.matmul(ad.tanh(ad.matmul(zt, w1)), params[f"{prefix}.att.w2"])
-        energies.append(ad.reshape(e, lead + (n_hop, 1)))
-    att = ad.softmax(ad.concat(energies, axis=-1), axis=-1)
-
-    hops = []
-    for p in range(n_hop):
-        acc = None
-        for l, zt in enumerate(tagged):
-            w = ad.reshape(att[..., p, l], lead + (1,))
-            term = ad.mul(w, zt)
-            acc = term if acc is None else ad.add(acc, term)
-        hops.append(acc)
-    stacked = hops[0] if n_hop == 1 else ad.concat(hops, axis=-1)
-
-    fused = _final_norm(_fusion_fnn(stacked, params, prefix), params, prefix)
+    tagged = ad.add(layers, layer_embed)
+    if share_w1:
+        hidden = ad.tanh(ad.matmul(tagged, params[f"{prefix}.att.w1"]))
+    else:
+        w1 = [params[f"{prefix}.att.w1.layer{l}"] for l in range(n_layers)]
+        hidden = ad.stack(
+            [ad.tanh(ad.matmul(tagged[..., l, :], w)) for l, w in enumerate(w1)], axis=-2
+        )
+    energies = ad.matmul(hidden, params[f"{prefix}.att.w2"])
+    lead = tuple(range(len(layers.shape) - 2))
+    att = ad.softmax(ad.transpose(energies, lead + (len(lead) + 1, len(lead))), axis=-1)
+    hops = _flatten_last_two(ad.matmul(att, tagged))
+    fused = _final_norm(_fusion_fnn(hops, params, prefix), params, prefix)
     return fused, AttentionTrace(att.data.copy(), first_layer)
 
 
@@ -206,24 +197,30 @@ def fuse_side(
     side: str,
     cfg: FusionConfig,
     params: ParamStore,
+    rows: np.ndarray | None = None,
 ) -> tuple[Tensor, AttentionTrace | None]:
-    """Apply the configured fusion for ``side`` to a full layer stack."""
+    """Apply the configured fusion for ``side`` to a full layer stack.
+
+    ``rows``, a boolean mask over the leading axes, keeps only those
+    positions; it is applied once, to the fusion input.
+    """
     kind = cfg.kind_for(side)
     if kind == "baseline":
-        return fuse_baseline(stack), None
-    reps = included_layers(stack, cfg)
+        top = fuse_baseline(stack)
+        return (top if rows is None else top[rows]), None
+    layers = ad.stack(included_layers(stack, cfg), axis=-2)
+    if rows is not None:
+        layers = layers[rows]
     prefix = f"fusion.{side}"
     if kind == "avg":
-        return fuse_avg(reps, params, prefix), None
+        return fuse_avg(layers, params, prefix), None
     if kind == "fnn":
-        return fuse_fnn(reps, params, prefix), None
-    fused, trace = fuse_self_attention(
-        reps,
+        return fuse_fnn(layers, params, prefix), None
+    return fuse_self_attention(
+        layers,
         params,
         prefix,
         params[layer_embedding_name(cfg, side)],
-        cfg.n_hop,
         cfg.share_w1,
         first_layer=0 if cfg.include_embedding else 1,
     )
-    return fused, trace

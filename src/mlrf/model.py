@@ -432,8 +432,7 @@ class Transformer:
         """Representation handed to the output projection, [n_tokens x d]:
         the real target rows, taken before fusion so padding costs nothing."""
         tgt_mask = np.asarray(tgt_mask, dtype=bool)
-        rows = [rep[tgt_mask] for rep in stack]
-        return fuse_side(rows, "decoder", self.fusion, self.params)
+        return fuse_side(stack, "decoder", self.fusion, self.params, rows=tgt_mask)
 
     def output_logits(self, rep: Tensor) -> Tensor:
         return ad.add(

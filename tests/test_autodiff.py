@@ -122,15 +122,17 @@ class TestElementwise:
     def test_relu(self):
         np.testing.assert_array_equal(ad.relu(leaf([-1.0, 2.0])).data, [0.0, 2.0])
 
-    def test_concat(self):
-        out = ad.concat([leaf([1.0, 2.0]), leaf([3.0])], axis=0)
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+    def test_stack(self):
+        out = ad.stack([leaf([1.0, 2.0]), leaf([3.0, 4.0])], axis=0)
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
+        out = ad.stack([leaf([1.0, 2.0]), leaf([3.0, 4.0])], axis=-1)
+        np.testing.assert_array_equal(out.data, [[1.0, 3.0], [2.0, 4.0]])
 
-    def test_concat_then_slice_is_identity(self):
-        a, b = rng.standard_normal((2, 3)), rng.standard_normal((4, 3))
-        cat = ad.concat([ad.Tensor(a), ad.Tensor(b)], axis=0)
-        np.testing.assert_array_equal(cat.data[:2], a)
-        np.testing.assert_array_equal(cat.data[2:], b)
+    def test_stack_then_slice_is_identity(self):
+        a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        stacked = ad.stack([ad.Tensor(a), ad.Tensor(b)], axis=-2)
+        np.testing.assert_array_equal(stacked.data[:, 0], a)
+        np.testing.assert_array_equal(stacked.data[:, 1], b)
 
     def test_embedding_lookup_gradient_hits_only_used_rows(self):
         table = leaf(rng.standard_normal((4, 3)))
@@ -202,6 +204,11 @@ def assert_grads_match(run, leaves, tol=1e-6):
 
 
 class TestBatchedOps:
+    @pytest.mark.parametrize("axis", [0, -2, -1])
+    def test_stack_gradient(self, axis):
+        parts = [leaf(rng.standard_normal((3, 4))) for _ in range(3)]
+        assert_grads_match(lambda: ad.stack(parts, axis=axis), parts)
+
     def test_matmul_rows_by_weight(self):
         a = leaf(rng.standard_normal((2, 3, 4)))
         b = leaf(rng.standard_normal((4, 5)))
@@ -312,12 +319,24 @@ class TestBackward:
         with pytest.raises(ValueError):
             ad.backward(leaf([1.0, 2.0]))
 
-    def test_repeated_backward_accumulates(self):
+    @pytest.mark.parametrize(
+        "make_loss,once",
+        [
+            (lambda x: ad.sum_(ad.mul(x, x)), [2.0, 4.0]),
+            # softmax([1, 2]) minus the one-hot target 1
+            (
+                lambda x: ad.cross_entropy(ad.reshape(x, (1, 2)), [1]),
+                [1.0 / (1.0 + np.e), -1.0 / (1.0 + np.e)],
+            ),
+        ],
+        ids=["square", "cross_entropy"],
+    )
+    def test_repeated_backward_accumulates(self, make_loss, once):
         x = leaf([1.0, 2.0])
-        loss = ad.sum_(ad.mul(x, x))
+        loss = make_loss(x)
         ad.backward(loss)
         ad.backward(loss)
-        np.testing.assert_allclose(x.grad, [4.0, 8.0], atol=1e-12)
+        np.testing.assert_allclose(x.grad, 2 * np.array(once), atol=1e-12)
 
     def test_reused_node_accumulates_once_per_path(self):
         x = leaf([3.0])

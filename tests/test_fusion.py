@@ -57,7 +57,7 @@ class TestAvg:
     def test_equal_layers_give_normalized_value(self):
         model = toy_model("decoder", "avg")
         v = np.random.default_rng(0).standard_normal((4, 8))
-        stack = [ad.Tensor(v) for _ in range(3)]
+        stack = ad.Tensor(np.stack([v] * 3, axis=-2))
         out = fuse_avg(stack, model.params, "fusion.decoder")
         gain = model.params["fusion.decoder.post_norm.gain"]
         bias = model.params["fusion.decoder.post_norm.bias"]
@@ -68,7 +68,7 @@ class TestAvg:
         model = toy_model("decoder", "avg")
         a = ad.Tensor(np.tile([1.0, 3.0], (1, 4)))
         b = ad.Tensor(np.tile([3.0, 5.0], (1, 4)))
-        out = fuse_avg([a, b], model.params, "fusion.decoder")
+        out = fuse_avg(ad.stack([a, b], axis=-2), model.params, "fusion.decoder")
         gain = model.params["fusion.decoder.post_norm.gain"]
         bias = model.params["fusion.decoder.post_norm.bias"]
         mean = ad.Tensor(np.tile([2.0, 4.0], (1, 4)))
@@ -142,11 +142,11 @@ class TestSelfAttention:
 
     def test_layer_embedding_row_count_must_match(self):
         model = toy_model("decoder", "self_attention")
-        stack = [ad.Tensor(np.zeros((2, 8)))] * 2  # too short: config fuses 3
+        stack = ad.Tensor(np.zeros((2, 2, 8)))  # too short: config fuses 3
         with pytest.raises(ValueError):
             fuse_self_attention(
                 stack, model.params, "fusion.decoder",
-                model.params["fusion.layer_embed.weight"], 3, True,
+                model.params["fusion.layer_embed.weight"], True,
             )
 
     def test_gradient_through_fusion(self):
