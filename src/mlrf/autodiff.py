@@ -343,13 +343,14 @@ def cross_entropy(logits: Tensor, targets, pad_id: int | None = None) -> Tensor:
 
     x = logits.data
     m = x.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
+    e = np.exp(x - m)
+    z = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(z[:, 0])
     nll = lse - x[np.arange(n), safe]
     data = float((nll * live).sum() / count)
 
     def vjp(g):
-        p = np.exp(x - m)
-        p /= p.sum(axis=1, keepdims=True)
+        p = e / z  # a new array: e must survive a repeated backward
         p[np.arange(n), safe] -= 1.0
         p *= (live * (float(g) / count))[:, None]
         return (p,)

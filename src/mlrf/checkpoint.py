@@ -4,13 +4,16 @@ Layout: one magic line, one line with the header byte length, a JSON text
 header (configs, counters, RNG states, and a tensor index), then the named
 raw tensor blocks as little-endian float64 in index order.  Serialization
 is canonical (sorted keys, fixed separators), so save -> load -> save is
-byte-identical.
+byte-identical.  A save writes a temporary file beside the target, fsyncs
+it and renames it over the target, so the previous file survives a failed
+write.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -70,12 +73,23 @@ def save_checkpoint(
         "tensors": index,
     }
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC.encode("ascii") + b"\n")
-        f.write(str(len(body)).encode("ascii") + b"\n")
-        f.write(body)
-        for arr in blocks:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    # write beside the target and rename over it, so a crash mid-write
+    # leaves the previous file whole
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC.encode("ascii") + b"\n")
+            f.write(str(len(body)).encode("ascii") + b"\n")
+            f.write(body)
+            for arr in blocks:
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _HEADER_KEYS = ("model", "fusion", "train", "optimizer", "tensors")

@@ -141,19 +141,24 @@ def restart_adam(state: AdamState) -> None:
     state.phase = "restarted"
 
 
-def clip_gradients(params: ParamStore, max_norm: float) -> float:
-    """Scale all grads so their global L2 norm is at most ``max_norm``."""
+def grad_norm(params: ParamStore) -> float:
+    """Global L2 norm of the accumulated grads (inf or nan if any is)."""
     total = 0.0
     for _, p in params.items():
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = math.sqrt(total)
+            g = p.grad.ravel()
+            total += float(np.dot(g, g))
+    return math.sqrt(total)
+
+
+def clip_gradients(params: ParamStore, max_norm: float, norm: float) -> None:
+    """Scale all grads so their global L2 norm ``norm`` (``grad_norm``) is at
+    most ``max_norm``."""
     if norm > max_norm and norm > 0:
         factor = max_norm / norm
         for _, p in params.items():
             if p.grad is not None:
                 p.grad *= factor
-    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +188,27 @@ def train_step(
     cfg: TrainConfig,
     pad_id: int = 0,
 ) -> StepMetrics:
-    """Forward, backward, and one optimizer update on a single batch."""
+    """Forward, backward, and one optimizer update on a single batch.
+
+    Raises ``FloatingPointError`` before the update if the loss or the
+    gradient norm is not finite, naming the parameters with such grads.
+    """
     logits, tgt_out = _batch_forward(model, batch, train=True)
     loss = ad.cross_entropy(logits, tgt_out, pad_id=pad_id)
     model.params.zero_grads()
     ad.backward(loss)
+    norm = grad_norm(model.params)
+    if not (math.isfinite(loss.item()) and math.isfinite(norm)):
+        bad = [
+            name for name, p in model.params.items()
+            if p.grad is not None and not np.isfinite(p.grad).all()
+        ]
+        raise FloatingPointError(
+            f"step {state.t + 1} ({state.phase}): loss {loss.item()}, gradient "
+            f"norm {norm}; non-finite gradients in {', '.join(bad) or 'no parameter'}"
+        )
     if cfg.clip_norm is not None:
-        clip_gradients(model.params, cfg.clip_norm)
+        clip_gradients(model.params, cfg.clip_norm, norm)
     if state.restarted():
         lr = cfg.restart_lr
     else:

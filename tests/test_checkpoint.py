@@ -143,3 +143,26 @@ class TestValidation:
         path.write_bytes(b"not a checkpoint\nreally\n")
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path)
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        model, state = trained_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, state, None, {})
+        before = path.read_bytes()
+        real = np.ascontiguousarray
+        calls = []
+
+        def fail_on_third_block(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_third_block)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, state, None, {"seed": 1})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mlrf import autodiff as ad
 from mlrf import config, data, training
 from mlrf.checkpoint import build_model, load_checkpoint
 from mlrf.cli import main, read_trace_file
@@ -118,6 +119,24 @@ class TestTrain:
         full_phase2 = [r for r in full_rows if r.split("\t")[1] == "restarted"]
         assert resumed_rows == full_phase2
         assert (out_full / "last.ckpt").read_bytes() == (out_resumed / "last.ckpt").read_bytes()
+
+    def test_non_finite_loss_leaves_last_checkpoint(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg_one = write_cfg(tmp_path, "one.cfg", phase1=1, phase2=0)
+        assert main(["train", "--config", cfg_one, "--out", str(out)]) == 0
+        before = (out / "last.ckpt").read_bytes()
+        real = ad.cross_entropy
+        monkeypatch.setattr(
+            ad, "cross_entropy", lambda *a, **k: ad.scale(real(*a, **k), float("nan"))
+        )
+        cfg_two = write_cfg(tmp_path, "two.cfg", phase1=2, phase2=0)
+        with pytest.raises(FloatingPointError, match="step 4"):
+            main([
+                "train", "--config", cfg_two, "--out", str(out),
+                "--resume", str(out / "last.ckpt"),
+            ])
+        assert (out / "last.ckpt").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["best.ckpt", "last.ckpt", "metrics.tsv"]
 
     def test_invalid_config_lists_offending_keys(self, tmp_path, capsys):
         bad = TINY_CFG.format(phase1=1, phase2=0).replace(

@@ -10,11 +10,14 @@ from mlrf.data import ParallelCorpus, Vocabulary, generate_synthetic, make_batch
 from mlrf.data import SyntheticTaskSpec
 from mlrf.fusion import FusionConfig
 from mlrf.model import ModelConfig, Transformer, param_specs
+from mlrf import autodiff as ad
 from mlrf.training import (
     AdamState,
     TrainConfig,
     adam_step,
+    clip_gradients,
     evaluate_teacher_forced,
+    grad_norm,
     init_parameters,
     lr_schedule,
     restart_adam,
@@ -176,6 +179,30 @@ class TestAdam:
             restart_adam(state)
 
 
+class TestGradNorm:
+    def test_clip_scales_down_to_max_norm_only(self):
+        store = ParamStore()
+        store.add("a", Tensor(np.zeros(2)))
+        store.add("b", Tensor(np.zeros(1)))
+        store.add("unused", Tensor(np.zeros(1)))
+        store["a"].grad = np.array([3.0, 0.0])
+        store["b"].grad = np.array([-4.0])
+        norm = grad_norm(store)
+        assert norm == 5.0
+        clip_gradients(store, 2.0, norm)
+        np.testing.assert_allclose(store["a"].grad, [1.2, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(store["b"].grad, [-1.6], rtol=1e-15)
+        assert store["unused"].grad is None
+        clip_gradients(store, 3.0, grad_norm(store))  # already below: untouched
+        np.testing.assert_allclose(store["b"].grad, [-1.6], rtol=1e-15)
+
+    def test_non_finite_grad_gives_non_finite_norm(self):
+        store = scalar_store(1.0)
+        for bad in (np.nan, np.inf):
+            store["p"].grad = np.array([bad])
+            assert not np.isfinite(grad_norm(store))
+
+
 def one_sample_batches():
     corpus = ParallelCorpus([(["s1", "s2", "s3"], ["s1", "s2", "s3"])])
     vocab = Vocabulary(f"s{i}" for i in range(5))
@@ -244,6 +271,43 @@ class TestTrainLoop:
         model = toy_model()
         with pytest.raises(ValueError):
             train_epoch(model, [], AdamState(model.params), TrainConfig())
+
+    @pytest.mark.parametrize("poison", ["loss", "grad"])
+    def test_non_finite_step_stops_before_the_update(self, poison, monkeypatch):
+        batches, vocab = one_sample_batches()
+        cfg = ModelConfig(
+            n_layers=1, d_model=8, d_ff=16, n_heads=2,
+            src_vocab=len(vocab), tgt_vocab=len(vocab), max_len=8,
+        )
+        model = Transformer(cfg, toy_fusion("decoder", "self_attention"), seed=1)
+        tcfg = TrainConfig(warmup_steps=40, seed=1)
+        state = AdamState(model.params)
+        train_step(model, batches[0], state, tcfg)
+        if poison == "loss":
+            model.params["output.bias"].data[0] = np.nan
+            named = "output.bias"
+        else:
+            real = ad.backward
+            named = "fusion.decoder.att.w2"
+
+            def backward_then_poison(loss):
+                real(loss)
+                model.params[named].grad[0, 0] = np.nan
+
+            monkeypatch.setattr(ad, "backward", backward_then_poison)
+        params = {name: p.data.copy() for name, p in model.params.items()}
+        m = {name: a.copy() for name, a in state.m.items()}
+        v = {name: a.copy() for name, a in state.v.items()}
+        with pytest.raises(FloatingPointError, match=r"step 2 \(warmup_schedule\)") as err:
+            train_step(model, batches[0], state, tcfg)
+        assert named in str(err.value)
+        if poison == "grad":
+            assert str(err.value).endswith(f"non-finite gradients in {named}")
+        assert state.t == 1
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, params[name])
+            np.testing.assert_array_equal(state.m[name], m[name])
+            np.testing.assert_array_equal(state.v[name], v[name])
 
     def test_restarted_phase_uses_fixed_lr(self):
         batches, vocab = one_sample_batches()
