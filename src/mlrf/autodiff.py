@@ -62,12 +62,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self) -> None:
         backward(self)
 

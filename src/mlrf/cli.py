@@ -210,29 +210,47 @@ def _beam_config(args, fallback: BeamConfig | None = None) -> BeamConfig:
     )
 
 
-def translate_lines(model, src_vocab, tgt_vocab, lines, beam: BeamConfig) -> list[str]:
-    out = []
-    for line in lines:
+def _skips(model, tokens, what: str, line_no: int, action: str = "skipped") -> bool:
+    """True, with a warning on stderr, when ``tokens`` are too long for the
+    model, which appends EOS to a source and prepends BOS to a target."""
+    limit = model.config.max_len - 1
+    if len(tokens) <= limit:
+        return False
+    print(
+        f"warning: {what} line {line_no} has {len(tokens)} tokens, "
+        f"more than the model's limit of {limit}; {action}",
+        file=sys.stderr,
+    )
+    return True
+
+
+def translate_lines(model, src_vocab, tgt_vocab, lines, beam: BeamConfig) -> tuple[list[str], int]:
+    """One output line per input line, and the number of lines skipped: a
+    line too long for the model gets an empty output line."""
+    out, skipped = [], 0
+    for line_no, line in enumerate(lines, 1):
         tokens = line.split()
-        if not tokens:
+        too_long = _skips(model, tokens, "source", line_no)
+        skipped += too_long
+        if not tokens or too_long:
             out.append("")
             continue
         ids = src_vocab.encode(tokens) + [EOS_ID]
         out_ids = translate_ids(model, ids, beam)
         out.append(" ".join(tgt_vocab.decode(out_ids)))
-    return out
+    return out, skipped
 
 
 def cmd_translate(args) -> int:
     _, model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    hyps = translate_lines(model, src_vocab, tgt_vocab, lines, _beam_config(args))
+    hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, lines, _beam_config(args))
     text = "".join(h + "\n" for h in hyps)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return 0
+    return 1 if skipped else 0
 
 
 def cmd_evaluate(args) -> int:
@@ -243,17 +261,21 @@ def cmd_evaluate(args) -> int:
         raise SystemExit(
             f"error: {args.src} has {len(src_lines)} lines but {args.ref} has {len(ref_lines)}"
         )
-    hyps = translate_lines(model, src_vocab, tgt_vocab, src_lines, _beam_config(args))
+    hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, src_lines, _beam_config(args))
     bleu = corpus_bleu([h.split() for h in hyps], [r.split() for r in ref_lines])
 
-    pairs = [(s.split(), r.split()) for s, r in zip(src_lines, ref_lines) if s.split() and r.split()]
+    pairs = [(s.split(), r.split()) for s, r in zip(src_lines, ref_lines)]
+    for line_no, (_, ref) in enumerate(pairs, 1):
+        skipped += _skips(model, ref, "reference", line_no, "left out of token accuracy")
+    limit = model.config.max_len - 1
+    pairs = [(s, r) for s, r in pairs if 0 < len(s) <= limit and 0 < len(r) <= limit]
     batches = make_batches(ParallelCorpus(pairs), src_vocab, tgt_vocab, 32)
     forced = evaluate_teacher_forced(model, batches)
     print(f"BLEU = {bleu:.2f}")
     print(f"token_accuracy = {forced['accuracy']:.4f}")
     if args.out:
         Path(args.out).write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
-    return 0
+    return 1 if skipped else 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +283,16 @@ def cmd_evaluate(args) -> int:
 
 
 def export_attention(model, src_vocab, tgt_vocab, lines, side: str, beam: BeamConfig):
-    """Rows (sentence_id, position, token, hop, layer, weight) for one side."""
+    """Rows (sentence_id, position, token, hop, layer, weight) for one side,
+    and the number of lines skipped as too long for the model."""
     from . import autodiff as ad
 
-    rows = []
+    rows, skipped = [], 0
     for sent_id, line in enumerate(lines):
         tokens = line.split()
-        if not tokens:
+        too_long = _skips(model, tokens, "source", sent_id + 1)
+        skipped += too_long
+        if not tokens or too_long:
             continue
         src_ids = src_vocab.encode(tokens) + [EOS_ID]
         src, src_mask = one_sentence(src_ids)
@@ -301,7 +326,7 @@ def export_attention(model, src_vocab, tgt_vocab, lines, side: str, beam: BeamCo
                             trace.weights[pos, hop, layer],
                         )
                     )
-    return rows
+    return rows, skipped
 
 
 def write_trace_file(rows, path) -> None:
@@ -335,11 +360,11 @@ def cmd_export_attention(args) -> int:
     if side not in sa_sides:
         raise SystemExit(f"error: {side} side does not use self-attention fusion")
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    rows = export_attention(model, src_vocab, tgt_vocab, lines, side, _beam_config(args))
+    rows, skipped = export_attention(model, src_vocab, tgt_vocab, lines, side, _beam_config(args))
     out = args.out or "attention.tsv"
     write_trace_file(rows, out)
     print(f"wrote {len(rows)} weights to {out}")
-    return 0
+    return 1 if skipped else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Greedy and beam-search decoding with length normalization.
 
-Decoders are written against a step function ``prefix -> log-probs`` so the
-search logic can be exercised on hand-built scorers; ``SentenceScorer``
-adapts a trained model to that interface (encoder output cached once, the
-decoder stack recomputed per step).
+Decoders are written against a batched step function: it maps a list of k
+BOS-prefixed token tuples to their next-token log-probs, ``[k x V]``.
+Greedy decoding scores one prefix per step, beam search every live
+hypothesis at once.  ``per_prefix`` adapts a hand-built ``prefix -> [V]``
+scorer to that contract.  ``SentenceScorer`` adapts a trained model: the
+encoder and the cross-attention keys and values run once per sentence, and
+each step runs only the newest position of every prefix through the decoder,
+reading the keys and values cached for its parent.
 """
 
 from __future__ import annotations
@@ -17,7 +21,12 @@ from . import autodiff as ad
 from .data import BOS_ID, EOS_ID
 from .model import Transformer, one_sentence
 
-StepFn = Callable[[Sequence[int]], np.ndarray]
+StepFn = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
+
+
+def per_prefix(fn: Callable[[Sequence[int]], np.ndarray]) -> StepFn:
+    """A batched step function that calls ``fn(prefix) -> [V]`` per prefix."""
+    return lambda prefixes: np.stack([fn(prefix) for prefix in prefixes])
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ def greedy_decode(step_fn: StepFn, max_len: int, bos: int = BOS_ID, eos: int = E
     """Argmax decoding (ties resolve to the lowest token id)."""
     prefix = [bos]
     for _ in range(max_len):
-        nxt = int(np.argmax(step_fn(prefix)))
+        nxt = int(np.argmax(step_fn([tuple(prefix)])[0]))
         prefix.append(nxt)
         if nxt == eos:
             break
@@ -69,6 +78,23 @@ def greedy_decode(step_fn: StepFn, max_len: int, bos: int = BOS_ID, eos: int = E
     if out and out[-1] == eos:
         out.pop()
     return out
+
+
+def _settled(done: list[Hypothesis], live: list[Hypothesis], config: BeamConfig) -> bool:
+    """True once no live hypothesis can enter the returned top ``width``.
+
+    Log-probs only fall as a hypothesis grows, and no output is longer than
+    ``max_len``, so a live hypothesis can never score above
+    ``logprob / max_len**alpha`` (alpha >= 0).  A later finisher with a
+    score equal to the width-th best sorts after it.
+    """
+    if len(done) < config.width:
+        return False
+    alpha = config.length_alpha
+    kth = sorted((h.score(alpha) for h in done), reverse=True)[config.width - 1]
+    return all(
+        length_normalized_score(h.logprob, config.max_len, alpha) <= kth for h in live
+    )
 
 
 def beam_search(
@@ -79,20 +105,22 @@ def beam_search(
 ) -> list[Hypothesis]:
     """Standard beam search; returns hypotheses ranked by normalized score.
 
-    Live hypotheses expand by their top-``width`` tokens each step and the
-    best ``width`` by cumulative log-prob survive.  A hypothesis emitting
-    EOS moves to the completed pool and stops expanding.  If nothing
+    Each step scores every live hypothesis in one ``step_fn`` call.  Live
+    hypotheses expand by their top-``width`` tokens each step and the best
+    ``width`` by cumulative log-prob survive.  A hypothesis emitting EOS
+    moves to the completed pool and stops expanding.  The search stops
+    early once no live hypothesis can change the result.  If nothing
     finishes by ``max_len``, the live beam is returned as-is.
     """
     width = config.width
     live = [Hypothesis((bos,), 0.0)]
     done: list[Hypothesis] = []
     for _ in range(config.max_len):
-        if not live:
+        if not live or _settled(done, live, config):
             break
         candidates: list[Hypothesis] = []
-        for hyp in live:
-            logp = step_fn(hyp.tokens)
+        logps = step_fn([hyp.tokens for hyp in live])
+        for hyp, logp in zip(live, logps):
             for tok in np.argsort(-logp)[:width]:
                 tok = int(tok)
                 candidates.append(
@@ -116,28 +144,49 @@ def beam_search(
 
 
 class SentenceScorer:
-    """Next-token log-probabilities for one source sentence.
+    """Batched next-token log-probabilities for one source sentence.
 
-    The encoder (and its fusion, if any) runs once at construction; each
-    step re-runs the decoder stack over the whole prefix, trading speed for
-    simplicity.
+    Construction runs the encoder (and its fusion, if any) and projects
+    every decoder layer's cross-attention keys and values, once.  A call
+    scores prefixes of one length.  It finds each prefix's parent (the
+    prefix minus its last token) among the previous call's prefixes,
+    gathers that row's cached self-attention keys and values, and runs one
+    decoder step on the last tokens; only the new rows reach the
+    decoder-side fusion and the output projection.  When a parent was not
+    scored by the previous call, every prefix of the call is replayed from
+    BOS with the same step, so the result depends only on the prefixes.
     """
 
     def __init__(self, model: Transformer, src_ids: Sequence[int]):
         self.model = model
-        src, self.src_mask = one_sentence(src_ids)
+        src, src_mask = one_sentence(src_ids)
         with ad.no_grad():
-            stack = model.encode(src, self.src_mask)
-            self.enc_rep, _ = model.encoder_output(stack, self.src_mask)
+            stack = model.encode(src, src_mask)
+            enc_rep, _ = model.encoder_output(stack, src_mask)
+            self.cross_kv = model.cross_heads(enc_rep)
+        self._rows: dict[tuple[int, ...], int] = {}  # previous call's prefixes
+        self._past: list[tuple[np.ndarray, np.ndarray]] | None = None
 
-    def __call__(self, prefix: Sequence[int]) -> np.ndarray:
-        tgt, tgt_mask = one_sentence(prefix)
+    def __call__(self, prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
+        prefixes = [tuple(p) for p in prefixes]
+        n = len(prefixes[0])
+        if any(len(p) != n for p in prefixes):
+            raise ValueError("a scorer call takes prefixes of one length")
+        parents = [self._rows.get(p[:-1]) for p in prefixes]
+        ids = np.asarray(prefixes, dtype=np.int64)
         with ad.no_grad():
-            stack = self.model.decode_teacher_forced(tgt, tgt_mask, self.enc_rep, self.src_mask)
-            rep, _ = self.model.decoder_output(stack, tgt_mask)
-            logits = self.model.output_logits(rep).data[-1]
-        z = logits - logits.max()
-        return z - np.log(np.exp(z).sum())
+            if None in parents:  # replay from BOS
+                past = None
+                for j in range(n - 1):
+                    _, past = self.model.decode_step(ids[:, j], past, self.cross_kv)
+            else:
+                past = [(kt[parents], vh[parents]) for kt, vh in self._past]
+            stack, self._past = self.model.decode_step(ids[:, -1], past, self.cross_kv)
+            rep, _ = self.model.decoder_output(stack, np.ones((len(prefixes), 1), dtype=bool))
+            logits = self.model.output_logits(rep).data
+        self._rows = {p: i for i, p in enumerate(prefixes)}
+        z = logits - logits.max(axis=1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def translate_ids(

@@ -70,9 +70,6 @@ class FusionConfig:
             return self.enc_kind if side == "encoder" else self.dec_kind
         return "baseline"
 
-    def uses_self_attention(self) -> bool:
-        return "self_attention" in (self.kind_for("encoder"), self.kind_for("decoder"))
-
 
 @dataclass
 class AttentionTrace:

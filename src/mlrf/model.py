@@ -12,7 +12,9 @@ self-attention, get a -1e9 penalty that underflows to an exact zero weight
 after softmax, so a padded batch computes what one-at-a-time runs compute.
 ``forward`` trims the batch to its longest sentence and hands only the real
 target rows to the decoder-side fusion and the output projection, so
-logits are [n_target_tokens x V] in row-major token order.
+logits are [n_target_tokens x V] in row-major token order.  For decoding,
+``decode_step`` runs one new target position of k hypotheses through the
+decoder, attending over key and value heads cached from earlier positions.
 """
 
 from __future__ import annotations
@@ -223,6 +225,25 @@ def _trim_batch(ids, mask) -> tuple[np.ndarray, np.ndarray]:
 # sublayers
 
 
+def _heads(x: Tensor, n_heads: int, params: ParamStore, prefix: str, name: str, axes) -> Tensor:
+    """Project ``x`` [B x L x d] with ``w{name}``/``b{name}`` and split the
+    width into heads, [B x L x H x d/H] permuted by ``axes``."""
+    b, length, d = x.shape
+    x = ad.add(ad.matmul(x, params[f"{prefix}.w{name}"]), params[f"{prefix}.b{name}"])
+    return ad.transpose(ad.reshape(x, (b, length, n_heads, d // n_heads)), axes)
+
+
+def key_value_heads(
+    k: Tensor, v: Tensor, n_heads: int, params: ParamStore, prefix: str
+) -> tuple[Tensor, Tensor]:
+    """Key heads [B x H x d/H x Lk] (laid out for q.k^T) and value heads
+    [B x H x Lk x d/H] of an attention sublayer."""
+    return (
+        _heads(k, n_heads, params, prefix, "k", (0, 2, 3, 1)),
+        _heads(v, n_heads, params, prefix, "v", (0, 2, 1, 3)),
+    )
+
+
 def multi_head_attention(
     q: Tensor,
     k: Tensor,
@@ -240,10 +261,29 @@ def multi_head_attention(
     softmax.  Rows with no allowed key still produce a defined (uniform)
     output; they are only flagged at debug log level.
     """
-    b, lq, d = q.shape
-    lk = k.shape[1]
-    if k.shape != (b, lk, d) or v.shape != k.shape:
+    b, _, d = q.shape
+    if k.shape != (b, k.shape[1], d) or v.shape != k.shape:
         raise ValueError(f"attention shape mismatch: {q.shape}/{k.shape}/{v.shape}")
+    kt, vh = key_value_heads(k, v, n_heads, params, prefix)
+    return attend(q, kt, vh, n_heads, params, prefix, mask)
+
+
+def attend(
+    q: Tensor,
+    kt: Tensor,
+    vh: Tensor,
+    n_heads: int,
+    params: ParamStore,
+    prefix: str,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """``multi_head_attention`` over keys and values already split into heads
+    by ``key_value_heads``, so a decoder step can attend over cached ones."""
+    b, lq, d = q.shape
+    dh = d // n_heads
+    lk = kt.shape[-1]
+    if kt.shape != (b, n_heads, dh, lk) or vh.shape != (b, n_heads, lk, dh):
+        raise ValueError(f"attention shape mismatch: {q.shape}/{kt.shape}/{vh.shape}")
     penalty = None
     if mask is not None:
         full = (b, 1, lq, lk)
@@ -253,15 +293,7 @@ def multi_head_attention(
             log.debug("attention row with every key masked at %s", prefix)
         penalty = Tensor(np.where(mask, 0.0, MASK_PENALTY))
 
-    dh = d // n_heads
-
-    def split_heads(x: Tensor, name: str, axes: tuple[int, ...]) -> Tensor:
-        x = ad.add(ad.matmul(x, params[f"{prefix}.w{name}"]), params[f"{prefix}.b{name}"])
-        return ad.transpose(ad.reshape(x, (b, x.shape[1], n_heads, dh)), axes)
-
-    qh = split_heads(q, "q", (0, 2, 1, 3))  # [B, H, Lq, dh]
-    kt = split_heads(k, "k", (0, 2, 3, 1))  # [B, H, dh, Lk]
-    vh = split_heads(v, "v", (0, 2, 1, 3))  # [B, H, Lk, dh]
+    qh = _heads(q, n_heads, params, prefix, "q", (0, 2, 1, 3))  # [B, H, Lq, dh]
     scores = ad.scale(ad.matmul(qh, kt), 1.0 / math.sqrt(dh))
     if penalty is not None:
         scores = ad.add(scores, penalty)
@@ -304,23 +336,24 @@ def encoder_layer(
 
 def decoder_layer(
     z: Tensor,
-    enc_rep: Tensor,
+    self_kv: tuple[Tensor, Tensor],
+    cross_kv: tuple[Tensor, Tensor],
     params: ParamStore,
     prefix: str,
     n_heads: int,
-    causal_mask: np.ndarray,
+    self_mask: np.ndarray | None,
     cross_mask: np.ndarray | None,
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
     tokens: np.ndarray | None = None,
 ) -> Tensor:
-    att = multi_head_attention(
-        z, z, z, n_heads, params, f"{prefix}.self_attn", causal_mask
-    )
+    """One decoder layer on [B x Lq x d].  ``self_kv`` holds the
+    self-attention key/value heads of the target positions it reads (those
+    of ``z`` itself when teacher forcing), ``cross_kv`` those of the encoder
+    output."""
+    att = attend(z, *self_kv, n_heads, params, f"{prefix}.self_attn", self_mask)
     z = _post_norm(z, att, params, f"{prefix}.norm1", rate, rng, tokens)
-    cross = multi_head_attention(
-        z, enc_rep, enc_rep, n_heads, params, f"{prefix}.cross_attn", cross_mask
-    )
+    cross = attend(z, *cross_kv, n_heads, params, f"{prefix}.cross_attn", cross_mask)
     z = _post_norm(z, cross, params, f"{prefix}.norm2", rate, rng, tokens)
     ffn = feed_forward(z, params, f"{prefix}.ffn")
     return _post_norm(z, ffn, params, f"{prefix}.norm3", rate, rng, tokens)
@@ -363,14 +396,14 @@ class Transformer:
 
     # -- embedding + stacks
 
-    def _embed(self, table: str, ids, tokens: np.ndarray, train: bool) -> Tensor:
+    def _embed(self, table: str, ids, tokens, train: bool, start: int = 0) -> Tensor:
+        """Embed [B x L] ids at positions ``start`` to ``start + L - 1``."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.shape[1] > self.config.max_len:
-            raise ValueError(
-                f"sentence length {ids.shape[1]} exceeds max_len={self.config.max_len}"
-            )
+        end = start + ids.shape[1]
+        if end > self.config.max_len:
+            raise ValueError(f"sentence length {end} exceeds max_len={self.config.max_len}")
         x = ad.embedding_lookup(self.params[table], ids)
-        x = ad.add(x, Tensor(self._pe[: ids.shape[1]]))
+        x = ad.add(x, Tensor(self._pe[start:end]))
         rate = self.config.dropout if train else 0.0
         return ad.dropout(x, rate, self.dropout_rng, tokens)
 
@@ -406,15 +439,66 @@ class Transformer:
         n = tgt_mask.shape[1]
         causal = np.tril(np.ones((n, n), dtype=bool)) & tgt_mask[:, None, None, :]
         cross = np.asarray(src_mask, dtype=bool)[:, None, None, :]
+        cross_kv = self.cross_heads(enc_rep)
         stack = [self._embed("tgt_embed.weight", tgt_in_ids, tgt_mask, train)]
         for i in range(cfg.n_layers):
+            z, prefix = stack[-1], f"decoder.layer{i}"
+            self_kv = key_value_heads(z, z, cfg.n_heads, self.params, f"{prefix}.self_attn")
             stack.append(
                 decoder_layer(
-                    stack[-1], enc_rep, self.params, f"decoder.layer{i}",
-                    cfg.n_heads, causal, cross, rate, self.dropout_rng, tgt_mask,
+                    z, self_kv, cross_kv[i], self.params, prefix, cfg.n_heads,
+                    causal, cross, rate, self.dropout_rng, tgt_mask,
                 )
             )
         return stack
+
+    def cross_heads(self, enc_rep: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """Each decoder layer's cross-attention key/value heads of ``enc_rep``."""
+        return [
+            key_value_heads(
+                enc_rep, enc_rep, self.config.n_heads, self.params,
+                f"decoder.layer{i}.cross_attn",
+            )
+            for i in range(self.config.n_layers)
+        ]
+
+    def decode_step(self, ids, past, cross_kv) -> tuple[list[Tensor], list[tuple]]:
+        """The decoder stack at one new target position of k hypotheses.
+
+        ``ids`` [k] are the newest tokens.  ``past`` holds each layer's
+        self-attention key and value heads over the earlier positions, numpy
+        arrays [k x H x d/H x t] and [k x H x t x d/H], or is None at
+        position 0.  ``cross_kv`` is ``cross_heads`` of the one source
+        sentence [1 x L x d] that all k hypotheses share.  The new row reads
+        every cached position, so no mask is needed.  Returns the new row's
+        n_layers+1 reps [k x 1 x d] and ``past`` extended by that row.
+        Forward only, without dropout.
+        """
+        cfg = self.config
+        t = 0 if past is None else past[0][0].shape[-1]
+        ids = np.asarray(ids, dtype=np.int64)[:, None]
+        k = len(ids)
+        cross_kv = [
+            tuple(Tensor(np.broadcast_to(h.data, (k,) + h.shape[1:])) for h in kv)
+            for kv in cross_kv
+        ]
+        stack = [self._embed("tgt_embed.weight", ids, None, train=False, start=t)]
+        extended = []
+        for i in range(cfg.n_layers):
+            z, prefix = stack[-1], f"decoder.layer{i}"
+            kt, vh = key_value_heads(z, z, cfg.n_heads, self.params, f"{prefix}.self_attn")
+            kt, vh = kt.data, vh.data
+            if past is not None:
+                kt = np.concatenate([past[i][0], kt], axis=-1)
+                vh = np.concatenate([past[i][1], vh], axis=-2)
+            extended.append((kt, vh))
+            stack.append(
+                decoder_layer(
+                    z, (Tensor(kt), Tensor(vh)), cross_kv[i], self.params, prefix,
+                    cfg.n_heads, None, None,
+                )
+            )
+        return stack, extended
 
     # -- fusion hooks
 

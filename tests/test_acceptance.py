@@ -23,7 +23,14 @@ from mlrf.data import (
     generate_synthetic,
     make_batches,
 )
-from mlrf.decoding import BeamConfig, SentenceScorer, beam_search, greedy_decode, translate_ids
+from mlrf.decoding import (
+    BeamConfig,
+    SentenceScorer,
+    beam_search,
+    greedy_decode,
+    per_prefix,
+    translate_ids,
+)
 from mlrf.fusion import FusionConfig
 from mlrf.metrics import corpus_bleu
 from mlrf.model import ModelConfig, Transformer
@@ -303,7 +310,8 @@ def test_c08_beam_oracle_equivalence(trained_models):
 
     for seed in range(10):
         scorer = make_scorer(seed)
-        best = beam_search(scorer, BeamConfig(width=V, length_alpha=0.0, max_len=3), eos=EOS)[0]
+        cfg = BeamConfig(width=V, length_alpha=0.0, max_len=3)
+        best = beam_search(per_prefix(scorer), cfg, eos=EOS)[0]
         oracle_best, oracle_logp = None, -np.inf
         for n in range(3):
             for body in itertools.product([0, 1, 3], repeat=n):
@@ -423,7 +431,7 @@ def test_c11_attention_export(tmp_path, copy_task, trained_models):
     )
     reloaded = build_model(load_checkpoint(tmp_path / "sa.ckpt"))
     lines = [" ".join(src) for src, _ in held.pairs[:5]]
-    rows = export_attention(reloaded, vocab, vocab, lines, "decoder", BeamConfig(1, 0.0, 12))
+    rows, _ = export_attention(reloaded, vocab, vocab, lines, "decoder", BeamConfig(1, 0.0, 12))
     path = tmp_path / "trace.tsv"
     write_trace_file(rows, path)
     parsed = read_trace_file(path)

@@ -53,6 +53,9 @@ alpha = 1.0
 max_len = 8
 """
 
+# 10 tokens: one more than the tiny model's max_len of 10 takes with EOS
+LONG_LINE = " ".join(f"s{i % 6}" for i in range(10))
+
 
 def write_cfg(tmp_path, name="run.cfg", phase1=2, phase2=1, extra=""):
     path = tmp_path / name
@@ -219,6 +222,20 @@ class TestTranslate:
         expect = greedy_decode(SentenceScorer(model, ids), max_len=8)
         assert dest.read_text().splitlines()[0].split() == vocab.decode(expect)
 
+    def test_over_long_line_is_skipped_and_the_run_continues(self, trained, tmp_path, capsys):
+        _, out = trained
+        ckpt = str(out / "last.ckpt")
+        inp, short = tmp_path / "long.txt", tmp_path / "short.txt"
+        inp.write_text(f"s0 s1\n{LONG_LINE}\ns2 s3 s4\n")
+        short.write_text("s0 s1\ns2 s3 s4\n")
+        dest, dest_short = tmp_path / "long_out.txt", tmp_path / "short_out.txt"
+        assert main(["translate", "--checkpoint", ckpt, str(inp), "--out", str(dest)]) == 1
+        assert "source line 2 has 10 tokens" in capsys.readouterr().err
+        assert main(["translate", "--checkpoint", ckpt, str(short), "--out", str(dest_short)]) == 0
+        first, skipped, third = dest.read_text().splitlines()
+        assert skipped == ""
+        assert [first, third] == dest_short.read_text().splitlines()
+
 
 class TestEvaluate:
     def test_reports_bleu_and_accuracy(self, trained, tmp_path, capsys):
@@ -231,6 +248,20 @@ class TestEvaluate:
         ]) == 0
         printed = capsys.readouterr().out
         assert "BLEU = " in printed and "token_accuracy = " in printed
+
+    def test_over_long_lines_are_reported_and_left_out(self, trained, tmp_path, capsys):
+        _, out = trained
+        src, ref = tmp_path / "src_long.txt", tmp_path / "ref_long.txt"
+        src.write_text(f"s0 s1 s2\n{LONG_LINE}\ns3 s4\n")
+        ref.write_text(f"s0 s1 s2\ns1 s2\n{LONG_LINE}\n")
+        assert main([
+            "evaluate", "--checkpoint", str(out / "last.ckpt"), str(src), str(ref),
+            "--beam", "1", "--alpha", "0",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "BLEU = " in captured.out and "token_accuracy = " in captured.out
+        assert "source line 2 has 10 tokens" in captured.err
+        assert "reference line 3 has 10 tokens" in captured.err
 
 
 class TestExportAttention:
@@ -251,6 +282,18 @@ class TestExportAttention:
         for key, items in groups.items():
             assert abs(sum(w for _, w in items) - 1.0) < 1e-6, key
             assert sorted(l for l, _ in items) == [0, 1]  # embedding + 1 layer
+
+    def test_over_long_line_is_skipped_and_the_run_continues(self, trained, tmp_path, capsys):
+        _, out = trained
+        inp = tmp_path / "att_long.txt"
+        inp.write_text(f"s0 s1 s2\n{LONG_LINE}\ns3 s4\n")
+        dest = tmp_path / "att_long.tsv"
+        assert main([
+            "export-attention", "--checkpoint", str(out / "last.ckpt"),
+            str(inp), "--out", str(dest),
+        ]) == 1
+        assert "source line 2 has 10 tokens" in capsys.readouterr().err
+        assert {row[0] for row in read_trace_file(dest)} == {0, 2}
 
     def test_round_trip_is_lossless(self, trained, tmp_path):
         _, out = trained

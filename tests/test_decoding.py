@@ -6,14 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from mlrf import autodiff as ad
+from mlrf import decoding
 from mlrf.decoding import (
     BeamConfig,
+    Hypothesis,
     SentenceScorer,
     beam_search,
     greedy_decode,
     length_normalized_score,
+    per_prefix,
     translate_ids,
 )
+from mlrf.model import one_sentence
 from tests.conftest import toy_model
 
 EOS = 2
@@ -84,34 +89,34 @@ class TestLengthNormalization:
 
 class TestGreedy:
     def test_follows_argmax_and_stops_at_eos(self):
-        assert greedy_decode(GREEDY_TRAP, max_len=5) == [A, A]
+        assert greedy_decode(per_prefix(GREEDY_TRAP), max_len=5) == [A, A]
 
     def test_truncates_at_max_len(self):
         never_stop = lambda prefix: log_dist({A: 0.9, B: 0.1})  # noqa: E731
-        assert greedy_decode(never_stop, max_len=4) == [A, A, A, A]
+        assert greedy_decode(per_prefix(never_stop), max_len=4) == [A, A, A, A]
 
     def test_tie_breaks_to_lowest_id(self):
         tie = TableScorer({(): log_dist({A: 0.45, B: 0.45, EOS: 0.1})})
-        assert greedy_decode(tie, max_len=3)[0] == A
+        assert greedy_decode(per_prefix(tie), max_len=3)[0] == A
 
     def test_deterministic(self):
-        runs = {tuple(greedy_decode(GREEDY_TRAP, max_len=5)) for _ in range(5)}
+        runs = {tuple(greedy_decode(per_prefix(GREEDY_TRAP), max_len=5)) for _ in range(5)}
         assert len(runs) == 1
 
 
 class TestBeam:
     def test_width_one_alpha_zero_equals_greedy(self):
         cfg = BeamConfig(width=1, length_alpha=0.0, max_len=5)
-        best = beam_search(GREEDY_TRAP, cfg)[0]
-        assert best.output_ids() == greedy_decode(GREEDY_TRAP, max_len=5)
+        best = beam_search(per_prefix(GREEDY_TRAP), cfg)[0]
+        assert best.output_ids() == greedy_decode(per_prefix(GREEDY_TRAP), max_len=5)
 
     def test_beam_two_recovers_global_best_that_greedy_misses(self):
         cfg = BeamConfig(width=2, length_alpha=0.0, max_len=5)
-        best = beam_search(GREEDY_TRAP, cfg)[0]
+        best = beam_search(per_prefix(GREEDY_TRAP), cfg)[0]
         oracle_seq, oracle_score = exhaustive_best(GREEDY_TRAP, max_len=5)
         assert tuple(best.output_ids()) + (EOS,) == oracle_seq
         assert abs(best.logprob - oracle_score) < 1e-12
-        assert best.output_ids() != greedy_decode(GREEDY_TRAP, max_len=5)
+        assert best.output_ids() != greedy_decode(per_prefix(GREEDY_TRAP), max_len=5)
 
     def test_wide_beam_matches_exhaustive_search_on_random_tables(self):
         rng = np.random.default_rng(31)
@@ -126,19 +131,19 @@ class TestBeam:
                     )
             scorer = TableScorer(table)
             cfg = BeamConfig(width=4, length_alpha=0.0, max_len=3)
-            best = beam_search(scorer, cfg)[0]
+            best = beam_search(per_prefix(scorer), cfg)[0]
             oracle_seq, oracle_score = exhaustive_best(scorer, max_len=3)
             assert abs(best.logprob - oracle_score) < 1e-12, trial
 
     def test_results_sorted_by_normalized_score(self):
         cfg = BeamConfig(width=3, length_alpha=1.0, max_len=5)
-        hyps = beam_search(GREEDY_TRAP, cfg)
+        hyps = beam_search(per_prefix(GREEDY_TRAP), cfg)
         scores = [h.score(cfg.length_alpha) for h in hyps]
         assert scores == sorted(scores, reverse=True)
 
     def test_scores_finite_and_nonpositive(self):
         cfg = BeamConfig(width=3, length_alpha=0.0, max_len=5)
-        for h in beam_search(GREEDY_TRAP, cfg):
+        for h in beam_search(per_prefix(GREEDY_TRAP), cfg):
             assert np.isfinite(h.logprob) and h.logprob <= 0
             assert h.finished and h.tokens[-1] == EOS
 
@@ -146,12 +151,55 @@ class TestBeam:
         with pytest.raises(ValueError):
             BeamConfig(width=0)
 
+    def test_scores_every_live_hypothesis_in_one_call(self):
+        calls = []
+
+        def step(prefixes):
+            calls.append(len(prefixes))
+            return per_prefix(GREEDY_TRAP)(prefixes)
+
+        beam_search(step, BeamConfig(width=3, length_alpha=0.0, max_len=5))
+        assert calls[0] == 1 and max(calls) > 1
+        assert len(calls) <= 5
+
+
+def eos_after_three(prefix):
+    """EOS becomes the likeliest token once three tokens are out."""
+    if len(prefix) - 1 < 3:
+        return log_dist({A: 0.5, B: 0.3, 3: 0.15, EOS: 0.05})
+    return log_dist({EOS: 0.9, A: 0.05, B: 0.03, 3: 0.02})
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("alpha, steps", [(0.0, 4), (1.0, 31)])
+    def test_fewer_steps_and_the_same_hypotheses(self, monkeypatch, alpha, steps):
+        calls = []
+
+        def step(prefixes):
+            calls.append(len(prefixes))
+            return per_prefix(eos_after_three)(prefixes)
+
+        cfg = BeamConfig(width=8, length_alpha=alpha, max_len=100)
+        early = beam_search(step, cfg)
+        assert len(calls) == steps
+        calls.clear()
+        monkeypatch.setattr(decoding, "_settled", lambda *args: False)
+        full = beam_search(step, cfg)
+        assert len(calls) == 100
+        assert early == full
+
+    def test_not_before_width_hypotheses_finish(self):
+        done = [Hypothesis((1, EOS), -0.1, True)]
+        live = [Hypothesis((1, A), -50.0)]
+        assert not decoding._settled(done, live, BeamConfig(2, 0.0, 10))
+        assert decoding._settled(done, live, BeamConfig(1, 0.0, 10))
+
 
 class TestModelAdapter:
     def test_scorer_returns_log_distribution(self):
         model = toy_model(seed=33)
         scorer = SentenceScorer(model, [4, 5, 2])
-        logp = scorer([1, 4])
+        logp = scorer([(1, 4)])[0]
         assert logp.shape == (model.config.tgt_vocab,)
         assert np.isfinite(logp).all() and (logp <= 0).all()
         assert abs(np.exp(logp).sum() - 1.0) < 1e-9
@@ -167,3 +215,70 @@ class TestModelAdapter:
         model = toy_model(seed=37)
         outs = {tuple(translate_ids(model, [4, 5, 2], BeamConfig(3, 1.0, 6))) for _ in range(3)}
         assert len(outs) == 1
+
+
+SRC = [4, 7, 5, 9, 2]
+
+
+def teacher_forced_last_row(model, src, prefix):
+    """Next-token log-probs of ``prefix`` from a full teacher-forced pass."""
+    with ad.no_grad():
+        logits = model.forward(*one_sentence(src), *one_sentence(prefix)).logits.data[-1]
+    z = logits - logits.max()
+    return z - np.log(np.exp(z).sum())
+
+
+def assert_rows_match(model, scorer, prefixes):
+    got = scorer(prefixes)
+    assert got.shape == (len(prefixes), model.config.tgt_vocab)
+    for prefix, row in zip(prefixes, got):
+        want = teacher_forced_last_row(model, SRC, list(prefix))
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+
+
+class TestIncrementalScorer:
+    @pytest.mark.parametrize(
+        "side, kind, overrides",
+        [
+            ("none", "baseline", {}),
+            ("decoder", "avg", {}),
+            ("decoder", "fnn", {}),
+            ("decoder", "self_attention", {}),
+            ("encoder", "self_attention", {}),
+            ("both", "self_attention", {}),
+            ("both", "fnn", {}),
+            ("decoder", "self_attention", {"share_w1": False}),
+            ("decoder", "self_attention", {"include_embedding": False}),
+            ("both", "self_attention", {"n_hop": 1}),
+        ],
+    )
+    def test_rows_equal_teacher_forced_last_rows(self, side, kind, overrides):
+        model = toy_model(side, kind, seed=41, **overrides)
+        scorer = SentenceScorer(model, SRC)
+        prefixes = [(1,)]
+        for step in range(model.config.max_len - 1):
+            assert_rows_match(model, scorer, prefixes)
+            prefixes = [p + (tok,) for p in prefixes[:2] for tok in (3 + step, 10 - step)]
+
+    def test_parents_reordered_repeated_and_dropped(self):
+        model = toy_model("decoder", "self_attention", seed=43)
+        scorer = SentenceScorer(model, SRC)
+        scorer([(1,)])
+        first = [(1, 4), (1, 5), (1, 6)]
+        assert_rows_match(model, scorer, first)
+        # (1, 6) is extended twice and listed first, (1, 5) not at all
+        assert_rows_match(model, scorer, [(1, 6, 3), (1, 4, 4), (1, 6, 7)])
+
+    def test_unscored_parent_is_replayed(self):
+        model = toy_model("decoder", "self_attention", seed=47)
+        scorer = SentenceScorer(model, SRC)
+        scorer([(1,)])
+        scorer([(1, 4)])
+        # the parent of (1, 5, 6) was never scored
+        assert_rows_match(model, scorer, [(1, 4, 8), (1, 5, 6)])
+        assert_rows_match(model, scorer, [(1, 5, 6, 9)])
+
+    def test_prefixes_of_mixed_length_rejected(self):
+        scorer = SentenceScorer(toy_model(seed=53), SRC)
+        with pytest.raises(ValueError, match="one length"):
+            scorer([(1,), (1, 4)])
