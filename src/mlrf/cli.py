@@ -224,14 +224,17 @@ def _skips(model, tokens, what: str, line_no: int, action: str = "skipped") -> b
     return True
 
 
-def translate_lines(model, src_vocab, tgt_vocab, lines, beam: BeamConfig) -> tuple[list[str], int]:
-    """One output line per input line, and the number of lines skipped: a
-    line too long for the model gets an empty output line."""
-    out, skipped = [], 0
+def translate_lines(
+    model, src_vocab, tgt_vocab, lines, beam: BeamConfig
+) -> tuple[list[str], list[int]]:
+    """One output line per input line, and the numbers of the lines skipped:
+    a line too long for the model gets an empty output line."""
+    out, skipped = [], []
     for line_no, line in enumerate(lines, 1):
         tokens = line.split()
         too_long = _skips(model, tokens, "source", line_no)
-        skipped += too_long
+        if too_long:
+            skipped.append(line_no)
         if not tokens or too_long:
             out.append("")
             continue
@@ -264,11 +267,13 @@ def cmd_evaluate(args) -> int:
     hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, src_lines, _beam_config(args))
     bleu = corpus_bleu([h.split() for h in hyps], [r.split() for r in ref_lines])
 
-    pairs = [(s.split(), r.split()) for s, r in zip(src_lines, ref_lines)]
-    for line_no, (_, ref) in enumerate(pairs, 1):
-        skipped += _skips(model, ref, "reference", line_no, "left out of token accuracy")
-    limit = model.config.max_len - 1
-    pairs = [(s, r) for s, r in pairs if 0 < len(s) <= limit and 0 < len(r) <= limit]
+    pairs = []
+    for line_no, (s, r) in enumerate(zip(src_lines, ref_lines), 1):
+        src, ref = s.split(), r.split()
+        if _skips(model, ref, "reference", line_no, "left out of token accuracy"):
+            skipped.append(line_no)
+        elif src and ref and line_no not in skipped:
+            pairs.append((src, ref))
     batches = make_batches(ParallelCorpus(pairs), src_vocab, tgt_vocab, 32)
     forced = evaluate_teacher_forced(model, batches)
     print(f"BLEU = {bleu:.2f}")

@@ -80,23 +80,6 @@ def greedy_decode(step_fn: StepFn, max_len: int, bos: int = BOS_ID, eos: int = E
     return out
 
 
-def _settled(done: list[Hypothesis], live: list[Hypothesis], config: BeamConfig) -> bool:
-    """True once no live hypothesis can enter the returned top ``width``.
-
-    Log-probs only fall as a hypothesis grows, and no output is longer than
-    ``max_len``, so a live hypothesis can never score above
-    ``logprob / max_len**alpha`` (alpha >= 0).  A later finisher with a
-    score equal to the width-th best sorts after it.
-    """
-    if len(done) < config.width:
-        return False
-    alpha = config.length_alpha
-    kth = sorted((h.score(alpha) for h in done), reverse=True)[config.width - 1]
-    return all(
-        length_normalized_score(h.logprob, config.max_len, alpha) <= kth for h in live
-    )
-
-
 def beam_search(
     step_fn: StepFn,
     config: BeamConfig,
@@ -108,15 +91,14 @@ def beam_search(
     Each step scores every live hypothesis in one ``step_fn`` call.  Live
     hypotheses expand by their top-``width`` tokens each step and the best
     ``width`` by cumulative log-prob survive.  A hypothesis emitting EOS
-    moves to the completed pool and stops expanding.  The search stops
-    early once no live hypothesis can change the result.  If nothing
-    finishes by ``max_len``, the live beam is returned as-is.
+    moves to the completed pool and stops expanding.  If nothing finishes
+    by ``max_len``, the live beam is returned as-is.
     """
     width = config.width
     live = [Hypothesis((bos,), 0.0)]
     done: list[Hypothesis] = []
     for _ in range(config.max_len):
-        if not live or _settled(done, live, config):
+        if not live:
             break
         candidates: list[Hypothesis] = []
         logps = step_fn([hyp.tokens for hyp in live])

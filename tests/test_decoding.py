@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
-from mlrf import decoding
 from mlrf.decoding import (
     BeamConfig,
-    Hypothesis,
     SentenceScorer,
     beam_search,
     greedy_decode,
@@ -161,38 +159,6 @@ class TestBeam:
         beam_search(step, BeamConfig(width=3, length_alpha=0.0, max_len=5))
         assert calls[0] == 1 and max(calls) > 1
         assert len(calls) <= 5
-
-
-def eos_after_three(prefix):
-    """EOS becomes the likeliest token once three tokens are out."""
-    if len(prefix) - 1 < 3:
-        return log_dist({A: 0.5, B: 0.3, 3: 0.15, EOS: 0.05})
-    return log_dist({EOS: 0.9, A: 0.05, B: 0.03, 3: 0.02})
-
-
-class TestEarlyStop:
-    @pytest.mark.parametrize("alpha, steps", [(0.0, 4), (1.0, 31)])
-    def test_fewer_steps_and_the_same_hypotheses(self, monkeypatch, alpha, steps):
-        calls = []
-
-        def step(prefixes):
-            calls.append(len(prefixes))
-            return per_prefix(eos_after_three)(prefixes)
-
-        cfg = BeamConfig(width=8, length_alpha=alpha, max_len=100)
-        early = beam_search(step, cfg)
-        assert len(calls) == steps
-        calls.clear()
-        monkeypatch.setattr(decoding, "_settled", lambda *args: False)
-        full = beam_search(step, cfg)
-        assert len(calls) == 100
-        assert early == full
-
-    def test_not_before_width_hypotheses_finish(self):
-        done = [Hypothesis((1, EOS), -0.1, True)]
-        live = [Hypothesis((1, A), -50.0)]
-        assert not decoding._settled(done, live, BeamConfig(2, 0.0, 10))
-        assert decoding._settled(done, live, BeamConfig(1, 0.0, 10))
 
 
 class TestModelAdapter:
