@@ -201,13 +201,14 @@ def _load_model_and_vocabs(path):
     return ckpt, model, src_vocab, tgt_vocab
 
 
-def _beam_config(args, fallback: BeamConfig | None = None) -> BeamConfig:
-    base = fallback or BeamConfig()
-    return BeamConfig(
-        width=args.beam if args.beam is not None else base.width,
-        length_alpha=args.alpha if args.alpha is not None else base.length_alpha,
-        max_len=args.max_len if args.max_len is not None else base.max_len,
-    )
+def _beam_config(args) -> BeamConfig:
+    """The beam flags over ``BeamConfig``'s defaults; a bad value is a
+    ConfigError, raised before any checkpoint is read."""
+    flags = {"width": args.beam, "length_alpha": args.alpha, "max_len": args.max_len}
+    try:
+        return BeamConfig(**{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(f"invalid beam flags: {exc}") from exc
 
 
 def _skips(model, tokens, what: str, line_no: int, action: str = "skipped") -> bool:
@@ -245,9 +246,10 @@ def translate_lines(
 
 
 def cmd_translate(args) -> int:
+    beam = _beam_config(args)
     _, model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, lines, _beam_config(args))
+    hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, lines, beam)
     text = "".join(h + "\n" for h in hyps)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -257,6 +259,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    beam = _beam_config(args)
     _, model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
     src_lines = Path(args.src).read_text(encoding="utf-8").splitlines()
     ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()
@@ -264,7 +267,7 @@ def cmd_evaluate(args) -> int:
         raise SystemExit(
             f"error: {args.src} has {len(src_lines)} lines but {args.ref} has {len(ref_lines)}"
         )
-    hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, src_lines, _beam_config(args))
+    hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, src_lines, beam)
     bleu = corpus_bleu([h.split() for h in hyps], [r.split() for r in ref_lines])
 
     pairs = []
@@ -312,7 +315,9 @@ def export_attention(model, src_vocab, tgt_vocab, lines, side: str, beam: BeamCo
             tgt_in, tgt_mask = one_sentence([BOS_ID] + out_ids)
             with ad.no_grad():
                 enc_rep, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
-                stack = model.decode_teacher_forced(tgt_in, tgt_mask, enc_rep, src_mask)
+                stack, _ = model.decode_teacher_forced(
+                    tgt_in, tgt_mask, model.cross_heads(enc_rep), src_mask
+                )
                 _, trace = model.decoder_output(stack, tgt_mask)
             pos_tokens = tgt_vocab.decode(out_ids, strip_reserved=False) + ["<eos>"]
         if trace is None:
@@ -353,6 +358,7 @@ def read_trace_file(path):
 
 
 def cmd_export_attention(args) -> int:
+    beam = _beam_config(args)
     ckpt, model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
     fusion = ckpt.fusion_config
     sa_sides = [s for s in ("decoder", "encoder") if fusion.kind_for(s) == "self_attention"]
@@ -365,7 +371,7 @@ def cmd_export_attention(args) -> int:
     if side not in sa_sides:
         raise SystemExit(f"error: {side} side does not use self-attention fusion")
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    rows, skipped = export_attention(model, src_vocab, tgt_vocab, lines, side, _beam_config(args))
+    rows, skipped = export_attention(model, src_vocab, tgt_vocab, lines, side, beam)
     out = args.out or "attention.tsv"
     write_trace_file(rows, out)
     print(f"wrote {len(rows)} weights to {out}")

@@ -1,8 +1,8 @@
 """Run configuration files: a versioned INI schema covering every knob.
 
-Sections: ``[run]`` (version, seed), ``[model]``, ``[fusion]``, ``[train]``,
-``[data]``, ``[decode]``.  Unknown or ill-typed keys are reported together
-in one validation error.  ``[data]`` is either a synthetic task
+Sections: ``[run]`` (version, seed), ``[model]``, ``[fusion]``, ``[train]``
+and ``[data]``.  Unknown or ill-typed keys are reported together in one
+validation error.  ``[data]`` is either a synthetic task
 (task/alphabet/lengths/counts) or parallel text files; vocabulary sizes in
 ``[model]`` are optional and otherwise derived from the data.
 """
@@ -22,7 +22,6 @@ from .data import (
     load_parallel_text,
     synthetic_vocabulary,
 )
-from .decoding import BeamConfig
 from .fusion import FusionConfig
 from .model import ModelConfig
 from .training import TrainConfig
@@ -57,7 +56,6 @@ class RunConfig:
     fusion: FusionConfig
     train: TrainConfig
     data: DataConfig
-    decode: BeamConfig
 
     def model_config(self, src_vocab: int | None = None, tgt_vocab: int | None = None) -> ModelConfig:
         kw = dict(self.model)
@@ -123,7 +121,6 @@ _SCHEMA = {
         "max_sentence_len": int,
         "max_vocab": int,
     },
-    "decode": {"beam": int, "alpha": float, "max_len": int},
 }
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -168,7 +165,6 @@ def load_config(path) -> RunConfig:
     fusion = _parse_section(parser, "fusion", errors)
     train = _parse_section(parser, "train", errors)
     data = _parse_section(parser, "data", errors)
-    decode = _parse_section(parser, "decode", errors)
 
     version = run.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
@@ -193,14 +189,9 @@ def load_config(path) -> RunConfig:
         fusion_cfg = FusionConfig(**fusion)
         train_cfg = TrainConfig(seed=run.get("seed", 1), **train)
         data_cfg = DataConfig(**data)
-        decode_cfg = BeamConfig(
-            width=decode.get("beam", 8),
-            length_alpha=decode.get("alpha", 1.6),
-            max_len=decode.get("max_len", 50),
-        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    errors = _length_errors(model_kw["max_len"], data_cfg, decode.get("max_len"))
+    errors = _length_errors(model_kw["max_len"], data_cfg)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     return RunConfig(
@@ -209,13 +200,12 @@ def load_config(path) -> RunConfig:
         fusion=fusion_cfg,
         train=train_cfg,
         data=data_cfg,
-        decode=decode_cfg,
     )
 
 
-def _length_errors(model_max: int, data: DataConfig, decode_max: int | None) -> list[str]:
+def _length_errors(model_max: int, data: DataConfig) -> list[str]:
     """Lengths the model cannot hold: a data sentence plus its EOS (source)
-    or BOS (target) slot, and an explicit decode length plus BOS."""
+    or BOS (target) slot."""
     errors = []
     if data.task is not None:
         key, longest = "max_len", data.max_len
@@ -227,11 +217,6 @@ def _length_errors(model_max: int, data: DataConfig, decode_max: int | None) -> 
         errors.append(
             f"[model] max_len = {model_max} is below [data] {key} = {longest} "
             f"plus one BOS/EOS slot"
-        )
-    if decode_max is not None and decode_max > model_max - 1:
-        errors.append(
-            f"[decode] max_len = {decode_max} exceeds [model] max_len - 1 = "
-            f"{model_max - 1} (the decoder prefix holds BOS)"
         )
     return errors
 

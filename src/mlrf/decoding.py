@@ -6,12 +6,14 @@ Greedy decoding scores one prefix per step, beam search every live
 hypothesis at once.  ``per_prefix`` adapts a hand-built ``prefix -> [V]``
 scorer to that contract.  ``SentenceScorer`` adapts a trained model: the
 encoder and the cross-attention keys and values run once per sentence, and
-each step runs only the newest position of every prefix through the decoder,
-reading the keys and values cached for its parent.
+each step runs only the newest position of every prefix through the
+decoder's one stack method, ``Transformer.decode_teacher_forced``, reading
+the keys and values cached for its parent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,6 +42,8 @@ class BeamConfig:
             raise ValueError("beam width must be >= 1")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        if not math.isfinite(self.length_alpha):
+            raise ValueError(f"length alpha must be finite, got {self.length_alpha}")
 
 
 @dataclass(frozen=True)
@@ -133,10 +137,11 @@ class SentenceScorer:
     scores prefixes of one length.  It finds each prefix's parent (the
     prefix minus its last token) among the previous call's prefixes,
     gathers that row's cached self-attention keys and values, and runs one
-    decoder step on the last tokens; only the new rows reach the
+    unmasked decoder step on the last tokens; only the new rows reach the
     decoder-side fusion and the output projection.  When a parent was not
     scored by the previous call, every prefix of the call is replayed from
-    BOS with the same step, so the result depends only on the prefixes.
+    BOS one position at a time with the same step, so the result depends
+    only on the prefixes.
     """
 
     def __init__(self, model: Transformer, src_ids: Sequence[int]):
@@ -147,24 +152,30 @@ class SentenceScorer:
             enc_rep, _ = model.encoder_output(stack, src_mask)
             self.cross_kv = model.cross_heads(enc_rep)
         self._rows: dict[tuple[int, ...], int] = {}  # previous call's prefixes
-        self._past: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._past: list[tuple[ad.Tensor, ad.Tensor]] | None = None
 
     def __call__(self, prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
         prefixes = [tuple(p) for p in prefixes]
-        n = len(prefixes[0])
+        n, k = len(prefixes[0]), len(prefixes)
         if any(len(p) != n for p in prefixes):
             raise ValueError("a scorer call takes prefixes of one length")
         parents = [self._rows.get(p[:-1]) for p in prefixes]
         ids = np.asarray(prefixes, dtype=np.int64)
+        cross_kv = [
+            tuple(ad.Tensor(np.broadcast_to(h.data, (k,) + h.shape[1:])) for h in kv)
+            for kv in self.cross_kv
+        ]
         with ad.no_grad():
             if None in parents:  # replay from BOS
-                past = None
-                for j in range(n - 1):
-                    _, past = self.model.decode_step(ids[:, j], past, self.cross_kv)
+                start, past = 0, None
             else:
-                past = [(kt[parents], vh[parents]) for kt, vh in self._past]
-            stack, self._past = self.model.decode_step(ids[:, -1], past, self.cross_kv)
-            rep, _ = self.model.decoder_output(stack, np.ones((len(prefixes), 1), dtype=bool))
+                start, past = n - 1, [(kt[parents], vh[parents]) for kt, vh in self._past]
+            for j in range(start, n):
+                stack, past = self.model.decode_teacher_forced(
+                    ids[:, j : j + 1], None, cross_kv, None, past=past
+                )
+            self._past = past
+            rep, _ = self.model.decoder_output(stack, np.ones((k, 1), dtype=bool))
             logits = self.model.output_logits(rep).data
         self._rows = {p: i for i, p in enumerate(prefixes)}
         z = logits - logits.max(axis=1, keepdims=True)

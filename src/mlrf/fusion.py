@@ -95,19 +95,8 @@ class AttentionTrace:
         return self.weights.shape[2]
 
 
-def included_layers(stack: Sequence[Tensor], cfg: FusionConfig) -> list[Tensor]:
-    return list(stack) if cfg.include_embedding else list(stack[1:])
-
-
 # ---------------------------------------------------------------------------
 # fusion kinds
-
-
-def fuse_baseline(stack: Sequence[Tensor]) -> Tensor:
-    """The unfused path: top of the stack, no normalization, no parameters."""
-    if not stack:
-        raise ValueError("empty layer stack")
-    return stack[-1]
 
 
 def _final_norm(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
@@ -198,14 +187,14 @@ def fuse_side(
 ) -> tuple[Tensor, AttentionTrace | None]:
     """Apply the configured fusion for ``side`` to a full layer stack.
 
-    ``rows``, a boolean mask over the leading axes, keeps only those
-    positions; it is applied once, to the fusion input.
+    ``baseline`` returns the top of the stack untouched: no normalization,
+    no parameters.  ``rows``, a boolean mask over the leading axes, keeps
+    only those positions; it is applied once, to the fusion input.
     """
     kind = cfg.kind_for(side)
     if kind == "baseline":
-        top = fuse_baseline(stack)
-        return (top if rows is None else top[rows]), None
-    layers = ad.stack(included_layers(stack, cfg), axis=-2)
+        return (stack[-1] if rows is None else stack[-1][rows]), None
+    layers = ad.stack(stack if cfg.include_embedding else stack[1:], axis=-2)
     if rows is not None:
         layers = layers[rows]
     prefix = f"fusion.{side}"

@@ -12,9 +12,11 @@ self-attention, get a -1e9 penalty that underflows to an exact zero weight
 after softmax, so a padded batch computes what one-at-a-time runs compute.
 ``forward`` trims the batch to its longest sentence and hands only the real
 target rows to the decoder-side fusion and the output projection, so
-logits are [n_target_tokens x V] in row-major token order.  For decoding,
-``decode_step`` runs one new target position of k hypotheses through the
-decoder, attending over key and value heads cached from earlier positions.
+logits are [n_target_tokens x V] in row-major token order.  One method,
+``decode_teacher_forced``, runs the decoder stack both over whole gold
+prefixes and, for decoding, at one new position of k hypotheses that attend
+over key and value heads cached from earlier positions; ``attend`` is the
+one attention entry point for every sublayer.
 """
 
 from __future__ import annotations
@@ -233,39 +235,13 @@ def _heads(x: Tensor, n_heads: int, params: ParamStore, prefix: str, name: str, 
     return ad.transpose(ad.reshape(x, (b, length, n_heads, d // n_heads)), axes)
 
 
-def key_value_heads(
-    k: Tensor, v: Tensor, n_heads: int, params: ParamStore, prefix: str
-) -> tuple[Tensor, Tensor]:
+def key_value_heads(x: Tensor, n_heads: int, params: ParamStore, prefix: str) -> tuple[Tensor, Tensor]:
     """Key heads [B x H x d/H x Lk] (laid out for q.k^T) and value heads
-    [B x H x Lk x d/H] of an attention sublayer."""
+    [B x H x Lk x d/H] of an attention sublayer reading ``x`` [B x Lk x d]."""
     return (
-        _heads(k, n_heads, params, prefix, "k", (0, 2, 3, 1)),
-        _heads(v, n_heads, params, prefix, "v", (0, 2, 1, 3)),
+        _heads(x, n_heads, params, prefix, "k", (0, 2, 3, 1)),
+        _heads(x, n_heads, params, prefix, "v", (0, 2, 1, 3)),
     )
-
-
-def multi_head_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    n_heads: int,
-    params: ParamStore,
-    prefix: str,
-    mask: np.ndarray | None = None,
-) -> Tensor:
-    """Scaled dot-product attention over ``n_heads`` splits of the width.
-
-    ``q`` is [B x Lq x d]; ``k`` and ``v`` are [B x Lk x d].  ``mask`` is
-    boolean and broadcasts to [B x 1 x Lq x Lk] ([B x 1 x 1 x Lk] for key
-    padding alone); disallowed entries receive a -1e9 penalty before the
-    softmax.  Rows with no allowed key still produce a defined (uniform)
-    output; they are only flagged at debug log level.
-    """
-    b, _, d = q.shape
-    if k.shape != (b, k.shape[1], d) or v.shape != k.shape:
-        raise ValueError(f"attention shape mismatch: {q.shape}/{k.shape}/{v.shape}")
-    kt, vh = key_value_heads(k, v, n_heads, params, prefix)
-    return attend(q, kt, vh, n_heads, params, prefix, mask)
 
 
 def attend(
@@ -277,8 +253,15 @@ def attend(
     prefix: str,
     mask: np.ndarray | None = None,
 ) -> Tensor:
-    """``multi_head_attention`` over keys and values already split into heads
-    by ``key_value_heads``, so a decoder step can attend over cached ones."""
+    """Scaled dot-product attention over ``n_heads`` splits of the width.
+
+    ``q`` is [B x Lq x d]; ``kt`` and ``vh`` are the key and value heads of
+    ``key_value_heads``, so a decoder step can attend over cached ones.
+    ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk] ([B x 1 x 1 x Lk]
+    for key padding alone); disallowed entries receive a -1e9 penalty before
+    the softmax.  Rows with no allowed key still produce a defined (uniform)
+    output; they are only flagged at debug log level.
+    """
     b, lq, d = q.shape
     dh = d // n_heads
     lk = kt.shape[-1]
@@ -328,7 +311,8 @@ def encoder_layer(
 ) -> Tensor:
     """One encoder layer on [B x L x d]; ``tokens`` marks the real positions
     that dropout draws for."""
-    att = multi_head_attention(x, x, x, n_heads, params, f"{prefix}.self_attn", mask)
+    sa = f"{prefix}.self_attn"
+    att = attend(x, *key_value_heads(x, n_heads, params, sa), n_heads, params, sa, mask)
     x = _post_norm(x, att, params, f"{prefix}.norm1", rate, rng, tokens)
     ffn = feed_forward(x, params, f"{prefix}.ffn")
     return _post_norm(x, ffn, params, f"{prefix}.norm2", rate, rng, tokens)
@@ -428,77 +412,58 @@ class Transformer:
         self,
         tgt_in_ids,
         tgt_mask,
-        enc_rep: Tensor,
+        cross_kv: list[tuple[Tensor, Tensor]],
         src_mask,
         train: bool = False,
-    ) -> list[Tensor]:
-        """Decoder stack over gold prefixes (inputs already BOS-shifted)."""
+        past: list[tuple[Tensor, Tensor]] | None = None,
+    ) -> tuple[list[Tensor], list[tuple[Tensor, Tensor]]]:
+        """The decoder stack on [B x L] ids at target positions t to t+L-1,
+        where t is the number of positions in ``past`` (0 when it is None).
+
+        ``cross_kv`` is ``cross_heads`` of the encoder output.  Teacher
+        forcing passes the BOS-shifted gold prefixes with their masks and no
+        ``past``: pad keys and later positions are masked and ``train``
+        turns dropout on.  A decoding step passes the newest tokens of k
+        hypotheses with no masks and ``past`` from the previous step, which
+        each new row reads in full; ``past`` is not differentiated through.
+        Returns the n_layers+1 reps [B x L x d] (embedding output first) and
+        each layer's self-attention key/value heads over positions 0 to
+        t+L-1.
+        """
         cfg = self.config
         rate = cfg.dropout if train else 0.0
-        tgt_mask = np.asarray(tgt_mask, dtype=bool)
-        n = tgt_mask.shape[1]
-        causal = np.tril(np.ones((n, n), dtype=bool)) & tgt_mask[:, None, None, :]
-        cross = np.asarray(src_mask, dtype=bool)[:, None, None, :]
-        cross_kv = self.cross_heads(enc_rep)
-        stack = [self._embed("tgt_embed.weight", tgt_in_ids, tgt_mask, train)]
+        self_mask = cross_mask = None
+        if tgt_mask is not None:
+            tgt_mask = np.asarray(tgt_mask, dtype=bool)
+            n = tgt_mask.shape[1]
+            self_mask = np.tril(np.ones((n, n), dtype=bool)) & tgt_mask[:, None, None, :]
+            cross_mask = np.asarray(src_mask, dtype=bool)[:, None, None, :]
+        t = 0 if past is None else past[0][0].shape[-1]
+        stack = [self._embed("tgt_embed.weight", tgt_in_ids, tgt_mask, train, start=t)]
+        heads = []
         for i in range(cfg.n_layers):
             z, prefix = stack[-1], f"decoder.layer{i}"
-            self_kv = key_value_heads(z, z, cfg.n_heads, self.params, f"{prefix}.self_attn")
+            kt, vh = key_value_heads(z, cfg.n_heads, self.params, f"{prefix}.self_attn")
+            if past is not None:
+                kt = Tensor(np.concatenate([past[i][0].data, kt.data], axis=-1))
+                vh = Tensor(np.concatenate([past[i][1].data, vh.data], axis=-2))
+            heads.append((kt, vh))
             stack.append(
                 decoder_layer(
-                    z, self_kv, cross_kv[i], self.params, prefix, cfg.n_heads,
-                    causal, cross, rate, self.dropout_rng, tgt_mask,
+                    z, (kt, vh), cross_kv[i], self.params, prefix, cfg.n_heads,
+                    self_mask, cross_mask, rate, self.dropout_rng, tgt_mask,
                 )
             )
-        return stack
+        return stack, heads
 
     def cross_heads(self, enc_rep: Tensor) -> list[tuple[Tensor, Tensor]]:
         """Each decoder layer's cross-attention key/value heads of ``enc_rep``."""
         return [
             key_value_heads(
-                enc_rep, enc_rep, self.config.n_heads, self.params,
-                f"decoder.layer{i}.cross_attn",
+                enc_rep, self.config.n_heads, self.params, f"decoder.layer{i}.cross_attn"
             )
             for i in range(self.config.n_layers)
         ]
-
-    def decode_step(self, ids, past, cross_kv) -> tuple[list[Tensor], list[tuple]]:
-        """The decoder stack at one new target position of k hypotheses.
-
-        ``ids`` [k] are the newest tokens.  ``past`` holds each layer's
-        self-attention key and value heads over the earlier positions, numpy
-        arrays [k x H x d/H x t] and [k x H x t x d/H], or is None at
-        position 0.  ``cross_kv`` is ``cross_heads`` of the one source
-        sentence [1 x L x d] that all k hypotheses share.  The new row reads
-        every cached position, so no mask is needed.  Returns the new row's
-        n_layers+1 reps [k x 1 x d] and ``past`` extended by that row.
-        Forward only, without dropout.
-        """
-        cfg = self.config
-        t = 0 if past is None else past[0][0].shape[-1]
-        ids = np.asarray(ids, dtype=np.int64)[:, None]
-        k = len(ids)
-        cross_kv = [
-            tuple(Tensor(np.broadcast_to(h.data, (k,) + h.shape[1:])) for h in kv)
-            for kv in cross_kv
-        ]
-        stack = [self._embed("tgt_embed.weight", ids, None, train=False, start=t)]
-        extended = []
-        for i in range(cfg.n_layers):
-            z, prefix = stack[-1], f"decoder.layer{i}"
-            kt, vh = key_value_heads(z, z, cfg.n_heads, self.params, f"{prefix}.self_attn")
-            kt, vh = kt.data, vh.data
-            if past is not None:
-                kt = np.concatenate([past[i][0], kt], axis=-1)
-                vh = np.concatenate([past[i][1], vh], axis=-2)
-            extended.append((kt, vh))
-            stack.append(
-                decoder_layer(
-                    z, (Tensor(kt), Tensor(vh)), cross_kv[i], self.params, prefix,
-                    cfg.n_heads, None, None,
-                )
-            )
-        return stack, extended
 
     # -- fusion hooks
 
@@ -537,7 +502,9 @@ class Transformer:
         enc_rep, enc_trace = self.encoder_output(
             self.encode(src_ids, src_mask, train), src_mask
         )
-        stack = self.decode_teacher_forced(tgt_in_ids, tgt_mask, enc_rep, src_mask, train)
+        stack, _ = self.decode_teacher_forced(
+            tgt_in_ids, tgt_mask, self.cross_heads(enc_rep), src_mask, train
+        )
         dec_rep, dec_trace = self.decoder_output(stack, tgt_mask)
         return ForwardResult(self.output_logits(dec_rep), enc_trace, dec_trace)
 

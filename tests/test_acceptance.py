@@ -386,7 +386,6 @@ def _tiny_run_config(phase1=2, phase2=1, seed=9) -> RunConfig:
         ),
         data=DataConfig(task="copy", alphabet=6, min_len=2, max_len=5,
                         train_count=24, valid_count=8),
-        decode=BeamConfig(2, 1.0, 8),
     )
 
 

@@ -46,11 +46,6 @@ min_len = 2
 max_len = 5
 train_count = 24
 valid_count = 8
-
-[decode]
-beam = 2
-alpha = 1.0
-max_len = 8
 """
 
 # 10 tokens: one more than the tiny model's max_len of 10 takes with EOS
@@ -178,12 +173,25 @@ class TestConfigLengths:
         with pytest.raises(ConfigError, match="max_sentence_len = 50"):
             load_config(path)
 
-    def test_decode_longer_than_model(self, tmp_path):
-        path = tmp_path / "decode.cfg"
-        path.write_text(TINY_CFG.format(phase1=1, phase2=0).replace("max_len = 8", "max_len = 10"))
-        with pytest.raises(ConfigError, match=r"\[decode\] max_len = 10"):
+    def test_decode_section_is_rejected(self, tmp_path):
+        path = write_cfg(tmp_path, phase1=1, phase2=0, extra="\n[decode]\nbeam = 2\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[decode\]"):
             load_config(path)
-        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+
+class TestBeamFlags:
+    @pytest.mark.parametrize("command", ["translate", "evaluate", "export-attention"])
+    @pytest.mark.parametrize("flag,value", [("--beam", "0"), ("--max-len", "0"), ("--alpha", "nan")])
+    def test_bad_value_exits_2_before_reading_the_checkpoint(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        inp = tmp_path / "in.txt"
+        inp.write_text("s0 s1\n")
+        files = [str(inp), str(inp)] if command == "evaluate" else [str(inp)]
+        missing = str(tmp_path / "missing.ckpt")
+        assert main([command, "--checkpoint", missing, *files, flag, value]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid beam flags")
 
 
 class TestTranslate:

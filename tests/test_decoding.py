@@ -149,6 +149,14 @@ class TestBeam:
         with pytest.raises(ValueError):
             BeamConfig(width=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            BeamConfig(length_alpha=alpha)
+
+    def test_negative_alpha_allowed(self):
+        assert BeamConfig(length_alpha=-0.5).length_alpha == -0.5
+
     def test_scores_every_live_hypothesis_in_one_call(self):
         calls = []
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
-from mlrf.fusion import FusionConfig, fuse_avg, fuse_baseline, fuse_self_attention
+from mlrf.fusion import FusionConfig, fuse_avg, fuse_self_attention, fuse_side
 from mlrf.model import Transformer, param_specs
 from mlrf.training import init_parameters
 from tests.conftest import padded, random_sentences, toy_config, toy_model
@@ -29,11 +29,8 @@ class TestBaseline:
     def test_returns_top_layer_object(self):
         model = toy_model()
         stack = model.encode(*padded(np.array([4, 5, 6]), [3]))
-        assert fuse_baseline(stack) is stack[-1]
-
-    def test_empty_stack_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_baseline([])
+        top, trace = fuse_side(stack, "encoder", model.fusion, model.params)
+        assert top is stack[-1] and trace is None
 
     def test_decoder_baseline_equals_unfused_model(self):
         plain = toy_model(seed=21)
@@ -92,9 +89,8 @@ class TestFnn:
             src, src_mask = padded(np.array([4, 5, 6]), [3])
             enc, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
             tgt, tgt_mask = padded(np.array([1, 4]), [2])
-            fused, _ = model.decoder_output(
-                model.decode_teacher_forced(tgt, tgt_mask, enc, src_mask), tgt_mask
-            )
+            stack, _ = model.decode_teacher_forced(tgt, tgt_mask, model.cross_heads(enc), src_mask)
+            fused, _ = model.decoder_output(stack, tgt_mask)
             assert fused.shape == (2, d)
 
     def test_gradient_through_fusion(self):
@@ -225,7 +221,7 @@ class TestReachabilityAndShapes:
         enc, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
         assert enc.shape == (2, 4, model.config.d_model)
         tgt, tgt_mask = padded(np.array([1, 4, 5, 1]), [3, 1])
-        dec_stack = model.decode_teacher_forced(tgt, tgt_mask, enc, src_mask)
+        dec_stack, _ = model.decode_teacher_forced(tgt, tgt_mask, model.cross_heads(enc), src_mask)
         dec, _ = model.decoder_output(dec_stack, tgt_mask)
         assert dec.shape == (4, model.config.d_model)
 

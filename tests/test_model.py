@@ -7,8 +7,9 @@ from mlrf import autodiff as ad
 from mlrf.fusion import FusionConfig
 from mlrf.model import (
     Transformer,
+    attend,
     encoder_layer,
-    multi_head_attention,
+    key_value_heads,
     positional_encoding,
 )
 from mlrf.training import init_parameters
@@ -34,6 +35,10 @@ class TestPositionalEncoding:
             positional_encoding(4, 5)
 
 
+def self_attention(x, params, prefix, mask=None):
+    return attend(x, *key_value_heads(x, 2, params, prefix), 2, params, prefix, mask)
+
+
 class TestMultiHeadAttention:
     def setup_method(self):
         self.model = toy_model()
@@ -43,7 +48,7 @@ class TestMultiHeadAttention:
     def test_single_position_passes_value_through(self):
         r = np.random.default_rng(0)
         x = ad.Tensor(r.standard_normal((1, 1, 8)))
-        out = multi_head_attention(x, x, x, 2, self.params, self.prefix)
+        out = self_attention(x, self.params, self.prefix)
         p = self.params
         v = x.data[0] @ p[f"{self.prefix}.wv"].data + p[f"{self.prefix}.bv"].data
         expect = v @ p[f"{self.prefix}.wo"].data + p[f"{self.prefix}.bo"].data
@@ -55,7 +60,7 @@ class TestMultiHeadAttention:
         mask = np.ones((1, 1, 3, 3), bool)
         mask[..., 1, :] = False  # every key hidden from query 1
         with caplog.at_level("DEBUG", logger="mlrf.model"):
-            out = multi_head_attention(x, x, x, 2, self.params, self.prefix, mask)
+            out = self_attention(x, self.params, self.prefix, mask)
         assert np.isfinite(out.data).all()
         assert any("every key masked" in rec.message for rec in caplog.records)
 
@@ -63,7 +68,7 @@ class TestMultiHeadAttention:
         r = np.random.default_rng(1)
         x = ad.Tensor(r.standard_normal((1, 4, 8)))
         mask = np.tril(np.ones((4, 4), bool))
-        out = multi_head_attention(x, x, x, 2, self.params, self.prefix, mask[None, None])
+        out = self_attention(x, self.params, self.prefix, mask[None, None])
 
         p = self.params
         q = x.data[0] @ p[f"{self.prefix}.wq"].data + p[f"{self.prefix}.bq"].data
@@ -84,17 +89,15 @@ class TestMultiHeadAttention:
         r = np.random.default_rng(3)
         x = ad.Tensor(r.standard_normal((2, 4, 8)))
         keys = np.array([[True] * 4, [True, True, False, False]])
-        out = multi_head_attention(x, x, x, 2, self.params, self.prefix, keys[:, None, None])
+        out = self_attention(x, self.params, self.prefix, keys[:, None, None])
         short = ad.Tensor(x.data[1:, :2])
-        alone = multi_head_attention(short, short, short, 2, self.params, self.prefix)
+        alone = self_attention(short, self.params, self.prefix)
         np.testing.assert_allclose(out.data[1, :2], alone.data[0], atol=1e-12)
 
     def test_mask_shape_mismatch(self):
         x = ad.Tensor(np.zeros((1, 3, 8)))
         with pytest.raises(ValueError):
-            multi_head_attention(
-                x, x, x, 2, self.params, self.prefix, np.ones((1, 1, 2, 3), bool)
-            )
+            self_attention(x, self.params, self.prefix, np.ones((1, 1, 2, 3), bool))
 
 
 class TestEncoderLayer:
@@ -154,7 +157,7 @@ class TestStacks:
         enc, _ = model.encoder_output(model.encode(ids, mask), mask)
         for stack in (
             model.encode(ids, mask),
-            model.decode_teacher_forced(ids, mask, enc, mask),
+            model.decode_teacher_forced(ids, mask, model.cross_heads(enc), mask)[0],
         ):
             assert len(stack) == model.config.n_layers + 1
             for lo, hi in zip(stack, stack[1:]):
@@ -176,8 +179,9 @@ class TestCausality:
         tgt_b = tgt_a.copy()
         j = 2
         tgt_b[j + 1 :] = [9, 10]  # change only positions after j
-        stack_a = model.decode_teacher_forced(*padded(tgt_a, [5]), enc, src_mask)
-        stack_b = model.decode_teacher_forced(*padded(tgt_b, [5]), enc, src_mask)
+        cross_kv = model.cross_heads(enc)
+        stack_a, _ = model.decode_teacher_forced(*padded(tgt_a, [5]), cross_kv, src_mask)
+        stack_b, _ = model.decode_teacher_forced(*padded(tgt_b, [5]), cross_kv, src_mask)
         for a, b in zip(stack_a, stack_b):
             np.testing.assert_array_equal(a.data[:, : j + 1], b.data[:, : j + 1])
 
