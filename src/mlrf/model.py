@@ -235,7 +235,9 @@ def _heads(x: Tensor, n_heads: int, params: ParamStore, prefix: str, name: str, 
     return ad.transpose(ad.reshape(x, (b, length, n_heads, d // n_heads)), axes)
 
 
-def key_value_heads(x: Tensor, n_heads: int, params: ParamStore, prefix: str) -> tuple[Tensor, Tensor]:
+def key_value_heads(
+    x: Tensor, n_heads: int, params: ParamStore, prefix: str
+) -> tuple[Tensor, Tensor]:
     """Key heads [B x H x d/H x Lk] (laid out for q.k^T) and value heads
     [B x H x Lk x d/H] of an attention sublayer reading ``x`` [B x Lk x d]."""
     return (

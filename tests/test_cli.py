@@ -181,7 +181,9 @@ class TestConfigLengths:
 
 class TestBeamFlags:
     @pytest.mark.parametrize("command", ["translate", "evaluate", "export-attention"])
-    @pytest.mark.parametrize("flag,value", [("--beam", "0"), ("--max-len", "0"), ("--alpha", "nan")])
+    @pytest.mark.parametrize(
+        "flag,value", [("--beam", "0"), ("--max-len", "0"), ("--alpha", "nan")]
+    )
     def test_bad_value_exits_2_before_reading_the_checkpoint(
         self, tmp_path, capsys, command, flag, value
     ):
