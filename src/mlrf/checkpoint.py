@@ -139,10 +139,16 @@ def load_checkpoint(path) -> Checkpoint:
     if opt is not None:
         opt_m = {k[len("opt.m.") :]: v for k, v in tensors.items() if k.startswith("opt.m.")}
         opt_v = {k[len("opt.v.") :]: v for k, v in tensors.items() if k.startswith("opt.v.")}
+    try:
+        model_config = ModelConfig(**header["model"])
+        fusion_config = FusionConfig(**header["fusion"])
+        train_config = TrainConfig(**header["train"]) if header["train"] else None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"corrupt checkpoint {path}: {exc}") from exc
     return Checkpoint(
-        model_config=ModelConfig(**header["model"]),
-        fusion_config=FusionConfig(**header["fusion"]),
-        train_config=TrainConfig(**header["train"]) if header["train"] else None,
+        model_config=model_config,
+        fusion_config=fusion_config,
+        train_config=train_config,
         tensors=params,
         opt_m=opt_m,
         opt_v=opt_v,

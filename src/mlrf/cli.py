@@ -90,10 +90,9 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
     best_valid = float("inf")
     last_valid_acc: float | None = None
     if resume is not None:
-        ckpt = load_checkpoint(resume)
+        ckpt, model = _read_checkpoint(resume)
         if ckpt.model_config != model_cfg or ckpt.fusion_config != run_cfg.fusion:
             raise ConfigError("resume checkpoint was built from a different config")
-        model = build_model(ckpt)
         state = restore_optimizer(ckpt, model.params)
         epochs_done = int(ckpt.meta.get("epochs_done", 0))
         best_valid = float(ckpt.meta.get("best_valid_loss", float("inf")))
@@ -190,13 +189,27 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_checkpoint(path):
+    """The checkpoint at ``path`` and its model; a file that cannot be read
+    or does not hold a model is a ConfigError that names it."""
+    try:
+        ckpt = load_checkpoint(path)
+        return ckpt, build_model(ckpt)
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        detail = str(exc)
+        if str(path) not in detail:
+            detail = f"corrupt checkpoint {path}: {detail}"
+        raise ConfigError(detail) from exc
+
+
 # ---------------------------------------------------------------------------
 # translate / evaluate
 
 
 def _load_model_and_vocabs(path):
-    ckpt = load_checkpoint(path)
-    model = build_model(ckpt)
+    ckpt, model = _read_checkpoint(path)
     src_vocab, tgt_vocab = _vocabs_from_meta(ckpt.meta)
     return ckpt, model, src_vocab, tgt_vocab
 

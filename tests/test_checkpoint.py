@@ -138,6 +138,15 @@ class TestValidation:
             with pytest.raises(ValueError, match=r"corrupt checkpoint .*m\.ckpt"):
                 load_checkpoint(path)
 
+    def test_header_with_unknown_config_key_names_the_file(self, tmp_path):
+        model, _ = trained_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, None, None, {})
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"d_model"', b'"d_modxl"', 1))  # same length
+        with pytest.raises(ValueError, match=r"corrupt checkpoint .*m\.ckpt.*d_modxl"):
+            load_checkpoint(path)
+
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint\nreally\n")

@@ -196,6 +196,27 @@ class TestBeamFlags:
         assert len(err) == 1 and err[0].startswith("error: invalid beam flags")
 
 
+class TestCheckpointErrors:
+    @pytest.mark.parametrize("command", ["translate", "evaluate", "export-attention", "train"])
+    @pytest.mark.parametrize("broken", ["missing", "zeros"])
+    def test_unreadable_checkpoint_is_one_error_line(self, tmp_path, capsys, command, broken):
+        ckpt = tmp_path / "model.ckpt"
+        if broken == "zeros":
+            ckpt.write_bytes(bytes(100))
+        inp = tmp_path / "in.txt"
+        inp.write_text("s0 s1\n")
+        if command == "train":
+            argv = ["train", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "out"),
+                    "--resume", str(ckpt)]
+        else:
+            files = [str(inp), str(inp)] if command == "evaluate" else [str(inp)]
+            argv = [command, "--checkpoint", str(ckpt), *files]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(ckpt) in err[0]
+
+
 class TestTranslate:
     def test_writes_one_line_per_input(self, trained, tmp_path):
         _, out = trained

@@ -1,6 +1,7 @@
 """Initialization classes, schedule, Adam + restart, and the train loop."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mlrf.fusion import FusionConfig
 from mlrf.model import ModelConfig, Transformer, param_specs
 from mlrf import autodiff as ad
 from mlrf.training import (
+    ADAM_CHUNK,
     AdamState,
     TrainConfig,
     adam_step,
@@ -177,6 +179,109 @@ class TestAdam:
         assert state.restarted()
         with pytest.raises(RuntimeError):
             restart_adam(state)
+
+
+def textbook_adam(p, g, m, v, t, lr, beta1, beta2, eps):
+    """The whole-array update, written out: new (p, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def chunked_store() -> ParamStore:
+    """One tensor over several chunks (not a whole number of them), one
+    scalar, and one parameter that gets no grad."""
+    rng = np.random.default_rng(11)
+    store = ParamStore()
+    store.add("big", Tensor(rng.standard_normal((5, ADAM_CHUNK // 2 + 3))))
+    store.add("frozen", Tensor(rng.standard_normal(4)))
+    store.add("one", Tensor(rng.standard_normal(1)))
+    return store
+
+
+def snapshot(store, state):
+    return {
+        name: (p.data.copy(), state.m[name].copy(), state.v[name].copy())
+        for name, p in store.items()
+    }
+
+
+def assert_unchanged(store, state, before):
+    for name, (data, m, v) in before.items():
+        np.testing.assert_array_equal(store[name].data, data)
+        np.testing.assert_array_equal(state.m[name], m)
+        np.testing.assert_array_equal(state.v[name], v)
+
+
+class TestChunkedAdam:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_to_the_textbook_expression(self, workers):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the GIL between slices
+        try:
+            self.check_against_textbook(workers)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def check_against_textbook(workers):
+        store = chunked_store()
+        assert store["big"].size > 2 * ADAM_CHUNK and store["big"].size % ADAM_CHUNK
+        state = AdamState(store)
+        state.workers = workers
+        expected = snapshot(store, state)
+        frozen = expected["frozen"]
+        rng = np.random.default_rng(12)
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.98, 1e-9
+        for step in range(4):
+            if step == 3:
+                restart_adam(state)
+                expected = {
+                    name: (p, np.zeros_like(m), np.zeros_like(v))
+                    for name, (p, m, v) in expected.items()
+                }
+            for name in ("big", "one"):
+                g = rng.standard_normal(store[name].shape)
+                store[name].grad = g
+                p, m, v = expected[name]
+                expected[name] = textbook_adam(p, g, m, v, state.t + 1, lr, beta1, beta2, eps)
+            adam_step(store, state, lr, beta1, beta2, eps)
+            assert_unchanged(store, state, expected)
+        assert state.t == 1
+        np.testing.assert_array_equal(store["frozen"].data, frozen[0])
+        assert not state.m["frozen"].any() and not state.v["frozen"].any()
+
+    def test_shape_mismatch_changes_nothing(self):
+        store = chunked_store()
+        state = AdamState(store)
+        for _, p in store.items():
+            p.grad = np.ones(p.shape)
+        adam_step(store, state, lr=0.1)
+        before = snapshot(store, state)
+        store["one"].grad = np.ones(2)  # "big" comes first and is fine
+        with pytest.raises(ValueError, match="gradient shape mismatch for one"):
+            adam_step(store, state, lr=0.1)
+        assert state.t == 1
+        assert_unchanged(store, state, before)
+
+    @pytest.mark.parametrize("what", ["parameter", "read-only moment"])
+    def test_tensor_without_a_flat_view_is_rejected_unchanged(self, what):
+        store = ParamStore()
+        store.add("a", Tensor(np.ones(3)))
+        data = np.arange(1.0, 7.0).reshape(2, 3)
+        store.add("b", Tensor(data.T if what == "parameter" else data))
+        state = AdamState(store)
+        if what == "read-only moment":
+            state.v["b"].flags.writeable = False
+        for _, p in store.items():
+            p.grad = np.ones(p.shape)
+        before = snapshot(store, state)
+        with pytest.raises(ValueError, match=r" b is not a writable C-contiguous"):
+            adam_step(store, state, lr=0.1)
+        assert state.t == 0
+        assert_unchanged(store, state, before)
 
 
 class TestGradNorm:
