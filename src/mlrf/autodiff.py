@@ -6,6 +6,12 @@ its parents and a vector-Jacobian closure on the output tensor, and
 ``backward`` walks the graph once in reverse topological order.  Arrays are
 double precision throughout so gradient checks against central finite
 differences are tight.
+
+Every op result stays on the tape until ``backward``, so the hot chains are
+fused into single ops that store one output array each: ``linear`` (a dense
+layer, ``x @ W + b``), ``residual_layer_norm`` (a post-norm residual,
+``layer_norm(x + sub * keep)``), ``softmax``, ``layer_norm`` and
+``cross_entropy``.  An op writes in place only into arrays it allocated.
 """
 
 from __future__ import annotations
@@ -140,13 +146,21 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); a NaN passes through, so the finite-loss check sees it."""
     mask = x.data > 0
-    return _make(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    return _make(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    return _make(y, (x,), lambda g: (g * (1.0 - y * y),))
+
+    def vjp(g):
+        d = y * y
+        np.subtract(1.0, d, out=d)
+        d *= g
+        return (d,)
+
+    return _make(y, (x,), vjp)
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -202,24 +216,37 @@ def mean_(x: Tensor, axis: int | None = None) -> Tensor:
     return scale(sum_(x, axis=axis), 1.0 / n)
 
 
+def dropout_keep(
+    shape: tuple[int, ...],
+    rate: float,
+    rng: np.random.Generator,
+    mask: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """The inverted-dropout scale for an array of ``shape``: 1/(1-rate) on
+    kept units, 0 on dropped ones; None at rate 0, with no draw.
+
+    With a boolean ``mask`` over the leading axes, the draw covers only the
+    masked-in rows, in row-major order, and every other row is zeroed.  A
+    padded batch then consumes the generator exactly as its real tokens laid
+    end to end would.
+    """
+    if rate <= 0.0:
+        return None
+    if mask is None:
+        return (rng.random(shape) >= rate) / (1.0 - rate)
+    keep = np.zeros(shape)
+    n = int(np.count_nonzero(mask))
+    keep[mask] = (rng.random((n,) + shape[mask.ndim :]) >= rate) / (1.0 - rate)
+    return keep
+
+
 def dropout(
     x: Tensor, rate: float, rng: np.random.Generator, mask: np.ndarray | None = None
 ) -> Tensor:
-    """Inverted dropout: scale kept units by 1/(1-rate); identity at rate 0.
-
-    With a boolean ``mask`` over the leading axes of ``x``, the draw covers
-    only the masked-in rows, in row-major order, and every other row is
-    zeroed.  A padded batch then consumes the generator exactly as its real
-    tokens laid end to end would.
-    """
-    if rate <= 0.0:
+    """Inverted dropout with the scale of ``dropout_keep``; identity at rate 0."""
+    keep = dropout_keep(x.shape, rate, rng, mask)
+    if keep is None:
         return x
-    if mask is None:
-        keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    else:
-        keep = np.zeros(x.shape)
-        n = int(np.count_nonzero(mask))
-        keep[mask] = (rng.random((n,) + x.shape[mask.ndim :]) >= rate) / (1.0 - rate)
     return _make(x.data * keep, (x,), lambda g: (g * keep,))
 
 
@@ -254,6 +281,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), batched_vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer ``x @ w + b`` over the last axis of ``x``, as one node.
+
+    One GEMM runs over the flattened rows of ``x`` and the bias is added in
+    place into its output, so the tape holds one array where
+    ``add(matmul(x, w), b)`` holds two.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    rows = x.data.reshape(-1, x.shape[-1])
+    data = rows @ w.data
+    data += b.data
+
+    def vjp(g):
+        g = g.reshape(-1, g.shape[-1])
+        return (g @ w.data.T).reshape(x.shape), rows.T @ g, g.sum(axis=0)
+
+    return _make(data.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), vjp)
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of ``table``; backward scatter-adds into the table grad."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -280,41 +328,81 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` with max-subtraction; slices sum to one."""
     if axis >= x.data.ndim:
         raise ValueError(f"softmax axis {axis} out of range for shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         gy = g * y
-        return (gy - y * gy.sum(axis=axis, keepdims=True),)
+        dx = y * gy.sum(axis=axis, keepdims=True)
+        np.subtract(gy, dx, out=dx)
+        return (dx,)
 
     return _make(y, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float, out=None):
+    """Layer norm of ``x`` over its last axis: returns the output and the
+    ``xhat``/``inv`` that ``_norm_vjp`` needs.  ``xhat`` is written into
+    ``out``, which may be ``x`` itself when the caller owns it."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layer_norm affine shape {gain.shape} != ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gain.data + bias.data
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x, mu, out=out)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y, xhat, inv
+
+
+def _norm_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray):
+    """Gradients of ``_norm_forward`` with respect to x, gain and bias."""
+    lead = tuple(range(g.ndim - 1))
+    dgain = (g * xhat).sum(axis=lead)
+    dbias = g.sum(axis=lead)
+    gh = g * gain
+    dx = gh - gh.mean(axis=-1, keepdims=True)
+    dx -= xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+    dx *= inv
+    return dx, dgain, dbias
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    data, xhat, inv = _norm_forward(x.data, gain.data, bias.data, eps)
+    return _make(data, (x, gain, bias), lambda g: _norm_vjp(g, xhat, inv, gain.data))
+
+
+def residual_layer_norm(
+    x: Tensor,
+    sub: Tensor,
+    gain: Tensor,
+    bias: Tensor,
+    keep: np.ndarray | None = None,
+    eps: float = 1e-6,
+) -> Tensor:
+    """``layer_norm(x + sub * keep)`` as one node (``keep`` None: no scale).
+
+    ``keep`` is a dropout scale from ``dropout_keep``.  The residual sum is
+    normalized in place, so the tape holds the output alone where the
+    unfused chain holds the dropout output, the sum and the norm output.
+    """
+    if x.shape != sub.shape:
+        raise ValueError(f"residual shape mismatch: {x.shape} + {sub.shape}")
+    if keep is None:
+        s = x.data + sub.data
+    else:
+        s = sub.data * keep
+        s += x.data
+    data, xhat, inv = _norm_forward(s, gain.data, bias.data, eps, out=s)
 
     def vjp(g):
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        gh = g * gain.data
-        dx = inv * (
-            gh
-            - gh.mean(axis=-1, keepdims=True)
-            - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgain, dbias
+        ds, dgain, dbias = _norm_vjp(g, xhat, inv, gain.data)
+        return ds, ds if keep is None else ds * keep, dgain, dbias
 
-    return _make(data, (x, gain, bias), vjp)
+    return _make(data, (x, sub, gain, bias), vjp)
 
 
 def cross_entropy(logits: Tensor, targets, pad_id: int | None = None) -> Tensor:
@@ -337,7 +425,8 @@ def cross_entropy(logits: Tensor, targets, pad_id: int | None = None) -> Tensor:
 
     x = logits.data
     m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
+    e = x - m
+    np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
     nll = lse - x[np.arange(n), safe]

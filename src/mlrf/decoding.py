@@ -84,6 +84,29 @@ def greedy_decode(step_fn: StepFn, max_len: int, bos: int = BOS_ID, eos: int = E
     return out
 
 
+def top_tokens(logps: np.ndarray, width: int) -> np.ndarray:
+    """Each row's ``width`` best token ids of ``logps`` [k x V], best first.
+
+    Ties go to the lower token id.  One row-wise ``argpartition`` keeps each
+    row's best ``width``; only a row where tokens tie at the cut is redone,
+    so that the lowest tied ids fill it.  Only the kept entries are sorted.
+    """
+    k, v = logps.shape
+    width = min(width, v)
+    ids = np.argpartition(logps, v - width, axis=1)[:, v - width :]
+    vals = np.take_along_axis(logps, ids, axis=1)
+    cut = vals.min(axis=1, keepdims=True)
+    if np.isnan(cut).any():
+        raise ValueError("beam step returned NaN log-probs")
+    for i in np.flatnonzero((logps == cut).sum(axis=1) > (vals == cut).sum(axis=1)):
+        above = np.flatnonzero(logps[i] > cut[i])
+        tied = np.flatnonzero(logps[i] == cut[i])
+        ids[i] = np.concatenate([above, tied[: width - above.size]])
+        vals[i] = logps[i, ids[i]]
+    order = np.lexsort((ids, -vals), axis=1)
+    return np.take_along_axis(ids, order, axis=1)
+
+
 def beam_search(
     step_fn: StepFn,
     config: BeamConfig,
@@ -93,10 +116,10 @@ def beam_search(
     """Standard beam search; returns hypotheses ranked by normalized score.
 
     Each step scores every live hypothesis in one ``step_fn`` call.  Live
-    hypotheses expand by their top-``width`` tokens each step and the best
-    ``width`` by cumulative log-prob survive.  A hypothesis emitting EOS
-    moves to the completed pool and stops expanding.  If nothing finishes
-    by ``max_len``, the live beam is returned as-is.
+    hypotheses expand by their top-``width`` tokens each step (``top_tokens``)
+    and the best ``width`` by cumulative log-prob survive.  A hypothesis
+    emitting EOS moves to the completed pool and stops expanding.  If nothing
+    finishes by ``max_len``, the live beam is returned as-is.
     """
     width = config.width
     live = [Hypothesis((bos,), 0.0)]
@@ -106,9 +129,8 @@ def beam_search(
             break
         candidates: list[Hypothesis] = []
         logps = step_fn([hyp.tokens for hyp in live])
-        for hyp, logp in zip(live, logps):
-            for tok in np.argsort(-logp)[:width]:
-                tok = int(tok)
+        for hyp, logp, toks in zip(live, logps, top_tokens(logps, width)):
+            for tok in toks.tolist():
                 candidates.append(
                     Hypothesis(
                         hyp.tokens + (tok,),

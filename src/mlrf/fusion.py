@@ -111,10 +111,8 @@ def fuse_avg(layers: Tensor, params: ParamStore, prefix: str) -> Tensor:
 
 
 def _fusion_fnn(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    h = ad.relu(
-        ad.add(ad.matmul(x, params[f"{prefix}.fnn.w1"]), params[f"{prefix}.fnn.b1"])
-    )
-    return ad.add(ad.matmul(h, params[f"{prefix}.fnn.w2"]), params[f"{prefix}.fnn.b2"])
+    h = ad.relu(ad.linear(x, params[f"{prefix}.fnn.w1"], params[f"{prefix}.fnn.b1"]))
+    return ad.linear(h, params[f"{prefix}.fnn.w2"], params[f"{prefix}.fnn.b2"])
 
 
 def _flatten_last_two(x: Tensor) -> Tensor:

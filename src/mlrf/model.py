@@ -231,7 +231,7 @@ def _heads(x: Tensor, n_heads: int, params: ParamStore, prefix: str, name: str, 
     """Project ``x`` [B x L x d] with ``w{name}``/``b{name}`` and split the
     width into heads, [B x L x H x d/H] permuted by ``axes``."""
     b, length, d = x.shape
-    x = ad.add(ad.matmul(x, params[f"{prefix}.w{name}"]), params[f"{prefix}.b{name}"])
+    x = ad.linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
     return ad.transpose(ad.reshape(x, (b, length, n_heads, d // n_heads)), axes)
 
 
@@ -284,20 +284,23 @@ def attend(
         scores = ad.add(scores, penalty)
     heads = ad.matmul(ad.softmax(scores, axis=-1), vh)
     merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, lq, d))
-    return ad.add(ad.matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    return ad.linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def feed_forward(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    h = ad.relu(ad.add(ad.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return ad.add(ad.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    h = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _post_norm(x: Tensor, sub: Tensor, params, prefix, rate, rng, tokens) -> Tensor:
-    """Residual wrapper: layer_norm(x + dropout(sublayer(x)))."""
-    return ad.layer_norm(
-        ad.add(x, ad.dropout(sub, rate, rng, tokens)),
-        params[f"{prefix}.gain"],
-        params[f"{prefix}.bias"],
+    """Residual wrapper: layer_norm(x + dropout(sub)), one tape node.
+
+    The dropout scale is drawn for ``tokens`` exactly as ``ad.dropout``
+    draws it, then ``ad.residual_layer_norm`` applies it inside the norm.
+    """
+    keep = ad.dropout_keep(sub.shape, rate, rng, tokens)
+    return ad.residual_layer_norm(
+        x, sub, params[f"{prefix}.gain"], params[f"{prefix}.bias"], keep
     )
 
 
@@ -486,9 +489,7 @@ class Transformer:
         return fuse_side(stack, "decoder", self.fusion, self.params, rows=tgt_mask)
 
     def output_logits(self, rep: Tensor) -> Tensor:
-        return ad.add(
-            ad.matmul(rep, self.params["output.weight"]), self.params["output.bias"]
-        )
+        return ad.linear(rep, self.params["output.weight"], self.params["output.bias"])
 
     def forward(
         self,

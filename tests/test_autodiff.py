@@ -122,6 +122,10 @@ class TestElementwise:
     def test_relu(self):
         np.testing.assert_array_equal(ad.relu(leaf([-1.0, 2.0])).data, [0.0, 2.0])
 
+    def test_relu_passes_nan_on(self):
+        out = ad.relu(leaf([np.nan, -1.0, 2.0]))
+        np.testing.assert_array_equal(out.data, [np.nan, 0.0, 2.0])
+
     def test_stack(self):
         out = ad.stack([leaf([1.0, 2.0]), leaf([3.0, 4.0])], axis=0)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
@@ -362,6 +366,84 @@ class TestBackward:
         ad.backward(ad.sum_(out))
         np.testing.assert_allclose(x.grad[kept], 1.0 / 0.6, atol=1e-12)
         np.testing.assert_array_equal(x.grad[~kept], 0.0)
+
+
+def unfused_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def unfused_residual_norm(x, sub, gain, bias, rate, rng, mask):
+    return ad.layer_norm(ad.add(x, ad.dropout(sub, rate, rng, mask)), gain, bias)
+
+
+def residual_args(mask_rows: bool = False):
+    x, sub = (leaf(rng.standard_normal((2, 3, 6))) for _ in range(2))
+    gain, bias = leaf(rng.standard_normal(6)), leaf(rng.standard_normal(6))
+    mask = np.array([[True, True, False], [True, False, False]]) if mask_rows else None
+    return x, sub, gain, bias, mask
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    def test_linear_gradient(self, shape):
+        x = leaf(rng.standard_normal(shape))
+        w, b = leaf(rng.standard_normal((4, 3))), leaf(rng.standard_normal(3))
+        assert ad.linear(x, w, b).shape == shape[:-1] + (3,)
+        assert_grads_match(lambda: ad.linear(x, w, b), [x, w, b])
+
+    def test_linear_rejects_mismatched_shapes(self):
+        x, w = leaf(np.ones((2, 4))), leaf(np.ones((4, 3)))
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            ad.linear(x, w, leaf(np.ones(4)))
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            ad.linear(leaf(np.ones((2, 3))), w, leaf(np.ones(3)))
+
+    @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
+    def test_residual_layer_norm_gradient(self, rate, mask_rows):
+        x, sub, gain, bias, mask = residual_args(mask_rows)
+        keep = ad.dropout_keep(sub.shape, rate, np.random.default_rng(3), mask)
+        assert (keep is None) == (rate == 0.0)
+        assert_grads_match(
+            lambda: ad.residual_layer_norm(x, sub, gain, bias, keep), [x, sub, gain, bias]
+        )
+        if mask_rows:
+            np.testing.assert_array_equal(sub.grad[~mask], 0.0)
+
+    def test_residual_layer_norm_rejects_mismatched_shapes(self):
+        x, sub, gain, bias, _ = residual_args()
+        with pytest.raises(ValueError, match="residual shape mismatch"):
+            ad.residual_layer_norm(x, sub[:, :2], gain, bias)
+        with pytest.raises(ValueError, match="affine shape"):
+            ad.residual_layer_norm(x, sub, gain[:4], bias)
+
+    @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
+    def test_fused_ops_match_their_unfused_chains(self, rate, mask_rows):
+        """Values and gradients agree to 1e-12; the fused ops only store less."""
+        x, sub, gain, bias, mask = residual_args(mask_rows)
+        w, b = leaf(rng.standard_normal((6, 5))), leaf(rng.standard_normal(5))
+        weight = ad.Tensor(rng.standard_normal((2, 3, 5)))
+        leaves = [x, sub, gain, bias, w, b]
+
+        def run(norm, lin):
+            for t in leaves:
+                t.grad = None
+            out = lin(norm(x, sub, gain, bias, rate, np.random.default_rng(9), mask), w, b)
+            ad.backward(ad.sum_(ad.mul(out, weight)))
+            return [out.data] + [t.grad for t in leaves]
+
+        def fused_norm(x, sub, gain, bias, rate, rng, mask):
+            keep = ad.dropout_keep(sub.shape, rate, rng, mask)
+            return ad.residual_layer_norm(x, sub, gain, bias, keep)
+
+        fused = run(fused_norm, ad.linear)
+        chain = run(unfused_residual_norm, unfused_linear)
+        for got, want in zip(fused, chain):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_dropout_keep_draws_nothing_at_rate_zero(self):
+        r = np.random.default_rng(4)
+        assert ad.dropout_keep((3, 4), 0.0, r) is None
+        assert r.random() == np.random.default_rng(4).random()
 
 
 class TestParamStore:

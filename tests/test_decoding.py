@@ -14,6 +14,7 @@ from mlrf.decoding import (
     greedy_decode,
     length_normalized_score,
     per_prefix,
+    top_tokens,
     translate_ids,
 )
 from mlrf.model import one_sentence
@@ -156,6 +157,32 @@ class TestBeam:
 
     def test_negative_alpha_allowed(self):
         assert BeamConfig(length_alpha=-0.5).length_alpha == -0.5
+
+    def test_tied_log_probs_rank_by_lower_token_id(self):
+        """Three tokens tie for best and 37 for fourth: the beam keeps the
+        tied ones in id order, whatever the partition happened to pick."""
+        logp = np.full(40, math.log(0.5 / 37))
+        logp[[30, 12, 21]] = math.log(0.5 / 3)
+        step = lambda prefixes: np.tile(logp, (len(prefixes), 1))  # noqa: E731
+        hyps = beam_search(step, BeamConfig(width=5, length_alpha=0.0, max_len=1), eos=-1)
+        assert [h.tokens[1] for h in hyps] == [12, 21, 30, 0, 1]
+        hyps = beam_search(step, BeamConfig(width=5, length_alpha=0.0, max_len=2), eos=-1)
+        assert [h.tokens[1:] for h in hyps] == [
+            (12, 12), (12, 21), (12, 30), (21, 12), (21, 21),
+        ]
+
+    def test_top_tokens_matches_a_full_sort_by_logprob_then_id(self):
+        r = np.random.default_rng(8)
+        logps = r.integers(0, 4, (6, 30)).astype(float)
+        logps[0] = -np.inf
+        logps[1, :3] = 0.5
+        for width in (1, 3, 8, 30, 40):
+            want = [sorted(range(30), key=lambda j: (-row[j], j))[:width] for row in logps]
+            np.testing.assert_array_equal(top_tokens(logps, width), want)
+
+    def test_top_tokens_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            top_tokens(np.array([[0.0, np.nan, -1.0]]), 2)
 
     def test_scores_every_live_hypothesis_in_one_call(self):
         calls = []

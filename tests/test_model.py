@@ -7,6 +7,7 @@ from mlrf import autodiff as ad
 from mlrf.fusion import FusionConfig
 from mlrf.model import (
     Transformer,
+    _post_norm,
     attend,
     encoder_layer,
     key_value_heads,
@@ -137,6 +138,23 @@ class TestEncoderLayer:
         for idx in [0, 7, 13, 23]:
             num = numeric_grad_at(loss, x.data, idx)
             assert max_rel_err(got.reshape(-1)[idx], num) < 1e-4
+
+
+class TestPostNorm:
+    def test_masked_dropout_draws_what_the_unfused_chain_draws(self):
+        """_post_norm consumes the generator as dropout-then-add-then-norm
+        did, so the pinned training losses keep their dropout draws."""
+        model = toy_model()
+        prefix = "encoder.layer0.norm1"
+        gain, bias = model.params[f"{prefix}.gain"], model.params[f"{prefix}.bias"]
+        r = np.random.default_rng(5)
+        x, sub = (ad.Tensor(r.standard_normal((2, 4, 8))) for _ in range(2))
+        tokens = np.array([[True, True, True, False], [True, True, False, False]])
+        fused_rng, chain_rng = np.random.default_rng(11), np.random.default_rng(11)
+        out = _post_norm(x, sub, model.params, prefix, 0.3, fused_rng, tokens)
+        want = ad.layer_norm(ad.add(x, ad.dropout(sub, 0.3, chain_rng, tokens)), gain, bias)
+        np.testing.assert_array_equal(out.data, want.data)
+        assert fused_rng.random() == chain_rng.random()
 
 
 class TestStacks:

@@ -473,21 +473,25 @@ def test_training_losses_are_pinned(side, kind, overrides, expected):
     np.testing.assert_allclose(losses, expected, rtol=1e-12, atol=0)
 
 
-# Tape nodes behind one training loss: an extra op anywhere in the encoder,
-# decoder, fusion or loss path (say, a zero mask penalty added) shows here.
-@pytest.mark.parametrize("side,kind,nodes", [
-    ("none", "baseline", 274),
-    ("decoder", "self_attention", 298),
-    ("both", "fnn", 302),
+# Tape nodes behind one training loss, and the bytes its op nodes hold until
+# backward: an extra op anywhere in the encoder, decoder, fusion or loss path
+# (say, a zero mask penalty added) shows in the count, and a second stored
+# activation in a sublayer (say, an unfused bias add) shows in the bytes.
+@pytest.mark.parametrize("side,kind,nodes,op_bytes", [
+    ("none", "baseline", 221, 233296),
+    ("decoder", "self_attention", 243, 276056),
+    ("both", "fnn", 245, 266960),
 ])
-def test_training_graph_is_pinned(side, kind, nodes):
+def test_training_graph_is_pinned(side, kind, nodes, op_bytes):
     spec = SyntheticTaskSpec("copy", alphabet=7, min_len=1, max_len=6, count=4, seed=12)
     vocab = Vocabulary(f"s{i}" for i in range(7))
     (batch,) = make_batches(generate_synthetic(spec), vocab, vocab, 4)
     model = Transformer(toy_config(dropout=0.1), toy_fusion(side, kind), seed=5)
     result = model.forward(batch.src, batch.src_mask, batch.tgt_in, batch.tgt_mask, train=True)
     loss = ad.cross_entropy(result.logits, batch.tgt_out[batch.tgt_mask])
-    assert len(ad._toposort(loss)) == nodes
+    order = ad._toposort(loss)
+    assert len(order) == nodes
+    assert sum(t.data.nbytes for t in order if t._vjp is not None) == op_bytes
 
 
 class TestCounts:
