@@ -74,19 +74,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; the ops themselves live at module level
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __getitem__(self, key):
         return slice_(self, key)
 
@@ -405,22 +392,18 @@ def residual_layer_norm(
     return _make(data, (x, sub, gain, bias), vjp)
 
 
-def cross_entropy(logits: Tensor, targets, pad_id: int | None = None) -> Tensor:
-    """Mean negative log-likelihood over non-pad positions.
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean negative log-likelihood over all rows.
 
-    ``logits`` is [n x V]; ``targets`` holds n class ids.  Positions whose
-    target equals ``pad_id`` contribute to neither the sum nor the count.
+    ``logits`` is [n x V] with n > 0; ``targets`` holds n class ids.
     """
     targets = np.asarray(targets, dtype=np.int64)
     n, v = logits.shape
     if targets.shape != (n,):
         raise ValueError(f"targets shape {targets.shape} != ({n},)")
-    live = np.ones(n, dtype=bool) if pad_id is None else targets != pad_id
-    count = int(live.sum())
-    if count == 0:
-        raise ValueError("cross_entropy: every position is padding")
-    safe = np.where(live, targets, 0)
-    if safe.max(initial=0) >= v or safe.min(initial=0) < 0:
+    if n == 0:
+        raise ValueError("cross_entropy: no rows")
+    if targets.max() >= v or targets.min() < 0:
         raise IndexError(f"target id out of range [0, {v})")
 
     x = logits.data
@@ -429,13 +412,13 @@ def cross_entropy(logits: Tensor, targets, pad_id: int | None = None) -> Tensor:
     np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
-    nll = lse - x[np.arange(n), safe]
-    data = float((nll * live).sum() / count)
+    nll = lse - x[np.arange(n), targets]
+    data = float(nll.sum() / n)
 
     def vjp(g):
         p = e / z  # a new array: e must survive a repeated backward
-        p[np.arange(n), safe] -= 1.0
-        p *= (live * (float(g) / count))[:, None]
+        p[np.arange(n), targets] -= 1.0
+        p *= float(g) / n
         return (p,)
 
     return _make(np.float64(data), (logits,), vjp)
@@ -509,12 +492,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return sorted(self._params)

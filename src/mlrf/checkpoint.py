@@ -41,10 +41,6 @@ class Checkpoint:
     meta: dict[str, Any]  # step/epoch counters, vocab info, RNG states
 
 
-def _config_dict(cfg) -> dict:
-    return asdict(cfg)
-
-
 def save_checkpoint(
     path,
     model: Transformer,
@@ -53,24 +49,19 @@ def save_checkpoint(
     meta: dict[str, Any] | None = None,
 ) -> None:
     params = model.params
-    index = [[name, list(t.shape)] for name, t in params.items()]
-    blocks = [t.data for _, t in params.items()]
+    entries = [(name, t.data) for name, t in params.items()]
     opt = None
     if state is not None:
         opt = {"t": state.t, "phase": state.phase}
-        for name in params.names():
-            index.append([f"opt.m.{name}", list(state.m[name].shape)])
-            blocks.append(state.m[name])
-        for name in params.names():
-            index.append([f"opt.v.{name}", list(state.v[name].shape)])
-            blocks.append(state.v[name])
+        entries += [(f"opt.m.{name}", state.m[name]) for name in params.names()]
+        entries += [(f"opt.v.{name}", state.v[name]) for name in params.names()]
     header = {
-        "model": _config_dict(model.config),
-        "fusion": _config_dict(model.fusion),
-        "train": _config_dict(train_config) if train_config is not None else None,
+        "model": asdict(model.config),
+        "fusion": asdict(model.fusion),
+        "train": asdict(train_config) if train_config is not None else None,
         "optimizer": opt,
         "meta": meta or {},
-        "tensors": index,
+        "tensors": [[name, list(arr.shape)] for name, arr in entries],
     }
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # write beside the target and rename over it, so a crash mid-write
@@ -82,8 +73,8 @@ def save_checkpoint(
             f.write(MAGIC.encode("ascii") + b"\n")
             f.write(str(len(body)).encode("ascii") + b"\n")
             f.write(body)
-            for arr in blocks:
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for _, arr in entries:
+                f.write(np.ascontiguousarray(arr, dtype="<f8"))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -95,56 +86,49 @@ def save_checkpoint(
 _HEADER_KEYS = ("model", "fusion", "train", "optimizer", "tensors")
 
 
-def _read_header(raw: bytes, path) -> tuple[dict, list[int], int]:
-    """The header after the magic line, each tensor's element count, and the
-    offset of the tensor data; ValueError naming ``path`` if the header is
-    cut or malformed.  Works on offsets: the file is not copied."""
-    start = len(MAGIC) + 1
-    try:
-        end = raw.find(b"\n", start)
-        if end < 0:
-            raise ValueError("no header length line")
-        n = int(raw[start:end])
-        if not 0 < n <= len(raw) - end - 1:
-            raise ValueError(f"header length {n}, but {len(raw) - end - 1} bytes follow")
-        header = json.loads(raw[end + 1 : end + 1 + n].decode("utf-8"))
-        missing = [k for k in _HEADER_KEYS if k not in header]
-        if missing:
-            raise ValueError(f"header lacks {missing}")
-        counts = [math.prod(int(k) for k in shape) for _, shape in header["tensors"]]
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"corrupt checkpoint {path}: {exc}") from exc
-    return header, counts, end + 1 + n
-
-
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(MAGIC.encode("ascii") + b"\n"):
-        raise ValueError(f"not a checkpoint file: {path}")
-    header, counts, offset = _read_header(raw, path)
-    if len(raw) - offset != 8 * sum(counts):
-        raise ValueError(
-            f"corrupt checkpoint {path}: {len(raw) - offset} data bytes, "
-            f"but its tensor index needs {8 * sum(counts)}"
-        )
-    tensors: dict[str, np.ndarray] = {}
-    for (name, shape), count in zip(header["tensors"], counts):
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
+    """Read ``path`` front to back, each tensor straight into its own array;
+    ValueError naming ``path`` if it is not one whole checkpoint."""
+    with open(path, "rb") as f:
+        if f.readline(len(MAGIC) + 1) != MAGIC.encode("ascii") + b"\n":
+            raise ValueError(f"not a checkpoint file: {path}")
+        try:
+            line = f.readline(32)
+            if not line.endswith(b"\n"):
+                raise ValueError("no header length line")
+            n = int(line)
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if not 0 < n <= left:
+                raise ValueError(f"header length {n}, but {left} bytes follow")
+            header = json.loads(f.read(n).decode("utf-8"))
+            missing = [k for k in _HEADER_KEYS if k not in header]
+            if missing:
+                raise ValueError(f"header lacks {missing}")
+            index = header["tensors"]
+            for name, dims in index:
+                if not (isinstance(name, str) and all(type(k) is int and k >= 0 for k in dims)):
+                    raise ValueError(f"bad tensor index entry {[name, dims]}")
+            counts = [math.prod(dims) for _, dims in index]
+            if left - n != 8 * sum(counts):
+                raise ValueError(
+                    f"{left - n} data bytes, but its tensor index needs {8 * sum(counts)}"
+                )
+            tensors = {
+                name: np.fromfile(f, "<f8", count).reshape(dims)
+                for (name, dims), count in zip(index, counts)
+            }
+            model_config = ModelConfig(**header["model"])
+            fusion_config = FusionConfig(**header["fusion"])
+            train_config = TrainConfig(**header["train"]) if header["train"] else None
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"corrupt checkpoint {path}: {exc}") from exc
 
     params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
-    opt = header.get("optimizer")
+    opt = header["optimizer"]
     opt_m = opt_v = None
     if opt is not None:
         opt_m = {k[len("opt.m.") :]: v for k, v in tensors.items() if k.startswith("opt.m.")}
         opt_v = {k[len("opt.v.") :]: v for k, v in tensors.items() if k.startswith("opt.v.")}
-    try:
-        model_config = ModelConfig(**header["model"])
-        fusion_config = FusionConfig(**header["fusion"])
-        train_config = TrainConfig(**header["train"]) if header["train"] else None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"corrupt checkpoint {path}: {exc}") from exc
     return Checkpoint(
         model_config=model_config,
         fusion_config=fusion_config,

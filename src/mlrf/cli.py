@@ -209,9 +209,11 @@ def _read_checkpoint(path):
 
 
 def _load_model_and_vocabs(path):
+    """The model and vocabularies at ``path``; the rest of the checkpoint,
+    its optimizer moments included, is freed before any decoding."""
     ckpt, model = _read_checkpoint(path)
     src_vocab, tgt_vocab = _vocabs_from_meta(ckpt.meta)
-    return ckpt, model, src_vocab, tgt_vocab
+    return model, src_vocab, tgt_vocab
 
 
 def _beam_config(args) -> BeamConfig:
@@ -260,7 +262,7 @@ def translate_lines(
 
 def cmd_translate(args) -> int:
     beam = _beam_config(args)
-    _, model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
+    model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, lines, beam)
     text = "".join(h + "\n" for h in hyps)
@@ -273,7 +275,7 @@ def cmd_translate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     beam = _beam_config(args)
-    _, model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
+    model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
     src_lines = Path(args.src).read_text(encoding="utf-8").splitlines()
     ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()
     if len(src_lines) != len(ref_lines):
@@ -327,11 +329,7 @@ def export_attention(model, src_vocab, tgt_vocab, lines, side: str, beam: BeamCo
             out_ids = translate_ids(model, src_ids, beam)
             tgt_in, tgt_mask = one_sentence([BOS_ID] + out_ids)
             with ad.no_grad():
-                enc_rep, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
-                stack, _ = model.decode_teacher_forced(
-                    tgt_in, tgt_mask, model.cross_heads(enc_rep), src_mask
-                )
-                _, trace = model.decoder_output(stack, tgt_mask)
+                trace = model.forward(src, src_mask, tgt_in, tgt_mask).decoder_trace
             pos_tokens = tgt_vocab.decode(out_ids, strip_reserved=False) + ["<eos>"]
         if trace is None:
             raise ValueError(f"{side} side has no self-attention fusion")
@@ -372,8 +370,8 @@ def read_trace_file(path):
 
 def cmd_export_attention(args) -> int:
     beam = _beam_config(args)
-    ckpt, model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
-    fusion = ckpt.fusion_config
+    model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
+    fusion = model.fusion
     sa_sides = [s for s in ("decoder", "encoder") if fusion.kind_for(s) == "self_attention"]
     if not sa_sides:
         raise SystemExit(

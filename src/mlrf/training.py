@@ -274,7 +274,6 @@ def train_step(
     batch,
     state: AdamState,
     cfg: TrainConfig,
-    pad_id: int = 0,
 ) -> StepMetrics:
     """Forward, backward, and one optimizer update on a single batch.
 
@@ -282,7 +281,7 @@ def train_step(
     gradient norm is not finite, naming the parameters with such grads.
     """
     logits, tgt_out = _batch_forward(model, batch, train=True)
-    loss = ad.cross_entropy(logits, tgt_out, pad_id=pad_id)
+    loss = ad.cross_entropy(logits, tgt_out)
     model.params.zero_grads()
     ad.backward(loss)
     norm = grad_norm(model.params)
@@ -296,7 +295,7 @@ def train_step(
             f"step {state.t + 1} ({state.phase}): loss {loss_value}, gradient "
             f"norm {norm}; non-finite gradients in {', '.join(bad) or 'no parameter'}"
         )
-    acc = token_accuracy(logits.data, tgt_out, pad_id)
+    acc = token_accuracy(logits.data, tgt_out)
     del logits, loss  # free the forward tape before the update
     if cfg.clip_norm is not None:
         clip_gradients(model.params, cfg.clip_norm, norm)
@@ -308,13 +307,13 @@ def train_step(
     return StepMetrics(state.t, state.phase, lr, loss_value, acc)
 
 
-def token_accuracy(logits: np.ndarray, targets: np.ndarray, pad_id: int = 0) -> float:
+def _correct(logits: np.ndarray, targets: np.ndarray) -> int:
+    return int((logits.argmax(axis=1) == targets).sum())
+
+
+def token_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
     targets = np.asarray(targets)
-    live = targets != pad_id
-    if not live.any():
-        return 0.0
-    pred = logits.argmax(axis=1)
-    return float((pred[live] == targets[live]).mean())
+    return _correct(logits, targets) / targets.size if targets.size else 0.0
 
 
 def train_epoch(
@@ -322,7 +321,6 @@ def train_epoch(
     batches: Sequence,
     state: AdamState,
     cfg: TrainConfig,
-    pad_id: int = 0,
     on_step: Callable[[StepMetrics], None] | None = None,
 ) -> dict[str, float]:
     """One pass over ``batches``; returns mean loss and token accuracy."""
@@ -330,7 +328,7 @@ def train_epoch(
         raise ValueError("empty dataset")
     losses, accs = [], []
     for batch in batches:
-        metrics = train_step(model, batch, state, cfg, pad_id)
+        metrics = train_step(model, batch, state, cfg)
         losses.append(metrics.loss)
         accs.append(metrics.accuracy)
         if on_step is not None:
@@ -338,19 +336,15 @@ def train_epoch(
     return {"loss": float(np.mean(losses)), "accuracy": float(np.mean(accs))}
 
 
-def evaluate_teacher_forced(
-    model: Transformer, batches: Sequence, pad_id: int = 0
-) -> dict[str, float]:
+def evaluate_teacher_forced(model: Transformer, batches: Sequence) -> dict[str, float]:
     """Loss and token accuracy with dropout off and no tape."""
     losses, correct, total = [], 0, 0
     with ad.no_grad():
         for batch in batches:
             logits, tgt_out = _batch_forward(model, batch, train=False)
-            losses.append(ad.cross_entropy(logits, tgt_out, pad_id).item())
-            live = tgt_out != pad_id
-            pred = logits.data.argmax(axis=1)
-            correct += int((pred[live] == tgt_out[live]).sum())
-            total += int(live.sum())
+            losses.append(ad.cross_entropy(logits, tgt_out).item())
+            correct += _correct(logits.data, tgt_out)
+            total += tgt_out.size
     return {
         "loss": float(np.mean(losses)) if losses else float("nan"),
         "accuracy": correct / total if total else 0.0,

@@ -1,5 +1,7 @@
 """Checkpoint container: byte round-trips, state restoration, validation."""
 
+import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from mlrf import autodiff as ad
 from mlrf.checkpoint import build_model, load_checkpoint, restore_optimizer, save_checkpoint
 from mlrf.fusion import FusionConfig
+from mlrf.model import Transformer
 from mlrf.training import AdamState, TrainConfig, adam_step
 from tests.conftest import padded, toy_config, toy_model, random_sentences
 
@@ -85,6 +88,25 @@ class TestRoundTrip:
         assert ckpt.fusion_config == model.fusion
         assert ckpt.train_config == tcfg
 
+    def test_load_reads_each_tensor_once_into_its_own_array(self, tmp_path):
+        model = Transformer(toy_config(src_vocab=4000, tgt_vocab=4000, d_model=32), seed=5)
+        state = AdamState(model.params)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, model, state, None, {})
+        size = path.stat().st_size
+        assert size > 8_000_000
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * size
+        for arrays in (ckpt.tensors, ckpt.opt_m, ckpt.opt_v):
+            for arr in arrays.values():
+                assert arr.dtype == np.float64
+                assert arr.flags.writeable and arr.flags.c_contiguous
+
 
 class TestValidation:
     def test_rejects_differently_shaped_model(self, tmp_path):
@@ -127,12 +149,24 @@ class TestValidation:
         raw = path.read_bytes()
         magic_end = raw.index(b"\n") + 1
         size_end = raw.index(b"\n", magic_end) + 1
+        header = json.loads(raw[size_end : size_end + int(raw[magic_end:size_end])])
+
+        def with_index(dims):
+            """The saved header with tensors "a" of shape ``dims`` and "b" of
+            shape [2], and the data bytes an int-and-multiply count expects."""
+            body = json.dumps({**header, "tensors": [["a", dims], ["b", [2]]]}).encode()
+            data = bytes(8 * (int(dims[0]) + 2))
+            return raw[:magic_end] + b"%d\n" % len(body) + body + data
+
         for broken in (
             raw[:100],  # inside the JSON header
             raw[:magic_end],  # no size line
             raw[: size_end - 2],  # inside the size line
             raw[:magic_end] + b"twelve\n" + raw[size_end:],
             raw[:magic_end] + b"2\n[]" + raw[size_end:],
+            with_index([-1]),  # -1 + 2 elements: 8 bytes, the length check passes
+            with_index([2.5]),
+            with_index(["2"]),
         ):
             path.write_bytes(broken)
             with pytest.raises(ValueError, match=r"corrupt checkpoint .*m\.ckpt"):
