@@ -8,16 +8,28 @@ double precision throughout so gradient checks against central finite
 differences are tight.
 
 Every op result stays on the tape until ``backward``, so the hot chains are
-fused into single ops that store one output array each: ``linear`` (a dense
-layer, ``x @ W + b``), ``residual_layer_norm`` (a post-norm residual,
-``layer_norm(x + sub * keep)``), ``softmax``, ``layer_norm`` and
-``cross_entropy``.  An op writes in place only into arrays it allocated.
+fused into single ops that keep only what their backward reads:
+
+* ``linear``: a dense layer ``act(x @ W + b)`` with an optional bias and an
+  optional relu or tanh; it stores its output alone.
+* ``attention``: multi-head scaled dot-product attention over [B, L, d]
+  projections, heads split as views; it stores the softmax probabilities
+  beside its merged output.
+* ``residual_layer_norm``: a post-norm residual ``layer_norm(x + sub * keep)``
+  with a boolean dropout mask.
+* ``cross_entropy``: the output projection and the mean negative
+  log-likelihood; it keeps one logits-sized buffer, exponentiated in place.
+* ``softmax`` and ``layer_norm``.
+
+Dropout masks are boolean; an op scales the kept units by the scalar
+``1/(1 - rate)``.  An op writes in place only into arrays it allocated.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
+import math
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -117,37 +129,9 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _make(data, (a, b), vjp)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
     return _make(x.data * c, (x,), lambda g: (g * c,))
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); a NaN passes through, so the finite-loss check sees it."""
-    mask = x.data > 0
-    return _make(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-
-    def vjp(g):
-        d = y * y
-        np.subtract(1.0, d, out=d)
-        d *= g
-        return (d,)
-
-    return _make(y, (x,), vjp)
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -209,32 +193,42 @@ def dropout_keep(
     rng: np.random.Generator,
     mask: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """The inverted-dropout scale for an array of ``shape``: 1/(1-rate) on
-    kept units, 0 on dropped ones; None at rate 0, with no draw.
+    """The inverted-dropout mask for an array of ``shape``: True on kept
+    units; None at rate 0, with no draw.  Ops that take it scale the kept
+    units by ``1/(1 - rate)`` (``_dropped``).
 
     With a boolean ``mask`` over the leading axes, the draw covers only the
-    masked-in rows, in row-major order, and every other row is zeroed.  A
+    masked-in rows, in row-major order, and every other row is dropped.  A
     padded batch then consumes the generator exactly as its real tokens laid
     end to end would.
     """
     if rate <= 0.0:
         return None
     if mask is None:
-        return (rng.random(shape) >= rate) / (1.0 - rate)
-    keep = np.zeros(shape)
+        return rng.random(shape) >= rate
+    keep = np.zeros(shape, dtype=bool)
     n = int(np.count_nonzero(mask))
-    keep[mask] = (rng.random((n,) + shape[mask.ndim :]) >= rate) / (1.0 - rate)
+    keep[mask] = rng.random((n,) + shape[mask.ndim :]) >= rate
     return keep
+
+
+def _dropped(a: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """``a`` with the units ``keep`` drops zeroed and the rest scaled by
+    ``1/(1 - rate)``, in a new array.  Multiplying by the mask first gives the
+    bits a float scale of 1/(1 - rate) or 0 gives."""
+    out = a * keep
+    out *= 1.0 / (1.0 - rate)
+    return out
 
 
 def dropout(
     x: Tensor, rate: float, rng: np.random.Generator, mask: np.ndarray | None = None
 ) -> Tensor:
-    """Inverted dropout with the scale of ``dropout_keep``; identity at rate 0."""
+    """Inverted dropout with the mask of ``dropout_keep``; identity at rate 0."""
     keep = dropout_keep(x.shape, rate, rng, mask)
     if keep is None:
         return x
-    return _make(x.data * keep, (x,), lambda g: (g * keep,))
+    return _make(_dropped(x.data, keep, rate), (x,), lambda g: (_dropped(g, keep, rate),))
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +262,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), batched_vjp)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer ``x @ w + b`` over the last axis of ``x``, as one node.
+ACTIVATIONS = (None, "relu", "tanh")
 
-    One GEMM runs over the flattened rows of ``x`` and the bias is added in
-    place into its output, so the tape holds one array where
-    ``add(matmul(x, w), b)`` holds two.
+
+def linear(
+    x: Tensor, w: Tensor, b: Tensor | None = None, activation: str | None = None
+) -> Tensor:
+    """Dense layer ``activation(x @ w + b)`` over the last axis of ``x``, as
+    one node; ``b`` None adds no bias and ``activation`` None applies none.
+
+    One GEMM runs over the flattened rows of ``x``, and the bias and the
+    activation are applied in place into its output, so the tape holds that
+    one array.  Backward reads only the output: relu's mask is ``y > 0`` (a
+    NaN passes on, with a zero gradient) and tanh's derivative is ``1 - y**2``.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
-        raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    if (
+        w.data.ndim != 2
+        or x.shape[-1:] != w.shape[:1]
+        or (b is not None and b.shape != w.shape[1:])
+    ):
+        bias = "" if b is None else f" + {b.shape}"
+        raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape}{bias}")
     rows = x.data.reshape(-1, x.shape[-1])
-    data = rows @ w.data
-    data += b.data
+    y = rows @ w.data
+    if b is not None:
+        y += b.data
+    if activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    elif activation == "tanh":
+        np.tanh(y, out=y)
 
     def vjp(g):
         g = g.reshape(-1, g.shape[-1])
-        return (g @ w.data.T).reshape(x.shape), rows.T @ g, g.sum(axis=0)
+        if activation == "relu":
+            g = g * (y > 0)
+        elif activation == "tanh":
+            d = y * y
+            np.subtract(1.0, d, out=d)
+            d *= g
+            g = d
+        grads = ((g @ w.data.T).reshape(x.shape), rows.T @ g)
+        return grads if b is None else grads + (g.sum(axis=0),)
 
-    return _make(data.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), vjp)
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(y.reshape(x.shape[:-1] + w.shape[1:]), parents, vjp)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -326,6 +347,68 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (dx,)
 
     return _make(y, (x,), vjp)
+
+
+MASK_PENALTY = -1e9
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None
+) -> Tensor:
+    """Scaled dot-product attention over ``n_heads`` splits of the width, as
+    one node; returns the merged heads, [B x Lq x d].
+
+    ``q`` is [B x Lq x d] and ``k``, ``v`` are [B x Lk x d]; heads are views
+    [B x H x L x d/H] of them.  The scores are ``(q . k^T) * 1/sqrt(d/H)``;
+    ``mask`` is boolean, broadcasts to [B x 1 x Lq x Lk], and its False
+    entries then get a ``MASK_PENALTY`` added, which underflows to an exact
+    zero weight after the softmax.  A row with no allowed key gets the same
+    penalty on every score, so it keeps its unmasked weights up to the
+    penalty's rounding (about 1e-7).  The tape holds the softmax
+    probabilities beside the output; backward reads them and the three
+    inputs.
+    """
+    b, lq, d = q.shape
+    lk = k.shape[1]
+    if d % n_heads or k.shape != (b, lk, d) or v.shape != k.shape:
+        raise ValueError(
+            f"attention shape mismatch: {q.shape}/{k.shape}/{v.shape}, {n_heads} heads"
+        )
+    full = (b, 1, lq, lk)
+    if mask is not None and (
+        mask.ndim != 4 or any(m not in (1, n) for m, n in zip(mask.shape, full))
+    ):
+        raise ValueError(f"mask shape {mask.shape} does not broadcast to {full}")
+    dh = d // n_heads
+    qh = q.data.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
+    kt = k.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 3, 1)
+    vh = v.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 1, 3)
+    c = 1.0 / math.sqrt(dh)
+    p = qh @ kt
+    p *= c
+    if mask is not None:
+        p += np.where(mask, 0.0, MASK_PENALTY)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, lq, d)
+
+    def vjp(g):
+        gh = g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
+        dv = p.swapaxes(-1, -2) @ gh
+        gy = (gh @ vh.swapaxes(-1, -2)) * p
+        ds = p * gy.sum(axis=-1, keepdims=True)
+        np.subtract(gy, ds, out=ds)
+        ds *= c
+        dq = ds @ kt.swapaxes(-1, -2)
+        dk = qh.swapaxes(-1, -2) @ ds
+        return (
+            dq.transpose(0, 2, 1, 3).reshape(b, lq, d),
+            dk.transpose(0, 3, 1, 2).reshape(b, lk, d),
+            dv.transpose(0, 2, 1, 3).reshape(b, lk, d),
+        )
+
+    return _make(out, (q, k, v), vjp)
 
 
 def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float, out=None):
@@ -368,37 +451,45 @@ def residual_layer_norm(
     gain: Tensor,
     bias: Tensor,
     keep: np.ndarray | None = None,
+    rate: float = 0.0,
     eps: float = 1e-6,
 ) -> Tensor:
-    """``layer_norm(x + sub * keep)`` as one node (``keep`` None: no scale).
+    """``layer_norm(x + dropout(sub))`` as one node.
 
-    ``keep`` is a dropout scale from ``dropout_keep``.  The residual sum is
-    normalized in place, so the tape holds the output alone where the
-    unfused chain holds the dropout output, the sum and the norm output.
+    ``keep`` is the boolean mask ``dropout_keep`` drew at ``rate`` (None: no
+    dropout).  The residual sum is normalized in place, so the tape holds the
+    output and the mask where the unfused chain holds the dropout output, the
+    sum and the norm output.
     """
     if x.shape != sub.shape:
         raise ValueError(f"residual shape mismatch: {x.shape} + {sub.shape}")
     if keep is None:
         s = x.data + sub.data
     else:
-        s = sub.data * keep
+        s = _dropped(sub.data, keep, rate)
         s += x.data
     data, xhat, inv = _norm_forward(s, gain.data, bias.data, eps, out=s)
 
     def vjp(g):
         ds, dgain, dbias = _norm_vjp(g, xhat, inv, gain.data)
-        return ds, ds if keep is None else ds * keep, dgain, dbias
+        return ds, ds if keep is None else _dropped(ds, keep, rate), dgain, dbias
 
     return _make(data, (x, sub, gain, bias), vjp)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood over all rows.
+def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int]:
+    """Mean negative log-likelihood of ``targets`` under ``softmax(x @ w + b)``,
+    and how many rows have their target as the argmax (the lowest id on a tie).
 
-    ``logits`` is [n x V] with n > 0; ``targets`` holds n class ids.
+    ``x`` is [n x d] with n > 0; ``targets`` holds n class ids.  The op owns
+    the logits buffer: it takes the argmax and the target logits, then
+    exponentiates the shifted logits in place and keeps that one array for
+    backward.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    n, v = logits.shape
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ValueError(f"cross_entropy shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    n, v = x.shape[0], w.shape[1]
     if targets.shape != (n,):
         raise ValueError(f"targets shape {targets.shape} != ({n},)")
     if n == 0:
@@ -406,22 +497,26 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if targets.max() >= v or targets.min() < 0:
         raise IndexError(f"target id out of range [0, {v})")
 
-    x = logits.data
-    m = x.max(axis=1, keepdims=True)
-    e = x - m
+    rows = np.arange(n)
+    e = x.data @ w.data
+    e += b.data
+    correct = int((e.argmax(axis=1) == targets).sum())
+    picked = e[rows, targets]
+    m = e.max(axis=1, keepdims=True)
+    e -= m
     np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
-    nll = lse - x[np.arange(n), targets]
+    nll = lse - picked
     data = float(nll.sum() / n)
 
     def vjp(g):
         p = e / z  # a new array: e must survive a repeated backward
-        p[np.arange(n), targets] -= 1.0
+        p[rows, targets] -= 1.0
         p *= float(g) / n
-        return (p,)
+        return p @ w.data.T, x.data.T @ p, p.sum(axis=0)
 
-    return _make(np.float64(data), (logits,), vjp)
+    return _make(np.float64(data), (x, w, b), vjp), correct
 
 
 # ---------------------------------------------------------------------------

@@ -154,11 +154,17 @@ def build_model(ckpt: Checkpoint) -> Transformer:
 
 
 def restore_optimizer(ckpt: Checkpoint, params: ParamStore) -> AdamState:
+    """Adam state for ``params`` that adopts the checkpoint's moment arrays
+    (zeros when it saved none), so a resumed run holds them once."""
     state = AdamState(params)
     if ckpt.opt_m is not None:
-        for name in params.names():
-            state.m[name][:] = ckpt.opt_m[name]
-            state.v[name][:] = ckpt.opt_v[name]
+        for moments, saved in ((state.m, ckpt.opt_m), (state.v, ckpt.opt_v)):
+            for name, p in params.items():
+                if saved[name].shape != p.shape:
+                    raise ValueError(
+                        f"Adam moment of {name} has shape {saved[name].shape}, not {p.shape}"
+                    )
+                moments[name] = saved[name]
     state.t = ckpt.opt_t
     state.phase = ckpt.phase
     return state

@@ -97,6 +97,7 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         epochs_done = int(ckpt.meta.get("epochs_done", 0))
         best_valid = float(ckpt.meta.get("best_valid_loss", float("inf")))
         last_valid_acc = ckpt.meta.get("last_valid_acc")
+        del ckpt  # the model and optimizer hold its arrays; drop the rest
         log.info("resumed from %s at epoch %d, step %d", resume, epochs_done, state.t)
     else:
         model = Transformer(model_cfg, run_cfg.fusion, seed=seed)
@@ -356,16 +357,6 @@ def write_trace_file(rows, path) -> None:
         # 17 significant digits: float64 survives the text round-trip exactly
         lines.append(f"{sent}\t{pos}\t{token}\t{hop}\t{layer}\t{w:.17g}")
     Path(path).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-
-
-def read_trace_file(path):
-    """Parse a trace file back into typed rows (inverse of write_trace_file)."""
-    rows = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
-        sent, pos, token, hop, layer, w = line.split("\t")
-        rows.append((int(sent), int(pos), token, int(hop), int(layer), float(w)))
-    return rows
 
 
 def cmd_export_attention(args) -> int:

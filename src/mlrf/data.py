@@ -43,9 +43,6 @@ class Vocabulary:
     def id(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 
-    def token(self, idx: int) -> str:
-        return self._tokens[idx]
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.id(t) for t in tokens]
 

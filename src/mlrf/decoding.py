@@ -172,7 +172,7 @@ class SentenceScorer:
         with ad.no_grad():
             stack = model.encode(src, src_mask)
             enc_rep, _ = model.encoder_output(stack, src_mask)
-            self.cross_kv = model.cross_heads(enc_rep)
+            self.cross_kv = model.cross_key_values(enc_rep)
         self._rows: dict[tuple[int, ...], int] = {}  # previous call's prefixes
         self._past: list[tuple[ad.Tensor, ad.Tensor]] | None = None
 
@@ -191,7 +191,7 @@ class SentenceScorer:
             if None in parents:  # replay from BOS
                 start, past = 0, None
             else:
-                start, past = n - 1, [(kt[parents], vh[parents]) for kt, vh in self._past]
+                start, past = n - 1, [(k[parents], v[parents]) for k, v in self._past]
             for j in range(start, n):
                 stack, past = self.model.decode_teacher_forced(
                     ids[:, j : j + 1], None, cross_kv, None, past=past

@@ -111,7 +111,7 @@ def fuse_avg(layers: Tensor, params: ParamStore, prefix: str) -> Tensor:
 
 
 def _fusion_fnn(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    h = ad.relu(ad.linear(x, params[f"{prefix}.fnn.w1"], params[f"{prefix}.fnn.b1"]))
+    h = ad.linear(x, params[f"{prefix}.fnn.w1"], params[f"{prefix}.fnn.b1"], "relu")
     return ad.linear(h, params[f"{prefix}.fnn.w2"], params[f"{prefix}.fnn.b2"])
 
 
@@ -152,11 +152,12 @@ def fuse_self_attention(
     # z-tilde: content plus layer-index information
     tagged = ad.add(layers, layer_embed)
     if share_w1:
-        hidden = ad.tanh(ad.matmul(tagged, params[f"{prefix}.att.w1"]))
+        hidden = ad.linear(tagged, params[f"{prefix}.att.w1"], activation="tanh")
     else:
         w1 = [params[f"{prefix}.att.w1.layer{l}"] for l in range(n_layers)]
         hidden = ad.stack(
-            [ad.tanh(ad.matmul(tagged[..., l, :], w)) for l, w in enumerate(w1)], axis=-2
+            [ad.linear(tagged[..., l, :], w, activation="tanh") for l, w in enumerate(w1)],
+            axis=-2,
         )
     energies = ad.matmul(hidden, params[f"{prefix}.att.w2"])
     lead = tuple(range(len(layers.shape) - 2))

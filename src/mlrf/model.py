@@ -5,17 +5,20 @@ output at index 0, then one entry per layer) so a fusion function can consume
 any of them instead of just the top.
 
 A batch keeps its padded layout: ids and boolean masks are [B, L] with
-each sentence's real tokens first, and activations are [B, L, d].  Heads
-split by reshape into [B, H, L, d/H], so attention scores are [B, H, Lq, Lk]
-per sentence.  Keys at pad positions, and later positions in decoder
+each sentence's real tokens first, and activations are [B, L, d].  Every
+attention sublayer is three dense projections around one ``ad.attention``
+node, which splits the [B, L, d] query, key and value projections into
+heads as views, [B, H, L, d/H], so attention scores are [B, H, Lq, Lk] per
+sentence.  Keys at pad positions, and later positions in decoder
 self-attention, get a -1e9 penalty that underflows to an exact zero weight
 after softmax, so a padded batch computes what one-at-a-time runs compute.
 ``forward`` trims the batch to its longest sentence and hands only the real
-target rows to the decoder-side fusion and the output projection, so
-logits are [n_target_tokens x V] in row-major token order.  One method,
-``decode_teacher_forced``, runs the decoder stack both over whole gold
-prefixes and, for decoding, at one new position of k hypotheses that attend
-over key and value heads cached from earlier positions; ``attend`` is the
+target rows to the decoder-side fusion, so its representation is
+[n_target_tokens x d] in row-major token order; ``loss`` projects it to the
+vocabulary inside the loss op.  One method, ``decode_teacher_forced``, runs
+the decoder stack both over whole gold prefixes and, for decoding, at one
+new position of k hypotheses that attend over the key and value
+projections, [k, t, d], cached from earlier positions; ``attend`` is the
 one attention entry point for every sublayer.
 """
 
@@ -33,9 +36,6 @@ from .autodiff import ParamStore, Tensor
 from .fusion import AttentionTrace, FusionConfig, fuse_side, layer_embedding_name
 
 log = logging.getLogger(__name__)
-
-MASK_PENALTY = -1e9
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -227,80 +227,54 @@ def _trim_batch(ids, mask) -> tuple[np.ndarray, np.ndarray]:
 # sublayers
 
 
-def _heads(x: Tensor, n_heads: int, params: ParamStore, prefix: str, name: str, axes) -> Tensor:
-    """Project ``x`` [B x L x d] with ``w{name}``/``b{name}`` and split the
-    width into heads, [B x L x H x d/H] permuted by ``axes``."""
-    b, length, d = x.shape
-    x = ad.linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
-    return ad.transpose(ad.reshape(x, (b, length, n_heads, d // n_heads)), axes)
-
-
-def key_value_heads(
-    x: Tensor, n_heads: int, params: ParamStore, prefix: str
-) -> tuple[Tensor, Tensor]:
-    """Key heads [B x H x d/H x Lk] (laid out for q.k^T) and value heads
-    [B x H x Lk x d/H] of an attention sublayer reading ``x`` [B x Lk x d]."""
+def key_values(x: Tensor, params: ParamStore, prefix: str) -> tuple[Tensor, Tensor]:
+    """The key and value projections [B x Lk x d] of the attention sublayer
+    ``prefix`` reading ``x`` [B x Lk x d]."""
     return (
-        _heads(x, n_heads, params, prefix, "k", (0, 2, 3, 1)),
-        _heads(x, n_heads, params, prefix, "v", (0, 2, 1, 3)),
+        ad.linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"]),
+        ad.linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]),
     )
 
 
 def attend(
-    q: Tensor,
-    kt: Tensor,
-    vh: Tensor,
+    x: Tensor,
+    k: Tensor,
+    v: Tensor,
     n_heads: int,
     params: ParamStore,
     prefix: str,
     mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention over ``n_heads`` splits of the width.
+    """Multi-head attention of ``x`` [B x Lq x d] over keys ``k`` and values
+    ``v`` [B x Lk x d] from ``key_values``, so a decoder step can attend over
+    cached ones: the query projection, ``ad.attention`` and the output
+    projection, three tape nodes.
 
-    ``q`` is [B x Lq x d]; ``kt`` and ``vh`` are the key and value heads of
-    ``key_value_heads``, so a decoder step can attend over cached ones.
     ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk] ([B x 1 x 1 x Lk]
-    for key padding alone); disallowed entries receive a -1e9 penalty before
-    the softmax.  Rows with no allowed key still produce a defined (uniform)
-    output; they are only flagged at debug log level.
+    for key padding alone).  A row with no allowed key attends as if
+    unmasked (see ``ad.attention``); it is only flagged at debug log level.
     """
-    b, lq, d = q.shape
-    dh = d // n_heads
-    lk = kt.shape[-1]
-    if kt.shape != (b, n_heads, dh, lk) or vh.shape != (b, n_heads, lk, dh):
-        raise ValueError(f"attention shape mismatch: {q.shape}/{kt.shape}/{vh.shape}")
-    penalty = None
-    if mask is not None:
-        full = (b, 1, lq, lk)
-        if mask.ndim != 4 or any(m not in (1, n) for m, n in zip(mask.shape, full)):
-            raise ValueError(f"mask shape {mask.shape} does not broadcast to {full}")
-        if log.isEnabledFor(logging.DEBUG) and not mask.any(axis=-1).all():
-            log.debug("attention row with every key masked at %s", prefix)
-        penalty = Tensor(np.where(mask, 0.0, MASK_PENALTY))
-
-    qh = _heads(q, n_heads, params, prefix, "q", (0, 2, 1, 3))  # [B, H, Lq, dh]
-    scores = ad.scale(ad.matmul(qh, kt), 1.0 / math.sqrt(dh))
-    if penalty is not None:
-        scores = ad.add(scores, penalty)
-    heads = ad.matmul(ad.softmax(scores, axis=-1), vh)
-    merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, lq, d))
-    return ad.linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    if mask is not None and log.isEnabledFor(logging.DEBUG) and not mask.any(axis=-1).all():
+        log.debug("attention row with every key masked at %s", prefix)
+    q = ad.linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    heads = ad.attention(q, k, v, n_heads, mask)
+    return ad.linear(heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def feed_forward(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    h = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    h = ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], "relu")
     return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _post_norm(x: Tensor, sub: Tensor, params, prefix, rate, rng, tokens) -> Tensor:
     """Residual wrapper: layer_norm(x + dropout(sub)), one tape node.
 
-    The dropout scale is drawn for ``tokens`` exactly as ``ad.dropout``
+    The dropout mask is drawn for ``tokens`` exactly as ``ad.dropout``
     draws it, then ``ad.residual_layer_norm`` applies it inside the norm.
     """
     keep = ad.dropout_keep(sub.shape, rate, rng, tokens)
     return ad.residual_layer_norm(
-        x, sub, params[f"{prefix}.gain"], params[f"{prefix}.bias"], keep
+        x, sub, params[f"{prefix}.gain"], params[f"{prefix}.bias"], keep, rate
     )
 
 
@@ -317,7 +291,7 @@ def encoder_layer(
     """One encoder layer on [B x L x d]; ``tokens`` marks the real positions
     that dropout draws for."""
     sa = f"{prefix}.self_attn"
-    att = attend(x, *key_value_heads(x, n_heads, params, sa), n_heads, params, sa, mask)
+    att = attend(x, *key_values(x, params, sa), n_heads, params, sa, mask)
     x = _post_norm(x, att, params, f"{prefix}.norm1", rate, rng, tokens)
     ffn = feed_forward(x, params, f"{prefix}.ffn")
     return _post_norm(x, ffn, params, f"{prefix}.norm2", rate, rng, tokens)
@@ -337,9 +311,9 @@ def decoder_layer(
     tokens: np.ndarray | None = None,
 ) -> Tensor:
     """One decoder layer on [B x Lq x d].  ``self_kv`` holds the
-    self-attention key/value heads of the target positions it reads (those
-    of ``z`` itself when teacher forcing), ``cross_kv`` those of the encoder
-    output."""
+    self-attention key and value projections of the target positions it
+    reads (those of ``z`` itself when teacher forcing), ``cross_kv`` those of
+    the encoder output."""
     att = attend(z, *self_kv, n_heads, params, f"{prefix}.self_attn", self_mask)
     z = _post_norm(z, att, params, f"{prefix}.norm1", rate, rng, tokens)
     cross = attend(z, *cross_kv, n_heads, params, f"{prefix}.cross_attn", cross_mask)
@@ -354,7 +328,7 @@ def decoder_layer(
 
 @dataclass
 class ForwardResult:
-    logits: Tensor  # [n_target_tokens x tgt_vocab], row-major token order
+    rep: Tensor  # [n_target_tokens x d], the output projection's input, row-major token order
     encoder_trace: AttentionTrace | None
     decoder_trace: AttentionTrace | None
 
@@ -425,15 +399,15 @@ class Transformer:
         """The decoder stack on [B x L] ids at target positions t to t+L-1,
         where t is the number of positions in ``past`` (0 when it is None).
 
-        ``cross_kv`` is ``cross_heads`` of the encoder output.  Teacher
+        ``cross_kv`` is ``cross_key_values`` of the encoder output.  Teacher
         forcing passes the BOS-shifted gold prefixes with their masks and no
         ``past``: pad keys and later positions are masked and ``train``
         turns dropout on.  A decoding step passes the newest tokens of k
         hypotheses with no masks and ``past`` from the previous step, which
         each new row reads in full; ``past`` is not differentiated through.
         Returns the n_layers+1 reps [B x L x d] (embedding output first) and
-        each layer's self-attention key/value heads over positions 0 to
-        t+L-1.
+        each layer's self-attention key and value projections [B x t+L x d]
+        over positions 0 to t+L-1.
         """
         cfg = self.config
         rate = cfg.dropout if train else 0.0
@@ -443,30 +417,29 @@ class Transformer:
             n = tgt_mask.shape[1]
             self_mask = np.tril(np.ones((n, n), dtype=bool)) & tgt_mask[:, None, None, :]
             cross_mask = np.asarray(src_mask, dtype=bool)[:, None, None, :]
-        t = 0 if past is None else past[0][0].shape[-1]
+        t = 0 if past is None else past[0][0].shape[1]
         stack = [self._embed("tgt_embed.weight", tgt_in_ids, tgt_mask, train, start=t)]
-        heads = []
+        self_kv = []
         for i in range(cfg.n_layers):
             z, prefix = stack[-1], f"decoder.layer{i}"
-            kt, vh = key_value_heads(z, cfg.n_heads, self.params, f"{prefix}.self_attn")
+            k, v = key_values(z, self.params, f"{prefix}.self_attn")
             if past is not None:
-                kt = Tensor(np.concatenate([past[i][0].data, kt.data], axis=-1))
-                vh = Tensor(np.concatenate([past[i][1].data, vh.data], axis=-2))
-            heads.append((kt, vh))
+                k = Tensor(np.concatenate([past[i][0].data, k.data], axis=1))
+                v = Tensor(np.concatenate([past[i][1].data, v.data], axis=1))
+            self_kv.append((k, v))
             stack.append(
                 decoder_layer(
-                    z, (kt, vh), cross_kv[i], self.params, prefix, cfg.n_heads,
+                    z, (k, v), cross_kv[i], self.params, prefix, cfg.n_heads,
                     self_mask, cross_mask, rate, self.dropout_rng, tgt_mask,
                 )
             )
-        return stack, heads
+        return stack, self_kv
 
-    def cross_heads(self, enc_rep: Tensor) -> list[tuple[Tensor, Tensor]]:
-        """Each decoder layer's cross-attention key/value heads of ``enc_rep``."""
+    def cross_key_values(self, enc_rep: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """Each decoder layer's cross-attention key and value projections of
+        ``enc_rep``."""
         return [
-            key_value_heads(
-                enc_rep, self.config.n_heads, self.params, f"decoder.layer{i}.cross_attn"
-            )
+            key_values(enc_rep, self.params, f"decoder.layer{i}.cross_attn")
             for i in range(self.config.n_layers)
         ]
 
@@ -491,6 +464,14 @@ class Transformer:
     def output_logits(self, rep: Tensor) -> Tensor:
         return ad.linear(rep, self.params["output.weight"], self.params["output.bias"])
 
+    def loss(self, rep: Tensor, targets) -> tuple[Tensor, int]:
+        """Mean cross-entropy of the output projection of ``rep`` against
+        ``targets``, and how many rows predict their target; the logits are
+        never materialized beside the loss's own buffer."""
+        return ad.cross_entropy(
+            rep, self.params["output.weight"], self.params["output.bias"], targets
+        )
+
     def forward(
         self,
         src_ids,
@@ -499,17 +480,19 @@ class Transformer:
         tgt_mask,
         train: bool = False,
     ) -> ForwardResult:
-        """Teacher-forced logits for a padded batch, plus any fusion traces."""
+        """The teacher-forced representation of a padded batch's real target
+        tokens, which ``loss`` and ``output_logits`` project, plus any fusion
+        traces."""
         src_ids, src_mask = _trim_batch(src_ids, src_mask)
         tgt_in_ids, tgt_mask = _trim_batch(tgt_in_ids, tgt_mask)
         enc_rep, enc_trace = self.encoder_output(
             self.encode(src_ids, src_mask, train), src_mask
         )
         stack, _ = self.decode_teacher_forced(
-            tgt_in_ids, tgt_mask, self.cross_heads(enc_rep), src_mask, train
+            tgt_in_ids, tgt_mask, self.cross_key_values(enc_rep), src_mask, train
         )
         dec_rep, dec_trace = self.decoder_output(stack, tgt_mask)
-        return ForwardResult(self.output_logits(dec_rep), enc_trace, dec_trace)
+        return ForwardResult(dec_rep, enc_trace, dec_trace)
 
     # -- misc
 

@@ -262,11 +262,13 @@ class StepMetrics:
     accuracy: float
 
 
-def _batch_forward(model: Transformer, batch, train: bool):
-    """Logits for the real target tokens of ``batch`` and their gold ids,
-    both in row-major order."""
+def _batch_loss(model: Transformer, batch, train: bool) -> tuple[Tensor, int, int]:
+    """The mean loss over the real target tokens of ``batch``, how many of
+    them the model predicts, and how many there are."""
     result = model.forward(batch.src, batch.src_mask, batch.tgt_in, batch.tgt_mask, train)
-    return result.logits, batch.tgt_out[batch.tgt_mask]
+    targets = batch.tgt_out[batch.tgt_mask]
+    loss, correct = model.loss(result.rep, targets)
+    return loss, correct, targets.size
 
 
 def train_step(
@@ -280,8 +282,7 @@ def train_step(
     Raises ``FloatingPointError`` before the update if the loss or the
     gradient norm is not finite, naming the parameters with such grads.
     """
-    logits, tgt_out = _batch_forward(model, batch, train=True)
-    loss = ad.cross_entropy(logits, tgt_out)
+    loss, correct, n_tokens = _batch_loss(model, batch, train=True)
     model.params.zero_grads()
     ad.backward(loss)
     norm = grad_norm(model.params)
@@ -295,8 +296,7 @@ def train_step(
             f"step {state.t + 1} ({state.phase}): loss {loss_value}, gradient "
             f"norm {norm}; non-finite gradients in {', '.join(bad) or 'no parameter'}"
         )
-    acc = token_accuracy(logits.data, tgt_out)
-    del logits, loss  # free the forward tape before the update
+    del loss  # free the forward tape before the update
     if cfg.clip_norm is not None:
         clip_gradients(model.params, cfg.clip_norm, norm)
     if state.restarted():
@@ -304,16 +304,7 @@ def train_step(
     else:
         lr = lr_schedule(state.t + 1, model.config.d_model, cfg.warmup_steps)
     adam_step(model.params, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    return StepMetrics(state.t, state.phase, lr, loss_value, acc)
-
-
-def _correct(logits: np.ndarray, targets: np.ndarray) -> int:
-    return int((logits.argmax(axis=1) == targets).sum())
-
-
-def token_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
-    targets = np.asarray(targets)
-    return _correct(logits, targets) / targets.size if targets.size else 0.0
+    return StepMetrics(state.t, state.phase, lr, loss_value, correct / n_tokens)
 
 
 def train_epoch(
@@ -341,10 +332,10 @@ def evaluate_teacher_forced(model: Transformer, batches: Sequence) -> dict[str, 
     losses, correct, total = [], 0, 0
     with ad.no_grad():
         for batch in batches:
-            logits, tgt_out = _batch_forward(model, batch, train=False)
-            losses.append(ad.cross_entropy(logits, tgt_out).item())
-            correct += _correct(logits.data, tgt_out)
-            total += tgt_out.size
+            loss, hits, n_tokens = _batch_loss(model, batch, train=False)
+            losses.append(loss.item())
+            correct += hits
+            total += n_tokens
     return {
         "loss": float(np.mean(losses)) if losses else float("nan"),
         "accuracy": correct / total if total else 0.0,

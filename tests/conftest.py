@@ -1,5 +1,7 @@
 """Shared fixtures and small factories for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ def padded(ids, lengths):
     out = np.zeros(mask.shape, dtype=np.int64)
     out[mask] = ids
     return out, mask
+
+
+def read_trace_file(path):
+    """Parse an attention trace file (``cli.write_trace_file``) into typed rows."""
+    rows = []
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line in lines[1:]:
+        sent, pos, token, hop, layer, w = line.split("\t")
+        rows.append((int(sent), int(pos), token, int(hop), int(layer), float(w)))
+    return rows
 
 
 @pytest.fixture

@@ -2,10 +2,13 @@
 
 Central differences at h=1e-5 in double precision: truncation error is
 O(h^2) and roundoff O(eps/h), both far below the 1e-4 tolerance the tests
-assert, so the oracle stays independent of the tape it checks.
+assert, so the oracle stays independent of the tape it checks.  ``mul``
+weights an op's output into a scalar loss on the tape.
 """
 
 import numpy as np
+
+from mlrf import autodiff as ad
 
 H = 1e-5
 
@@ -49,3 +52,16 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def mul(a, b) -> ad.Tensor:
+    """Elementwise product with numpy broadcasting, as a tape op."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+
+    def vjp(g):
+        return (
+            ad._unbroadcast(g * b.data, a.shape),
+            ad._unbroadcast(g * a.data, b.shape),
+        )
+
+    return ad._make(a.data * b.data, (a, b), vjp)

@@ -14,7 +14,7 @@ import pytest
 
 from mlrf import autodiff as ad
 from mlrf.checkpoint import build_model, load_checkpoint, save_checkpoint
-from mlrf.cli import export_attention, read_trace_file, run_training, write_trace_file
+from mlrf.cli import export_attention, run_training, write_trace_file
 from mlrf.config import DataConfig, RunConfig
 from mlrf.data import (
     EOS_ID,
@@ -44,7 +44,7 @@ from mlrf.training import (
     train_epoch,
     train_step,
 )
-from tests.conftest import padded, random_sentences, toy_config, toy_fusion
+from tests.conftest import padded, random_sentences, read_trace_file, toy_config, toy_fusion
 from tests.gradcheck import max_rel_err, numeric_grad_at
 
 
@@ -160,11 +160,11 @@ def test_c02_gradient_correctness(side, kind):
     def loss():
         with ad.no_grad():
             r = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
-            return ad.cross_entropy(r.logits, tgt_out).item()
+            return model.loss(r.rep, tgt_out)[0].item()
 
     result = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
     model.params.zero_grads()
-    ad.backward(ad.cross_entropy(result.logits, tgt_out))
+    ad.backward(model.loss(result.rep, tgt_out)[0])
 
     names = model.params.names()
     worst = 0.0
@@ -194,8 +194,8 @@ def test_c03_baseline_equivalence():
         for model in (plain, fused):
             res = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens), train=True)
             model.params.zero_grads()
-            ad.backward(ad.cross_entropy(res.logits, tgt_out))
-            grads.append((res.logits.data, model))
+            ad.backward(model.loss(res.rep, tgt_out)[0])
+            grads.append((model.output_logits(res.rep).data, model))
         (la, ma), (lb, mb) = grads
         np.testing.assert_array_equal(la, lb)
         for name, p in ma.params.items():
@@ -402,8 +402,12 @@ def test_c10_determinism_and_persistence(tmp_path):
     rng = np.random.default_rng(5)
     src_ids, src_lens = random_sentences(rng, 2, vocab=10)
     with ad.no_grad():
-        la = model.forward(*padded(src_ids, src_lens), *padded(src_ids, src_lens)).logits.data
-        lb = again.forward(*padded(src_ids, src_lens), *padded(src_ids, src_lens)).logits.data
+        la = model.output_logits(
+            model.forward(*padded(src_ids, src_lens), *padded(src_ids, src_lens)).rep
+        ).data
+        lb = again.output_logits(
+            again.forward(*padded(src_ids, src_lens), *padded(src_ids, src_lens)).rep
+        ).data
     np.testing.assert_array_equal(la, lb)
 
     run_training(_tiny_run_config(phase1=2, phase2=0), tmp_path / "partial")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlrf import autodiff as ad
-from tests.gradcheck import max_rel_err, numeric_grad
+from tests.gradcheck import max_rel_err, mul, numeric_grad
 
 rng = np.random.default_rng(12345)
 
@@ -36,7 +36,7 @@ class TestMatmul:
         def loss():
             return float((a.data @ b.data * w).sum())
 
-        ad.backward(ad.sum_(ad.mul(ad.matmul(a, b), ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(ad.matmul(a, b), ad.Tensor(w))))
         assert max_rel_err(a.grad, numeric_grad(loss, a.data)) < 1e-6
         assert max_rel_err(b.grad, numeric_grad(loss, b.data)) < 1e-6
 
@@ -60,7 +60,7 @@ class TestSoftmax:
             e = np.exp(x.data - x.data.max())
             return float((e / e.sum() * w).sum())
 
-        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(out, ad.Tensor(w))))
         assert max_rel_err(x.grad, numeric_grad(loss, x.data)) < 1e-4
 
     def test_bad_axis(self):
@@ -98,7 +98,7 @@ class TestLayerNorm:
             xhat = (x.data - mu) / np.sqrt(var + 1e-6)
             return float(((xhat * gain.data + bias.data) * w).sum())
 
-        ad.backward(ad.sum_(ad.mul(ad.layer_norm(x, gain, bias), ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(ad.layer_norm(x, gain, bias), ad.Tensor(w))))
         for t in (x, gain, bias):
             assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < 1e-5
 
@@ -119,13 +119,6 @@ class TestLayerNorm:
 
 
 class TestElementwise:
-    def test_relu(self):
-        np.testing.assert_array_equal(ad.relu(leaf([-1.0, 2.0])).data, [0.0, 2.0])
-
-    def test_relu_passes_nan_on(self):
-        out = ad.relu(leaf([np.nan, -1.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [np.nan, 0.0, 2.0])
-
     def test_stack(self):
         out = ad.stack([leaf([1.0, 2.0]), leaf([3.0, 4.0])], axis=0)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
@@ -146,7 +139,7 @@ class TestElementwise:
         def loss():
             return float((table.data[ids] * w).sum())
 
-        ad.backward(ad.sum_(ad.mul(ad.embedding_lookup(table, ids), ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(ad.embedding_lookup(table, ids), ad.Tensor(w))))
         assert max_rel_err(table.grad, numeric_grad(loss, table.data)) < 1e-6
         np.testing.assert_array_equal(table.grad[0], 0.0)
         np.testing.assert_array_equal(table.grad[2], 0.0)
@@ -161,10 +154,8 @@ class TestElementwise:
         [
             (ad.add, ((3, 4), (3, 4))),
             (ad.add, ((3, 4), (4,))),  # broadcast bias
-            (ad.mul, ((3, 4), (3, 4))),
-            (ad.mul, ((3, 4), (4,))),
-            (ad.relu, ((3, 4),)),
-            (ad.tanh, ((3, 4),)),
+            (mul, ((3, 4), (3, 4))),
+            (mul, ((3, 4), (4,))),
         ],
     )
     def test_gradients_match_finite_differences(self, op, shapes):
@@ -178,7 +169,7 @@ class TestElementwise:
             with ad.no_grad():
                 return float((run().data * w).sum())
 
-        ad.backward(ad.sum_(ad.mul(run(), ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(run(), ad.Tensor(w))))
         for t in args:
             assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < 1e-4
 
@@ -189,7 +180,7 @@ class TestElementwise:
         def loss():
             return float((x.data.T[1:3] * w).sum())
 
-        ad.backward(ad.sum_(ad.mul(ad.transpose(x)[1:3], ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(ad.transpose(x)[1:3], ad.Tensor(w))))
         assert max_rel_err(x.grad, numeric_grad(loss, x.data)) < 1e-6
 
 
@@ -202,7 +193,7 @@ def assert_grads_match(run, leaves, tol=1e-6):
         with ad.no_grad():
             return float((run().data * w).sum())
 
-    ad.backward(ad.sum_(ad.mul(run(), ad.Tensor(w))))
+    ad.backward(ad.sum_(mul(run(), ad.Tensor(w))))
     for t in leaves:
         assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < tol
 
@@ -264,46 +255,107 @@ class TestBatchedOps:
         np.testing.assert_array_equal(x.grad[~mask], 0.0)
         assert np.abs(x.grad[mask]).sum() > 0
 
+def identity_loss(logits, targets):
+    """The fused loss on given logits: an identity projection, a zero bias."""
+    logits = leaf(logits)
+    v = logits.shape[1]
+    return ad.cross_entropy(logits, leaf(np.eye(v)), leaf(np.zeros(v)), targets)
+
+
+def token_accuracy(logits, targets):
+    return float((logits.argmax(axis=1) == targets).mean())
+
+
 class TestCrossEntropy:
     def test_saturated_correct_prediction(self):
         logits = np.zeros((1, 4))
         logits[0, 2] = 1e6
-        loss = ad.cross_entropy(leaf(logits), [2])
-        assert loss.item() < 1e-9
+        loss, correct = identity_loss(logits, [2])
+        assert loss.item() < 1e-9 and correct == 1
 
     def test_uniform_logits(self):
-        loss = ad.cross_entropy(leaf(np.zeros((2, 4))), [1, 3])
+        loss, _ = identity_loss(np.zeros((2, 4)), [1, 3])
         np.testing.assert_allclose(loss.item(), np.log(4.0), atol=1e-12)
 
     def test_matches_direct_probability_oracle(self):
-        logits = rng.standard_normal((3, 5))
+        x = rng.standard_normal((3, 4))
+        w, b = rng.standard_normal((4, 5)), rng.standard_normal(5)
         targets = np.array([4, 0, 2])
-        e = np.exp(logits)
+        e = np.exp(x @ w + b)
         p = e / e.sum(axis=1, keepdims=True)
         expect = -np.log(p[np.arange(3), targets]).mean()
-        got = ad.cross_entropy(leaf(logits), targets).item()
-        assert abs(got - expect) < 1e-12
+        got, _ = ad.cross_entropy(leaf(x), leaf(w), leaf(b), targets)
+        assert abs(got.item() - expect) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_accuracy_equals_token_accuracy_of_materialized_logits(self, seed):
+        r = np.random.default_rng(seed)
+        x, w = leaf(r.standard_normal((40, 6))), leaf(r.standard_normal((6, 5)))
+        b = leaf(r.standard_normal(5))
+        targets = r.integers(0, 5, size=40)
+        x.data[:3] = 0.0  # all-tied rows: the argmax is id 0
+        w.data[:, 1] = w.data[:, 0]  # ids 0 and 1 tie on every row
+        b.data[1] = b.data[0]
+        _, correct = ad.cross_entropy(x, w, b, targets)
+        logits = ad.linear(x, w, b).data
+        assert correct / targets.size == token_accuracy(logits, targets)
 
     def test_zero_rows_is_an_error(self):
         with pytest.raises(ValueError, match="no rows"):
-            ad.cross_entropy(leaf(np.zeros((0, 3))), [])
+            identity_loss(np.zeros((0, 3)), [])
 
     @pytest.mark.parametrize("target", [-1, 3])
     def test_target_out_of_range_is_an_error(self, target):
         with pytest.raises(IndexError, match="out of range"):
-            ad.cross_entropy(leaf(np.zeros((2, 3))), [0, target])
+            identity_loss(np.zeros((2, 3)), [0, target])
+
+    def test_shape_mismatch_is_an_error(self):
+        x, w = leaf(np.zeros((2, 3))), leaf(np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="cross_entropy shape mismatch"):
+            ad.cross_entropy(x, w, leaf(np.zeros(5)), [0, 1])
 
     def test_gradient(self):
-        x = leaf(rng.standard_normal((4, 6)))
+        x = leaf(rng.standard_normal((4, 3)))
+        w, b = leaf(rng.standard_normal((3, 6))), leaf(rng.standard_normal(6))
         targets = np.array([5, 0, 0, 3])
 
         def loss():
-            e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
+            z = x.data @ w.data + b.data
+            e = np.exp(z - z.max(axis=1, keepdims=True))
             p = e / e.sum(axis=1, keepdims=True)
             return float(-np.log(p[np.arange(4), targets]).mean())
 
-        ad.backward(ad.cross_entropy(x, targets))
-        assert max_rel_err(x.grad, numeric_grad(loss, x.data)) < 1e-4
+        ad.backward(ad.cross_entropy(x, w, b, targets)[0])
+        for t in (x, w, b):
+            assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < 1e-4
+
+    def test_matches_unfused_projection_and_loss(self):
+        """The fused op gives the loss and grads of the projection followed by
+        the loss on materialized logits, bit for bit."""
+        x = leaf(rng.standard_normal((5, 4)))
+        w, b = leaf(rng.standard_normal((4, 7))), leaf(rng.standard_normal(7))
+        targets = np.array([6, 0, 3, 3, 1])
+        fused, _ = ad.cross_entropy(x, w, b, targets)
+        ad.backward(fused)
+        grads = [t.grad for t in (x, w, b)]
+        for t in (x, w, b):
+            t.grad = None
+        logits = ad.linear(x, w, b)
+        chain, _ = ad.cross_entropy(logits, leaf(np.eye(7)), leaf(np.zeros(7)), targets)
+        assert fused.item() == chain.item()
+        ad.backward(chain)
+        for got, t in zip(grads, (x, w, b)):
+            np.testing.assert_array_equal(got, t.grad)
+
+    def test_repeated_backward_accumulates_into_every_input(self):
+        x = leaf(rng.standard_normal((3, 4)))
+        w, b = leaf(rng.standard_normal((4, 5))), leaf(rng.standard_normal(5))
+        loss, _ = ad.cross_entropy(x, w, b, [4, 0, 2])
+        ad.backward(loss)
+        once = [t.grad.copy() for t in (x, w, b)]
+        ad.backward(loss)
+        for got, t in zip(once, (x, w, b)):
+            np.testing.assert_allclose(t.grad, 2 * got, rtol=1e-15, atol=0)
 
 
 class TestBackward:
@@ -314,7 +366,7 @@ class TestBackward:
 
     def test_quadratic_grad(self):
         x = leaf([1.0, 2.0])
-        ad.backward(ad.sum_(ad.mul(x, x)))
+        ad.backward(ad.sum_(mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_non_scalar_rejected(self):
@@ -324,10 +376,12 @@ class TestBackward:
     @pytest.mark.parametrize(
         "make_loss,once",
         [
-            (lambda x: ad.sum_(ad.mul(x, x)), [2.0, 4.0]),
+            (lambda x: ad.sum_(mul(x, x)), [2.0, 4.0]),
             # softmax([1, 2]) minus the one-hot target 1
             (
-                lambda x: ad.cross_entropy(ad.reshape(x, (1, 2)), [1]),
+                lambda x: ad.cross_entropy(
+                    ad.reshape(x, (1, 2)), ad.Tensor(np.eye(2)), ad.Tensor(np.zeros(2)), [1]
+                )[0],
                 [1.0 / (1.0 + np.e), -1.0 / (1.0 + np.e)],
             ),
         ],
@@ -342,14 +396,14 @@ class TestBackward:
 
     def test_reused_node_accumulates_once_per_path(self):
         x = leaf([3.0])
-        y = ad.add(ad.mul(x, x), ad.mul(x, ad.Tensor([2.0])))
+        y = ad.add(mul(x, x), mul(x, ad.Tensor([2.0])))
         ad.backward(ad.sum_(y))
         np.testing.assert_allclose(x.grad, [8.0], atol=1e-12)
 
     def test_no_grad_suppresses_tape(self):
         x = leaf([1.0])
         with ad.no_grad():
-            y = ad.mul(x, x)
+            y = mul(x, x)
         assert not y.requires_grad and y._parents == ()
 
     def test_dropout_zero_rate_is_identity(self):
@@ -381,6 +435,103 @@ def residual_args(mask_rows: bool = False):
     return x, sub, gain, bias, mask
 
 
+def unfused_attention(q, k, v, n_heads, mask):
+    """The view, matmul, scale, penalty and softmax chain ``attention`` fuses."""
+    b, lq, d = q.shape
+    lk, dh = k.shape[1], d // n_heads
+
+    def heads(x, length, axes):
+        return ad.transpose(ad.reshape(x, (b, length, n_heads, dh)), axes)
+
+    scores = ad.scale(
+        ad.matmul(heads(q, lq, (0, 2, 1, 3)), heads(k, lk, (0, 2, 3, 1))), 1.0 / np.sqrt(dh)
+    )
+    if mask is not None:
+        scores = ad.add(scores, ad.Tensor(np.where(mask, 0.0, -1e9)))
+    out = ad.matmul(ad.softmax(scores, axis=-1), heads(v, lk, (0, 2, 1, 3)))
+    return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, lq, d))
+
+
+def attention_mask(kind):
+    """Masks over a [2 x 1 x 4 x 4] score block."""
+    if kind == "none":
+        return None
+    if kind == "key_padding":
+        return np.array([[True] * 4, [True, True, False, False]])[:, None, None, :]
+    if kind == "causal":
+        return np.tril(np.ones((4, 4), bool))[None, None]
+    mask = np.ones((2, 1, 4, 4), bool)
+    mask[1, 0, 2] = False  # query 2 of sentence 1 may see no key
+    return mask
+
+
+def qkv(d=4):
+    return [leaf(rng.standard_normal((2, 4, d))) for _ in range(3)]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("kind", ["none", "key_padding", "causal", "fully_masked_row"])
+    def test_matches_unfused_chain_bit_for_bit(self, n_heads, kind):
+        q, k, v = qkv()
+        mask = attention_mask(kind)
+        weight = ad.Tensor(rng.standard_normal((2, 4, 4)))
+        runs = []
+        for op in (ad.attention, unfused_attention):
+            for t in (q, k, v):
+                t.grad = None
+            out = op(q, k, v, n_heads, mask)
+            ad.backward(ad.sum_(mul(out, weight)))
+            runs.append([out.data] + [t.grad for t in (q, k, v)])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("kind", ["none", "key_padding", "causal"])
+    def test_gradient(self, n_heads, kind):
+        q, k, v = qkv()
+        mask = attention_mask(kind)
+        assert_grads_match(lambda: ad.attention(q, k, v, n_heads, mask), [q, k, v])
+        if kind == "key_padding":  # pad keys get no weight, so no gradient
+            np.testing.assert_array_equal(k.grad[1, 2:], 0.0)
+            np.testing.assert_array_equal(v.grad[1, 2:], 0.0)
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_fully_masked_row_attends_as_if_unmasked(self, n_heads):
+        """Every score of the row gets the same penalty, so its weights are
+        the unmasked ones up to the penalty's rounding (ulp(1e9) ~ 1.2e-7)."""
+        q, k, v = qkv()
+        mask = attention_mask("fully_masked_row")
+        weight = np.zeros((2, 4, 4))
+        weight[1, 2] = rng.standard_normal(4)  # the loss reads the masked row only
+        runs = []
+        for m in (mask, None):
+            for t in (q, k, v):
+                t.grad = None
+            out = ad.attention(q, k, v, n_heads, m)
+            ad.backward(ad.sum_(mul(out, ad.Tensor(weight))))
+            runs.append([out.data[1, 2]] + [t.grad for t in (q, k, v)])
+        assert np.isfinite(runs[0][0]).all()
+        for got, want in zip(*runs):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+    def test_weights_are_distributions_over_allowed_keys(self):
+        q, k, v = qkv()
+        v.data[:] = 0.0
+        v.data[..., 0] = 1.0  # every output's first unit sums its weights
+        out = ad.attention(q, k, v, 1, attention_mask("key_padding"))
+        np.testing.assert_allclose(out.data[..., 0], 1.0, atol=1e-12)
+
+    def test_rejects_bad_shapes(self):
+        q, k, v = qkv()
+        with pytest.raises(ValueError, match="attention shape mismatch"):
+            ad.attention(q, k, v, 3)
+        with pytest.raises(ValueError, match="attention shape mismatch"):
+            ad.attention(q, k, v[:, :3], 2)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            ad.attention(q, k, v, 2, np.ones((2, 1, 3, 4), bool))
+
+
 class TestFusedOps:
     @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
     def test_linear_gradient(self, shape):
@@ -388,6 +539,32 @@ class TestFusedOps:
         w, b = leaf(rng.standard_normal((4, 3))), leaf(rng.standard_normal(3))
         assert ad.linear(x, w, b).shape == shape[:-1] + (3,)
         assert_grads_match(lambda: ad.linear(x, w, b), [x, w, b])
+
+    @pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear_activation_gradient(self, activation, bias):
+        x = leaf(rng.standard_normal((2, 3, 4)))
+        w = leaf(rng.standard_normal((4, 5)))
+        b = leaf(rng.standard_normal(5)) if bias else None
+        z = x.data @ w.data + (b.data if bias else 0.0)
+        want = {None: z, "relu": np.maximum(z, 0.0), "tanh": np.tanh(z)}[activation]
+        np.testing.assert_allclose(ad.linear(x, w, b, activation).data, want, atol=1e-14)
+        leaves = [x, w, b] if bias else [x, w]
+        assert_grads_match(lambda: ad.linear(x, w, b, activation), leaves)
+
+    def test_linear_relu_passes_nan_on(self):
+        """A NaN input stays NaN in the output and reaches the weight grad,
+        so the finite-gradient check sees it; its own unit gets no grad."""
+        x, w = leaf([[np.nan], [-1.0], [2.0]]), leaf([[1.0]])
+        out = ad.linear(x, w, activation="relu")
+        np.testing.assert_array_equal(out.data, [[np.nan], [0.0], [2.0]])
+        ad.backward(ad.sum_(out))
+        np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [1.0]])
+        assert np.isnan(w.grad).all()
+
+    def test_linear_rejects_unknown_activation(self):
+        with pytest.raises(ValueError, match="activation"):
+            ad.linear(leaf(np.ones((2, 4))), leaf(np.ones((4, 3))), activation="gelu")
 
     def test_linear_rejects_mismatched_shapes(self):
         x, w = leaf(np.ones((2, 4))), leaf(np.ones((4, 3)))
@@ -401,8 +578,10 @@ class TestFusedOps:
         x, sub, gain, bias, mask = residual_args(mask_rows)
         keep = ad.dropout_keep(sub.shape, rate, np.random.default_rng(3), mask)
         assert (keep is None) == (rate == 0.0)
+        assert keep is None or keep.dtype == bool
         assert_grads_match(
-            lambda: ad.residual_layer_norm(x, sub, gain, bias, keep), [x, sub, gain, bias]
+            lambda: ad.residual_layer_norm(x, sub, gain, bias, keep, rate),
+            [x, sub, gain, bias],
         )
         if mask_rows:
             np.testing.assert_array_equal(sub.grad[~mask], 0.0)
@@ -416,7 +595,7 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
     def test_fused_ops_match_their_unfused_chains(self, rate, mask_rows):
-        """Values and gradients agree to 1e-12; the fused ops only store less."""
+        """Values and gradients agree bit for bit; the fused ops only store less."""
         x, sub, gain, bias, mask = residual_args(mask_rows)
         w, b = leaf(rng.standard_normal((6, 5))), leaf(rng.standard_normal(5))
         weight = ad.Tensor(rng.standard_normal((2, 3, 5)))
@@ -426,17 +605,17 @@ class TestFusedOps:
             for t in leaves:
                 t.grad = None
             out = lin(norm(x, sub, gain, bias, rate, np.random.default_rng(9), mask), w, b)
-            ad.backward(ad.sum_(ad.mul(out, weight)))
+            ad.backward(ad.sum_(mul(out, weight)))
             return [out.data] + [t.grad for t in leaves]
 
         def fused_norm(x, sub, gain, bias, rate, rng, mask):
             keep = ad.dropout_keep(sub.shape, rate, rng, mask)
-            return ad.residual_layer_norm(x, sub, gain, bias, keep)
+            return ad.residual_layer_norm(x, sub, gain, bias, keep, rate)
 
         fused = run(fused_norm, ad.linear)
         chain = run(unfused_residual_norm, unfused_linear)
         for got, want in zip(fused, chain):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(got, want)
 
     def test_dropout_keep_draws_nothing_at_rate_zero(self):
         r = np.random.default_rng(4)

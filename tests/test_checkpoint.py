@@ -25,7 +25,7 @@ def trained_model(seed=51):
     tgt_out = np.concatenate([tgt_ids[1:], [2]])
     for _ in range(3):
         result = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens), train=True)
-        loss = ad.cross_entropy(result.logits, tgt_out)
+        loss = model.loss(result.rep, tgt_out)[0]
         model.params.zero_grads()
         ad.backward(loss)
         adam_step(model.params, state, lr=1e-3)
@@ -65,7 +65,9 @@ class TestRoundTrip:
         with ad.no_grad():
             a = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
             b = again.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
-        np.testing.assert_array_equal(a.logits.data, b.logits.data)
+        np.testing.assert_array_equal(
+            model.output_logits(a.rep).data, again.output_logits(b.rep).data
+        )
 
     def test_optimizer_state_round_trips(self, tmp_path):
         model, state = trained_model()
@@ -106,6 +108,39 @@ class TestRoundTrip:
             for arr in arrays.values():
                 assert arr.dtype == np.float64
                 assert arr.flags.writeable and arr.flags.c_contiguous
+
+
+    def test_resumed_model_and_optimizer_hold_the_file_once(self, tmp_path):
+        """build_model and restore_optimizer adopt the loaded arrays, so the
+        resumed parameters and Adam moments take about the file's size,
+        whether or not the checkpoint is still referenced."""
+        model = Transformer(toy_config(src_vocab=4000, tgt_vocab=4000, d_model=32), seed=5)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, model, AdamState(model.params), None, {})
+        size = path.stat().st_size
+        del model
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            resumed = build_model(ckpt)
+            state = restore_optimizer(ckpt, resumed.params)
+            with_ckpt, _ = tracemalloc.get_traced_memory()
+            del ckpt
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert with_ckpt <= 1.1 * size
+        assert 0.95 * size <= held <= 1.05 * size
+        assert state.m["output.weight"].flags.writeable
+
+    def test_restore_rejects_misshaped_moments(self, tmp_path):
+        model, state = trained_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, state, None, {})
+        ckpt = load_checkpoint(path)
+        ckpt.opt_v["output.bias"] = ckpt.opt_v["output.bias"][:-1]
+        with pytest.raises(ValueError, match="output.bias"):
+            restore_optimizer(ckpt, build_model(ckpt).params)
 
 
 class TestValidation:

@@ -6,10 +6,11 @@ import pytest
 from mlrf import autodiff as ad
 from mlrf import config, data, training
 from mlrf.checkpoint import build_model, load_checkpoint
-from mlrf.cli import main, read_trace_file
+from mlrf.cli import main
 from mlrf.config import ConfigError, load_config
 from mlrf.data import EOS_ID, Vocabulary
 from mlrf.decoding import SentenceScorer, greedy_decode
+from tests.conftest import read_trace_file
 
 TINY_CFG = """\
 [run]
@@ -124,9 +125,12 @@ class TestTrain:
         assert main(["train", "--config", cfg_one, "--out", str(out)]) == 0
         before = (out / "last.ckpt").read_bytes()
         real = ad.cross_entropy
-        monkeypatch.setattr(
-            ad, "cross_entropy", lambda *a, **k: ad.scale(real(*a, **k), float("nan"))
-        )
+
+        def nan_loss(*args, **kwargs):
+            loss, correct = real(*args, **kwargs)
+            return ad.scale(loss, float("nan")), correct
+
+        monkeypatch.setattr(ad, "cross_entropy", nan_loss)
         cfg_two = write_cfg(tmp_path, "two.cfg", phase1=2, phase2=0)
         with pytest.raises(FloatingPointError, match="step 4"):
             main([

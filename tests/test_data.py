@@ -153,14 +153,14 @@ class TestBatches:
         batch = make_batches(corpus, vocab, vocab, 5)[0]
         with ad.no_grad():
             result = model.forward(*_batch_args(batch))
-            batch_loss = ad.cross_entropy(result.logits, batch.tgt_out[batch.tgt_mask]).item()
+            batch_loss = model.loss(result.rep, batch.tgt_out[batch.tgt_mask])[0].item()
 
         total, count = 0.0, 0
         for src_toks, tgt_toks in corpus.pairs[:5]:
             s, t_in, t_out = encode_pair(src_toks, tgt_toks, vocab, vocab)
             with ad.no_grad():
                 r = model.forward(*padded(s, [len(s)]), *padded(t_in, [len(t_in)]))
-                loss = ad.cross_entropy(r.logits, np.array(t_out)).item()
+                loss = model.loss(r.rep, np.array(t_out))[0].item()
             total += loss * len(t_out)
             count += len(t_out)
         assert abs(batch_loss - total / count) < 1e-12
@@ -177,7 +177,9 @@ class TestBatches:
         with ad.no_grad():
             a = model.forward(*_batch_args(batch))
             b = model.forward(*_batch_args(wide))
-        np.testing.assert_array_equal(a.logits.data, b.logits.data)
+        np.testing.assert_array_equal(
+            model.output_logits(a.rep).data, model.output_logits(b.rep).data
+        )
 
 
 def _batch_args(batch):

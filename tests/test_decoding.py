@@ -224,7 +224,8 @@ SRC = [4, 7, 5, 9, 2]
 def teacher_forced_last_row(model, src, prefix):
     """Next-token log-probs of ``prefix`` from a full teacher-forced pass."""
     with ad.no_grad():
-        logits = model.forward(*one_sentence(src), *one_sentence(prefix)).logits.data[-1]
+        rep = model.forward(*one_sentence(src), *one_sentence(prefix)).rep
+        logits = model.output_logits(rep).data[-1]
     z = logits - logits.max()
     return z - np.log(np.exp(z).sum())
 

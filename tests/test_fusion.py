@@ -36,11 +36,13 @@ class TestBaseline:
         plain = toy_model(seed=21)
         fused = toy_model("decoder", "baseline", seed=21)
         (ra, out), (rb, _) = forward_toy(plain), forward_toy(fused)
-        np.testing.assert_array_equal(ra.logits.data, rb.logits.data)
+        np.testing.assert_array_equal(
+            plain.output_logits(ra.rep).data, fused.output_logits(rb.rep).data
+        )
 
         for model, result in ((plain, ra), (fused, rb)):
             model.params.zero_grads()
-            ad.backward(ad.cross_entropy(result.logits, out))
+            ad.backward(model.loss(result.rep, out)[0])
         for name, p in plain.params.items():
             np.testing.assert_array_equal(p.grad, fused.params[name].grad)
 
@@ -85,11 +87,12 @@ class TestFnn:
         for include in (True, False):
             model = toy_model("decoder", "fnn", include_embedding=include)
             (res, _), d = forward_toy(model), model.config.d_model
-            assert res.logits.shape[1] == model.config.tgt_vocab
+            assert model.output_logits(res.rep).shape[1] == model.config.tgt_vocab
             src, src_mask = padded(np.array([4, 5, 6]), [3])
             enc, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
             tgt, tgt_mask = padded(np.array([1, 4]), [2])
-            stack, _ = model.decode_teacher_forced(tgt, tgt_mask, model.cross_heads(enc), src_mask)
+            cross_kv = model.cross_key_values(enc)
+            stack, _ = model.decode_teacher_forced(tgt, tgt_mask, cross_kv, src_mask)
             fused, _ = model.decoder_output(stack, tgt_mask)
             assert fused.shape == (2, d)
 
@@ -97,13 +100,13 @@ class TestFnn:
         model = toy_model("decoder", "fnn", seed=13)
         result, tgt_out = forward_toy(model)
         model.params.zero_grads()
-        ad.backward(ad.cross_entropy(result.logits, tgt_out))
+        ad.backward(model.loss(result.rep, tgt_out)[0])
         rng = np.random.default_rng(1)
 
         def loss():
             with ad.no_grad():
                 r, _ = forward_toy(model)
-                return ad.cross_entropy(r.logits, tgt_out).item()
+                return model.loss(r.rep, tgt_out)[0].item()
 
         for name in ("fusion.decoder.fnn.w1", "fusion.decoder.fnn.w2", "fusion.decoder.fnn.b1"):
             p = model.params[name]
@@ -149,13 +152,13 @@ class TestSelfAttention:
         model = toy_model("decoder", "self_attention", seed=19)
         result, tgt_out = forward_toy(model)
         model.params.zero_grads()
-        ad.backward(ad.cross_entropy(result.logits, tgt_out))
+        ad.backward(model.loss(result.rep, tgt_out)[0])
         rng = np.random.default_rng(2)
 
         def loss():
             with ad.no_grad():
                 r, _ = forward_toy(model)
-                return ad.cross_entropy(r.logits, tgt_out).item()
+                return model.loss(r.rep, tgt_out)[0].item()
 
         for name in (
             "fusion.decoder.att.w1",
@@ -198,7 +201,7 @@ class TestReachabilityAndShapes:
         model = toy_model(side, kind, seed=23)
         result, tgt_out = forward_toy(model)
         model.params.zero_grads()
-        ad.backward(ad.cross_entropy(result.logits, tgt_out))
+        ad.backward(model.loss(result.rep, tgt_out)[0])
         stacks = {"encoder": ["encoder"], "decoder": ["decoder"], "both": ["encoder", "decoder"]}
         for stack_name in stacks[side]:
             for layer in range(model.config.n_layers):
@@ -221,7 +224,8 @@ class TestReachabilityAndShapes:
         enc, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
         assert enc.shape == (2, 4, model.config.d_model)
         tgt, tgt_mask = padded(np.array([1, 4, 5, 1]), [3, 1])
-        dec_stack, _ = model.decode_teacher_forced(tgt, tgt_mask, model.cross_heads(enc), src_mask)
+        cross_kv = model.cross_key_values(enc)
+        dec_stack, _ = model.decode_teacher_forced(tgt, tgt_mask, cross_kv, src_mask)
         dec, _ = model.decoder_output(dec_stack, tgt_mask)
         assert dec.shape == (4, model.config.d_model)
 

@@ -10,12 +10,12 @@ from mlrf.model import (
     _post_norm,
     attend,
     encoder_layer,
-    key_value_heads,
+    key_values,
     positional_encoding,
 )
 from mlrf.training import init_parameters
 from tests.conftest import padded, toy_config, toy_fusion, toy_model, random_sentences
-from tests.gradcheck import max_rel_err, numeric_grad_at
+from tests.gradcheck import max_rel_err, mul, numeric_grad_at
 
 
 class TestPositionalEncoding:
@@ -37,7 +37,7 @@ class TestPositionalEncoding:
 
 
 def self_attention(x, params, prefix, mask=None):
-    return attend(x, *key_value_heads(x, 2, params, prefix), 2, params, prefix, mask)
+    return attend(x, *key_values(x, params, prefix), 2, params, prefix, mask)
 
 
 class TestMultiHeadAttention:
@@ -133,7 +133,7 @@ class TestEncoderLayer:
                 return float((out.data * w).sum())
 
         out = encoder_layer(x, model.params, "encoder.layer0", 2, None)
-        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(out, ad.Tensor(w))))
         got = x.grad.copy()
         for idx in [0, 7, 13, 23]:
             num = numeric_grad_at(loss, x.data, idx)
@@ -175,7 +175,7 @@ class TestStacks:
         enc, _ = model.encoder_output(model.encode(ids, mask), mask)
         for stack in (
             model.encode(ids, mask),
-            model.decode_teacher_forced(ids, mask, model.cross_heads(enc), mask)[0],
+            model.decode_teacher_forced(ids, mask, model.cross_key_values(enc), mask)[0],
         ):
             assert len(stack) == model.config.n_layers + 1
             for lo, hi in zip(stack, stack[1:]):
@@ -197,7 +197,7 @@ class TestCausality:
         tgt_b = tgt_a.copy()
         j = 2
         tgt_b[j + 1 :] = [9, 10]  # change only positions after j
-        cross_kv = model.cross_heads(enc)
+        cross_kv = model.cross_key_values(enc)
         stack_a, _ = model.decode_teacher_forced(*padded(tgt_a, [5]), cross_kv, src_mask)
         stack_b, _ = model.decode_teacher_forced(*padded(tgt_b, [5]), cross_kv, src_mask)
         for a, b in zip(stack_a, stack_b):
@@ -217,7 +217,9 @@ class TestCausality:
                 *padded(tgt_ids[to[i] : to[i + 1]], [tgt_lens[i]]),
             )
             np.testing.assert_allclose(
-                res.logits.data[to[i] : to[i + 1]], single.logits.data, atol=1e-9
+                model.output_logits(res.rep).data[to[i] : to[i + 1]],
+                model.output_logits(single.rep).data,
+                atol=1e-9,
             )
 
 
@@ -231,11 +233,11 @@ class TestFullModelGradients:
         def loss():
             with ad.no_grad():
                 r = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
-                return ad.cross_entropy(r.logits, tgt_out).item()
+                return model.loss(r.rep, tgt_out)[0].item()
 
         result = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens))
         model.params.zero_grads()
-        ad.backward(ad.cross_entropy(result.logits, tgt_out))
+        ad.backward(model.loss(result.rep, tgt_out)[0])
 
         names = model.params.names()
         for _ in range(20):
