@@ -157,17 +157,27 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def slice_(x: Tensor, key) -> Tensor:
-    """Ints, slices or a boolean mask over the leading axes; backward scatters
-    into a zero buffer."""
+    """Ints, slices, a boolean mask or integer arrays over the leading axes.
+
+    The result never aliases ``x``: a view is copied, while a mask or an
+    integer array already gives a new array.  Backward scatters into a zero
+    buffer, summing the rows that an integer array repeats."""
     data = x.data[key]
+    if np.may_share_memory(data, x.data):
+        data = data.copy()
     shape = x.shape
+    keys = key if isinstance(key, tuple) else (key,)
+    repeats = any(np.ndim(k) > 0 and np.asarray(k).dtype.kind != "b" for k in keys)
 
     def vjp(g):
         buf = np.zeros(shape)
-        buf[key] += g
+        if repeats:
+            np.add.at(buf, key, g)
+        else:
+            buf[key] += g
         return (buf,)
 
-    return _make(np.array(data, copy=True), (x,), vjp)
+    return _make(data, (x,), vjp)
 
 
 def sum_(x: Tensor, axis: int | None = None) -> Tensor:
@@ -594,9 +604,6 @@ class ParamStore:
     def items(self) -> Iterable[tuple[str, Tensor]]:
         for name in self.names():
             yield name, self._params[name]
-
-    def count_scalars(self) -> int:
-        return sum(t.size for _, t in self.items())
 
     def zero_grads(self) -> None:
         for _, t in self.items():

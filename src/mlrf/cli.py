@@ -210,8 +210,9 @@ def _read_checkpoint(path):
 
 
 def _load_model_and_vocabs(path):
-    """The model and vocabularies at ``path``; the rest of the checkpoint,
-    its optimizer moments included, is freed before any decoding."""
+    """The model and vocabularies at ``path``.  The checkpoint's Adam moments
+    are mapped but never read, so they are never paged in; the mapping goes
+    with the rest of the checkpoint before any decoding."""
     ckpt, model = _read_checkpoint(path)
     src_vocab, tgt_vocab = _vocabs_from_meta(ckpt.meta)
     return model, src_vocab, tgt_vocab

@@ -52,17 +52,6 @@ class Vocabulary:
             toks = [t for t in toks if t not in RESERVED]
         return toks
 
-    def save(self, path) -> None:
-        """One content token per line; line number equals id - 4."""
-        Path(path).write_text(
-            "".join(t + "\n" for t in self._tokens[len(RESERVED):]), encoding="utf-8"
-        )
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
-
 
 def build_vocab(lines: Iterable[Sequence[str]], max_size: int | None = None) -> Vocabulary:
     """Frequency-ranked vocabulary, ties broken lexicographically.

@@ -109,12 +109,14 @@ class AdamState:
 
     Each update runs on ``workers`` threads, one per usable core: the
     caller's and ``workers - 1`` from a pool that starts at the first
-    update and ends with the state.
+    update and ends with the state.  Fresh moments are ``np.zeros`` (calloc),
+    so no page of them is touched until the first update writes it: saving
+    a fresh state, as a checkpoint for translation, never pages them in.
     """
 
     def __init__(self, params: ParamStore):
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.m = {name: np.zeros(t.shape) for name, t in params.items()}
+        self.v = {name: np.zeros(t.shape) for name, t in params.items()}
         self.t = 0
         self.phase = "warmup_schedule"
         self.workers = _usable_cores()

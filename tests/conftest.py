@@ -1,10 +1,14 @@
 """Shared fixtures and small factories for the test suite."""
 
+import ctypes
+import gc
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mlrf.data import Vocabulary
 from mlrf.fusion import FusionConfig
 from mlrf.model import ModelConfig, Transformer
 
@@ -45,6 +49,39 @@ def padded(ids, lengths):
     out = np.zeros(mask.shape, dtype=np.int64)
     out[mask] = ids
     return out, mask
+
+
+def count_scalars(params) -> int:
+    """Scalars in a ``ParamStore``."""
+    return sum(t.size for _, t in params.items())
+
+
+def save_vocab(vocab: Vocabulary, path) -> None:
+    """One content token per line; line number equals id - 4."""
+    tokens = vocab.decode(range(4, len(vocab)), strip_reserved=False)
+    Path(path).write_text("".join(t + "\n" for t in tokens), encoding="utf-8")
+
+
+def load_vocab(path) -> Vocabulary:
+    return Vocabulary(Path(path).read_text(encoding="utf-8").splitlines())
+
+
+def resident_bytes() -> int:
+    """This process's resident memory from ``/proc/self/statm`` (Linux),
+    taken after a collection and, under glibc, ``malloc_trim(0)``: freed heap
+    memory goes back to the OS first, so reusing it shows as growth."""
+    gc.collect()
+    try:
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
+    except (OSError, AttributeError):
+        pass
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+needs_statm = pytest.mark.skipif(
+    not Path("/proc/self/statm").exists(), reason="resident memory is read from /proc/self/statm"
+)
 
 
 def read_trace_file(path):

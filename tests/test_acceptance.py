@@ -44,7 +44,9 @@ from mlrf.training import (
     train_epoch,
     train_step,
 )
-from tests.conftest import padded, random_sentences, read_trace_file, toy_config, toy_fusion
+from tests.conftest import (
+    count_scalars, padded, random_sentences, read_trace_file, toy_config, toy_fusion,
+)
 from tests.gradcheck import max_rel_err, numeric_grad_at
 
 
@@ -135,7 +137,7 @@ def test_c01_parameter_count_reconstruction():
     }
     got = {}
     for name, (fusion, expect) in expected_millions.items():
-        total = init_parameters(cfg, fusion, seed=0).count_scalars()
+        total = count_scalars(init_parameters(cfg, fusion, seed=0))
         got[name] = total
         assert abs(total / 1e6 - expect) / expect < 0.01, (name, total)
     report("C1 parameter-count reconstruction", f"totals={got}")

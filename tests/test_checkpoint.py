@@ -12,7 +12,9 @@ from mlrf.checkpoint import build_model, load_checkpoint, restore_optimizer, sav
 from mlrf.fusion import FusionConfig
 from mlrf.model import Transformer
 from mlrf.training import AdamState, TrainConfig, adam_step
-from tests.conftest import padded, toy_config, toy_model, random_sentences
+from tests.conftest import (
+    needs_statm, padded, random_sentences, resident_bytes, toy_config, toy_model,
+)
 
 
 def trained_model(seed=51):
@@ -30,6 +32,13 @@ def trained_model(seed=51):
         ad.backward(loss)
         adam_step(model.params, state, lr=1e-3)
     return model, state
+
+
+BIG = dict(src_vocab=40000, d_model=32)  # a 10.2 MB source embedding
+
+
+def param_bytes(params) -> int:
+    return sum(t.data.nbytes for _, t in params.items())
 
 
 class TestRoundTrip:
@@ -90,45 +99,50 @@ class TestRoundTrip:
         assert ckpt.fusion_config == model.fusion
         assert ckpt.train_config == tcfg
 
-    def test_load_reads_each_tensor_once_into_its_own_array(self, tmp_path):
+    def test_load_reads_the_parameters_once_and_maps_the_moments(self, tmp_path):
         model = Transformer(toy_config(src_vocab=4000, tgt_vocab=4000, d_model=32), seed=5)
         state = AdamState(model.params)
         path = tmp_path / "big.ckpt"
         save_checkpoint(path, model, state, None, {})
-        size = path.stat().st_size
-        assert size > 8_000_000
+        wanted = param_bytes(model.params)
+        assert wanted > 3_000_000
         tracemalloc.start()
         try:
             ckpt = load_checkpoint(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * size
-        for arrays in (ckpt.tensors, ckpt.opt_m, ckpt.opt_v):
+        # the moments are mapped, not allocated: only the parameters are traced
+        assert peak <= 1.25 * wanted
+        for arr in ckpt.tensors.values():
+            assert arr.dtype == np.float64 and arr.flags.aligned
+            assert arr.flags.writeable and arr.flags.c_contiguous
+        for arrays in (ckpt.opt_m, ckpt.opt_v):
             for arr in arrays.values():
                 assert arr.dtype == np.float64
                 assert arr.flags.writeable and arr.flags.c_contiguous
 
-
+    @needs_statm
     def test_resumed_model_and_optimizer_hold_the_file_once(self, tmp_path):
-        """build_model and restore_optimizer adopt the loaded arrays, so the
-        resumed parameters and Adam moments take about the file's size,
-        whether or not the checkpoint is still referenced."""
-        model = Transformer(toy_config(src_vocab=4000, tgt_vocab=4000, d_model=32), seed=5)
+        """build_model and restore_optimizer adopt the loaded arrays, so once
+        every moment has been written (as the first update does) the resumed
+        run holds about the file's size, whether or not the checkpoint is
+        still referenced."""
+        model = Transformer(toy_config(**BIG), seed=5)
         path = tmp_path / "big.ckpt"
         save_checkpoint(path, model, AdamState(model.params), None, {})
         size = path.stat().st_size
         del model
-        tracemalloc.start()
-        try:
-            ckpt = load_checkpoint(path)
-            resumed = build_model(ckpt)
-            state = restore_optimizer(ckpt, resumed.params)
-            with_ckpt, _ = tracemalloc.get_traced_memory()
-            del ckpt
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        before = resident_bytes()
+        ckpt = load_checkpoint(path)
+        resumed = build_model(ckpt)
+        state = restore_optimizer(ckpt, resumed.params)
+        for moments in (state.m, state.v):
+            for arr in moments.values():
+                arr += 1.0
+        with_ckpt = resident_bytes() - before
+        del ckpt
+        held = resident_bytes() - before
         assert with_ckpt <= 1.1 * size
         assert 0.95 * size <= held <= 1.05 * size
         assert state.m["output.weight"].flags.writeable
@@ -141,6 +155,63 @@ class TestRoundTrip:
         ckpt.opt_v["output.bias"] = ckpt.opt_v["output.bias"][:-1]
         with pytest.raises(ValueError, match="output.bias"):
             restore_optimizer(ckpt, build_model(ckpt).params)
+
+
+@needs_statm
+class TestMappedMoments:
+    """Moments are mapped copy-on-write and paged in only when touched."""
+
+    def test_load_and_build_grow_resident_memory_by_the_parameters(self, tmp_path):
+        model = Transformer(toy_config(**BIG), seed=5)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, model, AdamState(model.params), None, {})
+        size, wanted = path.stat().st_size, param_bytes(model.params)
+        assert wanted > 10_000_000 and size > 3 * wanted
+        del model
+        before = resident_bytes()
+        ckpt = load_checkpoint(path)  # held, as the moments are while a load runs
+        loaded = build_model(ckpt)
+        grown = resident_bytes() - before
+        assert 0.9 * wanted <= grown <= 1.1 * wanted
+        assert param_bytes(loaded.params) == wanted and len(ckpt.opt_m) == len(ckpt.tensors)
+
+    def test_saving_fresh_moments_does_not_page_them_in(self, tmp_path):
+        model = Transformer(toy_config(**BIG), seed=5)
+        before = resident_bytes()
+        state = AdamState(model.params)
+        save_checkpoint(tmp_path / "big.ckpt", model, state, None, {})
+        grown = resident_bytes() - before
+        assert grown <= 0.1 * param_bytes(model.params)
+        assert state.m["src_embed.weight"].flags.writeable
+
+    def test_loaded_moments_are_writable_copies_of_the_saved_bits(self, tmp_path):
+        model, state = trained_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, state, None, {})
+        raw = path.read_bytes()
+        ckpt = load_checkpoint(path)
+        for saved, loaded in ((state.m, ckpt.opt_m), (state.v, ckpt.opt_v)):
+            assert sorted(loaded) == sorted(saved)
+            for name, arr in loaded.items():
+                assert arr.dtype == np.float64 and arr.shape == saved[name].shape
+                assert arr.flags.writeable and arr.flags.c_contiguous
+                assert arr.tobytes() == saved[name].tobytes()
+                arr += 1.0  # copy-on-write: the file keeps its bytes
+        assert path.read_bytes() == raw
+
+    def test_a_save_over_the_loaded_file_leaves_its_moments_unchanged(self, tmp_path):
+        model, state = trained_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, state, None, {})
+        saved = {name: m.copy() for name, m in state.m.items()}
+        ckpt = load_checkpoint(path)
+        for m in state.m.values():
+            m += 1.0
+        save_checkpoint(path, model, state, None, {})
+        for name, m in ckpt.opt_m.items():
+            assert m.tobytes() == saved[name].tobytes()
+        again = load_checkpoint(path)
+        np.testing.assert_array_equal(again.opt_m["output.weight"], state.m["output.weight"])
 
 
 class TestValidation:

@@ -18,7 +18,7 @@ from mlrf.data import (
     load_parallel_text,
     make_batches,
 )
-from tests.conftest import padded, toy_model
+from tests.conftest import load_vocab, padded, save_vocab, toy_model
 
 
 class TestVocabulary:
@@ -48,10 +48,10 @@ class TestVocabulary:
     def test_file_round_trip(self, tmp_path):
         vocab = build_vocab([["x", "y", "z"]], max_size=10)
         path = tmp_path / "vocab.txt"
-        vocab.save(path)
+        save_vocab(vocab, path)
         lines = path.read_text().splitlines()
         assert lines[vocab.id("y") - 4] == "y"
-        again = Vocabulary.load(path)
+        again = load_vocab(path)
         assert again.id("z") == vocab.id("z")
 
 

@@ -7,7 +7,7 @@ from mlrf import autodiff as ad
 from mlrf.fusion import FusionConfig, fuse_avg, fuse_self_attention, fuse_side
 from mlrf.model import Transformer, param_specs
 from mlrf.training import init_parameters
-from tests.conftest import padded, random_sentences, toy_config, toy_model
+from tests.conftest import count_scalars, padded, random_sentences, toy_config, toy_model
 from tests.gradcheck import max_rel_err, numeric_grad_at
 
 ALL_SIDES_AND_KINDS = [
@@ -49,7 +49,7 @@ class TestBaseline:
     def test_adds_no_parameters(self):
         plain = toy_model(seed=0)
         fused = toy_model("decoder", "baseline", seed=0)
-        assert plain.params.count_scalars() == fused.params.count_scalars()
+        assert count_scalars(plain.params) == count_scalars(fused.params)
 
 
 class TestAvg:
@@ -79,7 +79,7 @@ class TestAvg:
         plain = toy_model(seed=0)
         fused = toy_model("decoder", "avg", seed=0)
         d = plain.config.d_model
-        assert fused.params.count_scalars() - plain.params.count_scalars() == 2 * d
+        assert count_scalars(fused.params) - count_scalars(plain.params) == 2 * d
 
 
 class TestFnn:
@@ -293,7 +293,7 @@ class TestParameterAccounting:
             side, kind, seed=0, share_w1=share_w1, include_embedding=include_embedding
         )
         expected = fusion_param_count(fused.fusion, base.config.n_layers, base.config.d_model)
-        assert fused.params.count_scalars() - base.params.count_scalars() == expected
+        assert count_scalars(fused.params) - count_scalars(base.params) == expected
         rows = param_specs(fused.config, fused.fusion)
         assert sum(s.size for s in rows if s.name.startswith("fusion.")) == expected
 
@@ -307,11 +307,11 @@ class TestParameterAccounting:
             side="both", enc_kind="self_attention", dec_kind="self_attention",
             n_hop=3, d_a=16, d_f=12, share_layer_embedding=False,
         )
-        n_shared = init_parameters(cfg, shared, 0).count_scalars()
-        n_split = init_parameters(cfg, split, 0).count_scalars()
+        n_shared = count_scalars(init_parameters(cfg, shared, 0))
+        n_split = count_scalars(init_parameters(cfg, split, 0))
         rows = cfg.n_layers + 1
         assert n_split - n_shared == rows * cfg.d_model
-        assert n_split - init_parameters(cfg, FusionConfig(), 0).count_scalars() == \
+        assert n_split - count_scalars(init_parameters(cfg, FusionConfig(), 0)) == \
             fusion_param_count(split, cfg.n_layers, cfg.d_model)
 
     def test_per_layer_w1_delta(self):

@@ -26,7 +26,7 @@ from mlrf.training import (
     train_epoch,
     train_step,
 )
-from tests.conftest import toy_config, toy_fusion, toy_model
+from tests.conftest import count_scalars, toy_config, toy_fusion, toy_model
 
 
 class TestInitParameters:
@@ -513,9 +513,6 @@ def test_training_graph_is_pinned(side, kind, nodes, op_bytes):
 class TestCounts:
     def test_count_is_sum_of_sizes(self):
         model = toy_model("decoder", "self_attention")
-        assert model.params.count_scalars() == sum(
-            t.size for _, t in model.params.items()
-        )
-        assert model.params.count_scalars() == sum(
+        assert count_scalars(model.params) == sum(
             s.size for s in param_specs(model.config, model.fusion)
         )
