@@ -7,8 +7,9 @@ its parents and a vector-Jacobian closure on the output tensor, and
 double precision throughout so gradient checks against central finite
 differences are tight.
 
-Every op result stays on the tape until ``backward``, so the hot chains are
-fused into single ops that keep only what their backward reads:
+Every op result stays on the tape until ``backward`` has passed it, so the
+hot chains are fused into single ops that keep only what their backward
+reads:
 
 * ``linear``: a dense layer ``act(x @ W + b)`` with an optional bias and an
   optional relu or tanh; it stores its output alone.
@@ -55,9 +56,9 @@ class Tensor:
     """A dense array plus an optional slot on the gradient tape.
 
     ``grad`` is populated on leaf tensors (those created directly rather
-    than by an op) after ``backward`` runs from a scalar loss.  Repeated
-    backward calls without resetting accumulate into ``grad``; the training
-    loop zeroes parameter grads at every step.
+    than by an op) after ``backward`` runs from a scalar loss.  Backward
+    over separate graphs accumulates into ``grad``; the training loop
+    zeroes parameter grads at every step.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -79,9 +80,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -494,7 +492,7 @@ def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int
     ``x`` is [n x d] with n > 0; ``targets`` holds n class ids.  The op owns
     the logits buffer: it takes the argmax and the target logits, then
     exponentiates the shifted logits in place and keeps that one array for
-    backward.
+    backward, which turns it into the softmax gradient in place.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1:] != w.shape[:1] or b.shape != w.shape[1:]:
@@ -521,7 +519,8 @@ def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int
     data = float(nll.sum() / n)
 
     def vjp(g):
-        p = e / z  # a new array: e must survive a repeated backward
+        p = e  # the tape is single-use, so the exp buffer becomes the gradient
+        p /= z
         p[rows, targets] -= 1.0
         p *= float(g) / n
         return p @ w.data.T, x.data.T @ p, p.sum(axis=0)
@@ -552,30 +551,56 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _spent(g):
+    """The VJP of a node that backward has already passed."""
+    raise RuntimeError("backward already ran through this graph")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
-    ``loss`` must be scalar.  Internal propagation uses its own buffers, so
-    calling backward twice adds the same gradient twice (by contract).
+    ``loss`` must be scalar.  The graph is single-use: once a node's VJP has
+    run, the node drops its parents and its VJP closure, so each tape array
+    is freed as the reverse pass leaves it behind.  A second backward
+    through any node of a graph raises RuntimeError before it changes a
+    grad; backward over separate graphs that share leaves still accumulates
+    into their grads.
+
+    A leaf keeps the array its VJP returned when backward alone holds it (a
+    new array that went to no other tensor) and a copy of a view or of an
+    array shared with another tensor, so no two leaves share a ``grad``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     order = _toposort(loss)
-    buf: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = buf.pop(id(node), None)
-        if g is None:
-            continue
+    if any(node._vjp is _spent for node in order):
+        _spent(None)  # before any grad changes
+    # id(node) -> (its gradient, whether backward alone holds that array)
+    buf: dict[int, tuple[np.ndarray, bool]] = {id(loss): (np.ones_like(loss.data), True)}
+    while order:
+        node = order.pop()
+        g, own = buf.pop(id(node), (None, False))
         if node._vjp is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            if g is not None:
+                if node.grad is not None:
+                    node.grad = node.grad + g
+                else:
+                    node.grad = g if own else g.copy()
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        grads = () if g is None else node._vjp(g)
+        for parent, pg in zip(node._parents, grads):
             if pg is None or not parent.requires_grad:
                 continue
             held = buf.get(id(parent))
-            buf[id(parent)] = pg if held is None else held + pg
+            if held is not None:
+                buf[id(parent)] = (held[0] + pg, True)
+            else:
+                alone = pg.base is None and (own or pg is not g)
+                buf[id(parent)] = (pg, alone and sum(q is pg for q in grads) == 1)
+        node._parents = ()
+        node._vjp = _spent
 
 
 # ---------------------------------------------------------------------------

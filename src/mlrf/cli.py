@@ -33,26 +33,46 @@ from .training import (
 log = logging.getLogger("mlrf")
 
 METRICS_HEADER = "step\tphase\tlr\tloss\ttrain_acc\tvalid_acc"
+PHASES = ("warmup_schedule", "restarted")  # in training order
 
 
 @dataclass
 class RunReport:
-    """Per-step metric rows plus the final evaluation summary."""
+    """Per-step metric rows of this run, the rows of the earlier run it
+    resumes (as ``metrics.tsv`` lines), and the final evaluation summary."""
 
     records: list[tuple] = field(default_factory=list)
     final: dict = field(default_factory=dict)
+    earlier: list[str] = field(default_factory=list)
 
     def add(self, m: StepMetrics, valid_acc: float | None) -> None:
         self.records.append(
             (m.step, m.phase, m.lr, m.loss, m.accuracy, valid_acc)
         )
 
-    def write(self, path) -> None:
-        lines = [METRICS_HEADER]
+    def write(self, path: Path) -> None:
+        """Write every row to ``path``, by a rename, so a crash leaves the
+        previous file whole."""
+        lines = [METRICS_HEADER, *self.earlier]
         for step, phase, lr, loss, acc, vacc in self.records:
             v = "" if vacc is None else f"{vacc:.6f}"
             lines.append(f"{step}\t{phase}\t{lr:.8e}\t{loss:.8f}\t{acc:.6f}\t{v}")
-        Path(path).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        os.replace(tmp, path)
+
+
+def _rows_through(path: Path, phase: str, step: int) -> list[str]:
+    """The rows of the ``metrics.tsv`` at ``path`` logged at or before
+    ``step`` of ``phase``; none when there is no such file."""
+    if not path.exists():
+        return []
+    last = (PHASES.index(phase), step)
+    try:
+        rows = [r.split("\t") for r in path.read_text(encoding="utf-8").splitlines()[1:]]
+        return ["\t".join(r) for r in rows if (PHASES.index(r[1]), int(r[0])) <= last]
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a metrics file to resume from: {exc}") from exc
 
 
 def _vocab_meta(src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> dict:
@@ -118,7 +138,10 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         }
         save_checkpoint(path, model, state, tcfg, meta)
 
+    metrics_path = out_dir / "metrics.tsv"
     report = RunReport()
+    if resume is not None:
+        report.earlier = _rows_through(metrics_path, state.phase, state.t)
     stats = {"loss": float("nan"), "accuracy": 0.0}
     total_epochs = tcfg.epochs_phase1 + tcfg.epochs_phase2
     schedule = [
@@ -153,6 +176,8 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
             # rows carry the most recent *completed* validation score
             for m in pending:
                 report.add(m, last_valid_acc)
+            # before the checkpoints: a resume from the last one keeps these rows
+            report.write(metrics_path)
             if valid_batches is not None:
                 valid = evaluate_teacher_forced(model, valid_batches)
                 last_valid_acc = valid["accuracy"]
@@ -173,7 +198,7 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         "valid_acc": last_valid_acc,
         "steps": state.t,
     }
-    report.write(out_dir / "metrics.tsv")
+    report.write(metrics_path)
     return report
 
 

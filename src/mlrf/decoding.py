@@ -3,12 +3,11 @@
 Decoders are written against a batched step function: it maps a list of k
 BOS-prefixed token tuples to their next-token log-probs, ``[k x V]``.
 Greedy decoding scores one prefix per step, beam search every live
-hypothesis at once.  ``per_prefix`` adapts a hand-built ``prefix -> [V]``
-scorer to that contract.  ``SentenceScorer`` adapts a trained model: the
-encoder and the cross-attention keys and values run once per sentence, and
-each step runs only the newest position of every prefix through the
-decoder's one stack method, ``Transformer.decode_teacher_forced``, reading
-the keys and values cached for its parent.
+hypothesis at once.  ``SentenceScorer`` adapts a trained model to that
+contract: the encoder and the cross-attention keys and values run once per
+sentence, and each step runs only the newest position of every prefix
+through the decoder's one stack method, ``Transformer.decode_teacher_forced``,
+reading the keys and values cached for its parent.
 """
 
 from __future__ import annotations
@@ -24,11 +23,6 @@ from .data import BOS_ID, EOS_ID
 from .model import Transformer, one_sentence
 
 StepFn = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
-
-
-def per_prefix(fn: Callable[[Sequence[int]], np.ndarray]) -> StepFn:
-    """A batched step function that calls ``fn(prefix) -> [V]`` per prefix."""
-    return lambda prefixes: np.stack([fn(prefix) for prefix in prefixes])
 
 
 @dataclass(frozen=True)

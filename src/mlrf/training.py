@@ -281,11 +281,13 @@ def train_step(
 ) -> StepMetrics:
     """Forward, backward, and one optimizer update on a single batch.
 
+    Parameter grads are cleared before the forward pass, so the last step's
+    grads never sit beside the tape; afterwards they hold this step's.
     Raises ``FloatingPointError`` before the update if the loss or the
     gradient norm is not finite, naming the parameters with such grads.
     """
-    loss, correct, n_tokens = _batch_loss(model, batch, train=True)
     model.params.zero_grads()
+    loss, correct, n_tokens = _batch_loss(model, batch, train=True)
     ad.backward(loss)
     norm = grad_norm(model.params)
     loss_value = loss.item()
@@ -298,7 +300,6 @@ def train_step(
             f"step {state.t + 1} ({state.phase}): loss {loss_value}, gradient "
             f"norm {norm}; non-finite gradients in {', '.join(bad) or 'no parameter'}"
         )
-    del loss  # free the forward tape before the update
     if cfg.clip_norm is not None:
         clip_gradients(model.params, cfg.clip_norm, norm)
     if state.restarted():

@@ -66,6 +66,12 @@ def load_vocab(path) -> Vocabulary:
     return Vocabulary(Path(path).read_text(encoding="utf-8").splitlines())
 
 
+def per_prefix(fn):
+    """A batched decoding step function that calls ``fn(prefix) -> [V]`` per
+    prefix."""
+    return lambda prefixes: np.stack([fn(prefix) for prefix in prefixes])
+
+
 def resident_bytes() -> int:
     """This process's resident memory from ``/proc/self/statm`` (Linux),
     taken after a collection and, under glibc, ``malloc_trim(0)``: freed heap

@@ -28,7 +28,6 @@ from mlrf.decoding import (
     SentenceScorer,
     beam_search,
     greedy_decode,
-    per_prefix,
     translate_ids,
 )
 from mlrf.fusion import FusionConfig
@@ -45,7 +44,8 @@ from mlrf.training import (
     train_step,
 )
 from tests.conftest import (
-    count_scalars, padded, random_sentences, read_trace_file, toy_config, toy_fusion,
+    count_scalars, padded, per_prefix, random_sentences, read_trace_file, toy_config,
+    toy_fusion,
 )
 from tests.gradcheck import max_rel_err, numeric_grad_at
 

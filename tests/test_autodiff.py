@@ -1,6 +1,7 @@
 """Unit and gradient-oracle tests for the tensor/tape engine."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlrf import autodiff as ad
+from mlrf import training
 from tests.gradcheck import max_rel_err, mul, numeric_grad
 
 rng = np.random.default_rng(12345)
@@ -390,15 +392,20 @@ class TestCrossEntropy:
         for got, t in zip(grads, (x, w, b)):
             np.testing.assert_array_equal(got, t.grad)
 
-    def test_repeated_backward_accumulates_into_every_input(self):
+    def test_backward_turns_the_exp_buffer_into_the_gradient(self):
+        """The loss node's closure holds one [n x V] array, and backward
+        writes the softmax gradient into it rather than beside it."""
         x = leaf(rng.standard_normal((3, 4)))
         w, b = leaf(rng.standard_normal((4, 5))), leaf(rng.standard_normal(5))
         loss, _ = ad.cross_entropy(x, w, b, [4, 0, 2])
+        (e,) = [c.cell_contents for c in loss._vjp.__closure__
+                if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == (3, 5)]
+        p = np.exp(x.data @ w.data + b.data)
+        p /= p.sum(axis=1, keepdims=True)
+        p[[0, 1, 2], [4, 0, 2]] -= 1.0
         ad.backward(loss)
-        once = [t.grad.copy() for t in (x, w, b)]
-        ad.backward(loss)
-        for got, t in zip(once, (x, w, b)):
-            np.testing.assert_allclose(t.grad, 2 * got, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(e, p / 3, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(b.grad, e.sum(axis=0))
 
 
 class TestBackward:
@@ -430,12 +437,77 @@ class TestBackward:
         ],
         ids=["square", "cross_entropy"],
     )
-    def test_repeated_backward_accumulates(self, make_loss, once):
+    def test_second_backward_raises_and_keeps_the_first_grads(self, make_loss, once):
         x = leaf([1.0, 2.0])
         loss = make_loss(x)
         ad.backward(loss)
+        first = x.grad
+        with pytest.raises(RuntimeError, match="backward already ran through this graph"):
+            ad.backward(loss)
+        assert x.grad is first
+        np.testing.assert_allclose(x.grad, once, atol=1e-12)
+
+    def test_backward_through_a_spent_node_changes_no_grad(self):
+        x, w = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+        y = mul(x, x)
+        ad.backward(ad.sum_(y))
+        with pytest.raises(RuntimeError, match="backward already ran"):
+            ad.backward(ad.sum_(mul(w, y)))  # the reverse pass reaches w before y
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert w.grad is None
+
+    def test_backward_frees_every_op_node_while_the_loss_is_held(self):
+        x = leaf(rng.standard_normal((2, 3, 8)))
+        w, b = leaf(rng.standard_normal((8, 8))), leaf(rng.standard_normal(8))
+        gain, bias = leaf(np.ones(8)), leaf(np.zeros(8))
+        h = ad.linear(x, w, b, "tanh")
+        a = ad.attention(h, h, h, 2, np.tril(np.ones((3, 3), dtype=bool))[None, None])
+        n = ad.residual_layer_norm(h, a, gain, bias, ad.dropout_keep((2, 3, 8), 0.3, rng), 0.3)
+        loss, _ = ad.cross_entropy(ad.reshape(n, (6, 8)), w, b, [1, 2, 3, 4, 5, 6])
+        del h, a, n
+        ops = [t for t in ad._toposort(loss) if t._vjp is not None]
+        assert len(ops) == 5
+        held = [weakref.ref(t.data) for t in ops if t is not loss]
+        for t in ops:
+            held += [weakref.ref(c.cell_contents) for c in t._vjp.__closure__
+                     if isinstance(c.cell_contents, np.ndarray)]
         ad.backward(loss)
-        np.testing.assert_allclose(x.grad, 2 * np.array(once), atol=1e-12)
+        for t in ops:
+            assert t._parents == () and t._vjp.__closure__ is None
+        del t, ops
+        assert [r for r in held if r() is not None] == []
+        assert loss.requires_grad and np.isfinite(loss.item())
+
+    def test_grads_accumulate_over_separate_graphs_sharing_leaves(self):
+        x, c = leaf([1.0, 2.0]), ad.Tensor([5.0, 7.0])
+        ad.backward(ad.sum_(mul(x, x)))
+        ad.backward(ad.sum_(mul(x, c)))
+        np.testing.assert_array_equal(x.grad, [7.0, 11.0])
+
+    def test_leaf_keeps_a_new_vjp_array_and_copies_a_view(self):
+        x, y = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+        made = {}
+
+        def vjp(g):
+            made["new"], made["base"] = np.array([5.0, 6.0]), np.array([[0.0, 0.0], [7.0, 8.0]])
+            return made["new"], made["base"][1]
+
+        ad.backward(ad._make(np.float64(0.0), (x, y), vjp))
+        assert x.grad is made["new"]
+        assert not np.shares_memory(y.grad, made["base"])
+        np.testing.assert_array_equal(y.grad, [7.0, 8.0])
+
+    def test_leaves_that_share_a_gradient_array_get_their_own(self):
+        store = ad.ParamStore()
+        a = store.add("a", ad.Tensor(np.ones((2, 3))))
+        b = store.add("b", ad.Tensor(np.ones((2, 3))))
+        w = rng.standard_normal((2, 3))
+        ad.backward(ad.sum_(mul(ad.add(a, b), ad.Tensor(w))))
+        assert not np.shares_memory(a.grad, b.grad)
+        norm = training.grad_norm(store)
+        training.clip_gradients(store, norm / 2, norm)
+        np.testing.assert_array_equal(a.grad, w * 0.5)
+        np.testing.assert_array_equal(b.grad, w * 0.5)
 
     def test_reused_node_accumulates_once_per_path(self):
         x = leaf([3.0])

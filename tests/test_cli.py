@@ -124,6 +124,7 @@ class TestTrain:
         cfg_one = write_cfg(tmp_path, "one.cfg", phase1=1, phase2=0)
         assert main(["train", "--config", cfg_one, "--out", str(out)]) == 0
         before = (out / "last.ckpt").read_bytes()
+        rows_before = (out / "metrics.tsv").read_bytes()
         real = ad.cross_entropy
 
         def nan_loss(*args, **kwargs):
@@ -138,7 +139,47 @@ class TestTrain:
                 "--resume", str(out / "last.ckpt"),
             ])
         assert (out / "last.ckpt").read_bytes() == before
+        assert (out / "metrics.tsv").read_bytes() == rows_before
         assert sorted(p.name for p in out.iterdir()) == ["best.ckpt", "last.ckpt", "metrics.tsv"]
+
+    def test_run_that_dies_keeps_the_finished_epochs_rows(self, tmp_path, monkeypatch):
+        one = tmp_path / "one"
+        assert main(["train", "--config", write_cfg(tmp_path, "one.cfg", 1, 0), "--out", str(one)]) == 0
+        real = training.train_step
+
+        def dies_at_step_4(model, batch, state, cfg):
+            if state.t == 3:
+                raise FloatingPointError("step 4")
+            return real(model, batch, state, cfg)
+
+        monkeypatch.setattr(training, "train_step", dies_at_step_4)
+        out = tmp_path / "out"
+        with pytest.raises(FloatingPointError):
+            main(["train", "--config", write_cfg(tmp_path, "two.cfg", 2, 0), "--out", str(out)])
+        assert (out / "metrics.tsv").read_bytes() == (one / "metrics.tsv").read_bytes()
+
+    def test_resume_into_its_own_directory_keeps_the_earlier_rows(self, trained, tmp_path):
+        """The file of a run resumed in place is the uninterrupted run's, also
+        when the checkpoint is older than the file's last row."""
+        _, out_full = trained
+        out = tmp_path / "out"
+        cfg_partial = write_cfg(tmp_path, "partial.cfg", phase1=2, phase2=0)
+        assert main(["train", "--config", cfg_partial, "--out", str(out)]) == 0
+        older = tmp_path / "epoch2.ckpt"
+        older.write_bytes((out / "last.ckpt").read_bytes())
+        cfg_full = write_cfg(tmp_path, "full.cfg", phase1=2, phase2=1)
+        for ckpt in (out / "last.ckpt", older):
+            assert main(["train", "--config", cfg_full, "--out", str(out), "--resume", str(ckpt)]) == 0
+            assert (out / "metrics.tsv").read_bytes() == (out_full / "metrics.tsv").read_bytes()
+
+    def test_resume_over_a_broken_metrics_file_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "one.cfg", phase1=1, phase2=0)
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        (out / "metrics.tsv").write_text("step\nnot a row\n")
+        resume = ["--resume", str(out / "last.ckpt")]
+        assert main(["train", "--config", cfg, "--out", str(out), *resume]) == 2
+        assert "is not a metrics file to resume from" in capsys.readouterr().err
 
     def test_invalid_config_lists_offending_keys(self, tmp_path, capsys):
         bad = TINY_CFG.format(phase1=1, phase2=0).replace(

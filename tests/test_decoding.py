@@ -13,12 +13,11 @@ from mlrf.decoding import (
     beam_search,
     greedy_decode,
     length_normalized_score,
-    per_prefix,
     top_tokens,
     translate_ids,
 )
 from mlrf.model import one_sentence
-from tests.conftest import toy_model
+from tests.conftest import per_prefix, toy_model
 
 EOS = 2
 A, B = 4, 5

@@ -414,6 +414,22 @@ class TestTrainLoop:
             np.testing.assert_array_equal(state.m[name], m[name])
             np.testing.assert_array_equal(state.v[name], v[name])
 
+    def test_step_enters_the_forward_with_no_parameter_grads(self):
+        batches, _ = one_sample_batches()
+        model = toy_model("decoder", "self_attention")
+        state, tcfg = AdamState(model.params), TrainConfig(warmup_steps=40, seed=1)
+        real, seen = model.forward, []
+
+        def forward(*args, **kwargs):
+            seen.append([name for name, p in model.params.items() if p.grad is not None])
+            return real(*args, **kwargs)
+
+        model.forward = forward
+        for _ in range(2):
+            train_step(model, batches[0], state, tcfg)
+            assert all(p.grad is not None for _, p in model.params.items())
+        assert seen == [[], []]
+
     def test_restarted_phase_uses_fixed_lr(self):
         batches, vocab = one_sample_batches()
         cfg = ModelConfig(
