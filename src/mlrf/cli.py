@@ -439,10 +439,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    beam = BeamConfig()
+
     def add_beam_flags(p):
-        p.add_argument("--beam", type=int, default=None, help="beam width (default 8)")
-        p.add_argument("--alpha", type=float, default=None, help="length normalization weight (default 1.6)")
-        p.add_argument("--max-len", type=int, default=None, help="maximum output length")
+        p.add_argument("--beam", type=int, default=None, help=f"beam width (default {beam.width})")
+        p.add_argument(
+            "--alpha", type=float, default=None,
+            help=f"length normalization weight (default {beam.length_alpha})",
+        )
+        p.add_argument(
+            "--max-len", type=int, default=None,
+            help=f"maximum output length (default {beam.max_len}, "
+            "capped at the model's max_len - 1)",
+        )
 
     p = sub.add_parser("train", help="train a model from a config file")
     p.add_argument("--config", required=True)

@@ -1,17 +1,22 @@
-"""Run configuration files: a versioned INI schema covering every knob.
+"""Run configuration files: a versioned INI file covering every knob.
 
-Sections: ``[run]`` (version, seed), ``[model]``, ``[fusion]``, ``[train]``
-and ``[data]``.  Unknown or ill-typed keys are reported together in one
-validation error.  ``[data]`` is either a synthetic task
-(task/alphabet/lengths/counts) or parallel text files; vocabulary sizes in
-``[model]`` are optional and otherwise derived from the data.
+Sections ``[run]`` (version, seed), ``[model]``, ``[fusion]``, ``[train]``
+and ``[data]``.  A section's keys are the fields of its dataclass, typed by
+their annotations (``X | None`` reads as ``X``); a field with no default is
+a required key.  Exceptions: ``[model]`` calls ``n_layers``/``n_heads``
+``layers``/``heads`` and may leave out the vocabulary sizes, which are then
+derived from the data; ``[train]``'s seed is ``[run]``'s.  Every config
+object is built, and so checked, at load, and every unknown key or bad value
+is reported in one error that names its section.  ``[data]`` is either a
+synthetic task (task/alphabet/lengths/counts) or parallel text files.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .data import (
     ParallelCorpus,
@@ -35,6 +40,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class DataConfig:
+    """A synthetic task or a pair of parallel text files (plus an optional
+    validation pair); with neither there is nothing to train on, but vocab
+    sizes pinned in ``[model]`` still describe the model."""
+
     task: str | None = None  # copy | reverse, or None for file data
     alphabet: int = 20
     min_len: int = 3
@@ -48,11 +57,30 @@ class DataConfig:
     max_sentence_len: int = 50
     max_vocab: int = 30000
 
+    def __post_init__(self):
+        for src, tgt in (("train_src", "train_tgt"), ("valid_src", "valid_tgt")):
+            if bool(getattr(self, src)) != bool(getattr(self, tgt)):
+                raise ValueError(f"{src} and {tgt} must be set together")
+        if self.task is not None:
+            if self.train_src or self.valid_src:
+                raise ValueError("set either task or file paths, not both")
+            if self.train_count < 1 or self.valid_count < 0:
+                raise ValueError("need train_count >= 1 and valid_count >= 0")
+            self.synthetic(self.train_count, 0)  # checks task, alphabet, lengths
+        if self.max_sentence_len < 1 or self.max_vocab < 1:
+            raise ValueError("max_sentence_len and max_vocab must be >= 1")
+
+    def synthetic(self, count: int, seed: int) -> SyntheticTaskSpec:
+        """This section's synthetic task: ``count`` pairs drawn from ``seed``."""
+        return SyntheticTaskSpec(
+            self.task, self.alphabet, self.min_len, self.max_len, count, seed
+        )
+
 
 @dataclass
 class RunConfig:
     seed: int
-    model: dict  # ModelConfig fields except vocab sizes (0 = derive)
+    model: dict  # ModelConfig fields; vocab sizes 0 = derive from the data
     fusion: FusionConfig
     train: TrainConfig
     data: DataConfig
@@ -71,78 +99,62 @@ class RunConfig:
         return ModelConfig(**kw)
 
 
-_SCHEMA = {
-    "run": {"version": int, "seed": int},
-    "model": {
-        "layers": int,
-        "d_model": int,
-        "d_ff": int,
-        "heads": int,
-        "max_len": int,
-        "dropout": float,
-        "src_vocab": int,
-        "tgt_vocab": int,
-    },
-    "fusion": {
-        "side": str,
-        "enc_kind": str,
-        "dec_kind": str,
-        "n_hop": int,
-        "d_a": int,
-        "d_f": int,
-        "include_embedding": bool,
-        "share_w1": bool,
-        "share_layer_embedding": bool,
-    },
-    "train": {
-        "epochs_phase1": int,
-        "epochs_phase2": int,
-        "batch_phase1": int,
-        "batch_phase2": int,
-        "warmup_steps": int,
-        "restart_lr": float,
-        "beta1": float,
-        "beta2": float,
-        "adam_eps": float,
-        "clip_norm": float,
-        "log_every": int,
-    },
-    "data": {
-        "task": str,
-        "alphabet": int,
-        "min_len": int,
-        "max_len": int,
-        "train_count": int,
-        "valid_count": int,
-        "train_src": str,
-        "train_tgt": str,
-        "valid_src": str,
-        "valid_tgt": str,
-        "max_sentence_len": int,
-        "max_vocab": int,
-    },
-}
+@dataclass
+class _RunSection:
+    """``[run]``: the file format version and the run seed."""
 
+    version: int = CONFIG_VERSION
+    seed: int = 1
+
+    def __post_init__(self):
+        if self.version != CONFIG_VERSION:
+            raise ValueError(f"unsupported config version {self.version}")
+
+
+_SECTIONS = {
+    "run": _RunSection,
+    "model": ModelConfig,
+    "fusion": FusionConfig,
+    "train": TrainConfig,
+    "data": DataConfig,
+}
+_MODEL_KEYS = {"n_layers": "layers", "n_heads": "heads"}  # fields under a shorter key
+_PRESET = {"model": {"src_vocab": 0, "tgt_vocab": 0}}  # optional: 0 = derive from [data]
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
+def section_keys(section: str) -> dict[str, tuple[Field, type]]:
+    """``[section]``'s keys, each with its dataclass field and scalar type."""
+    cls = _SECTIONS[section]
+    hints = get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        if section == "train" and f.name == "seed":
+            continue  # the run seed, from [run]
+        typ = next((t for t in get_args(hints[f.name]) if t is not type(None)), hints[f.name])
+        keys[_MODEL_KEYS.get(f.name, f.name) if section == "model" else f.name] = (f, typ)
+    return keys
+
+
 def _parse_section(parser, section: str, errors: list[str]) -> dict:
-    out = {}
-    if not parser.has_section(section):
-        return out
-    schema = _SCHEMA[section]
-    for key, raw in parser.items(section):
-        if key not in schema:
+    """Field name -> value for each key set in ``[section]``, over the
+    preset vocab sizes; an unknown, ill-typed or missing required key is
+    added to ``errors``."""
+    keys = section_keys(section)
+    out = dict(_PRESET.get(section, {}))
+    raw_items = parser.items(section) if parser.has_section(section) else []
+    for key, raw in raw_items:
+        if key not in keys:
             errors.append(f"[{section}] unknown key {key!r}")
             continue
-        typ = schema[key]
+        f, typ = keys[key]
         try:
-            if typ is bool:
-                out[key] = _BOOL[raw.strip().lower()]
-            else:
-                out[key] = typ(raw)
+            out[f.name] = _BOOL[raw.strip().lower()] if typ is bool else typ(raw)
         except (KeyError, ValueError):
             errors.append(f"[{section}] {key} = {raw!r} is not a valid {typ.__name__}")
+    for key, (f, _) in keys.items():
+        if f.name not in out and f.default is MISSING and f.default_factory is MISSING:
+            errors.append(f"[{section}] missing required key {key!r}")
     return out
 
 
@@ -156,50 +168,29 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
-    errors: list[str] = []
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            errors.append(f"unknown section [{section}]")
-    run = _parse_section(parser, "run", errors)
-    model = _parse_section(parser, "model", errors)
-    fusion = _parse_section(parser, "fusion", errors)
-    train = _parse_section(parser, "train", errors)
-    data = _parse_section(parser, "data", errors)
-
-    version = run.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        errors.append(f"[run] unsupported config version {version}")
-    for key in ("layers", "d_model", "d_ff", "heads", "max_len"):
-        if key not in model:
-            errors.append(f"[model] missing required key {key!r}")
+    errors = [f"unknown section [{s}]" for s in parser.sections() if s not in _SECTIONS]
+    built = {}
+    for section, cls in _SECTIONS.items():
+        n_errors = len(errors)
+        kw = _parse_section(parser, section, errors)
+        if len(errors) > n_errors:
+            continue
+        try:
+            built[section] = cls(**kw)
+        except ValueError as exc:
+            errors.append(f"[{section}] {exc}")
+    if "model" in built and "data" in built:
+        errors += _length_errors(built["model"].max_len, built["data"])
     if errors:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-
-    model_kw = {
-        "n_layers": model["layers"],
-        "d_model": model["d_model"],
-        "d_ff": model["d_ff"],
-        "n_heads": model["heads"],
-        "max_len": model["max_len"],
-        "dropout": model.get("dropout", 0.0),
-        "src_vocab": model.get("src_vocab", 0),
-        "tgt_vocab": model.get("tgt_vocab", 0),
-    }
-    try:
-        fusion_cfg = FusionConfig(**fusion)
-        train_cfg = TrainConfig(seed=run.get("seed", 1), **train)
-        data_cfg = DataConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-    errors = _length_errors(model_kw["max_len"], data_cfg)
-    if errors:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+        raise ConfigError("invalid config: " + "; ".join(errors))
+    seed = built["run"].seed
+    built["train"].seed = seed
     return RunConfig(
-        seed=run.get("seed", 1),
-        model=model_kw,
-        fusion=fusion_cfg,
-        train=train_cfg,
-        data=data_cfg,
+        seed=seed,
+        model=asdict(built["model"]),
+        fusion=built["fusion"],
+        train=built["train"],
+        data=built["data"],
     )
 
 
@@ -209,7 +200,7 @@ def _length_errors(model_max: int, data: DataConfig) -> list[str]:
     errors = []
     if data.task is not None:
         key, longest = "max_len", data.max_len
-    elif data.train_src or data.train_tgt:
+    elif data.train_src:
         key, longest = "max_sentence_len", data.max_sentence_len
     else:
         key, longest = None, 0  # no data configured
@@ -226,35 +217,18 @@ def build_corpora(
 ) -> tuple[ParallelCorpus, ParallelCorpus | None, Vocabulary, Vocabulary]:
     """Materialize train/valid corpora and vocabularies for a run."""
     if cfg.task is not None:
-        base = SyntheticTaskSpec(
-            task=cfg.task,
-            alphabet=cfg.alphabet,
-            min_len=cfg.min_len,
-            max_len=cfg.max_len,
-            count=cfg.train_count,
-            seed=seed,
-        )
-        train = generate_synthetic(base)
+        train = generate_synthetic(cfg.synthetic(cfg.train_count, seed))
         valid = None
         if cfg.valid_count > 0:
-            valid = generate_synthetic(
-                SyntheticTaskSpec(
-                    task=cfg.task,
-                    alphabet=cfg.alphabet,
-                    min_len=cfg.min_len,
-                    max_len=cfg.max_len,
-                    count=cfg.valid_count,
-                    seed=seed + 1,
-                )
-            )
+            valid = generate_synthetic(cfg.synthetic(cfg.valid_count, seed + 1))
         vocab = synthetic_vocabulary(cfg.alphabet)
         return train, valid, vocab, vocab
 
-    if not (cfg.train_src and cfg.train_tgt):
+    if not cfg.train_src:
         raise ConfigError("[data] needs either task=... or train_src/train_tgt files")
     train = load_parallel_text(cfg.train_src, cfg.train_tgt, cfg.max_sentence_len)
     valid = None
-    if cfg.valid_src and cfg.valid_tgt:
+    if cfg.valid_src:
         valid = load_parallel_text(cfg.valid_src, cfg.valid_tgt, cfg.max_sentence_len)
     src_vocab = build_vocab(train.sources(), cfg.max_vocab)
     tgt_vocab = build_vocab(train.targets(), cfg.max_vocab)

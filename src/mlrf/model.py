@@ -51,10 +51,11 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        for name in ("n_layers", "d_model", "d_ff", "n_heads", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.src_vocab < 0 or self.tgt_vocab < 0:
+            raise ValueError("src_vocab and tgt_vocab must be >= 0")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"

@@ -49,6 +49,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.restart_lr <= 0 or self.adam_eps <= 0:
             raise ValueError("restart_lr and adam_eps must be positive")
+        if self.epochs_phase1 < 0 or self.epochs_phase2 < 0:
+            raise ValueError("epochs_phase1 and epochs_phase2 must be >= 0")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be above 0, got {self.clip_norm}")
 
 
 # ---------------------------------------------------------------------------

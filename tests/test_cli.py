@@ -1,5 +1,8 @@
 """End-to-end command-line runs on a miniature copy task."""
 
+import configparser
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,12 @@ from mlrf import autodiff as ad
 from mlrf import config, data, training
 from mlrf.checkpoint import build_model, load_checkpoint
 from mlrf.cli import main
-from mlrf.config import ConfigError, load_config
+from mlrf.config import ConfigError, DataConfig, RunConfig, load_config
 from mlrf.data import EOS_ID, Vocabulary
-from mlrf.decoding import SentenceScorer, greedy_decode
+from mlrf.decoding import BeamConfig, SentenceScorer, greedy_decode
+from mlrf.fusion import FusionConfig
+from mlrf.model import ModelConfig
+from mlrf.training import TrainConfig
 from tests.conftest import read_trace_file
 
 TINY_CFG = """\
@@ -193,6 +199,105 @@ class TestTrain:
         assert "wibble" in err and "heads" in err
 
 
+def edited_cfg(tmp_path, section, changes):
+    """TINY_CFG with ``changes`` set in ``[section]`` (None removes a key)."""
+    parser = configparser.ConfigParser()
+    parser.read_string(TINY_CFG.format(phase1=1, phase2=0))
+    for key, value in changes.items():
+        if value is None:
+            parser.remove_option(section, key)
+        else:
+            parser.set(section, key, value)
+    path = tmp_path / "edited.cfg"
+    with path.open("w") as f:
+        parser.write(f)
+    return str(path)
+
+
+# (section, changes, text the error must hold): values a config load once let
+# through, to crash later in training or to be silently ignored
+BAD_VALUES = [
+    ("model", {"heads": "0"}, "n_heads must be >= 1"),
+    ("model", {"d_model": "0"}, "d_model must be >= 1"),
+    ("model", {"d_ff": "0"}, "d_ff must be >= 1"),
+    ("model", {"d_model": "31"}, "not divisible by n_heads"),
+    ("model", {"d_model": "15", "heads": "1"}, "d_model must be even"),
+    ("model", {"dropout": "1.5"}, "dropout must be in [0, 1)"),
+    ("model", {"src_vocab": "-5"}, "src_vocab and tgt_vocab must be >= 0"),
+    ("train", {"log_every": "0"}, "log_every must be >= 1"),
+    ("train", {"clip_norm": "-1"}, "clip_norm must be above 0"),
+    ("train", {"clip_norm": "0"}, "clip_norm must be above 0"),
+    ("train", {"epochs_phase1": "-1"}, "epochs_phase1"),
+    ("train", {"epochs_phase2": "-1"}, "epochs_phase2"),
+    ("data", {"task": "copyy"}, "unknown synthetic task 'copyy'"),
+    ("data", {"min_len": "12"}, "min_len <= max_len"),
+    ("data", {"task": None, "train_src": "a.txt"}, "train_src and train_tgt"),
+    (
+        "data",
+        {"task": None, "train_src": "a.txt", "train_tgt": "b.txt", "valid_src": "c.txt"},
+        "valid_src and valid_tgt",
+    ),
+    ("data", {"train_src": "a.txt", "train_tgt": "b.txt"}, "either task or file paths"),
+    ("data", {"max_sentence_len": "0"}, "max_sentence_len"),
+    ("data", {"max_vocab": "0"}, "max_vocab"),
+]
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize(
+        "section,cls,not_keys",
+        [
+            ("model", ModelConfig, set()),
+            ("fusion", FusionConfig, set()),
+            ("train", TrainConfig, {"seed"}),  # the seed is [run]'s
+            ("data", DataConfig, set()),
+        ],
+    )
+    def test_keys_are_the_dataclass_fields(self, section, cls, not_keys):
+        renamed = {"n_layers": "layers", "n_heads": "heads"} if section == "model" else {}
+        fields = {f.name for f in dataclasses.fields(cls)} - not_keys
+        assert set(config.section_keys(section)) == {renamed.get(n, n) for n in fields}
+
+    def test_tiny_config_loads_into_its_dataclasses(self, tmp_path):
+        assert load_config(write_cfg(tmp_path)) == RunConfig(
+            seed=5,
+            model=dict(
+                n_layers=1, d_model=16, d_ff=32, n_heads=2, max_len=10,
+                dropout=0.1, src_vocab=0, tgt_vocab=0,
+            ),
+            fusion=FusionConfig(side="decoder", dec_kind="self_attention", n_hop=2, d_a=8, d_f=8),
+            train=TrainConfig(
+                epochs_phase1=2, epochs_phase2=1, batch_phase1=8, batch_phase2=8,
+                warmup_steps=50, log_every=1, seed=5,
+            ),
+            data=DataConfig(task="copy", alphabet=6, min_len=2, max_len=5,
+                            train_count=24, valid_count=8),
+        )
+
+    @pytest.mark.parametrize("command", ["train", "param-count"])
+    @pytest.mark.parametrize(
+        "section,changes,text",
+        BAD_VALUES,
+        ids=[",".join(f"{k}={v}" for k, v in c.items()) for _, c, _ in BAD_VALUES],
+    )
+    def test_bad_value_is_one_error_line_before_any_data_or_weight(
+        self, tmp_path, capsys, monkeypatch, command, section, changes, text
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad config reached data generation or weight init")
+
+        monkeypatch.setattr(config, "generate_synthetic", refuse)
+        monkeypatch.setattr(data, "generate_synthetic", refuse)
+        monkeypatch.setattr(training, "init_parameters", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        path = edited_cfg(tmp_path, section, changes)
+        argv = ["--config", path] + (["--out", str(tmp_path / "out")] if command == "train" else [])
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"[{section}]" in err[0] and text in err[0]
+
+
 class TestConfigLengths:
     def test_repo_configs_load(self, tmp_path):
         for path in ("configs/de_en_shaped.cfg", "configs/toy_copy.cfg", write_cfg(tmp_path)):
@@ -240,6 +345,15 @@ class TestBeamFlags:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid beam flags")
 
+    def test_help_names_the_beam_config_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["translate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        beam = BeamConfig()
+        assert f"beam width (default {beam.width})" in text
+        assert f"(default {beam.length_alpha})" in text
+        assert f"(default {beam.max_len}, capped at the model's max_len - 1)" in text
+
 
 class TestCheckpointErrors:
     @pytest.mark.parametrize("command", ["translate", "evaluate", "export-attention", "train"])
@@ -260,6 +374,21 @@ class TestCheckpointErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0]
+
+    def test_checkpoint_with_zero_heads_is_one_error_line(self, trained, tmp_path, capsys):
+        _, out = trained
+        blob = (out / "last.ckpt").read_bytes()
+        assert blob.count(b'"n_heads":2') == 1
+        ckpt = tmp_path / "heads0.ckpt"
+        ckpt.write_bytes(blob.replace(b'"n_heads":2', b'"n_heads":0'))
+        with pytest.raises(ValueError, match="n_heads must be >= 1"):
+            load_checkpoint(ckpt)
+        inp = tmp_path / "in.txt"
+        inp.write_text("s0 s1\n")
+        assert main(["translate", "--checkpoint", str(ckpt), str(inp)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(ckpt) in err[0] and "n_heads must be >= 1" in err[0]
 
 
 class TestTranslate:
