@@ -2,8 +2,12 @@
 
 Every run is reproducible from (config file, seed): batch shuffling and
 dropout are reseeded per epoch from the run seed, so two invocations yield
-identical metrics, checkpoints, and output files.  Verbosity comes from the
-``MLRF_LOG_LEVEL`` environment variable.
+identical metrics, checkpoints, and output files.  ``decode_lines`` is the
+one path from a source line to output ids for translate, evaluate and
+export-attention.  A bad input file or ``--out`` is one ``error:`` line and
+exit 2 before the checkpoint is read; a source line that is not UTF-8 or too
+long for the model is skipped with a warning, and the command exits 1.
+Verbosity comes from the ``MLRF_LOG_LEVEL`` environment variable.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .checkpoint import build_model, load_checkpoint, restore_optimizer, save_checkpoint
@@ -39,11 +45,11 @@ PHASES = ("warmup_schedule", "restarted")  # in training order
 @dataclass
 class RunReport:
     """Per-step metric rows of this run, the rows of the earlier run it
-    resumes (as ``metrics.tsv`` lines), and the final evaluation summary."""
+    resumes (as ``metrics.tsv`` lines), and the optimizer step it ended at."""
 
     records: list[tuple] = field(default_factory=list)
-    final: dict = field(default_factory=dict)
     earlier: list[str] = field(default_factory=list)
+    steps: int = 0
 
     def add(self, m: StepMetrics, valid_acc: float | None) -> None:
         self.records.append(
@@ -73,21 +79,6 @@ def _rows_through(path: Path, phase: str, step: int) -> list[str]:
         return ["\t".join(r) for r in rows if (PHASES.index(r[1]), int(r[0])) <= last]
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"{path} is not a metrics file to resume from: {exc}") from exc
-
-
-def _vocab_meta(src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> dict:
-    return {
-        "reserved": ["<pad>", "<bos>", "<eos>", "<unk>"],
-        "src_vocab_tokens": src_vocab.decode(range(4, len(src_vocab)), False),
-        "tgt_vocab_tokens": tgt_vocab.decode(range(4, len(tgt_vocab)), False),
-    }
-
-
-def _vocabs_from_meta(meta: dict) -> tuple[Vocabulary, Vocabulary]:
-    return (
-        Vocabulary(meta["src_vocab_tokens"]),
-        Vocabulary(meta["tgt_vocab_tokens"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +125,9 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
             "best_valid_loss": best_valid,
             "last_valid_acc": last_valid_acc,
             "dropout_rng": model.dropout_rng.bit_generator.state,
-            **_vocab_meta(src_vocab, tgt_vocab),
+            "reserved": ["<pad>", "<bos>", "<eos>", "<unk>"],
+            "src_vocab_tokens": src_vocab.decode(range(4, len(src_vocab)), False),
+            "tgt_vocab_tokens": tgt_vocab.decode(range(4, len(tgt_vocab)), False),
         }
         save_checkpoint(path, model, state, tcfg, meta)
 
@@ -142,62 +135,49 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
     report = RunReport()
     if resume is not None:
         report.earlier = _rows_through(metrics_path, state.phase, state.t)
-    stats = {"loss": float("nan"), "accuracy": 0.0}
+
+    def on_step(m: StepMetrics) -> None:
+        # validation runs after the epoch: a row carries the last completed score
+        if m.step % tcfg.log_every == 0:
+            report.add(m, last_valid_acc)
+
     total_epochs = tcfg.epochs_phase1 + tcfg.epochs_phase2
-    schedule = [
-        ("warmup_schedule", 0, tcfg.epochs_phase1, tcfg.batch_phase1),
-        ("restarted", tcfg.epochs_phase1, tcfg.epochs_phase2, tcfg.batch_phase2),
-    ]
-    for phase, phase_start, phase_epochs, batch_size in schedule:
-        for e in range(phase_epochs):
-            epoch = phase_start + e
-            if epoch < epochs_done:
-                continue  # already covered by the resumed checkpoint
-            if phase == "restarted" and not state.restarted():
+    for epoch in range(epochs_done, total_epochs):
+        if epoch < tcfg.epochs_phase1:
+            phase, batch_size = "warmup_schedule", tcfg.batch_phase1
+        else:
+            phase, batch_size = "restarted", tcfg.batch_phase2
+            if not state.restarted():
                 restart_adam(state)
                 log.info(
-                    "optimizer restarted: fixed lr %.2e, batch %d",
-                    tcfg.restart_lr, batch_size,
+                    "optimizer restarted: fixed lr %.2e, batch %d", tcfg.restart_lr, batch_size
                 )
-            # epoch-scoped, seed-derived streams keep runs replayable after
-            # a resume at any epoch boundary
-            model.reseed_dropout([seed, 7, epoch])
-            batches = make_batches(
-                train_corpus, src_vocab, tgt_vocab, batch_size,
-                shuffle_seed=[seed, 11, epoch], sort_by_length=True,
-            )
-            pending: list[StepMetrics] = []
-
-            def on_step(m: StepMetrics) -> None:
-                if m.step % tcfg.log_every == 0:
-                    pending.append(m)
-
-            stats = train_epoch(model, batches, state, tcfg, on_step=on_step)
-            # rows carry the most recent *completed* validation score
-            for m in pending:
-                report.add(m, last_valid_acc)
-            # before the checkpoints: a resume from the last one keeps these rows
-            report.write(metrics_path)
-            if valid_batches is not None:
-                valid = evaluate_teacher_forced(model, valid_batches)
-                last_valid_acc = valid["accuracy"]
-                if valid["loss"] < best_valid:
-                    best_valid = valid["loss"]
-                    save(out_dir / "best.ckpt", epoch + 1)
-            save(out_dir / "last.ckpt", epoch + 1)
-            log.info(
-                "epoch %d/%d [%s] loss %.4f acc %.4f%s",
-                epoch + 1, total_epochs, phase, stats["loss"], stats["accuracy"],
-                f" valid_acc {last_valid_acc:.4f}" if last_valid_acc is not None else "",
-            )
+        # epoch-scoped, seed-derived streams keep runs replayable after
+        # a resume at any epoch boundary
+        model.reseed_dropout([seed, 7, epoch])
+        batches = make_batches(
+            train_corpus, src_vocab, tgt_vocab, batch_size,
+            shuffle_seed=[seed, 11, epoch], sort_by_length=True,
+        )
+        stats = train_epoch(model, batches, state, tcfg, on_step=on_step)
+        # before the checkpoints: a resume from the last one keeps these rows
+        report.write(metrics_path)
+        if valid_batches is not None:
+            valid = evaluate_teacher_forced(model, valid_batches)
+            last_valid_acc = valid["accuracy"]
+            if valid["loss"] < best_valid:
+                best_valid = valid["loss"]
+                save(out_dir / "best.ckpt", epoch + 1)
+        save(out_dir / "last.ckpt", epoch + 1)
+        log.info(
+            "epoch %d/%d [%s] loss %.4f acc %.4f%s",
+            epoch + 1, total_epochs, phase, stats["loss"], stats["accuracy"],
+            f" valid_acc {last_valid_acc:.4f}" if last_valid_acc is not None else "",
+        )
     if valid_batches is None:
         save(out_dir / "best.ckpt", epochs_done if total_epochs == 0 else total_epochs)
 
-    report.final = {
-        "train_loss": stats["loss"],
-        "valid_acc": last_valid_acc,
-        "steps": state.t,
-    }
+    report.steps = state.t
     report.write(metrics_path)
     return report
 
@@ -208,10 +188,7 @@ def cmd_train(args) -> int:
         run_cfg.seed = args.seed
         run_cfg.train.seed = args.seed
     report = run_training(run_cfg, args.out, resume=args.resume)
-    print(
-        f"training finished (final-phase step {report.final['steps']}); "
-        f"outputs in {args.out}"
-    )
+    print(f"training finished (final-phase step {report.steps}); outputs in {args.out}")
     return 0
 
 
@@ -231,7 +208,7 @@ def _read_checkpoint(path):
 
 
 # ---------------------------------------------------------------------------
-# translate / evaluate
+# translate / evaluate / export-attention
 
 
 def _load_model_and_vocabs(path):
@@ -239,8 +216,8 @@ def _load_model_and_vocabs(path):
     are mapped but never read, so they are never paged in; the mapping goes
     with the rest of the checkpoint before any decoding."""
     ckpt, model = _read_checkpoint(path)
-    src_vocab, tgt_vocab = _vocabs_from_meta(ckpt.meta)
-    return model, src_vocab, tgt_vocab
+    meta = ckpt.meta
+    return model, Vocabulary(meta["src_vocab_tokens"]), Vocabulary(meta["tgt_vocab_tokens"])
 
 
 def _beam_config(args) -> BeamConfig:
@@ -253,44 +230,76 @@ def _beam_config(args) -> BeamConfig:
         raise ConfigError(f"invalid beam flags: {exc}") from exc
 
 
-def _skips(model, tokens, what: str, line_no: int, action: str = "skipped") -> bool:
-    """True, with a warning on stderr, when ``tokens`` are too long for the
-    model, which appends EOS to a source and prepends BOS to a target."""
+def _read_lines(path) -> list[str]:
+    """The lines of the text file at ``path``; a file that cannot be read is
+    a ConfigError that names it.  Bytes that are not UTF-8 become lone
+    surrogates, so that ``_skips`` costs them their line, not the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8", "surrogateescape").splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _check_out(path) -> None:
+    """A ConfigError, before any decoding, unless ``path`` is None or names a
+    file in a directory that exists."""
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ConfigError(f"cannot write {path}: not a file in an existing directory")
+
+
+def _skips(model, line: str, what: str, line_no: int, action: str = "skipped") -> bool:
+    """True, with a warning on stderr, when ``line`` holds bytes that are not
+    UTF-8 or more tokens than the model takes: it appends EOS to a source
+    and prepends BOS to a target."""
     limit = model.config.max_len - 1
-    if len(tokens) <= limit:
-        return False
-    print(
-        f"warning: {what} line {line_no} has {len(tokens)} tokens, "
-        f"more than the model's limit of {limit}; {action}",
-        file=sys.stderr,
-    )
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        problem = "is not UTF-8"
+    else:
+        n = len(line.split())
+        if n <= limit:
+            return False
+        problem = f"has {n} tokens, more than the model's limit of {limit}"
+    print(f"warning: {what} line {line_no} {problem}; {action}", file=sys.stderr)
     return True
+
+
+def decode_lines(model, src_vocab, lines, beam: BeamConfig | None):
+    """Per source line, its tokens, its ids with EOS appended and its decoded
+    output ids, or None for an empty or skipped line; and the numbers of the
+    skipped lines.  With ``beam`` None nothing is decoded: the output ids
+    are None."""
+    decoded, skipped = [], []
+    for line_no, line in enumerate(lines, 1):
+        tokens = line.split()
+        if _skips(model, line, "source", line_no):
+            skipped.append(line_no)
+            decoded.append(None)
+        elif not tokens:
+            decoded.append(None)
+        else:
+            ids = src_vocab.encode(tokens) + [EOS_ID]
+            out_ids = None if beam is None else translate_ids(model, ids, beam)
+            decoded.append((tokens, ids, out_ids))
+    return decoded, skipped
 
 
 def translate_lines(
     model, src_vocab, tgt_vocab, lines, beam: BeamConfig
 ) -> tuple[list[str], list[int]]:
     """One output line per input line, and the numbers of the lines skipped:
-    a line too long for the model gets an empty output line."""
-    out, skipped = [], []
-    for line_no, line in enumerate(lines, 1):
-        tokens = line.split()
-        too_long = _skips(model, tokens, "source", line_no)
-        if too_long:
-            skipped.append(line_no)
-        if not tokens or too_long:
-            out.append("")
-            continue
-        ids = src_vocab.encode(tokens) + [EOS_ID]
-        out_ids = translate_ids(model, ids, beam)
-        out.append(" ".join(tgt_vocab.decode(out_ids)))
+    an empty or skipped line gets an empty output line."""
+    decoded, skipped = decode_lines(model, src_vocab, lines, beam)
+    out = ["" if d is None else " ".join(tgt_vocab.decode(d[2])) for d in decoded]
     return out, skipped
 
 
 def cmd_translate(args) -> int:
     beam = _beam_config(args)
+    lines = _read_lines(args.input)
+    _check_out(args.out)
     model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
-    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, lines, beam)
     text = "".join(h + "\n" for h in hyps)
     if args.out:
@@ -302,20 +311,20 @@ def cmd_translate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     beam = _beam_config(args)
-    model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
-    src_lines = Path(args.src).read_text(encoding="utf-8").splitlines()
-    ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()
+    src_lines, ref_lines = _read_lines(args.src), _read_lines(args.ref)
     if len(src_lines) != len(ref_lines):
-        raise SystemExit(
-            f"error: {args.src} has {len(src_lines)} lines but {args.ref} has {len(ref_lines)}"
+        raise ConfigError(
+            f"{args.src} has {len(src_lines)} lines but {args.ref} has {len(ref_lines)}"
         )
+    _check_out(args.out)
+    model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
     hyps, skipped = translate_lines(model, src_vocab, tgt_vocab, src_lines, beam)
     bleu = corpus_bleu([h.split() for h in hyps], [r.split() for r in ref_lines])
 
     pairs = []
     for line_no, (s, r) in enumerate(zip(src_lines, ref_lines), 1):
         src, ref = s.split(), r.split()
-        if _skips(model, ref, "reference", line_no, "left out of token accuracy"):
+        if _skips(model, r, "reference", line_no, "left out of token accuracy"):
             skipped.append(line_no)
         elif src and ref and line_no not in skipped:
             pairs.append((src, ref))
@@ -328,53 +337,37 @@ def cmd_evaluate(args) -> int:
     return 1 if skipped else 0
 
 
-# ---------------------------------------------------------------------------
-# attention export
-
-
 def export_attention(model, src_vocab, tgt_vocab, lines, side: str, beam: BeamConfig):
     """Rows (sentence_id, position, token, hop, layer, weight) for one side,
-    and the number of lines skipped as too long for the model."""
+    and the number of lines skipped."""
     from . import autodiff as ad
 
-    rows, skipped = [], 0
-    for sent_id, line in enumerate(lines):
-        tokens = line.split()
-        too_long = _skips(model, tokens, "source", sent_id + 1)
-        skipped += too_long
-        if not tokens or too_long:
+    decoded, skipped = decode_lines(
+        model, src_vocab, lines, beam if side == "decoder" else None
+    )
+    rows = []
+    for sent_id, entry in enumerate(decoded):
+        if entry is None:
             continue
-        src_ids = src_vocab.encode(tokens) + [EOS_ID]
+        tokens, src_ids, out_ids = entry
         src, src_mask = one_sentence(src_ids)
-        if side == "encoder":
-            with ad.no_grad():
+        with ad.no_grad():
+            if side == "encoder":
                 _, trace = model.encoder_output(model.encode(src, src_mask), src_mask)
-            pos_tokens = tokens + ["<eos>"]
-        else:
-            # decode first, then force the decoded sequence to read its
-            # trace; position j is labeled with the token predicted there
-            out_ids = translate_ids(model, src_ids, beam)
-            tgt_in, tgt_mask = one_sentence([BOS_ID] + out_ids)
-            with ad.no_grad():
+            else:
+                # force the decoded sequence to read its trace; position j
+                # is labeled with the token predicted there
+                tgt_in, tgt_mask = one_sentence([BOS_ID] + out_ids)
                 trace = model.forward(src, src_mask, tgt_in, tgt_mask).decoder_trace
-            pos_tokens = tgt_vocab.decode(out_ids, strip_reserved=False) + ["<eos>"]
+                tokens = tgt_vocab.decode(out_ids, strip_reserved=False)
         if trace is None:
             raise ValueError(f"{side} side has no self-attention fusion")
-        for pos in range(trace.weights.shape[0]):
-            token = pos_tokens[pos] if pos < len(pos_tokens) else "<pad>"
-            for hop in range(trace.n_hops):
-                for layer in range(trace.n_layers):
-                    rows.append(
-                        (
-                            sent_id,
-                            pos,
-                            token,
-                            hop + 1,
-                            trace.first_layer + layer,
-                            trace.weights[pos, hop, layer],
-                        )
-                    )
-    return rows, skipped
+        labels = tokens + ["<eos>"]  # one per trace position
+        rows += [
+            (sent_id, pos, labels[pos], hop + 1, trace.first_layer + layer, w)
+            for (pos, hop, layer), w in np.ndenumerate(trace.weights)
+        ]
+    return rows, len(skipped)
 
 
 def write_trace_file(rows, path) -> None:
@@ -387,6 +380,9 @@ def write_trace_file(rows, path) -> None:
 
 def cmd_export_attention(args) -> int:
     beam = _beam_config(args)
+    lines = _read_lines(args.input)
+    out = args.out or "attention.tsv"
+    _check_out(out)
     model, src_vocab, tgt_vocab = _load_model_and_vocabs(args.checkpoint)
     fusion = model.fusion
     sa_sides = [s for s in ("decoder", "encoder") if fusion.kind_for(s) == "self_attention"]
@@ -398,9 +394,7 @@ def cmd_export_attention(args) -> int:
     side = args.side or sa_sides[0]
     if side not in sa_sides:
         raise SystemExit(f"error: {side} side does not use self-attention fusion")
-    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     rows, skipped = export_attention(model, src_vocab, tgt_vocab, lines, side, beam)
-    out = args.out or "attention.tsv"
     write_trace_file(rows, out)
     print(f"wrote {len(rows)} weights to {out}")
     return 1 if skipped else 0

@@ -226,10 +226,17 @@ def build_corpora(
 
     if not cfg.train_src:
         raise ConfigError("[data] needs either task=... or train_src/train_tgt files")
-    train = load_parallel_text(cfg.train_src, cfg.train_tgt, cfg.max_sentence_len)
-    valid = None
-    if cfg.valid_src:
-        valid = load_parallel_text(cfg.valid_src, cfg.valid_tgt, cfg.max_sentence_len)
+
+    def load(src, tgt) -> ParallelCorpus:
+        try:
+            return load_parallel_text(src, tgt, cfg.max_sentence_len)
+        except OSError as exc:
+            raise ConfigError(f"cannot read [data] file {exc.filename}: {exc.strerror}") from exc
+        except ValueError as exc:  # unequal line counts, or bytes that are not UTF-8
+            raise ConfigError(f"cannot read [data] files {src} / {tgt}: {exc}") from exc
+
+    train = load(cfg.train_src, cfg.train_tgt)
+    valid = load(cfg.valid_src, cfg.valid_tgt) if cfg.valid_src else None
     src_vocab = build_vocab(train.sources(), cfg.max_vocab)
     tgt_vocab = build_vocab(train.targets(), cfg.max_vocab)
     return train, valid, src_vocab, tgt_vocab

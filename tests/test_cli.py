@@ -574,3 +574,117 @@ class TestParamCount:
         out = capsys.readouterr().out
         totals = dict(line.split("\t") for line in out.strip().splitlines())
         assert int(totals["embeddings"]) == 2 * 10 * 16  # alphabet 6 + 4 reserved
+
+
+# (command, fault): input faults that must stop a run before its checkpoint is read
+INPUT_FAULTS = [
+    *[(c, f) for c in ("translate", "evaluate", "export-attention")
+      for f in ("missing input", "directory as input", "missing --out directory",
+                "--out is a directory")],
+    ("evaluate", "line-count mismatch"),
+]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command,fault", INPUT_FAULTS)
+    def test_fault_is_one_error_line_before_reading_the_checkpoint(
+        self, tmp_path, capsys, command, fault
+    ):
+        good = tmp_path / "in.txt"
+        good.write_text("s0 s1\ns2\n")
+        files = [good, good] if command == "evaluate" else [good]
+        out = tmp_path / "out.txt"
+        if fault == "missing input":
+            files[0] = culprit = tmp_path / "nope.txt"
+        elif fault == "directory as input":
+            files[-1] = culprit = tmp_path
+        elif fault == "line-count mismatch":
+            files[1] = culprit = tmp_path / "short.txt"
+            culprit.write_text("s0 s1\n")
+        elif fault == "missing --out directory":
+            out = culprit = tmp_path / "nodir" / "out.txt"
+        else:
+            out = culprit = tmp_path
+        missing = str(tmp_path / "missing.ckpt")
+        argv = [command, "--checkpoint", missing, *map(str, files), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(culprit) in err[0] and "checkpoint" not in err[0]
+
+    @pytest.mark.parametrize("command", ["translate", "evaluate", "export-attention"])
+    def test_line_that_is_not_utf8_is_skipped_and_the_run_continues(
+        self, trained, tmp_path, capsys, command
+    ):
+        _, out = trained
+        ckpt = str(out / "last.ckpt")
+        bad, clean = tmp_path / "bad.txt", tmp_path / "clean.txt"
+        # a cut-off three-byte sequence right before the newline
+        bad.write_bytes(b"s0 s1\ns2 \xe2\x82\ns2 s3 s4\n")
+        clean.write_bytes(b"s0 s1\ns2 s3 s4\n")
+        outputs = []
+        for path in (bad, clean):
+            dest = tmp_path / f"{path.stem}.out"
+            files = [str(path), str(path)] if command == "evaluate" else [str(path)]
+            outputs.append(dest)
+            code = main([command, "--checkpoint", ckpt, *files, "--out", str(dest)])
+            assert code == (1 if path is bad else 0)
+            if path is bad:
+                assert "warning: source line 2 is not UTF-8; skipped" in capsys.readouterr().err
+        if command == "export-attention":
+            rows, clean_rows = (read_trace_file(p) for p in outputs)
+            assert {r[0] for r in rows} == {0, 2}
+            assert [r for r in rows if r[0] == 0] == [r for r in clean_rows if r[0] == 0]
+            assert [r[1:] for r in rows if r[0] == 2] == [r[1:] for r in clean_rows if r[0] == 1]
+        else:
+            first, skipped, third = outputs[0].read_text().splitlines()
+            assert skipped == ""
+            assert [first, third] == outputs[1].read_text().splitlines()
+
+    @pytest.mark.parametrize("command", ["train", "param-count"])
+    @pytest.mark.parametrize("fault", ["missing file", "line-count mismatch"])
+    def test_bad_data_file_is_one_error_line_before_any_weight(
+        self, tmp_path, capsys, monkeypatch, command, fault
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad data file reached weight init")
+
+        monkeypatch.setattr(training, "init_parameters", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        src, tgt = tmp_path / "train.src", tmp_path / "train.tgt"
+        src.write_text("s0 s1\ns2\n")
+        tgt.write_text("s0 s1\ns2\n" if fault == "missing file" else "s0 s1\n")
+        if fault == "missing file":
+            src = tmp_path / "nope.src"
+        path = edited_cfg(tmp_path, "data", {
+            "task": None, "train_src": str(src), "train_tgt": str(tgt), "max_sentence_len": "5",
+        })
+        argv = ["--config", path] + (["--out", str(tmp_path / "out")] if command == "train" else [])
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(src) in err[0]
+
+
+class TestOneSourceLinePath:
+    @pytest.mark.parametrize("flags", [[], ["--beam", "1", "--alpha", "0"], ["--beam", "3"]])
+    def test_export_decodes_what_translate_outputs(self, trained, tmp_path, flags):
+        _, out = trained
+        ckpt = str(out / "last.ckpt")
+        inp = tmp_path / "in.txt"
+        inp.write_text(f"s0 s1 s2\n\n{LONG_LINE}\ns3 s4\ns5 s1 s1 s0\n")
+        hyps, trace = tmp_path / "hyps.txt", tmp_path / "att.tsv"
+        assert main(["translate", "--checkpoint", ckpt, str(inp), "--out", str(hyps), *flags]) == 1
+        assert main(
+            ["export-attention", "--checkpoint", ckpt, str(inp), "--out", str(trace), *flags]
+        ) == 1
+        labels = {}
+        for sent, pos, tok, hop, _layer, _w in read_trace_file(trace):
+            if hop == 1:
+                labels.setdefault(sent, {})[pos] = tok
+        exported = [""] * 5  # skipped and empty lines export no rows
+        for sent, by_pos in labels.items():
+            *tokens, last = (by_pos[p] for p in range(len(by_pos)))
+            assert last == "<eos>"
+            exported[sent] = " ".join(tokens)
+        assert exported == hyps.read_text().splitlines()
