@@ -387,13 +387,13 @@ def cmd_export_attention(args) -> int:
     fusion = model.fusion
     sa_sides = [s for s in ("decoder", "encoder") if fusion.kind_for(s) == "self_attention"]
     if not sa_sides:
-        raise SystemExit(
-            "error: checkpoint has no self-attention fusion "
+        raise ConfigError(
+            "checkpoint has no self-attention fusion "
             f"(side={fusion.side}, enc={fusion.enc_kind}, dec={fusion.dec_kind})"
         )
     side = args.side or sa_sides[0]
     if side not in sa_sides:
-        raise SystemExit(f"error: {side} side does not use self-attention fusion")
+        raise ConfigError(f"{side} side does not use self-attention fusion")
     rows, skipped = export_attention(model, src_vocab, tgt_vocab, lines, side, beam)
     write_trace_file(rows, out)
     print(f"wrote {len(rows)} weights to {out}")

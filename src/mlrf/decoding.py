@@ -1,13 +1,16 @@
 """Greedy and beam-search decoding with length normalization.
 
-Decoders are written against a batched step function: it maps a list of k
-BOS-prefixed token tuples to their next-token log-probs, ``[k x V]``.
-Greedy decoding scores one prefix per step, beam search every live
-hypothesis at once.  ``SentenceScorer`` adapts a trained model to that
-contract: the encoder and the cross-attention keys and values run once per
-sentence, and each step runs only the newest position of every prefix
-through the decoder's one stack method, ``Transformer.decode_teacher_forced``,
-reading the keys and values cached for its parent.
+Decoders are written against a batched step function
+``step(tokens, parents) -> [k x V]``: row i of a call extends row
+``parents[i]`` of the previous call by ``tokens[i]``, and the result holds
+each row's next-token log-probs.  ``parents=None`` starts k new prefixes
+from empty (a search's first call passes BOS).  Greedy decoding scores one
+row per step, beam search every live hypothesis at once.  ``SentenceScorer``
+adapts a trained model to that contract: the encoder and the cross-attention
+keys and values run once per sentence, and each step runs only the newest
+token of every row through the decoder's one stack method,
+``Transformer.decode_teacher_forced``, reading the keys and values cached
+for its parent row.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from . import autodiff as ad
 from .data import BOS_ID, EOS_ID
 from .model import Transformer, one_sentence
 
-StepFn = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
+# step(tokens [k], parents [k] or None) -> next-token log-probs [k x V]
+StepFn = Callable[[np.ndarray, "Sequence[int] | None"], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -65,16 +69,15 @@ def length_normalized_score(logprob: float, length: int, alpha: float) -> float:
 
 
 def greedy_decode(step_fn: StepFn, max_len: int, bos: int = BOS_ID, eos: int = EOS_ID) -> list[int]:
-    """Argmax decoding (ties resolve to the lowest token id)."""
-    prefix = [bos]
+    """Best-token decoding, ranked by ``top_tokens`` (ties resolve to the
+    lowest token id); returns the ids without BOS and EOS."""
+    out, tok, parents = [], bos, None
     for _ in range(max_len):
-        nxt = int(np.argmax(step_fn([tuple(prefix)])[0]))
-        prefix.append(nxt)
-        if nxt == eos:
+        tok = int(top_tokens(step_fn(np.array([tok]), parents), 1)[0, 0])
+        if tok == eos:
             break
-    out = prefix[1:]
-    if out and out[-1] == eos:
-        out.pop()
+        out.append(tok)
+        parents = [0]
     return out
 
 
@@ -91,7 +94,7 @@ def top_tokens(logps: np.ndarray, width: int) -> np.ndarray:
     vals = np.take_along_axis(logps, ids, axis=1)
     cut = vals.min(axis=1, keepdims=True)
     if np.isnan(cut).any():
-        raise ValueError("beam step returned NaN log-probs")
+        raise ValueError("decoding step returned NaN log-probs")
     for i in np.flatnonzero((logps == cut).sum(axis=1) > (vals == cut).sum(axis=1)):
         above = np.flatnonzero(logps[i] > cut[i])
         tied = np.flatnonzero(logps[i] == cut[i])
@@ -109,36 +112,40 @@ def beam_search(
 ) -> list[Hypothesis]:
     """Standard beam search; returns hypotheses ranked by normalized score.
 
-    Each step scores every live hypothesis in one ``step_fn`` call.  Live
-    hypotheses expand by their top-``width`` tokens each step (``top_tokens``)
-    and the best ``width`` by cumulative log-prob survive.  A hypothesis
-    emitting EOS moves to the completed pool and stops expanding.  If nothing
-    finishes by ``max_len``, the live beam is returned as-is.
+    Each step scores every live hypothesis in one ``step_fn`` call, as the
+    child of the previous call's row it grew from.  Live hypotheses expand
+    by their top-``width`` tokens each step (``top_tokens``) and the best
+    ``width`` by cumulative log-prob survive.  A hypothesis emitting EOS
+    moves to the completed pool and stops expanding.  If nothing finishes by
+    ``max_len``, the live beam is returned as-is.
     """
     width = config.width
     live = [Hypothesis((bos,), 0.0)]
+    parents: list[int] | None = None  # the row each live hypothesis grew from
     done: list[Hypothesis] = []
     for _ in range(config.max_len):
         if not live:
             break
-        candidates: list[Hypothesis] = []
-        logps = step_fn([hyp.tokens for hyp in live])
-        for hyp, logp, toks in zip(live, logps, top_tokens(logps, width)):
+        candidates: list[tuple[Hypothesis, int]] = []
+        logps = step_fn(np.array([hyp.tokens[-1] for hyp in live]), parents)
+        for row, (hyp, logp, toks) in enumerate(zip(live, logps, top_tokens(logps, width))):
             for tok in toks.tolist():
-                candidates.append(
+                candidates.append((
                     Hypothesis(
                         hyp.tokens + (tok,),
                         hyp.logprob + float(logp[tok]),
                         finished=tok == eos,
-                    )
-                )
-        candidates.sort(key=lambda h: -h.logprob)
-        live = []
-        for hyp in candidates:
+                    ),
+                    row,
+                ))
+        candidates.sort(key=lambda c: -c[0].logprob)
+        live, parents = [], []
+        for hyp, row in candidates:
             if hyp.finished:
                 done.append(hyp)
             elif len(live) < width:
                 live.append(hyp)
+                parents.append(row)
             if len(done) >= width and len(live) >= width:
                 break
     pool = done if done else live
@@ -150,14 +157,11 @@ class SentenceScorer:
 
     Construction runs the encoder (and its fusion, if any) and projects
     every decoder layer's cross-attention keys and values, once.  A call
-    scores prefixes of one length.  It finds each prefix's parent (the
-    prefix minus its last token) among the previous call's prefixes,
-    gathers that row's cached self-attention keys and values, and runs one
-    unmasked decoder step on the last tokens; only the new rows reach the
-    decoder-side fusion and the output projection.  When a parent was not
-    scored by the previous call, every prefix of the call is replayed from
-    BOS one position at a time with the same step, so the result depends
-    only on the prefixes.
+    takes the ``StepFn`` arguments: it gathers the cached self-attention
+    keys and values of rows ``parents`` of the previous call (none when
+    ``parents`` is None, which restarts the scorer) and runs one unmasked
+    decoder step on ``tokens``; only the new rows reach the decoder-side
+    fusion and the output projection.
     """
 
     def __init__(self, model: Transformer, src_ids: Sequence[int]):
@@ -167,33 +171,20 @@ class SentenceScorer:
             stack = model.encode(src, src_mask)
             enc_rep, _ = model.encoder_output(stack, src_mask)
             self.cross_kv = model.cross_key_values(enc_rep)
-        self._rows: dict[tuple[int, ...], int] = {}  # previous call's prefixes
-        self._past: list[tuple[ad.Tensor, ad.Tensor]] | None = None
+        self._past: list[tuple[ad.Tensor, ad.Tensor]] | None = None  # previous call's rows
 
-    def __call__(self, prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
-        prefixes = [tuple(p) for p in prefixes]
-        n, k = len(prefixes[0]), len(prefixes)
-        if any(len(p) != n for p in prefixes):
-            raise ValueError("a scorer call takes prefixes of one length")
-        parents = [self._rows.get(p[:-1]) for p in prefixes]
-        ids = np.asarray(prefixes, dtype=np.int64)
+    def __call__(self, tokens: np.ndarray, parents: Sequence[int] | None) -> np.ndarray:
+        ids = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        k = len(ids)
         cross_kv = [
             tuple(ad.Tensor(np.broadcast_to(h.data, (k,) + h.shape[1:])) for h in kv)
             for kv in self.cross_kv
         ]
         with ad.no_grad():
-            if None in parents:  # replay from BOS
-                start, past = 0, None
-            else:
-                start, past = n - 1, [(k[parents], v[parents]) for k, v in self._past]
-            for j in range(start, n):
-                stack, past = self.model.decode_teacher_forced(
-                    ids[:, j : j + 1], None, cross_kv, None, past=past
-                )
-            self._past = past
+            past = None if parents is None else [(key[parents], v[parents]) for key, v in self._past]
+            stack, self._past = self.model.decode_teacher_forced(ids, None, cross_kv, None, past=past)
             rep, _ = self.model.decoder_output(stack, np.ones((k, 1), dtype=bool))
             logits = self.model.output_logits(rep).data
-        self._rows = {p: i for i, p in enumerate(prefixes)}
         z = logits - logits.max(axis=1, keepdims=True)
         return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
@@ -206,11 +197,11 @@ def translate_ids(
     """Decode one encoded source sentence to output token ids."""
     scorer = SentenceScorer(model, src_ids)
     # the decoder prefix includes BOS, so cap one below the model's limit
-    cap = model.config.max_len - 1
-    if beam is None or (beam.width == 1 and beam.length_alpha == 0.0):
-        max_len = min(beam.max_len, cap) if beam is not None else cap
+    max_len = model.config.max_len - 1
+    if beam is not None:
+        max_len = min(beam.max_len, max_len)
+    # a width-1 beam holds one hypothesis, so it is greedy for every alpha
+    if beam is None or beam.width == 1:
         return greedy_decode(scorer, max_len)
-    if beam.max_len > cap:
-        beam = BeamConfig(beam.width, beam.length_alpha, cap)
-    best = beam_search(scorer, beam)
+    best = beam_search(scorer, BeamConfig(beam.width, beam.length_alpha, max_len))
     return best[0].output_ids() if best else []

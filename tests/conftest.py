@@ -67,9 +67,17 @@ def load_vocab(path) -> Vocabulary:
 
 
 def per_prefix(fn):
-    """A batched decoding step function that calls ``fn(prefix) -> [V]`` per
-    prefix."""
-    return lambda prefixes: np.stack([fn(prefix) for prefix in prefixes])
+    """A decoding step function ``step(tokens, parents)`` over a prefix-keyed
+    oracle ``fn(prefix) -> [V]``: it rebuilds each row's BOS-prefixed prefix
+    from its parent row of the previous call and calls ``fn`` on it."""
+    rows: list[tuple[int, ...]] = []
+
+    def step(tokens, parents):
+        heads = [()] * len(tokens) if parents is None else [rows[p] for p in parents]
+        rows[:] = [head + (int(tok),) for head, tok in zip(heads, tokens)]
+        return np.stack([fn(prefix) for prefix in rows])
+
+    return step
 
 
 def resident_bytes() -> int:

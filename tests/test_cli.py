@@ -513,7 +513,7 @@ class TestExportAttention:
         write_trace_file(rows, second)
         assert dest.read_bytes() == second.read_bytes()
 
-    def test_non_sa_checkpoint_is_an_informative_error(self, tmp_path):
+    def test_non_sa_checkpoint_is_an_informative_error(self, tmp_path, capsys):
         cfg = tmp_path / "plain.cfg"
         cfg.write_text(
             TINY_CFG.format(phase1=1, phase2=0).replace(
@@ -524,8 +524,21 @@ class TestExportAttention:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         inp = tmp_path / "in.txt"
         inp.write_text("s0 s1\n")
-        with pytest.raises(SystemExit, match="self-attention"):
-            main(["export-attention", "--checkpoint", str(out / "last.ckpt"), str(inp)])
+        capsys.readouterr()
+        assert main(["export-attention", "--checkpoint", str(out / "last.ckpt"), str(inp)]) == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint has no self-attention fusion")
+
+    def test_side_without_self_attention_is_an_informative_error(self, trained, tmp_path, capsys):
+        _, out = trained
+        inp = tmp_path / "in.txt"
+        inp.write_text("s0 s1\n")
+        assert main([
+            "export-attention", "--checkpoint", str(out / "last.ckpt"), str(inp),
+            "--side", "encoder", "--out", str(tmp_path / "att.tsv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: encoder side does not use self-attention fusion\n"
+        assert not (tmp_path / "att.tsv").exists()
 
 
 class TestParamCount:

@@ -101,6 +101,11 @@ class TestGreedy:
         runs = {tuple(greedy_decode(per_prefix(GREEDY_TRAP), max_len=5)) for _ in range(5)}
         assert len(runs) == 1
 
+    def test_nan_log_probs_rejected(self):
+        nan_step = lambda tokens, parents: np.full((len(tokens), 6), np.nan)  # noqa: E731
+        with pytest.raises(ValueError, match="NaN"):
+            greedy_decode(nan_step, max_len=3)
+
 
 class TestBeam:
     def test_width_one_alpha_zero_equals_greedy(self):
@@ -162,7 +167,7 @@ class TestBeam:
         tied ones in id order, whatever the partition happened to pick."""
         logp = np.full(40, math.log(0.5 / 37))
         logp[[30, 12, 21]] = math.log(0.5 / 3)
-        step = lambda prefixes: np.tile(logp, (len(prefixes), 1))  # noqa: E731
+        step = lambda tokens, parents: np.tile(logp, (len(tokens), 1))  # noqa: E731
         hyps = beam_search(step, BeamConfig(width=5, length_alpha=0.0, max_len=1), eos=-1)
         assert [h.tokens[1] for h in hyps] == [12, 21, 30, 0, 1]
         hyps = beam_search(step, BeamConfig(width=5, length_alpha=0.0, max_len=2), eos=-1)
@@ -185,10 +190,11 @@ class TestBeam:
 
     def test_scores_every_live_hypothesis_in_one_call(self):
         calls = []
+        oracle = per_prefix(GREEDY_TRAP)
 
-        def step(prefixes):
-            calls.append(len(prefixes))
-            return per_prefix(GREEDY_TRAP)(prefixes)
+        def step(tokens, parents):
+            calls.append(len(tokens))
+            return oracle(tokens, parents)
 
         beam_search(step, BeamConfig(width=3, length_alpha=0.0, max_len=5))
         assert calls[0] == 1 and max(calls) > 1
@@ -199,17 +205,21 @@ class TestModelAdapter:
     def test_scorer_returns_log_distribution(self):
         model = toy_model(seed=33)
         scorer = SentenceScorer(model, [4, 5, 2])
-        logp = scorer([(1, 4)])[0]
+        scorer([1], None)
+        logp = scorer([4], [0])[0]
         assert logp.shape == (model.config.tgt_vocab,)
         assert np.isfinite(logp).all() and (logp <= 0).all()
         assert abs(np.exp(logp).sum() - 1.0) < 1e-9
 
     def test_greedy_and_width1_beam_agree_on_model(self):
+        """A width-1 beam holds one hypothesis, so it is greedy for every alpha."""
         model = toy_model("decoder", "self_attention", seed=35)
         src = [4, 6, 5, 2]
-        greedy = translate_ids(model, src, BeamConfig(1, 0.0, 6))
-        scorer = SentenceScorer(model, src)
-        assert greedy == greedy_decode(scorer, max_len=6)
+        greedy = greedy_decode(SentenceScorer(model, src), max_len=6)
+        assert translate_ids(model, src, BeamConfig(1, 0.0, 6)) == greedy
+        assert translate_ids(model, src, BeamConfig(1, 1.6, 6)) == greedy
+        beam1 = beam_search(SentenceScorer(model, src), BeamConfig(1, 1.6, 6))[0]
+        assert beam1.output_ids() == greedy
 
     def test_decoding_is_deterministic(self):
         model = toy_model(seed=37)
@@ -229,8 +239,10 @@ def teacher_forced_last_row(model, src, prefix):
     return z - np.log(np.exp(z).sum())
 
 
-def assert_rows_match(model, scorer, prefixes):
-    got = scorer(prefixes)
+def assert_rows_match(model, scorer, prefixes, parents):
+    """Score the newest token of each prefix as a child of row ``parents[i]``
+    of the scorer's previous call and compare with teacher forcing."""
+    got = scorer([p[-1] for p in prefixes], parents)
     assert got.shape == (len(prefixes), model.config.tgt_vocab)
     for prefix, row in zip(prefixes, got):
         want = teacher_forced_last_row(model, SRC, list(prefix))
@@ -256,30 +268,42 @@ class TestIncrementalScorer:
     def test_rows_equal_teacher_forced_last_rows(self, side, kind, overrides):
         model = toy_model(side, kind, seed=41, **overrides)
         scorer = SentenceScorer(model, SRC)
-        prefixes = [(1,)]
+        prefixes, parents = [(1,)], None
         for step in range(model.config.max_len - 1):
-            assert_rows_match(model, scorer, prefixes)
-            prefixes = [p + (tok,) for p in prefixes[:2] for tok in (3 + step, 10 - step)]
+            assert_rows_match(model, scorer, prefixes, parents)
+            children = [(i, tok) for i in range(len(prefixes[:2])) for tok in (3 + step, 10 - step)]
+            parents = [i for i, _ in children]
+            prefixes = [prefixes[i] + (tok,) for i, tok in children]
 
     def test_parents_reordered_repeated_and_dropped(self):
         model = toy_model("decoder", "self_attention", seed=43)
         scorer = SentenceScorer(model, SRC)
-        scorer([(1,)])
-        first = [(1, 4), (1, 5), (1, 6)]
-        assert_rows_match(model, scorer, first)
+        scorer([1], None)
+        assert_rows_match(model, scorer, [(1, 4), (1, 5), (1, 6)], [0, 0, 0])
         # (1, 6) is extended twice and listed first, (1, 5) not at all
-        assert_rows_match(model, scorer, [(1, 6, 3), (1, 4, 4), (1, 6, 7)])
+        assert_rows_match(model, scorer, [(1, 6, 3), (1, 4, 4), (1, 6, 7)], [2, 0, 2])
 
-    def test_unscored_parent_is_replayed(self):
+    def test_reused_scorer_restarts_on_no_parents(self):
         model = toy_model("decoder", "self_attention", seed=47)
         scorer = SentenceScorer(model, SRC)
-        scorer([(1,)])
-        scorer([(1, 4)])
-        # the parent of (1, 5, 6) was never scored
-        assert_rows_match(model, scorer, [(1, 4, 8), (1, 5, 6)])
-        assert_rows_match(model, scorer, [(1, 5, 6, 9)])
+        scorer([1], None)
+        scorer([4, 5], [0, 0])
+        scorer([8, 6], [1, 0])
+        np.testing.assert_array_equal(scorer([1], None), SentenceScorer(model, SRC)([1], None))
+        assert_rows_match(model, scorer, [(1, 5), (1, 9)], [0, 0])
 
-    def test_prefixes_of_mixed_length_rejected(self):
-        scorer = SentenceScorer(toy_model(seed=53), SRC)
-        with pytest.raises(ValueError, match="one length"):
-            scorer([(1,), (1, 4)])
+    def test_one_decoder_step_per_call(self, monkeypatch):
+        model = toy_model("both", "self_attention", seed=53)
+        scorer = SentenceScorer(model, SRC)
+        shapes = []
+        step = model.decode_teacher_forced
+
+        def spy(ids, *args, **kwargs):
+            shapes.append(ids.shape)
+            return step(ids, *args, **kwargs)
+
+        monkeypatch.setattr(model, "decode_teacher_forced", spy)
+        scorer([1], None)
+        scorer([4, 5, 6], [0, 0, 0])
+        scorer([7, 8], [2, 1])
+        assert shapes == [(1, 1), (3, 1), (2, 1)]
