@@ -8,22 +8,31 @@ double precision throughout so gradient checks against central finite
 differences are tight.
 
 Every op result stays on the tape until ``backward`` has passed it, so the
-hot chains are fused into single ops that keep only what their backward
+model's chains are fused into single ops that keep only what their backward
 reads:
 
+* ``embed``: a word-embedding lookup plus fixed positions, with dropout; it
+  stores its output, the ids and the mask.
 * ``linear``: a dense layer ``act(x @ W + b)`` with an optional bias and an
   optional relu or tanh; it stores its output alone.
 * ``attention``: multi-head scaled dot-product attention over [B, L, d]
   projections, heads split as views; it stores the softmax probabilities
   beside its merged output.
-* ``residual_layer_norm``: a post-norm residual ``layer_norm(x + sub * keep)``
-  with a boolean dropout mask.
+* ``dense_residual_layer_norm``: a post-norm sublayer's output projection,
+  dropout, residual sum and norm, ``layer_norm(x + dropout(h @ W + b))``;
+  the projection itself is never stored.
+* ``gather_layers``: a stack of layer outputs, optionally only its real
+  rows, copied once.
+* ``layer_attention``: the fusion layer's multi-hop attention over the
+  layer axis; it stores its tanh hidden layer and the hop weights.
 * ``cross_entropy``: the output projection and the mean negative
   log-likelihood; it keeps one logits-sized buffer, exponentiated in place.
-* ``softmax`` and ``layer_norm``.
+* ``layer_norm``, and the shape ops ``reshape``, ``slice_``, ``sum_``,
+  ``mean_`` and ``scale``.
 
 Dropout masks are boolean; an op scales the kept units by the scalar
-``1/(1 - rate)``.  An op writes in place only into arrays it allocated.
+``1/(1 - rate)``.  An op writes in place only into arrays it allocated, or,
+in backward, into what its own forward stored, since the tape is single-use.
 """
 
 from __future__ import annotations
@@ -102,29 +111,8 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting)."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
-# elementwise suite
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _make(data, (a, b), vjp)
+# shape ops, reductions and dropout masks
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -132,26 +120,10 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _make(x.data * c, (x,), lambda g: (g * c,))
 
 
-def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute axes (reverse them when ``axes`` is None), as ``np.transpose``."""
-    axes = tuple(reversed(range(x.data.ndim))) if axes is None else tuple(axes)
-    if sorted(axes) != list(range(x.data.ndim)):
-        raise ValueError(f"transpose axes {axes} do not permute shape {x.shape}")
-    inverse = tuple(np.argsort(axes))
-    return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     old = x.shape
     return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join equal-shaped tensors along a new ``axis``, as ``np.stack``."""
-    ts = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in ts], axis=axis)
-    return _make(data, ts, lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
 def slice_(x: Tensor, key) -> Tensor:
@@ -229,45 +201,8 @@ def _dropped(a: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
-def dropout(
-    x: Tensor, rate: float, rng: np.random.Generator, mask: np.ndarray | None = None
-) -> Tensor:
-    """Inverted dropout with the mask of ``dropout_keep``; identity at rate 0."""
-    keep = dropout_keep(x.shape, rate, rng, mask)
-    if keep is None:
-        return x
-    return _make(_dropped(x.data, keep, rate), (x,), lambda g: (_dropped(g, keep, rate),))
-
-
 # ---------------------------------------------------------------------------
-# linear algebra and lookups
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
-
-    ``a`` may carry leading batch axes.  A 2-D ``b`` (a weight) multiplies
-    every row of ``a``, and its gradient is one GEMM over the flattened rows;
-    otherwise ``b`` must carry the same batch axes as ``a``.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    batched = b.data.ndim > 2 and b.shape[:-2] == a.shape[:-2]
-    if a.data.ndim < 2 or not (b.data.ndim == 2 or batched) or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    if b.data.ndim == 2:
-        rows = a.data.reshape(-1, a.shape[-1])
-        data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
-
-        def vjp(g):
-            g = g.reshape(-1, g.shape[-1])
-            return (g @ b.data.T).reshape(a.shape), rows.T @ g
-
-        return _make(data, (a, b), vjp)
-
-    def batched_vjp(g):
-        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
-
-    return _make(a.data @ b.data, (a, b), batched_vjp)
+# dense layers, lookups and gathers
 
 
 ACTIVATIONS = (None, "relu", "tanh")
@@ -318,43 +253,83 @@ def linear(
     return _make(y.reshape(x.shape[:-1] + w.shape[1:]), parents, vjp)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table``; backward scatter-adds into the table grad."""
+def embed(
+    table: Tensor,
+    ids,
+    positions: np.ndarray,
+    keep: np.ndarray | None = None,
+    rate: float = 0.0,
+) -> Tensor:
+    """``dropout(table[ids] + positions)`` as one node.
+
+    ``ids`` is [B x L] and ``positions`` a fixed [L x d] array, added to
+    every sentence; ``keep`` is the boolean mask ``dropout_keep`` drew at
+    ``rate`` (None: no dropout).  The sum and the dropout are applied in
+    place into the gathered rows, so the tape holds that one array and the
+    closure the ids and the mask.  Backward scatter-adds into the table
+    gradient.
+    """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(
-            f"embedding id out of range [0, {table.shape[0]}): "
-            f"min={ids.min()}, max={ids.max()}"
-        )
     rows = table.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise IndexError(
+            f"embedding id out of range [0, {rows}): min={ids.min()}, max={ids.max()}"
+        )
+    if positions.shape != ids.shape[-1:] + table.shape[1:]:
+        raise ValueError(f"positions {positions.shape} do not match ids {ids.shape}")
+    out = table.data[ids]
+    out += positions
+    if keep is not None:
+        out *= keep
+        out *= 1.0 / (1.0 - rate)
 
     def vjp(g):
-        buf = np.zeros((rows,) + g.shape[ids.ndim :])
+        if keep is not None:
+            g = _dropped(g, keep, rate)
+        buf = np.zeros(table.shape)
         np.add.at(buf, ids, g)
         return (buf,)
 
-    return _make(table.data[ids], (table,), vjp)
+    return _make(out, (table,), vjp)
+
+
+def gather_layers(layers: Sequence[Tensor], rows: np.ndarray | None = None) -> Tensor:
+    """Equal-shaped layers [..., d] stacked on a new axis -2, [..., n, d], as
+    one node.
+
+    With a boolean ``rows`` over the leading axes, only the rows it marks
+    are kept, [t x n x d] in row-major order.  Each layer is copied once
+    into the result, and backward hands each layer its own gradient, zero
+    outside ``rows``.
+    """
+    shape = layers[0].shape
+    if any(t.shape != shape for t in layers):
+        raise ValueError(f"gather_layers needs equal shapes, got {[t.shape for t in layers]}")
+    if rows is None:
+        data = np.stack([t.data for t in layers], axis=-2)
+    else:
+        rows = np.asarray(rows, dtype=bool)
+        if rows.shape != shape[:-1]:
+            raise ValueError(f"rows {rows.shape} do not match layers {shape}")
+        data = np.empty((int(np.count_nonzero(rows)), len(layers)) + shape[-1:])
+        for l, t in enumerate(layers):
+            data[:, l] = t.data[rows]
+
+    def vjp(g):
+        if rows is None:
+            return tuple(np.moveaxis(g, -2, 0))
+        grads = []
+        for l in range(len(layers)):
+            buf = np.zeros(shape)
+            buf[rows] = g[:, l]
+            grads.append(buf)
+        return tuple(grads)
+
+    return _make(data, layers, vjp)
 
 
 # ---------------------------------------------------------------------------
 # fused nonlinear ops (numerically-stable forward, closed-form backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` with max-subtraction; slices sum to one."""
-    if axis >= x.data.ndim:
-        raise ValueError(f"softmax axis {axis} out of range for shape {x.shape}")
-    y = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        gy = g * y
-        dx = y * gy.sum(axis=axis, keepdims=True)
-        np.subtract(gy, dx, out=dx)
-        return (dx,)
-
-    return _make(y, (x,), vjp)
 
 
 MASK_PENALTY = -1e9
@@ -419,6 +394,90 @@ def attention(
     return _make(out, (q, k, v), vjp)
 
 
+def layer_attention(
+    layers: Tensor, embed: Tensor, w1: Tensor | Sequence[Tensor], w2: Tensor
+) -> tuple[Tensor, np.ndarray]:
+    """Multi-hop attention over the layer axis of ``layers`` [..., n, d], as
+    one node; returns the hop sums flattened to [..., n_hop * d] and the hop
+    weights [..., n_hop, n].
+
+    Row l of ``embed`` [n x d] is added to layer l.  A tanh hidden layer
+    [..., n, d_a] comes from ``w1`` [d x d_a], shared by every layer, or from
+    a sequence of n such matrices, one per layer; ``w2`` [d_a x n_hop] turns
+    it into one energy per layer and hop.  A softmax over the layers gives
+    each hop its weights, and hop p's sum is the weighted sum of the tagged
+    layers.  The tape holds the hidden layer and the weights beside the
+    output; backward recomputes ``layers + embed``.  The computation follows
+    the unfused chain call for call, so its values are bit-identical.
+    """
+    *lead, n, d = layers.shape
+    lead = tuple(lead)
+    shared = isinstance(w1, Tensor)
+    w1s = [w1] if shared else list(w1)
+    d_a, n_hop = w2.shape[0], w2.shape[-1]
+    if (
+        embed.shape != (n, d)
+        or len(w1s) != (1 if shared else n)
+        or any(w.shape != (d, d_a) for w in w1s)
+        or w2.data.ndim != 2
+    ):
+        raise ValueError(
+            f"layer_attention shape mismatch: layers {layers.shape}, layer embedding "
+            f"{embed.shape}, w1 {[w.shape for w in w1s]}, w2 {w2.shape}"
+        )
+    tagged = layers.data + embed.data
+    if shared:
+        hidden = tagged.reshape(-1, d) @ w1.data
+        np.tanh(hidden, out=hidden)
+    else:
+        parts = []
+        for l, w in enumerate(w1s):  # each GEMM reads a contiguous copy, as the chain's did
+            part = tagged[..., l, :].copy().reshape(-1, d) @ w.data
+            np.tanh(part, out=part)
+            parts.append(part.reshape(lead + (d_a,)))
+        hidden = np.stack(parts, axis=-2)
+    energies = (hidden.reshape(-1, d_a) @ w2.data).reshape(lead + (n, n_hop))
+    k = len(lead)
+    swap = tuple(range(k)) + (k + 1, k)
+    e = energies.transpose(swap)
+    p = e - e.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    hops = p @ tagged
+
+    def vjp(g):
+        gh = g.reshape(lead + (n_hop, d))
+        tagged = layers.data + embed.data
+        dtagged = p.swapaxes(-1, -2) @ gh
+        gy = (gh @ tagged.swapaxes(-1, -2)) * p
+        de = p * gy.sum(axis=-1, keepdims=True)
+        np.subtract(gy, de, out=de)
+        de = de.transpose(swap).reshape(-1, n_hop)
+        flat = hidden.reshape(-1, d_a)
+        dw2 = flat.T @ de
+        dh = de @ w2.data.T
+        if shared:
+            flat *= flat  # the tape is single-use, so tanh' is written over the hidden layer
+            np.subtract(1.0, flat, out=flat)
+            flat *= dh
+            dtagged += (flat @ w1.data.T).reshape(tagged.shape)
+            dw1s = [tagged.reshape(-1, d).T @ flat]
+        else:
+            dh = dh.reshape(hidden.shape)
+            dw1s = []
+            for l, w in enumerate(w1s):
+                y = hidden[..., l, :].reshape(-1, d_a)
+                dy = y * y
+                np.subtract(1.0, dy, out=dy)
+                dy *= dh[..., l, :].reshape(-1, d_a)
+                dtagged[..., l, :] += (dy @ w.data.T).reshape(lead + (d,))
+                dw1s.append(tagged[..., l, :].copy().reshape(-1, d).T @ dy)
+        return (dtagged, dtagged.sum(axis=tuple(range(k))), *dw1s, dw2)
+
+    out = hops.reshape(lead + (n_hop * d,))
+    return _make(out, (layers, embed, *w1s, w2), vjp), p
+
+
 def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float, out=None):
     """Layer norm of ``x`` over its last axis: returns the output and the
     ``xhat``/``inv`` that ``_norm_vjp`` needs.  ``xhat`` is written into
@@ -453,36 +512,53 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _make(data, (x, gain, bias), lambda g: _norm_vjp(g, xhat, inv, gain.data))
 
 
-def residual_layer_norm(
+def dense_residual_layer_norm(
     x: Tensor,
-    sub: Tensor,
+    h: Tensor,
+    w: Tensor,
+    b: Tensor,
     gain: Tensor,
     bias: Tensor,
     keep: np.ndarray | None = None,
     rate: float = 0.0,
     eps: float = 1e-6,
 ) -> Tensor:
-    """``layer_norm(x + dropout(sub))`` as one node.
+    """``layer_norm(x + dropout(h @ w + b))`` as one node: a post-norm
+    sublayer's output projection, residual sum and norm.
 
+    ``h`` [..., k] is the sublayer's last hidden layer, ``w`` [k x d] and
+    ``b`` [d] its output projection, and ``x`` [..., d] the residual input;
     ``keep`` is the boolean mask ``dropout_keep`` drew at ``rate`` (None: no
-    dropout).  The residual sum is normalized in place, so the tape holds the
-    output and the mask where the unfused chain holds the dropout output, the
-    sum and the norm output.
+    dropout).  The dropout, the residual sum and the normalization overwrite
+    the projection's buffer in place, so the tape holds the output, the
+    normalized sum and the mask, and never the projection itself.
     """
-    if x.shape != sub.shape:
-        raise ValueError(f"residual shape mismatch: {x.shape} + {sub.shape}")
-    if keep is None:
-        s = x.data + sub.data
-    else:
-        s = _dropped(sub.data, keep, rate)
-        s += x.data
+    if (
+        w.data.ndim != 2
+        or h.shape[-1:] != w.shape[:1]
+        or b.shape != w.shape[1:]
+        or x.shape != h.shape[:-1] + w.shape[1:]
+    ):
+        raise ValueError(
+            f"dense residual shape mismatch: {x.shape} + {h.shape} x {w.shape} + {b.shape}"
+        )
+    rows = h.data.reshape(-1, h.shape[-1])
+    s = rows @ w.data
+    s += b.data
+    s = s.reshape(x.shape)
+    if keep is not None:
+        s *= keep
+        s *= 1.0 / (1.0 - rate)
+    s += x.data
     data, xhat, inv = _norm_forward(s, gain.data, bias.data, eps, out=s)
 
     def vjp(g):
-        ds, dgain, dbias = _norm_vjp(g, xhat, inv, gain.data)
-        return ds, ds if keep is None else _dropped(ds, keep, rate), dgain, dbias
+        dx, dgain, dbias = _norm_vjp(g, xhat, inv, gain.data)
+        ds = dx if keep is None else _dropped(dx, keep, rate)
+        ds = ds.reshape(-1, ds.shape[-1])
+        return dx, (ds @ w.data.T).reshape(h.shape), rows.T @ ds, ds.sum(axis=0), dgain, dbias
 
-    return _make(data, (x, sub, gain, bias), vjp)
+    return _make(data, (x, h, w, b, gain, bias), vjp)
 
 
 def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int]:

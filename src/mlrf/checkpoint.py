@@ -2,11 +2,14 @@
 
 Layout: one magic line, one line with the header byte length, a JSON text
 header (configs, counters, RNG states, and a tensor index), then the named
-raw tensor blocks as little-endian float64 in index order.  Serialization
-is canonical (sorted keys, fixed separators), so save -> load -> save is
-byte-identical.  A save writes a temporary file beside the target, fsyncs
-it and renames it over the target, so the previous file survives a failed
-write.
+raw tensor blocks as little-endian float64 in index order.  A save pads the
+header with trailing spaces, inside its declared length, and writes that
+length with leading zeros to a width fixed by the header's size, so the
+tensor data starts at a multiple of ``ALIGN`` bytes; the file size then does
+not change when a counter gains a digit.  Serialization is canonical (sorted
+keys, fixed separators), so save -> load -> save is byte-identical.  A save
+writes a temporary file beside the target, fsyncs it and renames it over the
+target, so the previous file survives a failed write.
 
 A load reads each parameter block into its own aligned array and maps the
 Adam moment blocks copy-on-write, so translation, which never reads the
@@ -34,6 +37,7 @@ from .model import ModelConfig, Transformer
 from .training import AdamState, TrainConfig
 
 MAGIC = "MLRF-CHECKPOINT 1"
+ALIGN = 4096
 
 
 @dataclass
@@ -72,15 +76,19 @@ def save_checkpoint(
         "tensors": [[name, list(arr.shape)] for name, arr in entries],
     }
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    magic = MAGIC.encode("ascii") + b"\n"
+    digits = len(str(len(body) + ALIGN))  # wide enough for any padded length
+    start = len(magic) + digits + 1
+    n = -(-(start + len(body)) // ALIGN) * ALIGN - start
     # write beside the target and rename over it, so a crash mid-write
     # leaves the previous file whole
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC.encode("ascii") + b"\n")
-            f.write(str(len(body)).encode("ascii") + b"\n")
-            f.write(body)
+            f.write(magic)
+            f.write(b"%0*d\n" % (digits, n))
+            f.write(body.ljust(n))
             for _, arr in entries:
                 f.write(np.ascontiguousarray(arr, dtype="<f8"))
             f.flush()
@@ -100,10 +108,10 @@ def load_checkpoint(path) -> Checkpoint:
     view of one mapping of the file, paged in only when read; ValueError
     naming ``path`` if it is not one whole checkpoint.
 
-    Parameters are read, not mapped: the data starts after a header of any
-    length, so a mapped view is unaligned, and a matmul against an unaligned
-    weight took 4x as long.  Adam's elementwise update runs as fast on an
-    unaligned moment."""
+    Parameters are read, not mapped: in a file saved before the header was
+    padded, the data starts after a header of any length, so a mapped view
+    is unaligned, and a matmul against an unaligned weight took 4x as long.
+    Adam's elementwise update runs as fast on an unaligned moment."""
     with open(path, "rb") as f:
         if f.readline(len(MAGIC) + 1) != MAGIC.encode("ascii") + b"\n":
             raise ValueError(f"not a checkpoint file: {path}")

@@ -84,10 +84,16 @@ def greedy_decode(step_fn: StepFn, max_len: int, bos: int = BOS_ID, eos: int = E
 def top_tokens(logps: np.ndarray, width: int) -> np.ndarray:
     """Each row's ``width`` best token ids of ``logps`` [k x V], best first.
 
-    Ties go to the lower token id.  One row-wise ``argpartition`` keeps each
-    row's best ``width``; only a row where tokens tie at the cut is redone,
-    so that the lowest tied ids fill it.  Only the kept entries are sorted.
+    Ties go to the lower token id.  At width 1 this is the row ``argmax``,
+    which takes the first of tied maxima.  Otherwise one row-wise
+    ``argpartition`` keeps each row's best ``width``; only a row where tokens
+    tie at the cut is redone, so that the lowest tied ids fill it.  Only the
+    kept entries are sorted.
     """
+    if width == 1:
+        if np.isnan(logps).any():
+            raise ValueError("decoding step returned NaN log-probs")
+        return logps.argmax(axis=1)[:, None]
     k, v = logps.shape
     width = min(width, v)
     ids = np.argpartition(logps, v - width, axis=1)[:, v - width :]

@@ -140,31 +140,17 @@ def fuse_self_attention(
     added.  Energies ``[..., n, n_hop]`` come from a one-hidden-layer network
     with a tanh inner activation; ``att.w2`` has one column per hop.  A
     softmax across the layer axis gives every hop a distribution over
-    layers, one batched matmul takes the hop-wise weighted sums
-    ``[..., n_hop, d]``, and these are flattened and mixed by the final FNN.
+    layers, and the hop-wise weighted sums ``[..., n_hop, d]``, flattened, are
+    mixed by the final FNN; ``ad.layer_attention`` computes them as one node.
     With a single hop the flattened intermediate is just one width-d vector.
     """
-    n_layers = layers.shape[-2]
-    if layer_embed.shape[0] != n_layers:
-        raise ValueError(
-            f"layer embedding rows {layer_embed.shape[0]} != stack size {n_layers}"
-        )
-    # z-tilde: content plus layer-index information
-    tagged = ad.add(layers, layer_embed)
     if share_w1:
-        hidden = ad.linear(tagged, params[f"{prefix}.att.w1"], activation="tanh")
+        w1 = params[f"{prefix}.att.w1"]
     else:
-        w1 = [params[f"{prefix}.att.w1.layer{l}"] for l in range(n_layers)]
-        hidden = ad.stack(
-            [ad.linear(tagged[..., l, :], w, activation="tanh") for l, w in enumerate(w1)],
-            axis=-2,
-        )
-    energies = ad.matmul(hidden, params[f"{prefix}.att.w2"])
-    lead = tuple(range(len(layers.shape) - 2))
-    att = ad.softmax(ad.transpose(energies, lead + (len(lead) + 1, len(lead))), axis=-1)
-    hops = _flatten_last_two(ad.matmul(att, tagged))
+        w1 = [params[f"{prefix}.att.w1.layer{l}"] for l in range(layers.shape[-2])]
+    hops, weights = ad.layer_attention(layers, layer_embed, w1, params[f"{prefix}.att.w2"])
     fused = _final_norm(_fusion_fnn(hops, params, prefix), params, prefix)
-    return fused, AttentionTrace(att.data.copy(), first_layer)
+    return fused, AttentionTrace(weights, first_layer)
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +174,15 @@ def fuse_side(
 
     ``baseline`` returns the top of the stack untouched: no normalization,
     no parameters.  ``rows``, a boolean mask over the leading axes, keeps
-    only those positions; it is applied once, to the fusion input.
+    only those positions; ``ad.gather_layers`` applies it once, as it
+    gathers the fusion input.
     """
     kind = cfg.kind_for(side)
     if kind == "baseline":
-        return (stack[-1] if rows is None else stack[-1][rows]), None
-    layers = ad.stack(stack if cfg.include_embedding else stack[1:], axis=-2)
-    if rows is not None:
-        layers = layers[rows]
+        if rows is None:
+            return stack[-1], None
+        return _flatten_last_two(ad.gather_layers(stack[-1:], rows)), None
+    layers = ad.gather_layers(stack if cfg.include_embedding else stack[1:], rows)
     prefix = f"fusion.{side}"
     if kind == "avg":
         return fuse_avg(layers, params, prefix), None

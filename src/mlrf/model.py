@@ -5,11 +5,13 @@ output at index 0, then one entry per layer) so a fusion function can consume
 any of them instead of just the top.
 
 A batch keeps its padded layout: ids and boolean masks are [B, L] with
-each sentence's real tokens first, and activations are [B, L, d].  Every
-attention sublayer is three dense projections around one ``ad.attention``
-node, which splits the [B, L, d] query, key and value projections into
-heads as views, [B, H, L, d/H], so attention scores are [B, H, Lq, Lk] per
-sentence.  Keys at pad positions, and later positions in decoder
+each sentence's real tokens first, and activations are [B, L, d].  The
+embeddings of a side are one ``ad.embed`` node.  Every attention sublayer is
+the query, key and value projections and one ``ad.attention`` node, which
+splits them into heads as views, [B, H, L, d/H], so attention scores are
+[B, H, Lq, Lk] per sentence.  Each sublayer, attention or FNN, ends in one
+``ad.dense_residual_layer_norm`` node: its output projection, dropout,
+residual sum and norm.  Keys at pad positions, and later positions in decoder
 self-attention, get a -1e9 penalty that underflows to an exact zero weight
 after softmax, so a padded batch computes what one-at-a-time runs compute.
 ``forward`` trims the batch to its longest sentence and hands only the real
@@ -248,8 +250,9 @@ def attend(
 ) -> Tensor:
     """Multi-head attention of ``x`` [B x Lq x d] over keys ``k`` and values
     ``v`` [B x Lk x d] from ``key_values``, so a decoder step can attend over
-    cached ones: the query projection, ``ad.attention`` and the output
-    projection, three tape nodes.
+    cached ones: the query projection and ``ad.attention``, two tape nodes.
+    Returns the merged heads [B x Lq x d]; ``_post_norm`` applies the output
+    projection ``wo``.
 
     ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk] ([B x 1 x 1 x Lk]
     for key padding alone).  A row with no allowed key attends as if
@@ -258,24 +261,29 @@ def attend(
     if mask is not None and log.isEnabledFor(logging.DEBUG) and not mask.any(axis=-1).all():
         log.debug("attention row with every key masked at %s", prefix)
     q = ad.linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    heads = ad.attention(q, k, v, n_heads, mask)
-    return ad.linear(heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return ad.attention(q, k, v, n_heads, mask)
 
 
 def feed_forward(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    h = ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], "relu")
-    return ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    """The FNN sublayer's relu hidden layer; ``_post_norm`` applies ``w2``."""
+    return ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], "relu")
 
 
-def _post_norm(x: Tensor, sub: Tensor, params, prefix, rate, rng, tokens) -> Tensor:
-    """Residual wrapper: layer_norm(x + dropout(sub)), one tape node.
+def _post_norm(
+    x: Tensor, h: Tensor, params, prefix: str, proj: str, norm: str, rate, rng, tokens
+) -> Tensor:
+    """Residual wrapper ``layer_norm(x + dropout(h @ W + b))``, one tape node:
+    ``h`` is a sublayer's last hidden layer, read by the output projection
+    ``{prefix}.w{proj}`` and ``{prefix}.b{proj}``.
 
-    The dropout mask is drawn for ``tokens`` exactly as ``ad.dropout``
-    draws it, then ``ad.residual_layer_norm`` applies it inside the norm.
+    The dropout mask is drawn for ``tokens`` as dropout on the projection
+    would draw it, then ``ad.dense_residual_layer_norm`` applies it inside
+    the norm.
     """
-    keep = ad.dropout_keep(sub.shape, rate, rng, tokens)
-    return ad.residual_layer_norm(
-        x, sub, params[f"{prefix}.gain"], params[f"{prefix}.bias"], keep, rate
+    keep = ad.dropout_keep(x.shape, rate, rng, tokens)
+    return ad.dense_residual_layer_norm(
+        x, h, params[f"{prefix}.w{proj}"], params[f"{prefix}.b{proj}"],
+        params[f"{norm}.gain"], params[f"{norm}.bias"], keep, rate,
     )
 
 
@@ -291,11 +299,11 @@ def encoder_layer(
 ) -> Tensor:
     """One encoder layer on [B x L x d]; ``tokens`` marks the real positions
     that dropout draws for."""
-    sa = f"{prefix}.self_attn"
-    att = attend(x, *key_values(x, params, sa), n_heads, params, sa, mask)
-    x = _post_norm(x, att, params, f"{prefix}.norm1", rate, rng, tokens)
-    ffn = feed_forward(x, params, f"{prefix}.ffn")
-    return _post_norm(x, ffn, params, f"{prefix}.norm2", rate, rng, tokens)
+    sa, ffn = f"{prefix}.self_attn", f"{prefix}.ffn"
+    heads = attend(x, *key_values(x, params, sa), n_heads, params, sa, mask)
+    x = _post_norm(x, heads, params, sa, "o", f"{prefix}.norm1", rate, rng, tokens)
+    h = feed_forward(x, params, ffn)
+    return _post_norm(x, h, params, ffn, "2", f"{prefix}.norm2", rate, rng, tokens)
 
 
 def decoder_layer(
@@ -315,12 +323,13 @@ def decoder_layer(
     self-attention key and value projections of the target positions it
     reads (those of ``z`` itself when teacher forcing), ``cross_kv`` those of
     the encoder output."""
-    att = attend(z, *self_kv, n_heads, params, f"{prefix}.self_attn", self_mask)
-    z = _post_norm(z, att, params, f"{prefix}.norm1", rate, rng, tokens)
-    cross = attend(z, *cross_kv, n_heads, params, f"{prefix}.cross_attn", cross_mask)
-    z = _post_norm(z, cross, params, f"{prefix}.norm2", rate, rng, tokens)
-    ffn = feed_forward(z, params, f"{prefix}.ffn")
-    return _post_norm(z, ffn, params, f"{prefix}.norm3", rate, rng, tokens)
+    sa, ca, ffn = f"{prefix}.self_attn", f"{prefix}.cross_attn", f"{prefix}.ffn"
+    heads = attend(z, *self_kv, n_heads, params, sa, self_mask)
+    z = _post_norm(z, heads, params, sa, "o", f"{prefix}.norm1", rate, rng, tokens)
+    heads = attend(z, *cross_kv, n_heads, params, ca, cross_mask)
+    z = _post_norm(z, heads, params, ca, "o", f"{prefix}.norm2", rate, rng, tokens)
+    h = feed_forward(z, params, ffn)
+    return _post_norm(z, h, params, ffn, "2", f"{prefix}.norm3", rate, rng, tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +375,9 @@ class Transformer:
         end = start + ids.shape[1]
         if end > self.config.max_len:
             raise ValueError(f"sentence length {end} exceeds max_len={self.config.max_len}")
-        x = ad.embedding_lookup(self.params[table], ids)
-        x = ad.add(x, Tensor(self._pe[start:end]))
         rate = self.config.dropout if train else 0.0
-        return ad.dropout(x, rate, self.dropout_rng, tokens)
+        keep = ad.dropout_keep(ids.shape + (self.config.d_model,), rate, self.dropout_rng, tokens)
+        return ad.embed(self.params[table], ids, self._pe[start:end], keep, rate)
 
     def encode(self, src_ids, src_mask, train: bool = False) -> list[Tensor]:
         """Run the encoder on [B x L] ids; returns n_layers+1 reps of

@@ -4,10 +4,12 @@ import ctypes
 import gc
 import os
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+from mlrf import autodiff as ad
 from mlrf.data import Vocabulary
 from mlrf.fusion import FusionConfig
 from mlrf.model import ModelConfig, Transformer
@@ -106,6 +108,153 @@ def read_trace_file(path):
         sent, pos, token, hop, layer, w = line.split("\t")
         rows.append((int(sent), int(pos), token, int(hop), int(layer), float(w)))
     return rows
+
+# ---------------------------------------------------------------------------
+# Ops the model no longer calls: the unfused chains that the fused ops of
+# ``mlrf.autodiff`` replaced, kept as references for their tests.
+
+
+def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting)."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def add(a, b) -> ad.Tensor:
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    data = a.data + b.data
+
+    def vjp(g):
+        return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
+
+    return ad._make(data, (a, b), vjp)
+
+
+def transpose(x: ad.Tensor, axes: Sequence[int] | None = None) -> ad.Tensor:
+    """Permute axes (reverse them when ``axes`` is None), as ``np.transpose``."""
+    axes = tuple(reversed(range(x.data.ndim))) if axes is None else tuple(axes)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ValueError(f"transpose axes {axes} do not permute shape {x.shape}")
+    inverse = tuple(np.argsort(axes))
+    return ad._make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
+
+
+def stack(tensors: Sequence[ad.Tensor], axis: int = 0) -> ad.Tensor:
+    """Join equal-shaped tensors along a new ``axis``, as ``np.stack``."""
+    ts = [ad.as_tensor(t) for t in tensors]
+    data = np.stack([t.data for t in ts], axis=axis)
+    return ad._make(data, ts, lambda g: tuple(np.moveaxis(g, axis, 0)))
+
+
+def dropout(
+    x: ad.Tensor, rate: float, rng: np.random.Generator, mask: np.ndarray | None = None
+) -> ad.Tensor:
+    """Inverted dropout with the mask of ``dropout_keep``; identity at rate 0."""
+    keep = ad.dropout_keep(x.shape, rate, rng, mask)
+    if keep is None:
+        return x
+    return ad._make(
+        ad._dropped(x.data, keep, rate), (x,), lambda g: (ad._dropped(g, keep, rate),)
+    )
+
+
+def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Matrix product over the last two axes.
+
+    ``a`` may carry leading batch axes.  A 2-D ``b`` (a weight) multiplies
+    every row of ``a``, and its gradient is one GEMM over the flattened rows;
+    otherwise ``b`` must carry the same batch axes as ``a``.
+    """
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    batched = b.data.ndim > 2 and b.shape[:-2] == a.shape[:-2]
+    if a.data.ndim < 2 or not (b.data.ndim == 2 or batched) or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
+    if b.data.ndim == 2:
+        rows = a.data.reshape(-1, a.shape[-1])
+        data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def vjp(g):
+            g = g.reshape(-1, g.shape[-1])
+            return (g @ b.data.T).reshape(a.shape), rows.T @ g
+
+        return ad._make(data, (a, b), vjp)
+
+    def batched_vjp(g):
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
+
+    return ad._make(a.data @ b.data, (a, b), batched_vjp)
+
+
+def embedding_lookup(table: ad.Tensor, ids) -> ad.Tensor:
+    """Gather rows of ``table``; backward scatter-adds into the table grad."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IndexError(
+            f"embedding id out of range [0, {table.shape[0]}): "
+            f"min={ids.min()}, max={ids.max()}"
+        )
+    rows = table.shape[0]
+
+    def vjp(g):
+        buf = np.zeros((rows,) + g.shape[ids.ndim :])
+        np.add.at(buf, ids, g)
+        return (buf,)
+
+    return ad._make(table.data[ids], (table,), vjp)
+
+
+def softmax(x: ad.Tensor, axis: int = -1) -> ad.Tensor:
+    """Softmax along ``axis`` with max-subtraction; slices sum to one."""
+    if axis >= x.data.ndim:
+        raise ValueError(f"softmax axis {axis} out of range for shape {x.shape}")
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        gy = g * y
+        dx = y * gy.sum(axis=axis, keepdims=True)
+        np.subtract(gy, dx, out=dx)
+        return (dx,)
+
+    return ad._make(y, (x,), vjp)
+
+
+def residual_layer_norm(
+    x: ad.Tensor,
+    sub: ad.Tensor,
+    gain: ad.Tensor,
+    bias: ad.Tensor,
+    keep: np.ndarray | None = None,
+    rate: float = 0.0,
+    eps: float = 1e-6,
+) -> ad.Tensor:
+    """``layer_norm(x + dropout(sub))`` as one node.
+
+    ``keep`` is the boolean mask ``dropout_keep`` drew at ``rate`` (None: no
+    dropout).  The residual sum is normalized in place, so the tape holds the
+    output and the mask where the unfused chain holds the dropout output, the
+    sum and the norm output.
+    """
+    if x.shape != sub.shape:
+        raise ValueError(f"residual shape mismatch: {x.shape} + {sub.shape}")
+    if keep is None:
+        s = x.data + sub.data
+    else:
+        s = ad._dropped(sub.data, keep, rate)
+        s += x.data
+    data, xhat, inv = ad._norm_forward(s, gain.data, bias.data, eps, out=s)
+
+    def vjp(g):
+        ds, dgain, dbias = ad._norm_vjp(g, xhat, inv, gain.data)
+        return ds, ds if keep is None else ad._dropped(ds, keep, rate), dgain, dbias
+
+    return ad._make(data, (x, sub, gain, bias), vjp)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ weights an op's output into a scalar loss on the tape.
 import numpy as np
 
 from mlrf import autodiff as ad
+from tests.conftest import unbroadcast
 
 H = 1e-5
 
@@ -60,8 +61,8 @@ def mul(a, b) -> ad.Tensor:
 
     def vjp(g):
         return (
-            ad._unbroadcast(g * b.data, a.shape),
-            ad._unbroadcast(g * a.data, b.shape),
+            unbroadcast(g * b.data, a.shape),
+            unbroadcast(g * a.data, b.shape),
         )
 
     return ad._make(a.data * b.data, (a, b), vjp)

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 from mlrf import autodiff as ad
 from mlrf import training
+from mlrf.model import positional_encoding
+from tests.conftest import (
+    add, dropout, embedding_lookup, matmul, residual_layer_norm, softmax, stack, transpose,
+)
 from tests.gradcheck import max_rel_err, mul, numeric_grad
 
 rng = np.random.default_rng(12345)
@@ -21,16 +25,16 @@ def leaf(arr):
 
 class TestMatmul:
     def test_identity(self):
-        out = ad.matmul(leaf(np.eye(2)), leaf([[1.0, 2.0], [3.0, 4.0]]))
+        out = matmul(leaf(np.eye(2)), leaf([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_small_product(self):
-        out = ad.matmul(leaf([[1.0, 2.0]]), leaf([[3.0], [4.0]]))
+        out = matmul(leaf([[1.0, 2.0]]), leaf([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.data, [[11.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(leaf(np.ones((2, 3))), leaf(np.ones((2, 2))))
+            matmul(leaf(np.ones((2, 3))), leaf(np.ones((2, 2))))
 
     def test_gradient_matches_finite_differences(self):
         a = leaf(rng.standard_normal((3, 4)))
@@ -40,24 +44,24 @@ class TestMatmul:
         def loss():
             return float((a.data @ b.data * w).sum())
 
-        ad.backward(ad.sum_(mul(ad.matmul(a, b), ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(matmul(a, b), ad.Tensor(w))))
         assert max_rel_err(a.grad, numeric_grad(loss, a.data)) < 1e-6
         assert max_rel_err(b.grad, numeric_grad(loss, b.data)) < 1e-6
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = ad.softmax(leaf([0.0, 0.0]), axis=0)
+        out = softmax(leaf([0.0, 0.0]), axis=0)
         np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
 
     def test_large_inputs_do_not_overflow(self):
-        out = ad.softmax(leaf([1000.0, 1000.0, 1000.0]), axis=0)
+        out = softmax(leaf([1000.0, 1000.0, 1000.0]), axis=0)
         np.testing.assert_allclose(out.data, np.full(3, 1 / 3), atol=1e-15)
 
     def test_sum_and_gradient(self):
         x = leaf(rng.standard_normal(5))
         w = rng.standard_normal(5)
-        out = ad.softmax(x, axis=0)
+        out = softmax(x, axis=0)
         assert abs(out.data.sum() - 1.0) < 1e-12
 
         def loss():
@@ -69,13 +73,13 @@ class TestSoftmax:
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
-            ad.softmax(leaf([1.0, 2.0]), axis=3)
+            softmax(leaf([1.0, 2.0]), axis=3)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_rows_are_distributions(self, seed):
         x = np.random.default_rng(seed).normal(scale=5.0, size=(4, 7))
-        y = ad.softmax(ad.Tensor(x), axis=1).data
+        y = softmax(ad.Tensor(x), axis=1).data
         np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
         assert ((y > 0) & (y < 1)).all()
 
@@ -124,14 +128,14 @@ class TestLayerNorm:
 
 class TestElementwise:
     def test_stack(self):
-        out = ad.stack([leaf([1.0, 2.0]), leaf([3.0, 4.0])], axis=0)
+        out = stack([leaf([1.0, 2.0]), leaf([3.0, 4.0])], axis=0)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
-        out = ad.stack([leaf([1.0, 2.0]), leaf([3.0, 4.0])], axis=-1)
+        out = stack([leaf([1.0, 2.0]), leaf([3.0, 4.0])], axis=-1)
         np.testing.assert_array_equal(out.data, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_stack_then_slice_is_identity(self):
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
-        stacked = ad.stack([ad.Tensor(a), ad.Tensor(b)], axis=-2)
+        stacked = stack([ad.Tensor(a), ad.Tensor(b)], axis=-2)
         np.testing.assert_array_equal(stacked.data[:, 0], a)
         np.testing.assert_array_equal(stacked.data[:, 1], b)
 
@@ -143,7 +147,7 @@ class TestElementwise:
         def loss():
             return float((table.data[ids] * w).sum())
 
-        ad.backward(ad.sum_(mul(ad.embedding_lookup(table, ids), ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(embedding_lookup(table, ids), ad.Tensor(w))))
         assert max_rel_err(table.grad, numeric_grad(loss, table.data)) < 1e-6
         np.testing.assert_array_equal(table.grad[0], 0.0)
         np.testing.assert_array_equal(table.grad[2], 0.0)
@@ -151,13 +155,13 @@ class TestElementwise:
 
     def test_embedding_lookup_rejects_bad_id(self):
         with pytest.raises(IndexError):
-            ad.embedding_lookup(leaf(np.ones((4, 3))), [4])
+            embedding_lookup(leaf(np.ones((4, 3))), [4])
 
     @pytest.mark.parametrize(
         "op,shapes",
         [
-            (ad.add, ((3, 4), (3, 4))),
-            (ad.add, ((3, 4), (4,))),  # broadcast bias
+            (add, ((3, 4), (3, 4))),
+            (add, ((3, 4), (4,))),  # broadcast bias
             (mul, ((3, 4), (3, 4))),
             (mul, ((3, 4), (4,))),
         ],
@@ -184,7 +188,7 @@ class TestElementwise:
         def loss():
             return float((x.data.T[1:3] * w).sum())
 
-        ad.backward(ad.sum_(mul(ad.transpose(x)[1:3], ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(transpose(x)[1:3], ad.Tensor(w))))
         assert max_rel_err(x.grad, numeric_grad(loss, x.data)) < 1e-6
 
 
@@ -247,39 +251,39 @@ class TestBatchedOps:
     @pytest.mark.parametrize("axis", [0, -2, -1])
     def test_stack_gradient(self, axis):
         parts = [leaf(rng.standard_normal((3, 4))) for _ in range(3)]
-        assert_grads_match(lambda: ad.stack(parts, axis=axis), parts)
+        assert_grads_match(lambda: stack(parts, axis=axis), parts)
 
     def test_matmul_rows_by_weight(self):
         a = leaf(rng.standard_normal((2, 3, 4)))
         b = leaf(rng.standard_normal((4, 5)))
-        out = ad.matmul(a, b)
+        out = matmul(a, b)
         np.testing.assert_allclose(out.data, a.data @ b.data, atol=1e-14)
-        assert_grads_match(lambda: ad.matmul(a, b), [a, b])
+        assert_grads_match(lambda: matmul(a, b), [a, b])
 
     def test_matmul_batched_by_batched(self):
         a = leaf(rng.standard_normal((2, 3, 4, 5)))
         b = leaf(rng.standard_normal((2, 3, 5, 2)))
-        assert_grads_match(lambda: ad.matmul(a, b), [a, b])
+        assert_grads_match(lambda: matmul(a, b), [a, b])
 
     def test_matmul_rejects_unequal_batch_axes(self):
         with pytest.raises(ValueError, match="mismatch"):
-            ad.matmul(leaf(np.ones((2, 3, 4))), leaf(np.ones((3, 4, 5))))
+            matmul(leaf(np.ones((2, 3, 4))), leaf(np.ones((3, 4, 5))))
         with pytest.raises(ValueError, match="mismatch"):
-            ad.matmul(leaf(np.ones((3, 4))), leaf(np.ones(4)))
+            matmul(leaf(np.ones((3, 4))), leaf(np.ones(4)))
 
     def test_transpose_with_axes(self):
         x = leaf(rng.standard_normal((2, 3, 4, 5)))
-        out = ad.transpose(x, (0, 2, 3, 1))
+        out = transpose(x, (0, 2, 3, 1))
         np.testing.assert_array_equal(out.data, x.data.transpose(0, 2, 3, 1))
-        assert_grads_match(lambda: ad.transpose(x, (0, 2, 3, 1)), [x])
+        assert_grads_match(lambda: transpose(x, (0, 2, 3, 1)), [x])
         with pytest.raises(ValueError):
-            ad.transpose(x, (0, 1, 1, 2))
+            transpose(x, (0, 1, 1, 2))
 
     def test_embedding_lookup_with_2d_ids(self):
         table = leaf(rng.standard_normal((5, 3)))
         ids = np.array([[1, 3, 0], [3, 4, 0]])
-        assert ad.embedding_lookup(table, ids).shape == (2, 3, 3)
-        assert_grads_match(lambda: ad.embedding_lookup(table, ids), [table])
+        assert embedding_lookup(table, ids).shape == (2, 3, 3)
+        assert_grads_match(lambda: embedding_lookup(table, ids), [table])
         np.testing.assert_array_equal(table.grad[2], 0.0)
 
     def test_boolean_mask_selects_rows_in_row_major_order(self):
@@ -292,11 +296,11 @@ class TestBatchedOps:
     def test_masked_dropout_draws_for_real_rows_only(self):
         x = leaf(rng.standard_normal((2, 3, 4)))
         mask = np.array([[True, True, False], [True, False, False]])
-        out = ad.dropout(x, 0.5, np.random.default_rng(7), mask)
-        rows = ad.dropout(ad.Tensor(x.data[mask]), 0.5, np.random.default_rng(7))
+        out = dropout(x, 0.5, np.random.default_rng(7), mask)
+        rows = dropout(ad.Tensor(x.data[mask]), 0.5, np.random.default_rng(7))
         np.testing.assert_array_equal(out.data[mask], rows.data)
         np.testing.assert_array_equal(out.data[~mask], 0.0)
-        assert_grads_match(lambda: ad.dropout(x, 0.5, np.random.default_rng(7), mask), [x])
+        assert_grads_match(lambda: dropout(x, 0.5, np.random.default_rng(7), mask), [x])
         np.testing.assert_array_equal(x.grad[~mask], 0.0)
         assert np.abs(x.grad[mask]).sum() > 0
 
@@ -462,9 +466,10 @@ class TestBackward:
         gain, bias = leaf(np.ones(8)), leaf(np.zeros(8))
         h = ad.linear(x, w, b, "tanh")
         a = ad.attention(h, h, h, 2, np.tril(np.ones((3, 3), dtype=bool))[None, None])
-        n = ad.residual_layer_norm(h, a, gain, bias, ad.dropout_keep((2, 3, 8), 0.3, rng), 0.3)
+        keep = ad.dropout_keep((2, 3, 8), 0.3, rng)
+        n = ad.dense_residual_layer_norm(h, a, w, b, gain, bias, keep, 0.3)
         loss, _ = ad.cross_entropy(ad.reshape(n, (6, 8)), w, b, [1, 2, 3, 4, 5, 6])
-        del h, a, n
+        del h, a, n, keep
         ops = [t for t in ad._toposort(loss) if t._vjp is not None]
         assert len(ops) == 5
         held = [weakref.ref(t.data) for t in ops if t is not loss]
@@ -502,7 +507,7 @@ class TestBackward:
         a = store.add("a", ad.Tensor(np.ones((2, 3))))
         b = store.add("b", ad.Tensor(np.ones((2, 3))))
         w = rng.standard_normal((2, 3))
-        ad.backward(ad.sum_(mul(ad.add(a, b), ad.Tensor(w))))
+        ad.backward(ad.sum_(mul(add(a, b), ad.Tensor(w))))
         assert not np.shares_memory(a.grad, b.grad)
         norm = training.grad_norm(store)
         training.clip_gradients(store, norm / 2, norm)
@@ -511,7 +516,7 @@ class TestBackward:
 
     def test_reused_node_accumulates_once_per_path(self):
         x = leaf([3.0])
-        y = ad.add(mul(x, x), mul(x, ad.Tensor([2.0])))
+        y = add(mul(x, x), mul(x, ad.Tensor([2.0])))
         ad.backward(ad.sum_(y))
         np.testing.assert_allclose(x.grad, [8.0], atol=1e-12)
 
@@ -523,11 +528,11 @@ class TestBackward:
 
     def test_dropout_zero_rate_is_identity(self):
         x = leaf(rng.standard_normal(8))
-        assert ad.dropout(x, 0.0, rng) is x
+        assert dropout(x, 0.0, rng) is x
 
     def test_dropout_scales_kept_units(self):
         x = leaf(np.ones(1000))
-        out = ad.dropout(x, 0.4, np.random.default_rng(0))
+        out = dropout(x, 0.4, np.random.default_rng(0))
         kept = out.data != 0
         np.testing.assert_allclose(out.data[kept], 1.0 / 0.6, atol=1e-12)
         ad.backward(ad.sum_(out))
@@ -536,18 +541,48 @@ class TestBackward:
 
 
 def unfused_linear(x, w, b):
-    return ad.add(ad.matmul(x, w), b)
+    return add(matmul(x, w), b)
 
 
-def unfused_residual_norm(x, sub, gain, bias, rate, rng, mask):
-    return ad.layer_norm(ad.add(x, ad.dropout(sub, rate, rng, mask)), gain, bias)
+def unfused_dense_residual_norm(x, h, w, b, gain, bias, rate, rng, mask):
+    """The projection, dropout, add and norm chain ``dense_residual_layer_norm``
+    fuses."""
+    return ad.layer_norm(add(x, dropout(unfused_linear(h, w, b), rate, rng, mask)), gain, bias)
 
 
 def residual_args(mask_rows: bool = False):
-    x, sub = (leaf(rng.standard_normal((2, 3, 6))) for _ in range(2))
+    """Leaves x [2 x 3 x 6], h [2 x 3 x 5], w [5 x 6], b, gain and bias, and
+    a row mask (or None)."""
+    x, h = leaf(rng.standard_normal((2, 3, 6))), leaf(rng.standard_normal((2, 3, 5)))
+    w, b = leaf(rng.standard_normal((5, 6))), leaf(rng.standard_normal(6))
     gain, bias = leaf(rng.standard_normal(6)), leaf(rng.standard_normal(6))
     mask = np.array([[True, True, False], [True, False, False]]) if mask_rows else None
-    return x, sub, gain, bias, mask
+    return [x, h, w, b, gain, bias], mask
+
+
+def unfused_layer_attention(layers, embed, w1, w2):
+    """The add, tanh projection, energy, transpose, softmax, weighted sum and
+    reshape chain that ``layer_attention`` fuses."""
+    tagged = add(layers, embed)
+    if isinstance(w1, ad.Tensor):
+        hidden = ad.linear(tagged, w1, activation="tanh")
+    else:
+        hidden = stack(
+            [ad.linear(tagged[..., l, :], w, activation="tanh") for l, w in enumerate(w1)],
+            axis=-2,
+        )
+    lead = tuple(range(len(layers.shape) - 2))
+    energies = transpose(matmul(hidden, w2), lead + (len(lead) + 1, len(lead)))
+    att = softmax(energies, axis=-1)
+    hops = matmul(att, tagged)
+    return ad.reshape(hops, hops.shape[:-2] + (-1,)), att.data
+
+
+def layer_attention_args(lead, n_hop, share_w1, n=3, d=4, d_a=6):
+    """Leaves layers [*lead, n, d], embed [n, d], w1 (one or n) and w2."""
+    layers, embed = leaf(rng.standard_normal(lead + (n, d))), leaf(rng.standard_normal((n, d)))
+    w1 = [leaf(rng.standard_normal((d, d_a))) for _ in range(1 if share_w1 else n)]
+    return layers, embed, w1[0] if share_w1 else w1, leaf(rng.standard_normal((d_a, n_hop)))
 
 
 def unfused_attention(q, k, v, n_heads, mask):
@@ -556,15 +591,15 @@ def unfused_attention(q, k, v, n_heads, mask):
     lk, dh = k.shape[1], d // n_heads
 
     def heads(x, length, axes):
-        return ad.transpose(ad.reshape(x, (b, length, n_heads, dh)), axes)
+        return transpose(ad.reshape(x, (b, length, n_heads, dh)), axes)
 
     scores = ad.scale(
-        ad.matmul(heads(q, lq, (0, 2, 1, 3)), heads(k, lk, (0, 2, 3, 1))), 1.0 / np.sqrt(dh)
+        matmul(heads(q, lq, (0, 2, 1, 3)), heads(k, lk, (0, 2, 3, 1))), 1.0 / np.sqrt(dh)
     )
     if mask is not None:
-        scores = ad.add(scores, ad.Tensor(np.where(mask, 0.0, -1e9)))
-    out = ad.matmul(ad.softmax(scores, axis=-1), heads(v, lk, (0, 2, 1, 3)))
-    return ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, lq, d))
+        scores = add(scores, ad.Tensor(np.where(mask, 0.0, -1e9)))
+    out = matmul(softmax(scores, axis=-1), heads(v, lk, (0, 2, 1, 3)))
+    return ad.reshape(transpose(out, (0, 2, 1, 3)), (b, lq, d))
 
 
 def attention_mask(kind):
@@ -689,48 +724,168 @@ class TestFusedOps:
             ad.linear(leaf(np.ones((2, 3))), w, leaf(np.ones(3)))
 
     @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
-    def test_residual_layer_norm_gradient(self, rate, mask_rows):
-        x, sub, gain, bias, mask = residual_args(mask_rows)
-        keep = ad.dropout_keep(sub.shape, rate, np.random.default_rng(3), mask)
+    def test_dense_residual_layer_norm_gradient(self, rate, mask_rows):
+        leaves, mask = residual_args(mask_rows)
+        keep = ad.dropout_keep(leaves[0].shape, rate, np.random.default_rng(3), mask)
         assert (keep is None) == (rate == 0.0)
         assert keep is None or keep.dtype == bool
-        assert_grads_match(
-            lambda: ad.residual_layer_norm(x, sub, gain, bias, keep, rate),
-            [x, sub, gain, bias],
-        )
-        if mask_rows:
-            np.testing.assert_array_equal(sub.grad[~mask], 0.0)
+        assert_grads_match(lambda: ad.dense_residual_layer_norm(*leaves, keep, rate), leaves)
+        if mask_rows:  # masked-out rows are dropped, so the projection gets no gradient there
+            np.testing.assert_array_equal(leaves[1].grad[~mask], 0.0)
 
-    def test_residual_layer_norm_rejects_mismatched_shapes(self):
-        x, sub, gain, bias, _ = residual_args()
-        with pytest.raises(ValueError, match="residual shape mismatch"):
-            ad.residual_layer_norm(x, sub[:, :2], gain, bias)
+    def test_dense_residual_layer_norm_rejects_mismatched_shapes(self):
+        (x, h, w, b, gain, bias), _ = residual_args()
+        with pytest.raises(ValueError, match="dense residual shape mismatch"):
+            ad.dense_residual_layer_norm(x[:, :2], h, w, b, gain, bias)
+        with pytest.raises(ValueError, match="dense residual shape mismatch"):
+            ad.dense_residual_layer_norm(x, h, w, b[:4], gain, bias)
         with pytest.raises(ValueError, match="affine shape"):
-            ad.residual_layer_norm(x, sub, gain[:4], bias)
+            ad.dense_residual_layer_norm(x, h, w, b, gain[:4], bias)
 
     @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
     def test_fused_ops_match_their_unfused_chains(self, rate, mask_rows):
-        """Values and gradients agree bit for bit; the fused ops only store less."""
-        x, sub, gain, bias, mask = residual_args(mask_rows)
-        w, b = leaf(rng.standard_normal((6, 5))), leaf(rng.standard_normal(5))
+        """Values, gradients and generator draws agree bit for bit with the
+        unfused chain and with ``residual_layer_norm`` after the projection,
+        the ops the model ran before; the fused ops only store less."""
+        leaves, mask = residual_args(mask_rows)
+        x, h, w, b, gain, bias = leaves
+        w2, b2 = leaf(rng.standard_normal((6, 5))), leaf(rng.standard_normal(5))
         weight = ad.Tensor(rng.standard_normal((2, 3, 5)))
-        leaves = [x, sub, gain, bias, w, b]
 
-        def run(norm, lin):
+        def fused(gen):
+            keep = ad.dropout_keep(x.shape, rate, gen, mask)
+            return ad.linear(ad.dense_residual_layer_norm(*leaves, keep, rate), w2, b2)
+
+        def before(gen):
+            keep = ad.dropout_keep(x.shape, rate, gen, mask)
+            sub = ad.linear(h, w, b)
+            return ad.linear(residual_layer_norm(x, sub, gain, bias, keep, rate), w2, b2)
+
+        def chain(gen):
+            norm = unfused_dense_residual_norm(x, h, w, b, gain, bias, rate, gen, mask)
+            return unfused_linear(norm, w2, b2)
+
+        runs = []
+        for op in (fused, before, chain):
+            for t in leaves + [w2, b2]:
+                t.grad = None
+            gen = np.random.default_rng(9)
+            out = op(gen)
+            ad.backward(ad.sum_(mul(out, weight)))
+            runs.append([out.data] + [t.grad for t in leaves + [w2, b2]] + [gen.random()])
+        for other in runs[1:]:
+            for got, want in zip(runs[0], other):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
+    def test_embed_matches_lookup_add_dropout(self, rate, mask_rows):
+        """At positions from 2 on, the value, the table gradient and the
+        generator draws agree bit for bit with the chain ``embed`` fuses, and
+        the gradient matches finite differences."""
+        table, ids = leaf(rng.standard_normal((7, 6))), np.array([[1, 3, 1], [6, 0, 0]])
+        positions = positional_encoding(5, 6)[2:]
+        mask = np.array([[True, True, True], [True, False, False]]) if mask_rows else None
+        weight = ad.Tensor(rng.standard_normal((2, 3, 6)))
+
+        def fused(gen):
+            keep = ad.dropout_keep(ids.shape + (6,), rate, gen, mask)
+            return ad.embed(table, ids, positions, keep, rate)
+
+        def chain(gen):
+            x = add(embedding_lookup(table, ids), ad.Tensor(positions))
+            return dropout(x, rate, gen, mask)
+
+        runs = []
+        for op in (fused, chain):
+            table.grad = None
+            gen = np.random.default_rng(9)
+            out = op(gen)
+            ad.backward(ad.sum_(mul(out, weight)))
+            runs.append([out.data, table.grad, gen.random()])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+        table.grad = None
+        assert_grads_match(lambda: fused(np.random.default_rng(9)), [table])
+        np.testing.assert_array_equal(table.grad[[2, 4, 5]], 0.0)  # ids never looked up
+
+    def test_embed_rejects_bad_ids_and_positions(self):
+        table, positions = leaf(np.ones((4, 3))), np.zeros((2, 3))
+        with pytest.raises(IndexError, match="out of range"):
+            ad.embed(table, [[1, 4]], positions)
+        with pytest.raises(ValueError, match="positions"):
+            ad.embed(table, [[1, 2, 3]], positions)
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["with_embedding", "without_embedding"])
+    @pytest.mark.parametrize("mask_rows", [False, True])
+    def test_gather_layers_matches_stack_then_rows(self, first, mask_rows):
+        """Bit for bit the stack and row gather it fuses, over the whole
+        stack or from layer 1 on, as ``include_embedding`` picks; layers get
+        no gradient outside ``rows``."""
+        stack_ = [leaf(rng.standard_normal((2, 3, 4))) for _ in range(3)]
+        layers = stack_[first:]
+        mask = np.array([[True, True, False], [True, False, False]]) if mask_rows else None
+        weight = ad.Tensor(rng.standard_normal(((3,) if mask_rows else (2, 3)) + (len(layers), 4)))
+
+        def chain():
+            stacked = stack(layers, axis=-2)
+            return stacked if mask is None else stacked[mask]
+
+        runs = []
+        for op in (lambda: ad.gather_layers(layers, mask), chain):
+            for t in layers:
+                t.grad = None
+            out = op()
+            ad.backward(ad.sum_(mul(out, weight)))
+            runs.append([out.data] + [t.grad for t in layers])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+        for t in layers:
+            t.grad = None
+        assert_grads_match(lambda: ad.gather_layers(layers, mask), layers)
+        if mask_rows:
+            for t in layers:
+                np.testing.assert_array_equal(t.grad[~mask], 0.0)
+
+    def test_gather_layers_rejects_mismatched_shapes(self):
+        a, b = leaf(np.ones((2, 3, 4))), leaf(np.ones((2, 2, 4)))
+        with pytest.raises(ValueError, match="equal shapes"):
+            ad.gather_layers([a, b])
+        with pytest.raises(ValueError, match="rows"):
+            ad.gather_layers([a], np.ones((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    @pytest.mark.parametrize("share_w1", [True, False])
+    @pytest.mark.parametrize("n_hop", [1, 4])
+    def test_layer_attention_matches_unfused_chain(self, lead, share_w1, n_hop):
+        layers, embed, w1, w2 = layer_attention_args(lead, n_hop, share_w1)
+        leaves = [layers, embed, *([w1] if share_w1 else w1), w2]
+        weight = ad.Tensor(rng.standard_normal(lead + (n_hop * 4,)))
+        runs = []
+        for op in (ad.layer_attention, unfused_layer_attention):
             for t in leaves:
                 t.grad = None
-            out = lin(norm(x, sub, gain, bias, rate, np.random.default_rng(9), mask), w, b)
+            out, weights = op(layers, embed, w1, w2)
             ad.backward(ad.sum_(mul(out, weight)))
-            return [out.data] + [t.grad for t in leaves]
-
-        def fused_norm(x, sub, gain, bias, rate, rng, mask):
-            keep = ad.dropout_keep(sub.shape, rate, rng, mask)
-            return ad.residual_layer_norm(x, sub, gain, bias, keep, rate)
-
-        fused = run(fused_norm, ad.linear)
-        chain = run(unfused_residual_norm, unfused_linear)
-        for got, want in zip(fused, chain):
+            runs.append([out.data, weights] + [t.grad for t in leaves])
+        for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(runs[0][1].sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("share_w1", [True, False])
+    @pytest.mark.parametrize("n_hop", [1, 4])
+    def test_layer_attention_gradient(self, share_w1, n_hop):
+        layers, embed, w1, w2 = layer_attention_args((5,), n_hop, share_w1)
+        leaves = [layers, embed, *([w1] if share_w1 else w1), w2]
+        assert_grads_match(lambda: ad.layer_attention(layers, embed, w1, w2)[0], leaves, 1e-5)
+
+    def test_layer_attention_rejects_bad_shapes(self):
+        layers, embed, w1, w2 = layer_attention_args((5,), 2, False)
+        with pytest.raises(ValueError, match="layer_attention shape mismatch"):
+            ad.layer_attention(layers, embed[:2], w1, w2)
+        with pytest.raises(ValueError, match="layer_attention shape mismatch"):
+            ad.layer_attention(layers, embed, w1[:2], w2)
+        with pytest.raises(ValueError, match="layer_attention shape mismatch"):
+            ad.layer_attention(layers, embed, w1[0], leaf(np.ones((5, 2))))
 
     def test_dropout_keep_draws_nothing_at_rate_zero(self):
         r = np.random.default_rng(4)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
-from mlrf.checkpoint import build_model, load_checkpoint, restore_optimizer, save_checkpoint
+from mlrf.checkpoint import (
+    ALIGN, build_model, load_checkpoint, restore_optimizer, save_checkpoint,
+)
 from mlrf.fusion import FusionConfig
 from mlrf.model import Transformer
 from mlrf.training import AdamState, TrainConfig, adam_step
@@ -61,6 +63,43 @@ class TestRoundTrip:
         second = tmp_path / "b.ckpt"
         save_checkpoint(second, again, state2, ckpt.train_config, ckpt.meta)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_size_does_not_depend_on_counter_digits(self, tmp_path):
+        """The header is padded so the data starts on an ``ALIGN`` boundary,
+        and a counter that gains a digit leaves the size unchanged."""
+        model, state = trained_model()
+        sizes = []
+        for epochs in (9, 10):
+            path = tmp_path / f"{epochs}.ckpt"
+            save_checkpoint(path, model, state, TrainConfig(), {"epochs_done": epochs})
+            raw = path.read_bytes()
+            data = sum(8 * t.size for _, t in model.params.items()) * 3
+            assert (len(raw) - data) % ALIGN == 0
+            sizes.append(len(raw))
+            assert load_checkpoint(path).meta == {"epochs_done": epochs}
+        assert sizes[0] == sizes[1]
+
+    def test_unpadded_file_still_loads(self, tmp_path):
+        """A file whose header has no padding, as saves wrote it before,
+        loads to the same tensors and meta."""
+        model, state = trained_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, state, TrainConfig(), {"epochs_done": 3})
+        raw = path.read_bytes()
+        magic_end = raw.index(b"\n") + 1
+        size_end = raw.index(b"\n", magic_end) + 1
+        n = int(raw[magic_end:size_end])
+        body = raw[size_end : size_end + n].rstrip(b" ")
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(raw[:magic_end] + b"%d\n" % len(body) + body + raw[size_end + n :])
+        assert old.stat().st_size < path.stat().st_size
+        new, unpadded = load_checkpoint(path), load_checkpoint(old)
+        assert unpadded.meta == new.meta and unpadded.opt_t == new.opt_t
+        for saved, loaded in ((new.tensors, unpadded.tensors), (new.opt_m, unpadded.opt_m),
+                              (new.opt_v, unpadded.opt_v)):
+            assert saved.keys() == loaded.keys()
+            for name in saved:
+                np.testing.assert_array_equal(saved[name], loaded[name])
 
     def test_logits_bit_identical_after_reload(self, tmp_path):
         model, state = trained_model()

@@ -184,9 +184,22 @@ class TestBeam:
             want = [sorted(range(30), key=lambda j: (-row[j], j))[:width] for row in logps]
             np.testing.assert_array_equal(top_tokens(logps, width), want)
 
+    def test_top_tokens_width_one_equals_the_general_path(self):
+        """The argmax path ranks as the partition path does, ties to the
+        lowest id included."""
+        r = np.random.default_rng(9)
+        logps = r.integers(0, 3, (40, 50)).astype(float)  # every row ties at its max
+        logps[0] = -np.inf
+        logps[1, [7, 3, 44]] = 5.0
+        np.testing.assert_array_equal(top_tokens(logps, 1), top_tokens(logps, 2)[:, :1])
+
     def test_top_tokens_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             top_tokens(np.array([[0.0, np.nan, -1.0]]), 2)
+
+    def test_top_tokens_width_one_rejects_nan_below_the_max(self):
+        with pytest.raises(ValueError, match="NaN"):
+            top_tokens(np.array([[0.0, 1.0, -1.0], [0.0, np.nan, -1.0]]), 1)
 
     def test_scores_every_live_hypothesis_in_one_call(self):
         calls = []

@@ -7,8 +7,10 @@ from mlrf import autodiff as ad
 from mlrf.fusion import FusionConfig, fuse_avg, fuse_self_attention, fuse_side
 from mlrf.model import Transformer, param_specs
 from mlrf.training import init_parameters
-from tests.conftest import count_scalars, padded, random_sentences, toy_config, toy_model
-from tests.gradcheck import max_rel_err, numeric_grad_at
+from tests.conftest import (
+    count_scalars, padded, random_sentences, stack, toy_config, toy_model,
+)
+from tests.gradcheck import max_rel_err, mul, numeric_grad, numeric_grad_at
 
 ALL_SIDES_AND_KINDS = [
     (side, kind)
@@ -67,7 +69,7 @@ class TestAvg:
         model = toy_model("decoder", "avg")
         a = ad.Tensor(np.tile([1.0, 3.0], (1, 4)))
         b = ad.Tensor(np.tile([3.0, 5.0], (1, 4)))
-        out = fuse_avg(ad.stack([a, b], axis=-2), model.params, "fusion.decoder")
+        out = fuse_avg(stack([a, b], axis=-2), model.params, "fusion.decoder")
         gain = model.params["fusion.decoder.post_norm.gain"]
         bias = model.params["fusion.decoder.post_norm.bias"]
         mean = ad.Tensor(np.tile([2.0, 4.0], (1, 4)))
@@ -170,6 +172,46 @@ class TestSelfAttention:
             idx = int(rng.integers(p.size))
             num = numeric_grad_at(loss, p.data, idx)
             assert max_rel_err(float(p.grad.reshape(-1)[idx]), num) < 1e-4
+
+
+FUSE_CASES = [
+    (kind, include, share)
+    for kind in ("baseline", "avg", "fnn", "self_attention")
+    for include in (True, False)
+    for share in ((True, False) if kind == "self_attention" else (True,))
+]
+
+
+class TestFuseSideGradients:
+    @pytest.mark.parametrize("kind,include_embedding,share_w1", FUSE_CASES)
+    def test_real_rows_gradient_matches_finite_differences(
+        self, kind, include_embedding, share_w1
+    ):
+        """Gradients of the fused real rows reach every included layer and
+        fusion parameter, and no layer gets one outside the rows."""
+        model = toy_model(
+            "decoder", kind, include_embedding=include_embedding, share_w1=share_w1
+        )
+        r = np.random.default_rng(4)
+        stack = [ad.Tensor(r.standard_normal((2, 3, 8)), requires_grad=True) for _ in range(3)]
+        rows = np.array([[True, True, False], [True, False, False]])
+        fusion = [p for name, p in model.params.items() if name.startswith("fusion.")]
+
+        def run():
+            return fuse_side(stack, "decoder", model.fusion, model.params, rows=rows)[0]
+
+        w = r.standard_normal((3, 8))
+
+        def loss():
+            with ad.no_grad():
+                return float((run().data * w).sum())
+
+        ad.backward(ad.sum_(mul(run(), ad.Tensor(w))))
+        fused = stack[-1:] if kind == "baseline" else stack[0 if include_embedding else 1 :]
+        for t in fused + fusion:
+            assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < 1e-5
+        for t in stack:
+            assert t.grad is None if t not in fused else not t.grad[~rows].any()
 
 
 class TestAttach:

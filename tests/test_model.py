@@ -14,7 +14,9 @@ from mlrf.model import (
     positional_encoding,
 )
 from mlrf.training import init_parameters
-from tests.conftest import padded, toy_config, toy_fusion, toy_model, random_sentences
+from tests.conftest import (
+    add, dropout, padded, random_sentences, toy_config, toy_fusion, toy_model,
+)
 from tests.gradcheck import max_rel_err, mul, numeric_grad_at
 
 
@@ -37,7 +39,10 @@ class TestPositionalEncoding:
 
 
 def self_attention(x, params, prefix, mask=None):
-    return attend(x, *key_values(x, params, prefix), 2, params, prefix, mask)
+    """The attention sublayer up to its residual: ``attend``, then the output
+    projection that ``_post_norm`` folds into the norm."""
+    heads = attend(x, *key_values(x, params, prefix), 2, params, prefix, mask)
+    return ad.linear(heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 class TestMultiHeadAttention:
@@ -141,20 +146,40 @@ class TestEncoderLayer:
 
 
 class TestPostNorm:
-    def test_masked_dropout_draws_what_the_unfused_chain_draws(self):
-        """_post_norm consumes the generator as dropout-then-add-then-norm
-        did, so the pinned training losses keep their dropout draws."""
+    @pytest.mark.parametrize("rate,masked", [(0.0, False), (0.3, False), (0.3, True)])
+    def test_matches_the_unfused_chain_bit_for_bit(self, rate, masked):
+        """_post_norm gives the values and grads of linear, dropout, add and
+        layer_norm, and consumes the generator as that chain did, so the
+        pinned training losses keep their dropout draws."""
         model = toy_model()
-        prefix = "encoder.layer0.norm1"
-        gain, bias = model.params[f"{prefix}.gain"], model.params[f"{prefix}.bias"]
+        prefix, norm = "encoder.layer0.ffn", "encoder.layer0.norm2"
+        names = [f"{prefix}.w2", f"{prefix}.b2", f"{norm}.gain", f"{norm}.bias"]
         r = np.random.default_rng(5)
-        x, sub = (ad.Tensor(r.standard_normal((2, 4, 8))) for _ in range(2))
+        x = ad.Tensor(r.standard_normal((2, 4, 8)), requires_grad=True)
+        h = ad.Tensor(r.standard_normal((2, 4, 16)), requires_grad=True)
+        weight = ad.Tensor(r.standard_normal((2, 4, 8)))
         tokens = np.array([[True, True, True, False], [True, True, False, False]])
-        fused_rng, chain_rng = np.random.default_rng(11), np.random.default_rng(11)
-        out = _post_norm(x, sub, model.params, prefix, 0.3, fused_rng, tokens)
-        want = ad.layer_norm(ad.add(x, ad.dropout(sub, 0.3, chain_rng, tokens)), gain, bias)
-        np.testing.assert_array_equal(out.data, want.data)
-        assert fused_rng.random() == chain_rng.random()
+        tokens = tokens if masked else None
+        p = model.params
+
+        def fused(gen):
+            return _post_norm(x, h, p, prefix, "2", norm, rate, gen, tokens)
+
+        def chain(gen):
+            sub = ad.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+            return ad.layer_norm(add(x, dropout(sub, rate, gen, tokens)), p[f"{norm}.gain"],
+                                 p[f"{norm}.bias"])
+
+        runs = []
+        for op in (fused, chain):
+            gen = np.random.default_rng(11)
+            for t in [x, h] + [p[n] for n in names]:
+                t.grad = None
+            out = op(gen)
+            ad.backward(ad.sum_(mul(out, weight)))
+            runs.append([out.data, x.grad, h.grad] + [p[n].grad for n in names] + [gen.random()])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestStacks:

@@ -511,9 +511,9 @@ def tape_bytes(order) -> int:
 # array in a sublayer (say, an unfused bias add, a pre-activation output or
 # a float64 dropout scale kept by a closure) shows in the bytes.
 @pytest.mark.parametrize("side,kind,nodes,op_bytes", [
-    ("none", "baseline", 144, 126256),
-    ("decoder", "self_attention", 164, 156248),
-    ("both", "fnn", 166, 150632),
+    ("none", "baseline", 131, 104752),
+    ("decoder", "self_attention", 143, 125120),
+    ("both", "fnn", 151, 124520),
 ])
 def test_training_graph_is_pinned(side, kind, nodes, op_bytes):
     spec = SyntheticTaskSpec("copy", alphabet=7, min_len=1, max_len=6, count=4, seed=12)
@@ -524,6 +524,31 @@ def test_training_graph_is_pinned(side, kind, nodes, op_bytes):
     loss, _ = model.loss(result.rep, batch.tgt_out[batch.tgt_mask])
     order = ad._toposort(loss)
     assert (len(order), tape_bytes(order)) == (nodes, op_bytes)
+
+
+def test_de_en_training_graph_is_pinned():
+    """The paper's shape (configs/de_en_shaped.cfg, pinned here as perfbench
+    pins it) on a 2-sentence batch: the op-node count, which does not depend
+    on the batch, is the one perfbench's ``autodiff.tape_nodes`` reports for
+    batch 32 (one ``embed`` per side, 7 nodes per encoder layer, 2 cross
+    key/value projections and 10 nodes per decoder layer, 5 in the fusion,
+    1 loss)."""
+    config = ModelConfig(
+        n_layers=3, d_model=256, d_ff=1024, n_heads=4,
+        src_vocab=8389, tgt_vocab=6428, max_len=128, dropout=0.1,
+    )
+    fusion = FusionConfig(
+        side="decoder", enc_kind="baseline", dec_kind="self_attention", n_hop=4, d_a=1024, d_f=512
+    )
+    spec = SyntheticTaskSpec("copy", alphabet=1000, min_len=15, max_len=30, count=2, seed=1)
+    vocab = Vocabulary(f"s{i}" for i in range(1000))
+    (batch,) = make_batches(generate_synthetic(spec), vocab, vocab, 2)
+    model = Transformer(config, fusion, seed=0)
+    result = model.forward(batch.src, batch.src_mask, batch.tgt_in, batch.tgt_mask, train=True)
+    loss, _ = model.loss(result.rep, batch.tgt_out[batch.tgt_mask])
+    order = ad._toposort(loss)
+    ops = [t for t in order if t._vjp is not None]
+    assert (len(ops), tape_bytes(order)) == (65, 14807096)
 
 
 class TestCounts:
