@@ -13,8 +13,8 @@ reads:
 
 * ``embed``: a word-embedding lookup plus fixed positions, with dropout; it
   stores its output, the ids and the mask.
-* ``linear``: a dense layer ``act(x @ W + b)`` with an optional bias and an
-  optional relu or tanh; it stores its output alone.
+* ``linear``: a dense layer ``x @ W + b`` with an optional bias and an
+  optional relu; it stores its output alone.
 * ``attention``: multi-head scaled dot-product attention over [B, L, d]
   projections, heads split as views; it stores the softmax probabilities
   beside its merged output.
@@ -27,12 +27,17 @@ reads:
   layer axis; it stores its tanh hidden layer and the hop weights.
 * ``cross_entropy``: the output projection and the mean negative
   log-likelihood; it keeps one logits-sized buffer, exponentiated in place.
-* ``layer_norm``, and the shape ops ``reshape``, ``slice_``, ``sum_``,
-  ``mean_`` and ``scale``.
+* ``layer_norm``, ``reshape`` and ``mean_``.
 
-Dropout masks are boolean; an op scales the kept units by the scalar
-``1/(1 - rate)``.  An op writes in place only into arrays it allocated, or,
-in backward, into what its own forward stored, since the tape is single-use.
+Four private kernels give each shared computation one implementation:
+``_affine``/``_affine_vjp`` (``rows @ W + b``), ``_dropped`` (inverted
+dropout), ``_softmax`` (in place) and ``_attend_vjp`` (the backward of a
+softmax-weighted sum).
+
+Dropout masks (``dropout_keep``) are boolean; an op scales the kept units by
+the scalar ``1/(1 - rate)``.  An op writes in place only into arrays it
+allocated, or, in backward, into what its own forward stored, since the tape
+is single-use.
 """
 
 from __future__ import annotations
@@ -93,13 +98,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __getitem__(self, key):
-        return slice_(self, key)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     """Wrap an op result, recording parents only when the tape is live."""
@@ -112,59 +110,22 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape ops, reductions and dropout masks
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make(x.data * c, (x,), lambda g: (g * c,))
+# shape ops, dropout, dense layers, lookups and gathers
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
     old = x.shape
     return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def slice_(x: Tensor, key) -> Tensor:
-    """Ints, slices, a boolean mask or integer arrays over the leading axes.
-
-    The result never aliases ``x``: a view is copied, while a mask or an
-    integer array already gives a new array.  Backward scatters into a zero
-    buffer, summing the rows that an integer array repeats."""
-    data = x.data[key]
-    if np.may_share_memory(data, x.data):
-        data = data.copy()
-    shape = x.shape
-    keys = key if isinstance(key, tuple) else (key,)
-    repeats = any(np.ndim(k) > 0 and np.asarray(k).dtype.kind != "b" for k in keys)
-
-    def vjp(g):
-        buf = np.zeros(shape)
-        if repeats:
-            np.add.at(buf, key, g)
-        else:
-            buf[key] += g
-        return (buf,)
-
-    return _make(data, (x,), vjp)
-
-
-def sum_(x: Tensor, axis: int | None = None) -> Tensor:
-    data = x.data.sum(axis=axis)
-    shape = x.shape
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _make(data, (x,), vjp)
-
-
-def mean_(x: Tensor, axis: int | None = None) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    return scale(sum_(x, axis=axis), 1.0 / n)
+def mean_(x: Tensor, axis: int) -> Tensor:
+    """The mean over ``axis``, as one node: the sum times ``1/n``."""
+    c, shape = 1.0 / x.shape[axis], x.shape
+    return _make(
+        x.data.sum(axis=axis) * c,
+        (x,),
+        lambda g: (np.broadcast_to(np.expand_dims(g * c, axis), shape).copy(),),
+    )
 
 
 def dropout_keep(
@@ -192,35 +153,39 @@ def dropout_keep(
     return keep
 
 
-def _dropped(a: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+def _dropped(a: np.ndarray, keep: np.ndarray, rate: float, out=None) -> np.ndarray:
     """``a`` with the units ``keep`` drops zeroed and the rest scaled by
-    ``1/(1 - rate)``, in a new array.  Multiplying by the mask first gives the
-    bits a float scale of 1/(1 - rate) or 0 gives."""
-    out = a * keep
+    ``1/(1 - rate)``, into ``out`` (a new array when None; it may be ``a``).
+    Multiplying by the mask first gives the bits a scale of 1/(1 - rate) or 0
+    gives."""
+    out = np.multiply(a, keep, out=out)
     out *= 1.0 / (1.0 - rate)
     return out
 
 
-# ---------------------------------------------------------------------------
-# dense layers, lookups and gathers
+def _affine(rows: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """``rows @ w + b`` over [n x k] ``rows`` in a new array; None adds no bias."""
+    y = rows @ w.data
+    if b is not None:
+        y += b.data
+    return y
 
 
-ACTIVATIONS = (None, "relu", "tanh")
+def _affine_vjp(g: np.ndarray, rows: np.ndarray, w: Tensor, b: Tensor | None) -> tuple:
+    """Gradients of ``_affine`` from [n x m] ``g``: rows, w, and b if given."""
+    grads = (g @ w.data.T, rows.T @ g)
+    return grads if b is None else grads + (g.sum(axis=0),)
 
 
-def linear(
-    x: Tensor, w: Tensor, b: Tensor | None = None, activation: str | None = None
-) -> Tensor:
-    """Dense layer ``activation(x @ w + b)`` over the last axis of ``x``, as
-    one node; ``b`` None adds no bias and ``activation`` None applies none.
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+    """Dense layer ``x @ w + b`` over the last axis of ``x``, as one node,
+    with a relu when ``relu``; ``b`` None adds no bias.
 
-    One GEMM runs over the flattened rows of ``x``, and the bias and the
-    activation are applied in place into its output, so the tape holds that
-    one array.  Backward reads only the output: relu's mask is ``y > 0`` (a
-    NaN passes on, with a zero gradient) and tanh's derivative is ``1 - y**2``.
+    One GEMM runs over the flattened rows of ``x``, and the bias and the relu
+    are applied in place into its output, so the tape holds that one array.
+    Backward reads only the output: relu's mask is ``y > 0`` (a NaN passes
+    on, with a zero gradient).
     """
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
     if (
         w.data.ndim != 2
         or x.shape[-1:] != w.shape[:1]
@@ -229,25 +194,16 @@ def linear(
         bias = "" if b is None else f" + {b.shape}"
         raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape}{bias}")
     rows = x.data.reshape(-1, x.shape[-1])
-    y = rows @ w.data
-    if b is not None:
-        y += b.data
-    if activation == "relu":
+    y = _affine(rows, w, b)
+    if relu:
         np.maximum(y, 0.0, out=y)
-    elif activation == "tanh":
-        np.tanh(y, out=y)
 
     def vjp(g):
         g = g.reshape(-1, g.shape[-1])
-        if activation == "relu":
+        if relu:
             g = g * (y > 0)
-        elif activation == "tanh":
-            d = y * y
-            np.subtract(1.0, d, out=d)
-            d *= g
-            g = d
-        grads = ((g @ w.data.T).reshape(x.shape), rows.T @ g)
-        return grads if b is None else grads + (g.sum(axis=0),)
+        dx, *rest = _affine_vjp(g, rows, w, b)
+        return (dx.reshape(x.shape), *rest)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(y.reshape(x.shape[:-1] + w.shape[1:]), parents, vjp)
@@ -280,8 +236,7 @@ def embed(
     out = table.data[ids]
     out += positions
     if keep is not None:
-        out *= keep
-        out *= 1.0 / (1.0 - rate)
+        _dropped(out, keep, rate, out=out)
 
     def vjp(g):
         if keep is not None:
@@ -335,6 +290,24 @@ def gather_layers(layers: Sequence[Tensor], rows: np.ndarray | None = None) -> T
 MASK_PENALTY = -1e9
 
 
+def _softmax(s: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``s``, in place, with max-subtraction."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _attend_vjp(g: np.ndarray, p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``softmax(s) @ v`` from ``g``, given the softmax ``p``:
+    with respect to the scores ``s`` and to ``v``."""
+    dv = p.swapaxes(-1, -2) @ g
+    gy = (g @ v.swapaxes(-1, -2)) * p
+    ds = p * gy.sum(axis=-1, keepdims=True)
+    np.subtract(gy, ds, out=ds)
+    return ds, dv
+
+
 def attention(
     q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None
 ) -> Tensor:
@@ -371,17 +344,11 @@ def attention(
     p *= c
     if mask is not None:
         p += np.where(mask, 0.0, MASK_PENALTY)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    _softmax(p)
     out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, lq, d)
 
     def vjp(g):
-        gh = g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
-        dv = p.swapaxes(-1, -2) @ gh
-        gy = (gh @ vh.swapaxes(-1, -2)) * p
-        ds = p * gy.sum(axis=-1, keepdims=True)
-        np.subtract(gy, ds, out=ds)
+        ds, dv = _attend_vjp(g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3), p, vh)
         ds *= c
         dq = ds @ kt.swapaxes(-1, -2)
         dk = qh.swapaxes(-1, -2) @ ds
@@ -439,37 +406,25 @@ def layer_attention(
     energies = (hidden.reshape(-1, d_a) @ w2.data).reshape(lead + (n, n_hop))
     k = len(lead)
     swap = tuple(range(k)) + (k + 1, k)
-    e = energies.transpose(swap)
-    p = e - e.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = _softmax(energies.transpose(swap))
     hops = p @ tagged
 
     def vjp(g):
-        gh = g.reshape(lead + (n_hop, d))
         tagged = layers.data + embed.data
-        dtagged = p.swapaxes(-1, -2) @ gh
-        gy = (gh @ tagged.swapaxes(-1, -2)) * p
-        de = p * gy.sum(axis=-1, keepdims=True)
-        np.subtract(gy, de, out=de)
+        de, dtagged = _attend_vjp(g.reshape(lead + (n_hop, d)), p, tagged)
         de = de.transpose(swap).reshape(-1, n_hop)
         flat = hidden.reshape(-1, d_a)
         dw2 = flat.T @ de
-        dh = de @ w2.data.T
+        flat *= flat  # the tape is single-use, so tanh' is written over the hidden layer
+        np.subtract(1.0, flat, out=flat)
+        flat *= de @ w2.data.T
         if shared:
-            flat *= flat  # the tape is single-use, so tanh' is written over the hidden layer
-            np.subtract(1.0, flat, out=flat)
-            flat *= dh
             dtagged += (flat @ w1.data.T).reshape(tagged.shape)
             dw1s = [tagged.reshape(-1, d).T @ flat]
         else:
-            dh = dh.reshape(hidden.shape)
             dw1s = []
-            for l, w in enumerate(w1s):
-                y = hidden[..., l, :].reshape(-1, d_a)
-                dy = y * y
-                np.subtract(1.0, dy, out=dy)
-                dy *= dh[..., l, :].reshape(-1, d_a)
+            for l, w in enumerate(w1s):  # contiguous copies, as in the forward
+                dy = hidden[..., l, :].copy().reshape(-1, d_a)
                 dtagged[..., l, :] += (dy @ w.data.T).reshape(lead + (d,))
                 dw1s.append(tagged[..., l, :].copy().reshape(-1, d).T @ dy)
         return (dtagged, dtagged.sum(axis=tuple(range(k))), *dw1s, dw2)
@@ -543,20 +498,17 @@ def dense_residual_layer_norm(
             f"dense residual shape mismatch: {x.shape} + {h.shape} x {w.shape} + {b.shape}"
         )
     rows = h.data.reshape(-1, h.shape[-1])
-    s = rows @ w.data
-    s += b.data
-    s = s.reshape(x.shape)
+    s = _affine(rows, w, b).reshape(x.shape)
     if keep is not None:
-        s *= keep
-        s *= 1.0 / (1.0 - rate)
+        _dropped(s, keep, rate, out=s)
     s += x.data
     data, xhat, inv = _norm_forward(s, gain.data, bias.data, eps, out=s)
 
     def vjp(g):
         dx, dgain, dbias = _norm_vjp(g, xhat, inv, gain.data)
         ds = dx if keep is None else _dropped(dx, keep, rate)
-        ds = ds.reshape(-1, ds.shape[-1])
-        return dx, (ds @ w.data.T).reshape(h.shape), rows.T @ ds, ds.sum(axis=0), dgain, dbias
+        dh, dw, db = _affine_vjp(ds.reshape(-1, ds.shape[-1]), rows, w, b)
+        return dx, dh.reshape(h.shape), dw, db, dgain, dbias
 
     return _make(data, (x, h, w, b, gain, bias), vjp)
 
@@ -582,8 +534,7 @@ def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int
         raise IndexError(f"target id out of range [0, {v})")
 
     rows = np.arange(n)
-    e = x.data @ w.data
-    e += b.data
+    e = _affine(x.data, w, b)
     correct = int((e.argmax(axis=1) == targets).sum())
     picked = e[rows, targets]
     m = e.max(axis=1, keepdims=True)
@@ -599,7 +550,7 @@ def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int
         p /= z
         p[rows, targets] -= 1.0
         p *= float(g) / n
-        return p @ w.data.T, x.data.T @ p, p.sum(axis=0)
+        return _affine_vjp(p, x.data, w, b)
 
     return _make(np.float64(data), (x, w, b), vjp), correct
 

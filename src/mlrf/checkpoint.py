@@ -136,6 +136,14 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(
                     f"{left - n} data bytes, but its tensor index needs {8 * sum(counts)}"
                 )
+            opt = header["optimizer"]
+            if opt is not None and not (
+                isinstance(opt, dict) and type(opt.get("t")) is int and opt["t"] >= 0
+                and opt.get("phase") in ("warmup_schedule", "restarted")
+            ):
+                raise ValueError(f"bad optimizer state {opt!r}")
+            if not isinstance(header.get("meta", {}), dict):
+                raise ValueError(f"meta is not an object: {header['meta']!r}")
             model_config = ModelConfig(**header["model"])
             fusion_config = FusionConfig(**header["fusion"])
             train_config = TrainConfig(**header["train"]) if header["train"] else None
@@ -156,7 +164,6 @@ def load_checkpoint(path) -> Checkpoint:
             offset += 8 * count
 
     params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
-    opt = header["optimizer"]
     opt_m = opt_v = None
     if opt is not None:
         opt_m = {k[len("opt.m.") :]: v for k, v in tensors.items() if k.startswith("opt.m.")}

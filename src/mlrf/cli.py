@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import autodiff as ad
 from .checkpoint import build_model, load_checkpoint, restore_optimizer, save_checkpoint
 from .config import ConfigError, RunConfig, build_corpora, load_config
 from .data import BOS_ID, EOS_ID, ParallelCorpus, Vocabulary, make_batches, synthetic_vocabulary
@@ -103,7 +104,7 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
     if resume is not None:
         ckpt, model = _read_checkpoint(resume)
         if ckpt.model_config != model_cfg or ckpt.fusion_config != run_cfg.fusion:
-            raise ConfigError("resume checkpoint was built from a different config")
+            raise ConfigError(f"resume checkpoint {resume} was built from a different config")
         state = restore_optimizer(ckpt, model.params)
         epochs_done = int(ckpt.meta.get("epochs_done", 0))
         best_valid = float(ckpt.meta.get("best_valid_loss", float("inf")))
@@ -217,6 +218,8 @@ def _load_model_and_vocabs(path):
     with the rest of the checkpoint before any decoding."""
     ckpt, model = _read_checkpoint(path)
     meta = ckpt.meta
+    if not {"src_vocab_tokens", "tgt_vocab_tokens"} <= meta.keys():
+        raise ConfigError(f"checkpoint {path} holds no vocabularies")
     return model, Vocabulary(meta["src_vocab_tokens"]), Vocabulary(meta["tgt_vocab_tokens"])
 
 
@@ -340,8 +343,6 @@ def cmd_evaluate(args) -> int:
 def export_attention(model, src_vocab, tgt_vocab, lines, side: str, beam: BeamConfig):
     """Rows (sentence_id, position, token, hop, layer, weight) for one side,
     and the number of lines skipped."""
-    from . import autodiff as ad
-
     decoded, skipped = decode_lines(
         model, src_vocab, lines, beam if side == "decoder" else None
     )

@@ -187,7 +187,9 @@ class SentenceScorer:
             for kv in self.cross_kv
         ]
         with ad.no_grad():
-            past = None if parents is None else [(key[parents], v[parents]) for key, v in self._past]
+            past = None if parents is None else [
+                (ad.Tensor(key.data[parents]), ad.Tensor(v.data[parents])) for key, v in self._past
+            ]
             stack, self._past = self.model.decode_teacher_forced(ids, None, cross_kv, None, past=past)
             rep, _ = self.model.decoder_output(stack, np.ones((k, 1), dtype=bool))
             logits = self.model.output_logits(rep).data

@@ -111,7 +111,7 @@ def fuse_avg(layers: Tensor, params: ParamStore, prefix: str) -> Tensor:
 
 
 def _fusion_fnn(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    h = ad.linear(x, params[f"{prefix}.fnn.w1"], params[f"{prefix}.fnn.b1"], "relu")
+    h = ad.linear(x, params[f"{prefix}.fnn.w1"], params[f"{prefix}.fnn.b1"], relu=True)
     return ad.linear(h, params[f"{prefix}.fnn.w2"], params[f"{prefix}.fnn.b2"])
 
 

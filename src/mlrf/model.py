@@ -266,7 +266,7 @@ def attend(
 
 def feed_forward(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     """The FNN sublayer's relu hidden layer; ``_post_norm`` applies ``w2``."""
-    return ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], "relu")
+    return ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], relu=True)
 
 
 def _post_norm(

@@ -114,6 +114,64 @@ def read_trace_file(path):
 # ``mlrf.autodiff`` replaced, kept as references for their tests.
 
 
+def as_tensor(x) -> ad.Tensor:
+    return x if isinstance(x, ad.Tensor) else ad.Tensor(x)
+
+
+def scale(x: ad.Tensor, c: float) -> ad.Tensor:
+    c = float(c)
+    return ad._make(x.data * c, (x,), lambda g: (g * c,))
+
+
+def sum_(x: ad.Tensor, axis: int | None = None) -> ad.Tensor:
+    data = x.data.sum(axis=axis)
+    shape = x.shape
+
+    def vjp(g):
+        if axis is None:
+            return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+
+    return ad._make(data, (x,), vjp)
+
+
+def slice_(x: ad.Tensor, key) -> ad.Tensor:
+    """Ints, slices, a boolean mask or integer arrays over the leading axes.
+
+    The result never aliases ``x``: a view is copied, while a mask or an
+    integer array already gives a new array.  Backward scatters into a zero
+    buffer, summing the rows that an integer array repeats."""
+    data = x.data[key]
+    if np.may_share_memory(data, x.data):
+        data = data.copy()
+    shape = x.shape
+    keys = key if isinstance(key, tuple) else (key,)
+    repeats = any(np.ndim(k) > 0 and np.asarray(k).dtype.kind != "b" for k in keys)
+
+    def vjp(g):
+        buf = np.zeros(shape)
+        if repeats:
+            np.add.at(buf, key, g)
+        else:
+            buf[key] += g
+        return (buf,)
+
+    return ad._make(data, (x,), vjp)
+
+
+def tanh(x: ad.Tensor) -> ad.Tensor:
+    """Elementwise tanh; backward reads only the output (``1 - y**2``)."""
+    y = np.tanh(x.data)
+
+    def vjp(g):
+        d = y * y
+        np.subtract(1.0, d, out=d)
+        d *= g
+        return (d,)
+
+    return ad._make(y, (x,), vjp)
+
+
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting)."""
     extra = grad.ndim - len(shape)
@@ -126,7 +184,7 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> ad.Tensor:
-    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
 
     def vjp(g):
@@ -146,7 +204,7 @@ def transpose(x: ad.Tensor, axes: Sequence[int] | None = None) -> ad.Tensor:
 
 def stack(tensors: Sequence[ad.Tensor], axis: int = 0) -> ad.Tensor:
     """Join equal-shaped tensors along a new ``axis``, as ``np.stack``."""
-    ts = [ad.as_tensor(t) for t in tensors]
+    ts = [as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in ts], axis=axis)
     return ad._make(data, ts, lambda g: tuple(np.moveaxis(g, axis, 0)))
 
@@ -170,7 +228,7 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     every row of ``a``, and its gradient is one GEMM over the flattened rows;
     otherwise ``b`` must carry the same batch axes as ``a``.
     """
-    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     batched = b.data.ndim > 2 and b.shape[:-2] == a.shape[:-2]
     if a.data.ndim < 2 or not (b.data.ndim == 2 or batched) or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")

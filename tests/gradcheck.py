@@ -9,7 +9,7 @@ weights an op's output into a scalar loss on the tape.
 import numpy as np
 
 from mlrf import autodiff as ad
-from tests.conftest import unbroadcast
+from tests.conftest import as_tensor, unbroadcast
 
 H = 1e-5
 
@@ -57,7 +57,7 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
 
 def mul(a, b) -> ad.Tensor:
     """Elementwise product with numpy broadcasting, as a tape op."""
-    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
 
     def vjp(g):
         return (

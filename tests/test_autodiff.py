@@ -1,7 +1,9 @@
 """Unit and gradient-oracle tests for the tensor/tape engine."""
 
+import ast
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from mlrf import autodiff as ad
 from mlrf import training
 from mlrf.model import positional_encoding
 from tests.conftest import (
-    add, dropout, embedding_lookup, matmul, residual_layer_norm, softmax, stack, transpose,
+    add, dropout, embedding_lookup, matmul, residual_layer_norm, scale, slice_, softmax, stack,
+    sum_, tanh, transpose,
 )
 from tests.gradcheck import max_rel_err, mul, numeric_grad
 
@@ -44,7 +47,7 @@ class TestMatmul:
         def loss():
             return float((a.data @ b.data * w).sum())
 
-        ad.backward(ad.sum_(mul(matmul(a, b), ad.Tensor(w))))
+        ad.backward(sum_(mul(matmul(a, b), ad.Tensor(w))))
         assert max_rel_err(a.grad, numeric_grad(loss, a.data)) < 1e-6
         assert max_rel_err(b.grad, numeric_grad(loss, b.data)) < 1e-6
 
@@ -68,7 +71,7 @@ class TestSoftmax:
             e = np.exp(x.data - x.data.max())
             return float((e / e.sum() * w).sum())
 
-        ad.backward(ad.sum_(mul(out, ad.Tensor(w))))
+        ad.backward(sum_(mul(out, ad.Tensor(w))))
         assert max_rel_err(x.grad, numeric_grad(loss, x.data)) < 1e-4
 
     def test_bad_axis(self):
@@ -106,7 +109,7 @@ class TestLayerNorm:
             xhat = (x.data - mu) / np.sqrt(var + 1e-6)
             return float(((xhat * gain.data + bias.data) * w).sum())
 
-        ad.backward(ad.sum_(mul(ad.layer_norm(x, gain, bias), ad.Tensor(w))))
+        ad.backward(sum_(mul(ad.layer_norm(x, gain, bias), ad.Tensor(w))))
         for t in (x, gain, bias):
             assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < 1e-5
 
@@ -147,7 +150,7 @@ class TestElementwise:
         def loss():
             return float((table.data[ids] * w).sum())
 
-        ad.backward(ad.sum_(mul(embedding_lookup(table, ids), ad.Tensor(w))))
+        ad.backward(sum_(mul(embedding_lookup(table, ids), ad.Tensor(w))))
         assert max_rel_err(table.grad, numeric_grad(loss, table.data)) < 1e-6
         np.testing.assert_array_equal(table.grad[0], 0.0)
         np.testing.assert_array_equal(table.grad[2], 0.0)
@@ -177,7 +180,7 @@ class TestElementwise:
             with ad.no_grad():
                 return float((run().data * w).sum())
 
-        ad.backward(ad.sum_(mul(run(), ad.Tensor(w))))
+        ad.backward(sum_(mul(run(), ad.Tensor(w))))
         for t in args:
             assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < 1e-4
 
@@ -188,7 +191,7 @@ class TestElementwise:
         def loss():
             return float((x.data.T[1:3] * w).sum())
 
-        ad.backward(ad.sum_(mul(transpose(x)[1:3], ad.Tensor(w))))
+        ad.backward(sum_(mul(slice_(transpose(x), slice(1, 3)), ad.Tensor(w))))
         assert max_rel_err(x.grad, numeric_grad(loss, x.data)) < 1e-6
 
 
@@ -210,7 +213,7 @@ class TestSlice:
         x = ad.Tensor(rng.standard_normal((16, 31, 4, 64)))  # 1 MB
         tracemalloc.start()
         try:
-            out = x[key]
+            out = slice_(x, key)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -220,7 +223,7 @@ class TestSlice:
     @pytest.mark.parametrize("key", KEYS)
     def test_result_never_aliases_the_input(self, key):
         x = ad.Tensor(rng.standard_normal((3, 4)))
-        out = x[key]
+        out = slice_(x, key)
         want = x.data[key].copy()
         assert not np.shares_memory(out.data, x.data)
         x.data[...] = 0.0
@@ -230,7 +233,7 @@ class TestSlice:
     def test_gradient(self, key):
         """Rows that an integer array repeats sum their gradients."""
         x = leaf(rng.standard_normal((3, 4)))
-        assert_grads_match(lambda: x[key], [x])
+        assert_grads_match(lambda: slice_(x, key), [x])
 
 
 
@@ -242,7 +245,7 @@ def assert_grads_match(run, leaves, tol=1e-6):
         with ad.no_grad():
             return float((run().data * w).sum())
 
-    ad.backward(ad.sum_(mul(run(), ad.Tensor(w))))
+    ad.backward(sum_(mul(run(), ad.Tensor(w))))
     for t in leaves:
         assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < tol
 
@@ -289,8 +292,8 @@ class TestBatchedOps:
     def test_boolean_mask_selects_rows_in_row_major_order(self):
         x = leaf(rng.standard_normal((2, 3, 4)))
         mask = np.array([[True, True, False], [True, False, False]])
-        np.testing.assert_array_equal(x[mask].data, x.data.reshape(6, 4)[[0, 1, 3]])
-        assert_grads_match(lambda: x[mask], [x])
+        np.testing.assert_array_equal(slice_(x, mask).data, x.data.reshape(6, 4)[[0, 1, 3]])
+        assert_grads_match(lambda: slice_(x, mask), [x])
         np.testing.assert_array_equal(x.grad[~mask], 0.0)
 
     def test_masked_dropout_draws_for_real_rows_only(self):
@@ -415,12 +418,12 @@ class TestCrossEntropy:
 class TestBackward:
     def test_sum_grad_is_ones(self):
         x = leaf([1.0, 2.0, 3.0])
-        ad.backward(ad.sum_(x))
+        ad.backward(sum_(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_quadratic_grad(self):
         x = leaf([1.0, 2.0])
-        ad.backward(ad.sum_(mul(x, x)))
+        ad.backward(sum_(mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_non_scalar_rejected(self):
@@ -430,7 +433,7 @@ class TestBackward:
     @pytest.mark.parametrize(
         "make_loss,once",
         [
-            (lambda x: ad.sum_(mul(x, x)), [2.0, 4.0]),
+            (lambda x: sum_(mul(x, x)), [2.0, 4.0]),
             # softmax([1, 2]) minus the one-hot target 1
             (
                 lambda x: ad.cross_entropy(
@@ -454,9 +457,9 @@ class TestBackward:
     def test_backward_through_a_spent_node_changes_no_grad(self):
         x, w = leaf([1.0, 2.0]), leaf([3.0, 4.0])
         y = mul(x, x)
-        ad.backward(ad.sum_(y))
+        ad.backward(sum_(y))
         with pytest.raises(RuntimeError, match="backward already ran"):
-            ad.backward(ad.sum_(mul(w, y)))  # the reverse pass reaches w before y
+            ad.backward(sum_(mul(w, y)))  # the reverse pass reaches w before y
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
         assert w.grad is None
 
@@ -464,7 +467,7 @@ class TestBackward:
         x = leaf(rng.standard_normal((2, 3, 8)))
         w, b = leaf(rng.standard_normal((8, 8))), leaf(rng.standard_normal(8))
         gain, bias = leaf(np.ones(8)), leaf(np.zeros(8))
-        h = ad.linear(x, w, b, "tanh")
+        h = ad.linear(x, w, b, relu=True)
         a = ad.attention(h, h, h, 2, np.tril(np.ones((3, 3), dtype=bool))[None, None])
         keep = ad.dropout_keep((2, 3, 8), 0.3, rng)
         n = ad.dense_residual_layer_norm(h, a, w, b, gain, bias, keep, 0.3)
@@ -485,8 +488,8 @@ class TestBackward:
 
     def test_grads_accumulate_over_separate_graphs_sharing_leaves(self):
         x, c = leaf([1.0, 2.0]), ad.Tensor([5.0, 7.0])
-        ad.backward(ad.sum_(mul(x, x)))
-        ad.backward(ad.sum_(mul(x, c)))
+        ad.backward(sum_(mul(x, x)))
+        ad.backward(sum_(mul(x, c)))
         np.testing.assert_array_equal(x.grad, [7.0, 11.0])
 
     def test_leaf_keeps_a_new_vjp_array_and_copies_a_view(self):
@@ -507,7 +510,7 @@ class TestBackward:
         a = store.add("a", ad.Tensor(np.ones((2, 3))))
         b = store.add("b", ad.Tensor(np.ones((2, 3))))
         w = rng.standard_normal((2, 3))
-        ad.backward(ad.sum_(mul(add(a, b), ad.Tensor(w))))
+        ad.backward(sum_(mul(add(a, b), ad.Tensor(w))))
         assert not np.shares_memory(a.grad, b.grad)
         norm = training.grad_norm(store)
         training.clip_gradients(store, norm / 2, norm)
@@ -517,7 +520,7 @@ class TestBackward:
     def test_reused_node_accumulates_once_per_path(self):
         x = leaf([3.0])
         y = add(mul(x, x), mul(x, ad.Tensor([2.0])))
-        ad.backward(ad.sum_(y))
+        ad.backward(sum_(y))
         np.testing.assert_allclose(x.grad, [8.0], atol=1e-12)
 
     def test_no_grad_suppresses_tape(self):
@@ -535,7 +538,7 @@ class TestBackward:
         out = dropout(x, 0.4, np.random.default_rng(0))
         kept = out.data != 0
         np.testing.assert_allclose(out.data[kept], 1.0 / 0.6, atol=1e-12)
-        ad.backward(ad.sum_(out))
+        ad.backward(sum_(out))
         np.testing.assert_allclose(x.grad[kept], 1.0 / 0.6, atol=1e-12)
         np.testing.assert_array_equal(x.grad[~kept], 0.0)
 
@@ -565,10 +568,10 @@ def unfused_layer_attention(layers, embed, w1, w2):
     reshape chain that ``layer_attention`` fuses."""
     tagged = add(layers, embed)
     if isinstance(w1, ad.Tensor):
-        hidden = ad.linear(tagged, w1, activation="tanh")
+        hidden = tanh(matmul(tagged, w1))
     else:
         hidden = stack(
-            [ad.linear(tagged[..., l, :], w, activation="tanh") for l, w in enumerate(w1)],
+            [tanh(matmul(slice_(tagged, (..., l, slice(None))), w)) for l, w in enumerate(w1)],
             axis=-2,
         )
     lead = tuple(range(len(layers.shape) - 2))
@@ -593,7 +596,7 @@ def unfused_attention(q, k, v, n_heads, mask):
     def heads(x, length, axes):
         return transpose(ad.reshape(x, (b, length, n_heads, dh)), axes)
 
-    scores = ad.scale(
+    scores = scale(
         matmul(heads(q, lq, (0, 2, 1, 3)), heads(k, lk, (0, 2, 3, 1))), 1.0 / np.sqrt(dh)
     )
     if mask is not None:
@@ -631,7 +634,7 @@ class TestAttention:
             for t in (q, k, v):
                 t.grad = None
             out = op(q, k, v, n_heads, mask)
-            ad.backward(ad.sum_(mul(out, weight)))
+            ad.backward(sum_(mul(out, weight)))
             runs.append([out.data] + [t.grad for t in (q, k, v)])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
@@ -659,7 +662,7 @@ class TestAttention:
             for t in (q, k, v):
                 t.grad = None
             out = ad.attention(q, k, v, n_heads, m)
-            ad.backward(ad.sum_(mul(out, ad.Tensor(weight))))
+            ad.backward(sum_(mul(out, ad.Tensor(weight))))
             runs.append([out.data[1, 2]] + [t.grad for t in (q, k, v)])
         assert np.isfinite(runs[0][0]).all()
         for got, want in zip(*runs):
@@ -677,7 +680,7 @@ class TestAttention:
         with pytest.raises(ValueError, match="attention shape mismatch"):
             ad.attention(q, k, v, 3)
         with pytest.raises(ValueError, match="attention shape mismatch"):
-            ad.attention(q, k, v[:, :3], 2)
+            ad.attention(q, k, leaf(v.data[:, :3]), 2)
         with pytest.raises(ValueError, match="does not broadcast"):
             ad.attention(q, k, v, 2, np.ones((2, 1, 3, 4), bool))
 
@@ -690,31 +693,28 @@ class TestFusedOps:
         assert ad.linear(x, w, b).shape == shape[:-1] + (3,)
         assert_grads_match(lambda: ad.linear(x, w, b), [x, w, b])
 
-    @pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+    @pytest.mark.parametrize("activation", [None, "relu"])
     @pytest.mark.parametrize("bias", [True, False])
     def test_linear_activation_gradient(self, activation, bias):
         x = leaf(rng.standard_normal((2, 3, 4)))
         w = leaf(rng.standard_normal((4, 5)))
         b = leaf(rng.standard_normal(5)) if bias else None
         z = x.data @ w.data + (b.data if bias else 0.0)
-        want = {None: z, "relu": np.maximum(z, 0.0), "tanh": np.tanh(z)}[activation]
-        np.testing.assert_allclose(ad.linear(x, w, b, activation).data, want, atol=1e-14)
+        want = {None: z, "relu": np.maximum(z, 0.0)}[activation]
+        relu = activation == "relu"
+        np.testing.assert_allclose(ad.linear(x, w, b, relu).data, want, atol=1e-14)
         leaves = [x, w, b] if bias else [x, w]
-        assert_grads_match(lambda: ad.linear(x, w, b, activation), leaves)
+        assert_grads_match(lambda: ad.linear(x, w, b, relu), leaves)
 
     def test_linear_relu_passes_nan_on(self):
         """A NaN input stays NaN in the output and reaches the weight grad,
         so the finite-gradient check sees it; its own unit gets no grad."""
         x, w = leaf([[np.nan], [-1.0], [2.0]]), leaf([[1.0]])
-        out = ad.linear(x, w, activation="relu")
+        out = ad.linear(x, w, relu=True)
         np.testing.assert_array_equal(out.data, [[np.nan], [0.0], [2.0]])
-        ad.backward(ad.sum_(out))
+        ad.backward(sum_(out))
         np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [1.0]])
         assert np.isnan(w.grad).all()
-
-    def test_linear_rejects_unknown_activation(self):
-        with pytest.raises(ValueError, match="activation"):
-            ad.linear(leaf(np.ones((2, 4))), leaf(np.ones((4, 3))), activation="gelu")
 
     def test_linear_rejects_mismatched_shapes(self):
         x, w = leaf(np.ones((2, 4))), leaf(np.ones((4, 3)))
@@ -736,11 +736,11 @@ class TestFusedOps:
     def test_dense_residual_layer_norm_rejects_mismatched_shapes(self):
         (x, h, w, b, gain, bias), _ = residual_args()
         with pytest.raises(ValueError, match="dense residual shape mismatch"):
-            ad.dense_residual_layer_norm(x[:, :2], h, w, b, gain, bias)
+            ad.dense_residual_layer_norm(leaf(x.data[:, :2]), h, w, b, gain, bias)
         with pytest.raises(ValueError, match="dense residual shape mismatch"):
-            ad.dense_residual_layer_norm(x, h, w, b[:4], gain, bias)
+            ad.dense_residual_layer_norm(x, h, w, leaf(b.data[:4]), gain, bias)
         with pytest.raises(ValueError, match="affine shape"):
-            ad.dense_residual_layer_norm(x, h, w, b, gain[:4], bias)
+            ad.dense_residual_layer_norm(x, h, w, b, leaf(gain.data[:4]), bias)
 
     @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
     def test_fused_ops_match_their_unfused_chains(self, rate, mask_rows):
@@ -771,7 +771,7 @@ class TestFusedOps:
                 t.grad = None
             gen = np.random.default_rng(9)
             out = op(gen)
-            ad.backward(ad.sum_(mul(out, weight)))
+            ad.backward(sum_(mul(out, weight)))
             runs.append([out.data] + [t.grad for t in leaves + [w2, b2]] + [gen.random()])
         for other in runs[1:]:
             for got, want in zip(runs[0], other):
@@ -800,7 +800,7 @@ class TestFusedOps:
             table.grad = None
             gen = np.random.default_rng(9)
             out = op(gen)
-            ad.backward(ad.sum_(mul(out, weight)))
+            ad.backward(sum_(mul(out, weight)))
             runs.append([out.data, table.grad, gen.random()])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
@@ -828,14 +828,14 @@ class TestFusedOps:
 
         def chain():
             stacked = stack(layers, axis=-2)
-            return stacked if mask is None else stacked[mask]
+            return stacked if mask is None else slice_(stacked, mask)
 
         runs = []
         for op in (lambda: ad.gather_layers(layers, mask), chain):
             for t in layers:
                 t.grad = None
             out = op()
-            ad.backward(ad.sum_(mul(out, weight)))
+            ad.backward(sum_(mul(out, weight)))
             runs.append([out.data] + [t.grad for t in layers])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
@@ -865,7 +865,7 @@ class TestFusedOps:
             for t in leaves:
                 t.grad = None
             out, weights = op(layers, embed, w1, w2)
-            ad.backward(ad.sum_(mul(out, weight)))
+            ad.backward(sum_(mul(out, weight)))
             runs.append([out.data, weights] + [t.grad for t in leaves])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
@@ -881,7 +881,7 @@ class TestFusedOps:
     def test_layer_attention_rejects_bad_shapes(self):
         layers, embed, w1, w2 = layer_attention_args((5,), 2, False)
         with pytest.raises(ValueError, match="layer_attention shape mismatch"):
-            ad.layer_attention(layers, embed[:2], w1, w2)
+            ad.layer_attention(layers, leaf(embed.data[:2]), w1, w2)
         with pytest.raises(ValueError, match="layer_attention shape mismatch"):
             ad.layer_attention(layers, embed, w1[:2], w2)
         with pytest.raises(ValueError, match="layer_attention shape mismatch"):
@@ -909,7 +909,37 @@ class TestParamStore:
     def test_zero_grads(self):
         store = ad.ParamStore()
         t = store.add("w", ad.Tensor(np.ones(3)))
-        ad.backward(ad.sum_(t))
+        ad.backward(sum_(t))
         assert t.grad is not None
         store.zero_grads()
         assert t.grad is None
+
+
+def test_every_public_function_has_a_src_caller():
+    """Each public function of ``mlrf.autodiff`` is used by another module
+    of the package, so an op that only tests need cannot creep back; such
+    ops live in ``tests/conftest.py``."""
+    package = Path(ad.__file__).parent
+    tree = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
+    public = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()  # names bound to the module by ``from . import autodiff``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                used |= {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+        used |= {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in aliases
+        }
+    assert len(public) > 10
+    assert sorted(public - used) == []

@@ -2,13 +2,14 @@
 
 import configparser
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
 from mlrf import config, data, training
-from mlrf.checkpoint import build_model, load_checkpoint
+from mlrf.checkpoint import build_model, load_checkpoint, save_checkpoint
 from mlrf.cli import main
 from mlrf.config import ConfigError, DataConfig, RunConfig, load_config
 from mlrf.data import EOS_ID, Vocabulary
@@ -16,7 +17,7 @@ from mlrf.decoding import BeamConfig, SentenceScorer, greedy_decode
 from mlrf.fusion import FusionConfig
 from mlrf.model import ModelConfig
 from mlrf.training import TrainConfig
-from tests.conftest import read_trace_file
+from tests.conftest import read_trace_file, scale, toy_model
 
 TINY_CFG = """\
 [run]
@@ -135,7 +136,7 @@ class TestTrain:
 
         def nan_loss(*args, **kwargs):
             loss, correct = real(*args, **kwargs)
-            return ad.scale(loss, float("nan")), correct
+            return scale(loss, float("nan")), correct
 
         monkeypatch.setattr(ad, "cross_entropy", nan_loss)
         cfg_two = write_cfg(tmp_path, "two.cfg", phase1=2, phase2=0)
@@ -355,13 +356,40 @@ class TestBeamFlags:
         assert f"(default {beam.max_len}, capped at the model's max_len - 1)" in text
 
 
+# header entry -> malformed value, each written into an otherwise whole checkpoint
+BAD_HEADERS = {
+    "optimizer_int": ("optimizer", 5),
+    "optimizer_no_phase": ("optimizer", {"t": 1}),
+    "meta_list": ("meta", []),
+}
+
+
+def write_broken_checkpoint(path, broken):
+    """At ``path``: nothing (``missing``), 100 zero bytes (``zeros``), a toy
+    checkpoint saved without vocabularies (``no_vocabs``), or one with a
+    ``BAD_HEADERS`` entry."""
+    if broken == "zeros":
+        path.write_bytes(bytes(100))
+    if broken in ("missing", "zeros"):
+        return
+    save_checkpoint(path, toy_model(), meta={"seed": 0})
+    if broken in BAD_HEADERS:
+        magic, width, rest = path.read_bytes().split(b"\n", 2)
+        n = int(width)
+        header = json.loads(rest[:n])
+        key, value = BAD_HEADERS[broken]
+        header[key] = value
+        body = json.dumps(header).encode("utf-8").ljust(n)
+        assert len(body) == n
+        path.write_bytes(b"\n".join([magic, width, body + rest[n:]]))
+
+
 class TestCheckpointErrors:
     @pytest.mark.parametrize("command", ["translate", "evaluate", "export-attention", "train"])
-    @pytest.mark.parametrize("broken", ["missing", "zeros"])
+    @pytest.mark.parametrize("broken", ["missing", "zeros", "no_vocabs", *BAD_HEADERS])
     def test_unreadable_checkpoint_is_one_error_line(self, tmp_path, capsys, command, broken):
         ckpt = tmp_path / "model.ckpt"
-        if broken == "zeros":
-            ckpt.write_bytes(bytes(100))
+        write_broken_checkpoint(ckpt, broken)
         inp = tmp_path / "in.txt"
         inp.write_text("s0 s1\n")
         if command == "train":

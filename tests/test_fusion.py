@@ -8,7 +8,7 @@ from mlrf.fusion import FusionConfig, fuse_avg, fuse_self_attention, fuse_side
 from mlrf.model import Transformer, param_specs
 from mlrf.training import init_parameters
 from tests.conftest import (
-    count_scalars, padded, random_sentences, stack, toy_config, toy_model,
+    count_scalars, padded, random_sentences, stack, sum_, toy_config, toy_model,
 )
 from tests.gradcheck import max_rel_err, mul, numeric_grad, numeric_grad_at
 
@@ -206,7 +206,7 @@ class TestFuseSideGradients:
             with ad.no_grad():
                 return float((run().data * w).sum())
 
-        ad.backward(ad.sum_(mul(run(), ad.Tensor(w))))
+        ad.backward(sum_(mul(run(), ad.Tensor(w))))
         fused = stack[-1:] if kind == "baseline" else stack[0 if include_embedding else 1 :]
         for t in fused + fusion:
             assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < 1e-5

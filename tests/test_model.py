@@ -15,7 +15,7 @@ from mlrf.model import (
 )
 from mlrf.training import init_parameters
 from tests.conftest import (
-    add, dropout, padded, random_sentences, toy_config, toy_fusion, toy_model,
+    add, dropout, padded, random_sentences, sum_, toy_config, toy_fusion, toy_model,
 )
 from tests.gradcheck import max_rel_err, mul, numeric_grad_at
 
@@ -138,7 +138,7 @@ class TestEncoderLayer:
                 return float((out.data * w).sum())
 
         out = encoder_layer(x, model.params, "encoder.layer0", 2, None)
-        ad.backward(ad.sum_(mul(out, ad.Tensor(w))))
+        ad.backward(sum_(mul(out, ad.Tensor(w))))
         got = x.grad.copy()
         for idx in [0, 7, 13, 23]:
             num = numeric_grad_at(loss, x.data, idx)
@@ -176,7 +176,7 @@ class TestPostNorm:
             for t in [x, h] + [p[n] for n in names]:
                 t.grad = None
             out = op(gen)
-            ad.backward(ad.sum_(mul(out, weight)))
+            ad.backward(sum_(mul(out, weight)))
             runs.append([out.data, x.grad, h.grad] + [p[n].grad for n in names] + [gen.random()])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)

@@ -514,6 +514,7 @@ def tape_bytes(order) -> int:
     ("none", "baseline", 131, 104752),
     ("decoder", "self_attention", 143, 125120),
     ("both", "fnn", 151, 124520),
+    ("decoder", "avg", 134, 110984),
 ])
 def test_training_graph_is_pinned(side, kind, nodes, op_bytes):
     spec = SyntheticTaskSpec("copy", alphabet=7, min_len=1, max_len=6, count=4, seed=12)
