@@ -1,11 +1,15 @@
-"""Dense float64 tensors with a reverse-mode gradient tape.
+"""Dense float tensors with a reverse-mode gradient tape.
 
 Everything downstream (attention, fusion, the training loop) is built from
 the operations in this module.  The tape is define-by-run: each op records
 its parents and a vector-Jacobian closure on the output tensor, and
-``backward`` walks the graph once in reverse topological order.  Arrays are
-double precision throughout so gradient checks against central finite
-differences are tight.
+``backward`` walks the graph once in reverse topological order.
+
+Ops compute in the dtype of their inputs and allocate their results and
+gradient buffers in it.  Training is float64 throughout, so gradient checks
+against central finite differences are tight; a model built from float32
+parameters (``checkpoint.build_model``) runs the same code in float32, for
+inference.
 
 Every op result stays on the tape until ``backward`` has passed it, so the
 model's chains are fused into single ops that keep only what their backward
@@ -72,13 +76,15 @@ class Tensor:
     ``grad`` is populated on leaf tensors (those created directly rather
     than by an op) after ``backward`` runs from a scalar loss.  Backward
     over separate graphs accumulates into ``grad``; the training loop
-    zeroes parameter grads at every step.
+    zeroes parameter grads at every step.  ``data`` keeps a float32 array
+    as it is and holds anything else as float64.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -241,7 +247,7 @@ def embed(
     def vjp(g):
         if keep is not None:
             g = _dropped(g, keep, rate)
-        buf = np.zeros(table.shape)
+        buf = np.zeros(table.shape, table.data.dtype)
         np.add.at(buf, ids, g)
         return (buf,)
 
@@ -257,7 +263,7 @@ def gather_layers(layers: Sequence[Tensor], rows: np.ndarray | None = None) -> T
     into the result, and backward hands each layer its own gradient, zero
     outside ``rows``.
     """
-    shape = layers[0].shape
+    shape, dtype = layers[0].shape, layers[0].data.dtype
     if any(t.shape != shape for t in layers):
         raise ValueError(f"gather_layers needs equal shapes, got {[t.shape for t in layers]}")
     if rows is None:
@@ -266,7 +272,7 @@ def gather_layers(layers: Sequence[Tensor], rows: np.ndarray | None = None) -> T
         rows = np.asarray(rows, dtype=bool)
         if rows.shape != shape[:-1]:
             raise ValueError(f"rows {rows.shape} do not match layers {shape}")
-        data = np.empty((int(np.count_nonzero(rows)), len(layers)) + shape[-1:])
+        data = np.empty((int(np.count_nonzero(rows)), len(layers)) + shape[-1:], dtype)
         for l, t in enumerate(layers):
             data[:, l] = t.data[rows]
 
@@ -275,7 +281,7 @@ def gather_layers(layers: Sequence[Tensor], rows: np.ndarray | None = None) -> T
             return tuple(np.moveaxis(g, -2, 0))
         grads = []
         for l in range(len(layers)):
-            buf = np.zeros(shape)
+            buf = np.zeros(shape, dtype)
             buf[rows] = g[:, l]
             grads.append(buf)
         return tuple(grads)
@@ -320,7 +326,7 @@ def attention(
     entries then get a ``MASK_PENALTY`` added, which underflows to an exact
     zero weight after the softmax.  A row with no allowed key gets the same
     penalty on every score, so it keeps its unmasked weights up to the
-    penalty's rounding (about 1e-7).  The tape holds the softmax
+    penalty's rounding (about 1e-7 in float64).  The tape holds the softmax
     probabilities beside the output; backward reads them and the three
     inputs.
     """

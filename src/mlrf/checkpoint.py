@@ -11,9 +11,14 @@ keys, fixed separators), so save -> load -> save is byte-identical.  A save
 writes a temporary file beside the target, fsyncs it and renames it over the
 target, so the previous file survives a failed write.
 
-A load reads each parameter block into its own aligned array and maps the
-Adam moment blocks copy-on-write, so translation, which never reads the
-moments, never pages them in.  The mapping has two costs: a resumed run
+A load maps the file copy-on-write, and every block, parameter or Adam
+moment, is a view of that mapping, paged in only when read.  Two builders
+turn a checkpoint into a model.  ``build_model``, for inference, copies each
+parameter block to float32; ``restore_training``, for a resumed run, copies
+each to an owned float64 array and adopts the mapped moments.  Each drops a
+block's pages once it has copied the block, so a block and its copy are
+resident together one block at a time, and translation, which never reads
+the moments, never pages them in.  The mapping has two costs: a resumed run
 keeps the file it loaded alive on disk until it exits (a save renames a new
 file over the name, and the old one stays mapped), and truncating a mapped
 checkpoint in place, which mlrf never does, can end the process with SIGBUS.
@@ -51,6 +56,7 @@ class Checkpoint:
     opt_t: int
     phase: str
     meta: dict[str, Any]  # step/epoch counters, vocab info, RNG states
+    mapping: mmap.mmap  # the file, mapped copy-on-write; every block is a view of it
 
 
 def save_checkpoint(
@@ -103,15 +109,15 @@ _HEADER_KEYS = ("model", "fusion", "train", "optimizer", "tensors")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at ``path``: each parameter read into its own array,
-    each Adam moment (``opt.m.*``, ``opt.v.*``) a writable copy-on-write
-    view of one mapping of the file, paged in only when read; ValueError
-    naming ``path`` if it is not one whole checkpoint.
+    """The checkpoint at ``path``: every block, parameter or Adam moment
+    (``opt.m.*``, ``opt.v.*``), a writable float64 copy-on-write view of one
+    mapping of the file, paged in only when read; ValueError naming ``path``
+    if it is not one whole checkpoint.
 
-    Parameters are read, not mapped: in a file saved before the header was
-    padded, the data starts after a header of any length, so a mapped view
-    is unaligned, and a matmul against an unaligned weight took 4x as long.
-    Adam's elementwise update runs as fast on an unaligned moment."""
+    In a file saved before the header was padded, the views are unaligned.
+    That costs nothing: the builders copy the parameters into arrays of
+    their own, and Adam's elementwise update runs as fast on an unaligned
+    moment."""
     with open(path, "rb") as f:
         if f.readline(len(MAGIC) + 1) != MAGIC.encode("ascii") + b"\n":
             raise ValueError(f"not a checkpoint file: {path}")
@@ -142,26 +148,26 @@ def load_checkpoint(path) -> Checkpoint:
                 and opt.get("phase") in ("warmup_schedule", "restarted")
             ):
                 raise ValueError(f"bad optimizer state {opt!r}")
-            if not isinstance(header.get("meta", {}), dict):
-                raise ValueError(f"meta is not an object: {header['meta']!r}")
+            meta = header.get("meta", {})
+            if not isinstance(meta, dict):
+                raise ValueError(f"meta is not an object: {meta!r}")
+            if type(meta.get("seed", 0)) is not int:
+                raise ValueError(f"meta seed is not an integer: {meta['seed']!r}")
+            for key in ("src_vocab_tokens", "tgt_vocab_tokens"):
+                tokens = meta.get(key, [])
+                if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+                    raise ValueError(f"meta {key} is not a list of strings: {tokens!r}")
             model_config = ModelConfig(**header["model"])
             fusion_config = FusionConfig(**header["fusion"])
             train_config = TrainConfig(**header["train"]) if header["train"] else None
         except (ValueError, TypeError) as exc:
             raise ValueError(f"corrupt checkpoint {path}: {exc}") from exc
-        mapped = None
-        if any(name.startswith("opt.") for name, _ in index):
-            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+        mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
         offset = f.tell()
-        tensors = {}
-        for (name, dims), count in zip(index, counts):
-            if name.startswith("opt."):
-                arr = np.frombuffer(mapped, "<f8", count, offset)
-            else:
-                f.seek(offset)
-                arr = np.fromfile(f, "<f8", count)
-            tensors[name] = arr.reshape(dims)
-            offset += 8 * count
+    tensors = {}
+    for (name, dims), count in zip(index, counts):
+        tensors[name] = np.frombuffer(mapping, "<f8", count, offset).reshape(dims)
+        offset += 8 * count
 
     params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
     opt_m = opt_v = None
@@ -177,28 +183,51 @@ def load_checkpoint(path) -> Checkpoint:
         opt_v=opt_v,
         opt_t=opt["t"] if opt else 0,
         phase=opt["phase"] if opt else "warmup_schedule",
-        meta=header.get("meta", {}),
+        meta=meta,
+        mapping=mapping,
+    )
+
+
+def _copied_model(ckpt: Checkpoint, dtype) -> Transformer:
+    """The saved model with each parameter block copied to an owned array of
+    ``dtype``.  After each copy the pages wholly inside the block are
+    dropped, so the block and its copy are never resident together beyond
+    one block; reading the block again pages it in from the file."""
+    mapping, page = ckpt.mapping, mmap.PAGESIZE
+    base = np.frombuffer(mapping, np.uint8, 0).ctypes.data
+    params = ParamStore()
+    for name, arr in ckpt.tensors.items():
+        params.add(name, Tensor(arr.astype(dtype)))
+        start = arr.ctypes.data - base
+        if not 0 <= start <= len(mapping) - arr.nbytes:
+            continue  # not a block of this mapping
+        first, end = -(-start // page) * page, (start + arr.nbytes) // page * page
+        if end > first and hasattr(mapping, "madvise"):
+            mapping.madvise(mmap.MADV_DONTNEED, first, end - first)
+    return Transformer(
+        ckpt.model_config, ckpt.fusion_config, params=params, seed=ckpt.meta.get("seed", 0)
     )
 
 
 def build_model(ckpt: Checkpoint) -> Transformer:
-    """Reconstruct the saved model; its parameters are the checkpoint's arrays."""
-    params = ParamStore()
-    for name, arr in ckpt.tensors.items():
-        params.add(name, Tensor(arr))
-    return Transformer(
-        ckpt.model_config, ckpt.fusion_config, params=params,
-        seed=int(ckpt.meta.get("seed", 0)),
-    )
+    """The saved model for inference: its parameters float32 copies of the
+    checkpoint's blocks, so every op computes in float32.  It cannot be
+    trained (``adam_step`` refuses float32 parameters); the file stays
+    float64."""
+    return _copied_model(ckpt, np.float32)
 
 
-def restore_optimizer(ckpt: Checkpoint, params: ParamStore) -> AdamState:
-    """Adam state for ``params`` that adopts the checkpoint's moment arrays
-    (zeros when it saved none), so a resumed run holds them once."""
-    state = AdamState(params)
+def restore_training(ckpt: Checkpoint) -> tuple[Transformer, AdamState]:
+    """The saved model and optimizer, to resume training in float64: each
+    parameter an owned copy of its block, bit for bit, and Adam state that
+    adopts the checkpoint's mapped moment arrays (zeros when it saved none),
+    so a resumed run holds them once.  ValueError if a moment's shape
+    differs from its parameter's."""
+    model = _copied_model(ckpt, np.float64)
+    state = AdamState(model.params)
     if ckpt.opt_m is not None:
         for moments, saved in ((state.m, ckpt.opt_m), (state.v, ckpt.opt_v)):
-            for name, p in params.items():
+            for name, p in model.params.items():
                 if saved[name].shape != p.shape:
                     raise ValueError(
                         f"Adam moment of {name} has shape {saved[name].shape}, not {p.shape}"
@@ -206,4 +235,4 @@ def restore_optimizer(ckpt: Checkpoint, params: ParamStore) -> AdamState:
                 moments[name] = saved[name]
     state.t = ckpt.opt_t
     state.phase = ckpt.phase
-    return state
+    return model, state

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .checkpoint import build_model, load_checkpoint, restore_optimizer, save_checkpoint
+from .checkpoint import build_model, load_checkpoint, restore_training, save_checkpoint
 from .config import ConfigError, RunConfig, build_corpora, load_config
 from .data import BOS_ID, EOS_ID, ParallelCorpus, Vocabulary, make_batches, synthetic_vocabulary
 from .decoding import BeamConfig, translate_ids
@@ -102,14 +102,13 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
     best_valid = float("inf")
     last_valid_acc: float | None = None
     if resume is not None:
-        ckpt, model = _read_checkpoint(resume)
+        ckpt, (model, state) = _read_checkpoint(resume, restore_training)
         if ckpt.model_config != model_cfg or ckpt.fusion_config != run_cfg.fusion:
             raise ConfigError(f"resume checkpoint {resume} was built from a different config")
-        state = restore_optimizer(ckpt, model.params)
         epochs_done = int(ckpt.meta.get("epochs_done", 0))
         best_valid = float(ckpt.meta.get("best_valid_loss", float("inf")))
         last_valid_acc = ckpt.meta.get("last_valid_acc")
-        del ckpt  # the model and optimizer hold its arrays; drop the rest
+        del ckpt  # the optimizer holds its mapped moments; drop the rest
         log.info("resumed from %s at epoch %d, step %d", resume, epochs_done, state.t)
     else:
         model = Transformer(model_cfg, run_cfg.fusion, seed=seed)
@@ -193,12 +192,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_checkpoint(path):
-    """The checkpoint at ``path`` and its model; a file that cannot be read
-    or does not hold a model is a ConfigError that names it."""
+def _read_checkpoint(path, restore=build_model):
+    """The checkpoint at ``path`` and ``restore`` of it: by default its
+    float32 model for inference, or ``restore_training``'s float64 model and
+    optimizer; a file that cannot be read or does not hold them is a
+    ConfigError that names it."""
     try:
         ckpt = load_checkpoint(path)
-        return ckpt, build_model(ckpt)
+        return ckpt, restore(ckpt)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
@@ -213,9 +214,9 @@ def _read_checkpoint(path):
 
 
 def _load_model_and_vocabs(path):
-    """The model and vocabularies at ``path``.  The checkpoint's Adam moments
-    are mapped but never read, so they are never paged in; the mapping goes
-    with the rest of the checkpoint before any decoding."""
+    """The float32 model and the vocabularies at ``path``.  The checkpoint's
+    Adam moments are mapped but never read, so they are never paged in; the
+    mapping goes with the rest of the checkpoint before any decoding."""
     ckpt, model = _read_checkpoint(path)
     meta = ckpt.meta
     if not {"src_vocab_tokens", "tgt_vocab_tokens"} <= meta.keys():
@@ -374,7 +375,8 @@ def export_attention(model, src_vocab, tgt_vocab, lines, side: str, beam: BeamCo
 def write_trace_file(rows, path) -> None:
     lines = ["sentence_id\tposition\ttoken\thop\tlayer\tweight"]
     for sent, pos, token, hop, layer, w in rows:
-        # 17 significant digits: float64 survives the text round-trip exactly
+        # 17 significant digits: a float64 weight survives the text round-trip
+        # exactly, and so does the float32 weight of a float32 model
         lines.append(f"{sent}\t{pos}\t{token}\t{hop}\t{layer}\t{w:.17g}")
     Path(path).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
 

@@ -353,8 +353,9 @@ class Transformer:
     """
 
     def __init__(self, config: ModelConfig, fusion=None, params=None, seed: int = 0):
-        """Draw fresh weights from ``seed``, or adopt ``params`` after checking
-        them against ``param_specs``."""
+        """Draw fresh float64 weights from ``seed``, or adopt ``params`` after
+        checking them against ``param_specs``; the model computes in their
+        dtype."""
         self.config = config
         self.fusion = fusion if fusion is not None else FusionConfig()
         if params is None:
@@ -365,7 +366,9 @@ class Transformer:
             check_params(params, param_specs(config, self.fusion))
         self.params = params
         self.dropout_rng = np.random.default_rng(seed)
-        self._pe = positional_encoding(config.max_len, config.d_model)
+        # in the parameters' dtype, so a float32 model embeds in float32
+        dtype = params["src_embed.weight"].data.dtype
+        self._pe = positional_encoding(config.max_len, config.d_model).astype(dtype, copy=False)
 
     # -- embedding + stacks
 

@@ -139,9 +139,10 @@ class AdamState:
 
 def _flat_views(params: ParamStore, state: AdamState) -> list[tuple[np.ndarray, ...]]:
     """Flat ``(g, p, m, v)`` for every parameter with a grad; raises
-    ValueError naming the tensor when a shape differs or a parameter or
-    moment is not a writable C-contiguous array (its flat view would be a
-    copy, and the update would be lost)."""
+    ValueError naming the tensor when a shape differs, when any of the four
+    is not float64 (training is float64; a float32 model is for inference),
+    or when a parameter or moment is not a writable C-contiguous array (its
+    flat view would be a copy, and the update would be lost)."""
     views = []
     for name, p in params.items():
         g = p.grad
@@ -149,10 +150,14 @@ def _flat_views(params: ParamStore, state: AdamState) -> list[tuple[np.ndarray, 
             continue
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
+        if g.dtype != np.float64:
+            raise ValueError(f"gradient of {name} is {g.dtype}, not float64")
         targets = {"parameter": p.data, "Adam m of": state.m[name], "Adam v of": state.v[name]}
         for what, a in targets.items():
             if a.shape != g.shape:
                 raise ValueError(f"{what} {name} has shape {a.shape}, not {g.shape}")
+            if a.dtype != np.float64:
+                raise ValueError(f"{what} {name} is {a.dtype}, not float64")
             if not (a.flags.c_contiguous and a.flags.writeable):
                 raise ValueError(f"{what} {name} is not a writable C-contiguous array")
         views.append((g.reshape(-1), *(a.reshape(-1) for a in targets.values())))

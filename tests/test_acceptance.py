@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per numbered criterion, one PASS line each.
+"""Acceptance suite: one test per numbered criterion, one PASS line each,
+and a check that float32 inference decodes as float64 does.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The end-to-end
 trainability criterion trains two small models on the copy task and takes
@@ -17,6 +18,7 @@ from mlrf.checkpoint import build_model, load_checkpoint, save_checkpoint
 from mlrf.cli import export_attention, run_training, write_trace_file
 from mlrf.config import DataConfig, RunConfig
 from mlrf.data import (
+    BOS_ID,
     EOS_ID,
     SyntheticTaskSpec,
     Vocabulary,
@@ -454,4 +456,35 @@ def test_c11_attention_export(tmp_path, copy_task, trained_models):
     report(
         "C11 attention export",
         f"{len(groups)} groups sum to 1; layers span 0..{n_layers}; 4 hops",
+    )
+
+
+def test_float32_inference_decodes_as_float64(tmp_path, copy_task, trained_models):
+    """A save -> build_model reload computes in float32 and decodes held-out
+    sentences to the ids of the in-memory float64 model, greedy and at beam
+    4; along the greedy path, its per-step log-probs stay within 1e-4."""
+    _, held, vocab = copy_task
+    sources = [vocab.encode(src) + [EOS_ID] for src, _ in held.pairs[:40]]
+    worst = 0.0
+    for name in ("baseline", "dec_sa"):
+        model, _ = trained_models[name]
+        path = tmp_path / f"{name}.ckpt"
+        save_checkpoint(path, model, AdamState(model.params), None, {"seed": 7})
+        fast = build_model(load_checkpoint(path))
+        assert all(t.data.dtype == np.float32 for _, t in fast.params.items())
+        for src in sources:
+            for beam in (None, BeamConfig(width=4)):
+                assert translate_ids(fast, src, beam) == translate_ids(model, src, beam)
+            exact, approx = SentenceScorer(model, src), SentenceScorer(fast, src)
+            parents = None
+            for tok in [BOS_ID] + translate_ids(model, src):
+                want = exact(np.array([tok]), parents)
+                got = approx(np.array([tok]), parents)
+                assert got.dtype == np.float32 and want.dtype == np.float64
+                worst = max(worst, float(np.abs(got - want).max()))
+                parents = [0]
+    assert worst <= 1e-4
+    report(
+        "float32 inference",
+        f"{4 * len(sources)} decodes equal float64; max step log-prob error {worst:.1e}",
     )

@@ -418,6 +418,32 @@ class TestCheckpointErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0] and "n_heads must be >= 1" in err[0]
 
+    @pytest.mark.parametrize("command", ["translate", "evaluate", "export-attention", "train"])
+    @pytest.mark.parametrize("key,value,why", [
+        ("seed", [1], "meta seed is not an integer"),
+        ("src_vocab_tokens", 5, "meta src_vocab_tokens is not a list of strings"),
+        ("tgt_vocab_tokens", ["s0", 1], "meta tgt_vocab_tokens is not a list of strings"),
+    ])
+    def test_wrongly_typed_meta_is_a_corrupt_checkpoint(
+        self, tmp_path, capsys, command, key, value, why
+    ):
+        ckpt = tmp_path / "model.ckpt"
+        meta = {"seed": 0, "src_vocab_tokens": ["s0"], "tgt_vocab_tokens": ["s0"], key: value}
+        save_checkpoint(ckpt, toy_model(), meta=meta)
+        with pytest.raises(ValueError, match=f"corrupt checkpoint .*{why}"):
+            load_checkpoint(ckpt)
+        inp = tmp_path / "in.txt"
+        inp.write_text("s0 s1\n")
+        if command == "train":
+            argv = ["train", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "out"),
+                    "--resume", str(ckpt)]
+        else:
+            files = [str(inp), str(inp)] if command == "evaluate" else [str(inp)]
+            argv = [command, "--checkpoint", str(ckpt), *files]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: corrupt checkpoint {ckpt}: {why}")
+
 
 class TestTranslate:
     def test_writes_one_line_per_input(self, trained, tmp_path):

@@ -283,6 +283,25 @@ class TestChunkedAdam:
         assert state.t == 0
         assert_unchanged(store, state, before)
 
+    @pytest.mark.parametrize("what", ["parameter", "gradient of", "Adam m of", "Adam v of"])
+    def test_a_float32_tensor_is_rejected_unchanged(self, what):
+        """Training is float64: a float32 parameter (a model built for
+        inference), gradient or moment is refused, not silently cast."""
+        store = ParamStore()
+        store.add("a", Tensor(np.ones(3)))
+        store.add("b", Tensor(np.ones((2, 3), np.float32 if what == "parameter" else None)))
+        state = AdamState(store)
+        if what.startswith("Adam"):
+            moments = state.m if what == "Adam m of" else state.v
+            moments["b"] = moments["b"].astype(np.float32)
+        for name, p in store.items():
+            p.grad = np.ones(p.shape, np.float32 if (name, what) == ("b", "gradient of") else None)
+        before = snapshot(store, state)
+        with pytest.raises(ValueError, match=f"^{what} b is float32, not float64$"):
+            adam_step(store, state, lr=0.1)
+        assert state.t == 0
+        assert_unchanged(store, state, before)
+
 
 class TestGradNorm:
     def test_clip_scales_down_to_max_norm_only(self):
