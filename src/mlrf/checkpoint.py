@@ -108,6 +108,11 @@ def save_checkpoint(
 _HEADER_KEYS = ("model", "fusion", "train", "optimizer", "tensors")
 
 
+def _is_number(value) -> bool:
+    """An int or float from JSON, infinities included, NaN and bool not."""
+    return type(value) in (int, float) and not math.isnan(value)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """The checkpoint at ``path``: every block, parameter or Adam moment
     (``opt.m.*``, ``opt.v.*``), a writable float64 copy-on-write view of one
@@ -148,11 +153,28 @@ def load_checkpoint(path) -> Checkpoint:
                 and opt.get("phase") in ("warmup_schedule", "restarted")
             ):
                 raise ValueError(f"bad optimizer state {opt!r}")
+            names = [name for name, _ in index]
+            moments = sorted(name for name in names if name.startswith("opt."))
+            if opt is None and moments:
+                raise ValueError(f"no optimizer state, but {len(moments)} moment blocks")
+            if opt is not None:
+                param_names = [name for name in names if not name.startswith("opt.")]
+                if moments != sorted(f"opt.{k}.{name}" for k in "mv" for name in param_names):
+                    raise ValueError("the Adam moment blocks are not one m and one v per parameter")
             meta = header.get("meta", {})
             if not isinstance(meta, dict):
                 raise ValueError(f"meta is not an object: {meta!r}")
             if type(meta.get("seed", 0)) is not int:
                 raise ValueError(f"meta seed is not an integer: {meta['seed']!r}")
+            done = meta.get("epochs_done", 0)
+            if not (type(done) is int and done >= 0):
+                raise ValueError(f"meta epochs_done is not an integer >= 0: {done!r}")
+            best = meta.get("best_valid_loss", math.inf)  # inf: no validation yet
+            if not _is_number(best):
+                raise ValueError(f"meta best_valid_loss is not a number: {best!r}")
+            acc = meta.get("last_valid_acc")
+            if not (acc is None or _is_number(acc)):
+                raise ValueError(f"meta last_valid_acc is neither null nor a number: {acc!r}")
             for key in ("src_vocab_tokens", "tgt_vocab_tokens"):
                 tokens = meta.get(key, [])
                 if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):

@@ -105,7 +105,8 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         ckpt, (model, state) = _read_checkpoint(resume, restore_training)
         if ckpt.model_config != model_cfg or ckpt.fusion_config != run_cfg.fusion:
             raise ConfigError(f"resume checkpoint {resume} was built from a different config")
-        epochs_done = int(ckpt.meta.get("epochs_done", 0))
+        # load_checkpoint has checked these counters' types
+        epochs_done = ckpt.meta.get("epochs_done", 0)
         best_valid = float(ckpt.meta.get("best_valid_loss", float("inf")))
         last_valid_acc = ckpt.meta.get("last_valid_acc")
         del ckpt  # the optimizer holds its mapped moments; drop the rest

@@ -277,7 +277,11 @@ class StepMetrics:
 
 def _batch_loss(model: Transformer, batch, train: bool) -> tuple[Tensor, int, int]:
     """The mean loss over the real target tokens of ``batch``, how many of
-    them the model predicts, and how many there are."""
+    them the model predicts, and how many there are.
+
+    It clears the parameter grads first: a forward pass, training or
+    validation, never runs beside a spent step's gradients."""
+    model.params.zero_grads()
     result = model.forward(batch.src, batch.src_mask, batch.tgt_in, batch.tgt_mask, train)
     targets = batch.tgt_out[batch.tgt_mask]
     loss, correct = model.loss(result.rep, targets)
@@ -292,12 +296,12 @@ def train_step(
 ) -> StepMetrics:
     """Forward, backward, and one optimizer update on a single batch.
 
-    Parameter grads are cleared before the forward pass, so the last step's
-    grads never sit beside the tape; afterwards they hold this step's.
-    Raises ``FloatingPointError`` before the update if the loss or the
-    gradient norm is not finite, naming the parameters with such grads.
+    The forward (``_batch_loss``) clears the last step's grads, so they never
+    sit beside the tape; on return the grads hold this step's, until the
+    next forward, training or validation, clears them.  Raises
+    ``FloatingPointError`` before the update if the loss or the gradient
+    norm is not finite, naming the parameters with such grads.
     """
-    model.params.zero_grads()
     loss, correct, n_tokens = _batch_loss(model, batch, train=True)
     ad.backward(loss)
     norm = grad_norm(model.params)
@@ -342,7 +346,11 @@ def train_epoch(
 
 
 def evaluate_teacher_forced(model: Transformer, batches: Sequence) -> dict[str, float]:
-    """Loss and token accuracy with dropout off and no tape."""
+    """Loss and token accuracy with dropout off and no tape.
+
+    Each batch's forward clears the parameter grads (``_batch_loss``), so
+    validation, and a checkpoint save after it, runs beside neither a tape
+    nor the last step's gradients."""
     losses, correct, total = [], 0, 0
     with ad.no_grad():
         for batch in batches:

@@ -356,29 +356,43 @@ class TestBeamFlags:
         assert f"(default {beam.max_len}, capped at the model's max_len - 1)" in text
 
 
-# header entry -> malformed value, each written into an otherwise whole checkpoint
+def _renamed_moment(index):
+    """``index`` with the block ``opt.m.output.bias`` renamed to a name that
+    is no parameter's, its size kept."""
+    renamed = [[name.replace(".output.bias", ".output.bogus"), dims] for name, dims in index]
+    assert renamed != index
+    return renamed
+
+
+# header -> its malformed entries, each written into an otherwise whole
+# checkpoint with Adam state
 BAD_HEADERS = {
-    "optimizer_int": ("optimizer", 5),
-    "optimizer_no_phase": ("optimizer", {"t": 1}),
-    "meta_list": ("meta", []),
+    "optimizer_int": lambda header: {"optimizer": 5},
+    "optimizer_no_phase": lambda header: {"optimizer": {"t": 1}},
+    "meta_list": lambda header: {"meta": []},
+    "moments_without_optimizer": lambda header: {"optimizer": None},
+    "moment_renamed": lambda header: {"tensors": _renamed_moment(header["tensors"])},
 }
 
 
 def write_broken_checkpoint(path, broken):
     """At ``path``: nothing (``missing``), 100 zero bytes (``zeros``), a toy
-    checkpoint saved without vocabularies (``no_vocabs``), or one with a
-    ``BAD_HEADERS`` entry."""
+    checkpoint saved without vocabularies (``no_vocabs``), or one with them
+    and a ``BAD_HEADERS`` entry."""
     if broken == "zeros":
         path.write_bytes(bytes(100))
     if broken in ("missing", "zeros"):
         return
-    save_checkpoint(path, toy_model(), meta={"seed": 0})
+    meta = {"seed": 0}
+    if broken != "no_vocabs":
+        meta.update(src_vocab_tokens=["s0"], tgt_vocab_tokens=["s0"])
+    model = toy_model()
+    save_checkpoint(path, model, training.AdamState(model.params), meta=meta)
     if broken in BAD_HEADERS:
         magic, width, rest = path.read_bytes().split(b"\n", 2)
         n = int(width)
         header = json.loads(rest[:n])
-        key, value = BAD_HEADERS[broken]
-        header[key] = value
+        header.update(BAD_HEADERS[broken](header))
         body = json.dumps(header).encode("utf-8").ljust(n)
         assert len(body) == n
         path.write_bytes(b"\n".join([magic, width, body + rest[n:]]))
@@ -402,6 +416,8 @@ class TestCheckpointErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0]
+        if broken in BAD_HEADERS:
+            assert err[0].startswith(f"error: corrupt checkpoint {ckpt}: ")
 
     def test_checkpoint_with_zero_heads_is_one_error_line(self, trained, tmp_path, capsys):
         _, out = trained
@@ -423,6 +439,9 @@ class TestCheckpointErrors:
         ("seed", [1], "meta seed is not an integer"),
         ("src_vocab_tokens", 5, "meta src_vocab_tokens is not a list of strings"),
         ("tgt_vocab_tokens", ["s0", 1], "meta tgt_vocab_tokens is not a list of strings"),
+        ("epochs_done", [2], "meta epochs_done is not an integer >= 0"),
+        ("best_valid_loss", "0.5", "meta best_valid_loss is not a number"),
+        ("last_valid_acc", [0.5], "meta last_valid_acc is neither null nor a number"),
     ])
     def test_wrongly_typed_meta_is_a_corrupt_checkpoint(
         self, tmp_path, capsys, command, key, value, why
@@ -443,6 +462,13 @@ class TestCheckpointErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: corrupt checkpoint {ckpt}: {why}")
+
+    def test_counters_of_a_run_without_validation_load(self, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        meta = {"seed": 0, "epochs_done": 2, "best_valid_loss": float("inf"),
+                "last_valid_acc": None}
+        save_checkpoint(ckpt, toy_model(), meta=meta)
+        assert load_checkpoint(ckpt).meta == meta
 
 
 class TestTranslate:

@@ -447,7 +447,9 @@ class TestTrainLoop:
         for _ in range(2):
             train_step(model, batches[0], state, tcfg)
             assert all(p.grad is not None for _, p in model.params.items())
-        assert seen == [[], []]
+        evaluate_teacher_forced(model, batches)
+        assert seen == [[], [], []]
+        assert all(p.grad is None for _, p in model.params.items())
 
     def test_restarted_phase_uses_fixed_lr(self):
         batches, vocab = one_sample_batches()
