@@ -1,7 +1,7 @@
 """Self-describing checkpoint container.
 
 Layout: one magic line, one line with the header byte length, a JSON text
-header (configs, counters, RNG states, and a tensor index), then the named
+header (configs, counters, run metadata, and a tensor index), then the named
 raw tensor blocks as little-endian float64 in index order.  A save pads the
 header with trailing spaces, inside its declared length, and writes that
 length with leading zeros to a width fixed by the header's size, so the
@@ -55,7 +55,7 @@ class Checkpoint:
     opt_v: dict[str, np.ndarray] | None
     opt_t: int
     phase: str
-    meta: dict[str, Any]  # step/epoch counters, vocab info, RNG states
+    meta: dict[str, Any]  # seed, epoch counter, validation scores, vocabularies
     mapping: mmap.mmap  # the file, mapped copy-on-write; every block is a view of it
 
 

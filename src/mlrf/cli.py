@@ -25,7 +25,9 @@ from . import __version__
 from . import autodiff as ad
 from .checkpoint import build_model, load_checkpoint, restore_training, save_checkpoint
 from .config import ConfigError, RunConfig, build_corpora, load_config
-from .data import BOS_ID, EOS_ID, ParallelCorpus, Vocabulary, make_batches, synthetic_vocabulary
+from .data import (
+    BOS_ID, EOS_ID, RESERVED, ParallelCorpus, Vocabulary, make_batches, synthetic_vocabulary,
+)
 from .decoding import BeamConfig, translate_ids
 from .metrics import corpus_bleu
 from .model import Transformer, one_sentence, param_specs, parameter_breakdown
@@ -125,10 +127,9 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
             "epochs_done": epochs_finished,
             "best_valid_loss": best_valid,
             "last_valid_acc": last_valid_acc,
-            "dropout_rng": model.dropout_rng.bit_generator.state,
-            "reserved": ["<pad>", "<bos>", "<eos>", "<unk>"],
-            "src_vocab_tokens": src_vocab.decode(range(4, len(src_vocab)), False),
-            "tgt_vocab_tokens": tgt_vocab.decode(range(4, len(tgt_vocab)), False),
+            # the content tokens: Vocabulary prepends RESERVED when it reads them
+            "src_vocab_tokens": src_vocab.decode(range(len(RESERVED), len(src_vocab)), False),
+            "tgt_vocab_tokens": tgt_vocab.decode(range(len(RESERVED), len(tgt_vocab)), False),
         }
         save_checkpoint(path, model, state, tcfg, meta)
 
@@ -256,7 +257,7 @@ def _skips(model, line: str, what: str, line_no: int, action: str = "skipped") -
     """True, with a warning on stderr, when ``line`` holds bytes that are not
     UTF-8 or more tokens than the model takes: it appends EOS to a source
     and prepends BOS to a target."""
-    limit = model.config.max_len - 1
+    limit = model.config.max_tokens
     try:
         line.encode("utf-8")
     except UnicodeEncodeError:
@@ -410,14 +411,15 @@ def cmd_export_attention(args) -> int:
 
 def cmd_param_count(args) -> int:
     run_cfg = load_config(args.config)
-    try:
-        model_cfg = run_cfg.model_config()
-    except ConfigError:
-        if run_cfg.data.task is not None:  # no need to generate the corpora
-            src_vocab = tgt_vocab = synthetic_vocabulary(run_cfg.data.alphabet)
-        else:
+    if run_cfg.data.task is not None:  # its vocabulary, checked against any pin, with no corpus
+        n = len(synthetic_vocabulary(run_cfg.data.alphabet))
+        model_cfg = run_cfg.model_config(n, n)
+    else:
+        try:
+            model_cfg = run_cfg.model_config()
+        except ConfigError:  # sizes not pinned: read the data files
             _, _, src_vocab, tgt_vocab = build_corpora(run_cfg.data, run_cfg.seed)
-        model_cfg = run_cfg.model_config(len(src_vocab), len(tgt_vocab))
+            model_cfg = run_cfg.model_config(len(src_vocab), len(tgt_vocab))
     groups = parameter_breakdown(param_specs(model_cfg, run_cfg.fusion))
     print(f"total\t{sum(groups.values())}")
     for group, n in groups.items():

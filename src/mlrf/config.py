@@ -86,11 +86,19 @@ class RunConfig:
     data: DataConfig
 
     def model_config(self, src_vocab: int | None = None, tgt_vocab: int | None = None) -> ModelConfig:
+        """The model's config, with the vocabulary sizes derived from the data
+        where given; a size pinned in ``[model]`` must equal the derived one,
+        or ids would fall outside the embedding table or the vocabulary."""
         kw = dict(self.model)
-        if src_vocab is not None:
-            kw["src_vocab"] = src_vocab
-        if tgt_vocab is not None:
-            kw["tgt_vocab"] = tgt_vocab
+        for key, derived in (("src_vocab", src_vocab), ("tgt_vocab", tgt_vocab)):
+            if derived is None:
+                continue
+            if kw.get(key, 0) not in (0, derived):
+                raise ConfigError(
+                    f"[model] {key} = {kw[key]} does not match the {derived} tokens "
+                    f"of the vocabulary derived from [data]"
+                )
+            kw[key] = derived
         if kw.get("src_vocab", 0) <= 0 or kw.get("tgt_vocab", 0) <= 0:
             raise ConfigError(
                 "vocabulary sizes unavailable: set model.src_vocab/tgt_vocab "
@@ -180,7 +188,7 @@ def load_config(path) -> RunConfig:
         except ValueError as exc:
             errors.append(f"[{section}] {exc}")
     if "model" in built and "data" in built:
-        errors += _length_errors(built["model"].max_len, built["data"])
+        errors += _length_errors(built["model"], built["data"])
     if errors:
         raise ConfigError("invalid config: " + "; ".join(errors))
     seed = built["run"].seed
@@ -194,9 +202,9 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _length_errors(model_max: int, data: DataConfig) -> list[str]:
-    """Lengths the model cannot hold: a data sentence plus its EOS (source)
-    or BOS (target) slot."""
+def _length_errors(model: ModelConfig, data: DataConfig) -> list[str]:
+    """Lengths the model cannot hold: a data sentence longer than its
+    ``max_tokens``."""
     errors = []
     if data.task is not None:
         key, longest = "max_len", data.max_len
@@ -204,9 +212,9 @@ def _length_errors(model_max: int, data: DataConfig) -> list[str]:
         key, longest = "max_sentence_len", data.max_sentence_len
     else:
         key, longest = None, 0  # no data configured
-    if key is not None and model_max < longest + 1:
+    if key is not None and longest > model.max_tokens:
         errors.append(
-            f"[model] max_len = {model_max} is below [data] {key} = {longest} "
+            f"[model] max_len = {model.max_len} is below [data] {key} = {longest} "
             f"plus one BOS/EOS slot"
         )
     return errors

@@ -204,8 +204,7 @@ def translate_ids(
 ) -> list[int]:
     """Decode one encoded source sentence to output token ids."""
     scorer = SentenceScorer(model, src_ids)
-    # the decoder prefix includes BOS, so cap one below the model's limit
-    max_len = model.config.max_len - 1
+    max_len = model.config.max_tokens
     if beam is not None:
         max_len = min(beam.max_len, max_len)
     # a width-1 beam holds one hypothesis, so it is greedy for every alpha

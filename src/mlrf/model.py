@@ -11,9 +11,11 @@ the query, key and value projections and one ``ad.attention`` node, which
 splits them into heads as views, [B, H, L, d/H], so attention scores are
 [B, H, Lq, Lk] per sentence.  Each sublayer, attention or FNN, ends in one
 ``ad.dense_residual_layer_norm`` node: its output projection, dropout,
-residual sum and norm.  Keys at pad positions, and later positions in decoder
-self-attention, get a -1e9 penalty that underflows to an exact zero weight
-after softmax, so a padded batch computes what one-at-a-time runs compute.
+residual sum and norm.  One function, ``layer``, runs a layer of either
+stack: its attention sublayers in order, then the FNN.  Keys at pad
+positions, and later positions in decoder self-attention, get a -1e9
+penalty that underflows to an exact zero weight after softmax, so a padded
+batch computes what one-at-a-time runs compute.
 ``forward`` trims the batch to its longest sentence and hands only the real
 target rows to the decoder-side fusion, so its representation is
 [n_target_tokens x d] in row-major token order; ``loss`` projects it to the
@@ -66,6 +68,12 @@ class ModelConfig:
             raise ValueError("d_model must be even for sinusoidal positions")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+
+    @property
+    def max_tokens(self) -> int:
+        """The most tokens a sentence may hold: of ``max_len`` positions, one
+        is left for the EOS a source ends in, or the BOS a target follows."""
+        return self.max_len - 1
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +129,19 @@ def param_specs(config: ModelConfig, fusion: FusionConfig) -> list[ParamSpec]:
         dense(prefix, "w1", "b1", d_in, d_hidden)
         dense(prefix, "w2", "b2", d_hidden, d)
 
+    def layer(prefix: str, attn: Sequence[str]) -> None:  # what model.layer reads
+        for i, name in enumerate(attn, 1):
+            attention(f"{prefix}.{name}")
+            norm(f"{prefix}.norm{i}")
+        ffn(f"{prefix}.ffn", d, config.d_ff)
+        norm(f"{prefix}.norm{len(attn) + 1}")
+
     specs.append(ParamSpec("src_embed.weight", (config.src_vocab, d), "normal"))
     specs.append(ParamSpec("tgt_embed.weight", (config.tgt_vocab, d), "normal"))
     for i in range(config.n_layers):
-        attention(f"encoder.layer{i}.self_attn")
-        norm(f"encoder.layer{i}.norm1")
-        ffn(f"encoder.layer{i}.ffn", d, config.d_ff)
-        norm(f"encoder.layer{i}.norm2")
+        layer(f"encoder.layer{i}", ["self_attn"])
     for i in range(config.n_layers):
-        attention(f"decoder.layer{i}.self_attn")
-        norm(f"decoder.layer{i}.norm1")
-        attention(f"decoder.layer{i}.cross_attn")
-        norm(f"decoder.layer{i}.norm2")
-        ffn(f"decoder.layer{i}.ffn", d, config.d_ff)
-        norm(f"decoder.layer{i}.norm3")
+        layer(f"decoder.layer{i}", ["self_attn", "cross_attn"])
     dense("output", "weight", "bias", d, config.tgt_vocab)
 
     n_inputs = config.n_layers + 1 if fusion.include_embedding else config.n_layers
@@ -162,6 +169,30 @@ def param_specs(config: ModelConfig, fusion: FusionConfig) -> list[ParamSpec]:
             ffn(f"{prefix}.fnn", fusion.n_hop * d, fusion.d_f)
         norm(f"{prefix}.post_norm")
     return specs
+
+
+def _draw(rng: np.random.Generator, spec: ParamSpec) -> np.ndarray:
+    if spec.init == "uniform":
+        bound = 1.0 / math.sqrt(spec.fan_in)
+        return rng.uniform(-bound, bound, size=spec.shape)
+    if spec.init == "normal":
+        return rng.normal(0.0, spec.shape[1] ** -0.5, spec.shape)
+    if spec.init == "layer_index":
+        return rng.uniform(-0.1, 0.1, size=spec.shape)
+    if spec.init == "ones":
+        return np.ones(spec.shape)
+    if spec.init == "zeros":
+        return np.zeros(spec.shape)
+    raise ValueError(f"unknown initialization class {spec.init!r} for {spec.name}")
+
+
+def init_parameters(config: ModelConfig, fusion: FusionConfig, seed: int) -> ParamStore:
+    """Draw every tensor of ``param_specs`` in order; bit-identical for equal seeds."""
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    for spec in param_specs(config, fusion):
+        store.add(spec.name, Tensor(_draw(rng, spec)))
+    return store
 
 
 def parameter_breakdown(specs: Sequence[ParamSpec]) -> dict[str, int]:
@@ -264,11 +295,6 @@ def attend(
     return ad.attention(q, k, v, n_heads, mask)
 
 
-def feed_forward(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    """The FNN sublayer's relu hidden layer; ``_post_norm`` applies ``w2``."""
-    return ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], relu=True)
-
-
 def _post_norm(
     x: Tensor, h: Tensor, params, prefix: str, proj: str, norm: str, rate, rng, tokens
 ) -> Tensor:
@@ -287,49 +313,29 @@ def _post_norm(
     )
 
 
-def encoder_layer(
+def layer(
     x: Tensor,
+    attn: Sequence[tuple[str, Tensor, Tensor, np.ndarray | None]],
     params: ParamStore,
     prefix: str,
     n_heads: int,
-    mask: np.ndarray | None,
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
     tokens: np.ndarray | None = None,
 ) -> Tensor:
-    """One encoder layer on [B x L x d]; ``tokens`` marks the real positions
-    that dropout draws for."""
-    sa, ffn = f"{prefix}.self_attn", f"{prefix}.ffn"
-    heads = attend(x, *key_values(x, params, sa), n_heads, params, sa, mask)
-    x = _post_norm(x, heads, params, sa, "o", f"{prefix}.norm1", rate, rng, tokens)
-    h = feed_forward(x, params, ffn)
-    return _post_norm(x, h, params, ffn, "2", f"{prefix}.norm2", rate, rng, tokens)
-
-
-def decoder_layer(
-    z: Tensor,
-    self_kv: tuple[Tensor, Tensor],
-    cross_kv: tuple[Tensor, Tensor],
-    params: ParamStore,
-    prefix: str,
-    n_heads: int,
-    self_mask: np.ndarray | None,
-    cross_mask: np.ndarray | None,
-    rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-    tokens: np.ndarray | None = None,
-) -> Tensor:
-    """One decoder layer on [B x Lq x d].  ``self_kv`` holds the
-    self-attention key and value projections of the target positions it
-    reads (those of ``z`` itself when teacher forcing), ``cross_kv`` those of
-    the encoder output."""
-    sa, ca, ffn = f"{prefix}.self_attn", f"{prefix}.cross_attn", f"{prefix}.ffn"
-    heads = attend(z, *self_kv, n_heads, params, sa, self_mask)
-    z = _post_norm(z, heads, params, sa, "o", f"{prefix}.norm1", rate, rng, tokens)
-    heads = attend(z, *cross_kv, n_heads, params, ca, cross_mask)
-    z = _post_norm(z, heads, params, ca, "o", f"{prefix}.norm2", rate, rng, tokens)
-    h = feed_forward(z, params, ffn)
-    return _post_norm(z, h, params, ffn, "2", f"{prefix}.norm3", rate, rng, tokens)
+    """One post-norm layer on [B x Lq x d]: each attention sublayer of
+    ``attn``, ``(name, keys, values, mask)`` with keys and values from
+    ``key_values``, in order (an encoder passes self-attention; a decoder
+    self-attention, then cross-attention), then the FNN.  Sublayer i ends in
+    ``{prefix}.norm{i}``; ``tokens`` marks the real positions that dropout
+    draws for."""
+    for i, (name, k, v, mask) in enumerate(attn, 1):
+        sub = f"{prefix}.{name}"
+        heads = attend(x, k, v, n_heads, params, sub, mask)
+        x = _post_norm(x, heads, params, sub, "o", f"{prefix}.norm{i}", rate, rng, tokens)
+    ffn = f"{prefix}.ffn"
+    h = ad.linear(x, params[f"{ffn}.w1"], params[f"{ffn}.b1"], relu=True)
+    return _post_norm(x, h, params, ffn, "2", f"{prefix}.norm{len(attn) + 1}", rate, rng, tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +365,6 @@ class Transformer:
         self.config = config
         self.fusion = fusion if fusion is not None else FusionConfig()
         if params is None:
-            from .training import init_parameters  # deferred: training imports this module
-
             params = init_parameters(config, self.fusion, seed)
         else:
             check_params(params, param_specs(config, self.fusion))
@@ -391,11 +395,10 @@ class Transformer:
         keys = src_mask[:, None, None, :]
         stack = [self._embed("src_embed.weight", src_ids, src_mask, train)]
         for i in range(cfg.n_layers):
+            x, prefix = stack[-1], f"encoder.layer{i}"
+            attn = [("self_attn", *key_values(x, self.params, f"{prefix}.self_attn"), keys)]
             stack.append(
-                encoder_layer(
-                    stack[-1], self.params, f"encoder.layer{i}",
-                    cfg.n_heads, keys, rate, self.dropout_rng, src_mask,
-                )
+                layer(x, attn, self.params, prefix, cfg.n_heads, rate, self.dropout_rng, src_mask)
             )
         return stack
 
@@ -439,11 +442,9 @@ class Transformer:
                 k = Tensor(np.concatenate([past[i][0].data, k.data], axis=1))
                 v = Tensor(np.concatenate([past[i][1].data, v.data], axis=1))
             self_kv.append((k, v))
+            attn = [("self_attn", k, v, self_mask), ("cross_attn", *cross_kv[i], cross_mask)]
             stack.append(
-                decoder_layer(
-                    z, (k, v), cross_kv[i], self.params, prefix, cfg.n_heads,
-                    self_mask, cross_mask, rate, self.dropout_rng, tgt_mask,
-                )
+                layer(z, attn, self.params, prefix, cfg.n_heads, rate, self.dropout_rng, tgt_mask)
             )
         return stack, self_kv
 

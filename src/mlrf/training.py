@@ -1,6 +1,5 @@
-"""Initialization, the warmup/restart Adam recipe, and the training loop.
+"""The warmup/restart Adam recipe and the training loop.
 
-Initialization draws the tensors of ``model.param_specs`` in table order.
 Phase 1 uses the width-scaled warmup schedule; phase 2 restarts Adam
 (moments and step zeroed) and trains at a small fixed rate with smaller
 mini-batches.
@@ -20,8 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .fusion import FusionConfig
-from .model import ModelConfig, ParamSpec, Transformer, param_specs
+from .model import Transformer
 
 log = logging.getLogger(__name__)
 
@@ -55,36 +53,6 @@ class TrainConfig:
             raise ValueError("log_every must be >= 1")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be above 0, got {self.clip_norm}")
-
-
-# ---------------------------------------------------------------------------
-# parameter initialization
-
-
-def _draw(rng: np.random.Generator, spec: ParamSpec) -> np.ndarray:
-    if spec.init == "uniform":
-        bound = 1.0 / math.sqrt(spec.fan_in)
-        return rng.uniform(-bound, bound, size=spec.shape)
-    if spec.init == "normal":
-        return rng.normal(0.0, spec.shape[1] ** -0.5, spec.shape)
-    if spec.init == "layer_index":
-        return rng.uniform(-0.1, 0.1, size=spec.shape)
-    if spec.init == "ones":
-        return np.ones(spec.shape)
-    if spec.init == "zeros":
-        return np.zeros(spec.shape)
-    raise ValueError(f"unknown initialization class {spec.init!r} for {spec.name}")
-
-
-def init_parameters(
-    config: ModelConfig, fusion: FusionConfig, seed: int
-) -> ParamStore:
-    """Draw every tensor of ``param_specs`` in order; bit-identical for equal seeds."""
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    for spec in param_specs(config, fusion):
-        store.add(spec.name, Tensor(_draw(rng, spec)))
-    return store
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,11 @@ from mlrf.decoding import (
 )
 from mlrf.fusion import FusionConfig
 from mlrf.metrics import corpus_bleu
-from mlrf.model import ModelConfig, Transformer
+from mlrf.model import ModelConfig, Transformer, init_parameters
 from mlrf.training import (
     AdamState,
     TrainConfig,
     evaluate_teacher_forced,
-    init_parameters,
     lr_schedule,
     restart_adam,
     train_epoch,

@@ -915,31 +915,66 @@ class TestParamStore:
         assert t.grad is None
 
 
-def test_every_public_function_has_a_src_caller():
-    """Each public function of ``mlrf.autodiff`` is used by another module
-    of the package, so an op that only tests need cannot creep back; such
-    ops live in ``tests/conftest.py``."""
+def _src_modules() -> dict[str, ast.Module]:
+    """The parsed source of every module of the package, by module name."""
     package = Path(ad.__file__).parent
-    tree = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
-    public = {
-        node.name for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    used = set()
-    for path in package.glob("*.py"):
-        if path.name == "autodiff.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        aliases = set()  # names bound to the module by ``from . import autodiff``
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
-                used |= {a.name for a in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.module is None:
-                aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
-        used |= {
-            node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id in aliases
-        }
-    assert len(public) > 10
-    assert sorted(public - used) == []
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+
+
+def _references(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """The ``(module, name)`` pairs that ``module``'s source ``tree`` uses:
+    names it imports from a sibling, attributes of a sibling it imports
+    whole, and its own top-level names used outside their definitions."""
+    refs, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                refs |= {(node.module, a.name) for a in node.names}
+            else:
+                aliases |= {a.asname or a.name: a.name for a in node.names}
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id != own:
+                refs.add((module, node.id))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id in aliases
+            ):
+                refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def test_every_public_function_has_a_src_caller():
+    """Each public top-level function and class of every ``src/`` module is
+    used elsewhere in the package, so code that only tests need cannot creep
+    back.  A public function of ``mlrf.autodiff`` must be used by another
+    module; ops that only tests need live in ``tests/conftest.py``."""
+    modules = _src_modules()
+    refs = {name: _references(name, tree) for name, tree in modules.items()}
+    public, unused = [], []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            public.append((name, node.name))
+            callers = {m for m, r in refs.items() if (name, node.name) in r}
+            if name == "autodiff" and isinstance(node, ast.FunctionDef):
+                callers.discard("autodiff")
+            if not callers:
+                unused.append(f"{name}.{node.name}")
+    assert sum(m == "autodiff" for m, _ in public) > 10 and len(public) > 60
+    assert unused == []
+
+
+def test_no_function_in_src_imports():
+    """Every import in ``src/`` is at a module's top level, so the package's
+    import graph is the one its module headers show, and a cycle cannot hide
+    behind an import deferred into a function."""
+    deferred = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _src_modules().items()
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert deferred == []

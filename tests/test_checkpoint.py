@@ -1,8 +1,12 @@
 """Checkpoint container: byte round-trips, state restoration, validation."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,58 @@ BIG = dict(src_vocab=40000, d_model=32)  # a 10.2 MB source embedding
 
 def param_bytes(params) -> int:
     return sum(t.data.nbytes for _, t in params.items())
+
+
+def in_child(name: str, *args) -> dict:
+    """This module's function ``name`` called on ``args`` (as strings) in a
+    fresh interpreter, and the dict it returns: a resident-memory
+    measurement there sees no heap memory that earlier tests left behind."""
+    code = (
+        f"import json, sys; from tests.test_checkpoint import {name}; "
+        f"print(json.dumps({name}(*sys.argv[1:])))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def load_and_build_growth(path) -> dict:
+    """Resident growth while loading and building (the checkpoint held, as
+    the moments are while a load runs) a BIG model's checkpoint, saved to
+    ``path``, and the bytes that building should take."""
+    model = Transformer(toy_config(**BIG), seed=5)
+    save_checkpoint(path, model, AdamState(model.params), None, {})
+    wanted = param_bytes(model.params) // 2
+    del model
+    before = resident_bytes()
+    ckpt = load_checkpoint(path)
+    loaded = build_model(ckpt)
+    return {
+        "grown": resident_bytes() - before,
+        "wanted": wanted,
+        "size": Path(path).stat().st_size,
+        "loaded": param_bytes(loaded.params),
+        "moments": len(ckpt.opt_m),
+        "tensors": len(ckpt.tensors),
+    }
+
+
+def fresh_moments_save_growth(path) -> dict:
+    """Resident growth while making fresh moments for a BIG model and saving
+    them to ``path``."""
+    model = Transformer(toy_config(**BIG), seed=5)
+    before = resident_bytes()
+    state = AdamState(model.params)
+    save_checkpoint(path, model, state, None, {})
+    return {
+        "grown": resident_bytes() - before,
+        "params": param_bytes(model.params),
+        "writeable": state.m["src_embed.weight"].flags.writeable,
+    }
 
 
 class TestRoundTrip:
@@ -229,30 +285,21 @@ class TestPrecisionSplit:
 
 @needs_statm
 class TestMappedMoments:
-    """Moments are mapped copy-on-write and paged in only when touched."""
+    """Moments are mapped copy-on-write and paged in only when touched.
+
+    Resident memory is measured in a child interpreter (``in_child``)."""
 
     def test_load_and_build_grow_resident_memory_by_the_parameters(self, tmp_path):
-        model = Transformer(toy_config(**BIG), seed=5)
-        path = tmp_path / "big.ckpt"
-        save_checkpoint(path, model, AdamState(model.params), None, {})
-        size, wanted = path.stat().st_size, param_bytes(model.params) // 2
-        assert wanted > 5_000_000 and size > 6 * wanted
-        del model
-        before = resident_bytes()
-        ckpt = load_checkpoint(path)  # held, as the moments are while a load runs
-        loaded = build_model(ckpt)
-        grown = resident_bytes() - before
-        assert 0.9 * wanted <= grown <= 1.1 * wanted
-        assert param_bytes(loaded.params) == wanted and len(ckpt.opt_m) == len(ckpt.tensors)
+        got = in_child("load_and_build_growth", tmp_path / "big.ckpt")
+        wanted = got["wanted"]
+        assert wanted > 5_000_000 and got["size"] > 6 * wanted
+        assert 0.9 * wanted <= got["grown"] <= 1.1 * wanted
+        assert got["loaded"] == wanted and got["moments"] == got["tensors"]
 
     def test_saving_fresh_moments_does_not_page_them_in(self, tmp_path):
-        model = Transformer(toy_config(**BIG), seed=5)
-        before = resident_bytes()
-        state = AdamState(model.params)
-        save_checkpoint(tmp_path / "big.ckpt", model, state, None, {})
-        grown = resident_bytes() - before
-        assert grown <= 0.1 * param_bytes(model.params)
-        assert state.m["src_embed.weight"].flags.writeable
+        got = in_child("fresh_moments_save_growth", tmp_path / "big.ckpt")
+        assert got["grown"] <= 0.1 * got["params"]
+        assert got["writeable"]
 
     def test_loaded_moments_are_writable_copies_of_the_saved_bits(self, tmp_path):
         model, state = trained_model()

@@ -289,7 +289,7 @@ class TestConfigTable:
 
         monkeypatch.setattr(config, "generate_synthetic", refuse)
         monkeypatch.setattr(data, "generate_synthetic", refuse)
-        monkeypatch.setattr(training, "init_parameters", refuse)
+        monkeypatch.setattr("mlrf.model.init_parameters", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         path = edited_cfg(tmp_path, section, changes)
         argv = ["--config", path] + (["--out", str(tmp_path / "out")] if command == "train" else [])
@@ -328,6 +328,31 @@ class TestConfigLengths:
         path = write_cfg(tmp_path, phase1=1, phase2=0, extra="\n[decode]\nbeam = 2\n")
         with pytest.raises(ConfigError, match=r"unknown section \[decode\]"):
             load_config(path)
+
+
+class TestPinnedVocabulary:
+    @pytest.mark.parametrize("command", ["train", "param-count"])
+    def test_pin_that_differs_from_the_data_is_one_error_line_before_any_weight(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mismatched vocabulary pin reached weight init")
+
+        monkeypatch.setattr("mlrf.model.init_parameters", refuse)
+        path = edited_cfg(tmp_path, "model", {"src_vocab": "50", "tgt_vocab": "50"})
+        out = tmp_path / "out"
+        argv = ["--config", path] + (["--out", str(out)] if command == "train" else [])
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        # alphabet 6 + 4 reserved tokens
+        assert "[model] src_vocab = 50" in err[0] and "the 10 tokens" in err[0]
+        assert not list(out.glob("*.ckpt"))
+
+    def test_pin_that_matches_the_data_trains(self, tmp_path, capsys):
+        path = edited_cfg(tmp_path, "model", {"src_vocab": "10", "tgt_vocab": "10"})
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert load_checkpoint(tmp_path / "out" / "last.ckpt").model_config.src_vocab == 10
 
 
 class TestBeamFlags:
@@ -633,7 +658,7 @@ class TestParamCount:
         def refuse(*args, **kwargs):
             raise AssertionError("param-count drew random numbers")
 
-        monkeypatch.setattr(training, "init_parameters", refuse)
+        monkeypatch.setattr("mlrf.model.init_parameters", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         assert main(["param-count", "--config", "configs/de_en_shaped.cfg"]) == 0
         assert capsys.readouterr().out == (
@@ -742,7 +767,7 @@ class TestInputErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("a bad data file reached weight init")
 
-        monkeypatch.setattr(training, "init_parameters", refuse)
+        monkeypatch.setattr("mlrf.model.init_parameters", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         src, tgt = tmp_path / "train.src", tmp_path / "train.tgt"
         src.write_text("s0 s1\ns2\n")

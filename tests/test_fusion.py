@@ -5,8 +5,7 @@ import pytest
 
 from mlrf import autodiff as ad
 from mlrf.fusion import FusionConfig, fuse_avg, fuse_self_attention, fuse_side
-from mlrf.model import Transformer, param_specs
-from mlrf.training import init_parameters
+from mlrf.model import Transformer, init_parameters, param_specs
 from tests.conftest import (
     count_scalars, padded, random_sentences, stack, sum_, toy_config, toy_model,
 )

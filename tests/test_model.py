@@ -9,11 +9,11 @@ from mlrf.model import (
     Transformer,
     _post_norm,
     attend,
-    encoder_layer,
+    init_parameters,
     key_values,
+    layer,
     positional_encoding,
 )
-from mlrf.training import init_parameters
 from tests.conftest import (
     add, dropout, padded, random_sentences, sum_, toy_config, toy_fusion, toy_model,
 )
@@ -106,6 +106,12 @@ class TestMultiHeadAttention:
             self_attention(x, self.params, self.prefix, np.ones((1, 1, 2, 3), bool))
 
 
+def encoder_layer(x, params, prefix):
+    """``layer`` as ``Transformer.encode`` runs it, unmasked and without dropout."""
+    k, v = key_values(x, params, f"{prefix}.self_attn")
+    return layer(x, [("self_attn", k, v, None)], params, prefix, 2)
+
+
 class TestEncoderLayer:
     def test_zeroed_sublayers_reduce_to_iterated_layer_norm(self):
         model = toy_model()
@@ -115,7 +121,7 @@ class TestEncoderLayer:
                 t.data[:] = 0.0
         r = np.random.default_rng(2)
         x = ad.Tensor(r.standard_normal((1, 5, 8)))
-        out = encoder_layer(x, model.params, prefix, 2, None)
+        out = encoder_layer(x, model.params, prefix)
         ones, zeros = ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8))
         expect = ad.layer_norm(ad.layer_norm(x, ones, zeros), ones, zeros)
         np.testing.assert_array_equal(out.data, expect.data)
@@ -123,7 +129,7 @@ class TestEncoderLayer:
     def test_shape_preserved(self):
         model = toy_model()
         x = ad.Tensor(np.random.default_rng(3).standard_normal((2, 6, 8)))
-        out = encoder_layer(x, model.params, "encoder.layer1", 2, None)
+        out = encoder_layer(x, model.params, "encoder.layer1")
         assert out.shape == x.shape
 
     def test_gradient_through_layer(self):
@@ -134,10 +140,10 @@ class TestEncoderLayer:
 
         def loss():
             with ad.no_grad():
-                out = encoder_layer(x, model.params, "encoder.layer0", 2, None)
+                out = encoder_layer(x, model.params, "encoder.layer0")
                 return float((out.data * w).sum())
 
-        out = encoder_layer(x, model.params, "encoder.layer0", 2, None)
+        out = encoder_layer(x, model.params, "encoder.layer0")
         ad.backward(sum_(mul(out, ad.Tensor(w))))
         got = x.grad.copy()
         for idx in [0, 7, 13, 23]:

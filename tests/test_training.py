@@ -10,7 +10,7 @@ from mlrf.autodiff import ParamStore, Tensor
 from mlrf.data import ParallelCorpus, Vocabulary, generate_synthetic, make_batches
 from mlrf.data import SyntheticTaskSpec
 from mlrf.fusion import FusionConfig
-from mlrf.model import ModelConfig, Transformer, param_specs
+from mlrf.model import ModelConfig, Transformer, init_parameters, param_specs
 from mlrf import autodiff as ad
 from mlrf.training import (
     ADAM_CHUNK,
@@ -20,7 +20,6 @@ from mlrf.training import (
     clip_gradients,
     evaluate_teacher_forced,
     grad_norm,
-    init_parameters,
     lr_schedule,
     restart_adam,
     train_epoch,
