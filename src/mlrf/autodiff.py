@@ -41,7 +41,11 @@ softmax-weighted sum).
 Dropout masks (``dropout_keep``) are boolean; an op scales the kept units by
 the scalar ``1/(1 - rate)``.  An op writes in place only into arrays it
 allocated, or, in backward, into what its own forward stored, since the tape
-is single-use.
+is single-use.  A VJP should allocate only the gradients it returns and what
+it recomputes: its other intermediates go into those buffers or into what its
+forward stored, a row block at a time where no such buffer is large enough.
+``layer_attention`` with a shared ``w1`` and ``cross_entropy`` keep to this;
+the other VJPs still make temporaries of their own.
 """
 
 from __future__ import annotations
@@ -295,6 +299,11 @@ def gather_layers(layers: Sequence[Tensor], rows: np.ndarray | None = None) -> T
 
 MASK_PENALTY = -1e9
 
+# Rows per block of the fusion layer's hidden-layer gradient in backward: at
+# d_a = 1024 a block's float64 temporary is 1 MiB, where the whole would be
+# [positions * layers, d_a].
+HIDDEN_BLOCK_ROWS = 128
+
 
 def _softmax(s: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of ``s``, in place, with max-subtraction."""
@@ -380,8 +389,11 @@ def layer_attention(
     it into one energy per layer and hop.  A softmax over the layers gives
     each hop its weights, and hop p's sum is the weighted sum of the tagged
     layers.  The tape holds the hidden layer and the weights beside the
-    output; backward recomputes ``layers + embed``.  The computation follows
-    the unfused chain call for call, so its values are bit-identical.
+    output; backward recomputes ``layers + embed`` and, with a shared ``w1``,
+    allocates beside its gradients only [..., n, n_hop] scratch and one row
+    block (``HIDDEN_BLOCK_ROWS`` rows) of the hidden layer's gradient at a
+    time.  The computation follows the unfused chain call for call, so its
+    values are bit-identical, up to the row blocks (see ``vjp``).
     """
     *lead, n, d = layers.shape
     lead = tuple(lead)
@@ -423,10 +435,20 @@ def layer_attention(
         dw2 = flat.T @ de
         flat *= flat  # the tape is single-use, so tanh' is written over the hidden layer
         np.subtract(1.0, flat, out=flat)
-        flat *= de @ w2.data.T
+        # de @ w2.T in near-equal row blocks of at least 2 rows, so each is a
+        # GEMM.  An entry sums only n_hop products; on OpenBLAS (Haswell
+        # kernels) the blocks equal the whole product bit for bit when d_a is
+        # a multiple of 8; else its last d_a % 8 columns can round differently
+        m = flat.shape[0]
+        blocks = -(-m // HIDDEN_BLOCK_ROWS)
+        for i in range(blocks):
+            r = slice(m * i // blocks, m * (i + 1) // blocks)
+            flat[r] *= de[r] @ w2.data.T
         if shared:
-            dtagged += (flat @ w1.data.T).reshape(tagged.shape)
-            dw1s = [tagged.reshape(-1, d).T @ flat]
+            tagged_rows = tagged.reshape(-1, d)
+            dw1s = [tagged_rows.T @ flat]
+            np.matmul(flat, w1.data.T, out=tagged_rows)  # tagged is spent: reuse it
+            dtagged += tagged
         else:
             dw1s = []
             for l, w in enumerate(w1s):  # contiguous copies, as in the forward

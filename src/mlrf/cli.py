@@ -119,7 +119,9 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
 
     valid_batches = None
     if valid_corpus is not None and len(valid_corpus) > 0:
-        valid_batches = make_batches(valid_corpus, src_vocab, tgt_vocab, tcfg.batch_phase2)
+        valid_batches = make_batches(
+            valid_corpus, src_vocab, tgt_vocab, tcfg.batch_phase2, sort_by_length=True
+        )
 
     def save(path, epochs_finished: int) -> None:
         meta = {

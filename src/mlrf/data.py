@@ -41,7 +41,10 @@ class Vocabulary:
         return len(self._tokens)
 
     def id(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
+        """The id of ``token`` read from text: UNK_ID when it is unknown, and
+        also when it spells a reserved marker, so a literal ``<pad>`` or
+        ``<eos>`` in a sentence is never taken for padding or an end."""
+        return UNK_ID if token in RESERVED else self._ids.get(token, UNK_ID)
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.id(t) for t in tokens]
@@ -57,11 +60,14 @@ def build_vocab(lines: Iterable[Sequence[str]], max_size: int | None = None) -> 
     """Frequency-ranked vocabulary, ties broken lexicographically.
 
     ``max_size`` caps the number of content tokens (reserved ids are always
-    present on top of it).
+    present on top of it).  The reserved strings are not counted: text that
+    spells them encodes as UNK_ID.
     """
     counts = Counter()
     for tokens in lines:
         counts.update(tokens)
+    for token in RESERVED:
+        counts.pop(token, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     if max_size is not None:
         ranked = ranked[:max_size]

@@ -314,19 +314,20 @@ def train_epoch(
 
 
 def evaluate_teacher_forced(model: Transformer, batches: Sequence) -> dict[str, float]:
-    """Loss and token accuracy with dropout off and no tape.
+    """Per-token loss and token accuracy with dropout off and no tape.
 
-    Each batch's forward clears the parameter grads (``_batch_loss``), so
-    validation, and a checkpoint save after it, runs beside neither a tape
-    nor the last step's gradients."""
-    losses, correct, total = [], 0, 0
+    Both are taken over all real target tokens at once, so neither depends
+    on how the sentences are batched.  Each batch's forward clears the
+    parameter grads (``_batch_loss``), so validation, and a checkpoint save
+    after it, runs beside neither a tape nor the last step's gradients."""
+    nll, correct, total = 0.0, 0, 0
     with ad.no_grad():
         for batch in batches:
             loss, hits, n_tokens = _batch_loss(model, batch, train=False)
-            losses.append(loss.item())
+            nll += loss.item() * n_tokens
             correct += hits
             total += n_tokens
     return {
-        "loss": float(np.mean(losses)) if losses else float("nan"),
+        "loss": nll / total if total else float("nan"),
         "accuracy": correct / total if total else 0.0,
     }

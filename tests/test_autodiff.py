@@ -853,7 +853,8 @@ class TestFusedOps:
         with pytest.raises(ValueError, match="rows"):
             ad.gather_layers([a], np.ones((2, 2), dtype=bool))
 
-    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    # the last lead spans several row blocks of the hidden layer in backward
+    @pytest.mark.parametrize("lead", [(5,), (2, 3), (2, ad.HIDDEN_BLOCK_ROWS + 1)])
     @pytest.mark.parametrize("share_w1", [True, False])
     @pytest.mark.parametrize("n_hop", [1, 4])
     def test_layer_attention_matches_unfused_chain(self, lead, share_w1, n_hop):
@@ -877,6 +878,26 @@ class TestFusedOps:
         layers, embed, w1, w2 = layer_attention_args((5,), n_hop, share_w1)
         leaves = [layers, embed, *([w1] if share_w1 else w1), w2]
         assert_grads_match(lambda: ad.layer_attention(layers, embed, w1, w2)[0], leaves, 1e-5)
+
+    def test_layer_attention_backward_allocates_only_its_gradients(self):
+        """Beside the gradients it returns, the shared-w1 backward holds one
+        [rows, n, d] buffer (``layers + embed``, recomputed), one row block
+        of the hidden layer and [rows, n, n_hop]-sized scratch; never a whole
+        [rows * n, d_a] array."""
+        rows, n, d, d_a, n_hop = 4 * ad.HIDDEN_BLOCK_ROWS, 4, 32, 64, 2
+        layers, embed, w1, w2 = layer_attention_args((rows,), n_hop, True, n, d, d_a)
+        out, _ = ad.layer_attention(layers, embed, w1, w2)
+        g = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = out._vjp(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in grads)
+        scratch = 8 * (ad.HIDDEN_BLOCK_ROWS * d_a + 3 * rows * n * n_hop)
+        assert peak <= returned + layers.data.nbytes + scratch
 
     def test_layer_attention_rejects_bad_shapes(self):
         layers, embed, w1, w2 = layer_attention_args((5,), 2, False)

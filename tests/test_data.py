@@ -10,6 +10,7 @@ from mlrf.data import (
     PAD_ID,
     UNK_ID,
     Batch,
+    ParallelCorpus,
     SyntheticTaskSpec,
     Vocabulary,
     build_vocab,
@@ -44,6 +45,19 @@ class TestVocabulary:
         vocab = build_vocab([["a", "a", "b", "b", "c"]], max_size=2)
         assert len(vocab) == 6  # 4 reserved + 2 kept
         assert vocab.id("c") == UNK_ID
+
+    def test_reserved_strings_in_text_encode_as_unk(self):
+        vocab = Vocabulary(["a", "b"])
+        tokens = ["a", "<pad>", "b", "<eos>", "<bos>", "<unk>"]
+        assert vocab.encode(tokens) == [4, UNK_ID, 5, UNK_ID, UNK_ID, UNK_ID]
+        (batch,) = make_batches(ParallelCorpus([(tokens, tokens)]), vocab, vocab, 1)
+        assert batch.src_mask.all() and batch.tgt_mask.all()
+        assert batch.tgt_out[0].tolist() == [4, UNK_ID, 5, UNK_ID, UNK_ID, UNK_ID, EOS_ID]
+
+    def test_reserved_strings_take_no_vocabulary_slot(self):
+        vocab = build_vocab([["<pad>", "<pad>", "<eos>", "<eos>", "a", "a", "b"]], max_size=2)
+        assert len(vocab) == 6
+        assert (vocab.id("a"), vocab.id("b")) == (4, 5)
 
     def test_file_round_trip(self, tmp_path):
         vocab = build_vocab([["x", "y", "z"]], max_size=10)

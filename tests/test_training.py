@@ -450,6 +450,20 @@ class TestTrainLoop:
         assert seen == [[], [], []]
         assert all(p.grad is None for _, p in model.params.items())
 
+    def test_validation_loss_does_not_depend_on_the_batching(self):
+        spec = SyntheticTaskSpec("copy", alphabet=7, min_len=1, max_len=7, count=11, seed=4)
+        corpus = generate_synthetic(spec)
+        assert len({len(src) for src, _ in corpus.pairs}) > 3  # ragged
+        vocab = Vocabulary(f"s{i}" for i in range(7))
+        model = toy_model("decoder", "self_attention")
+        runs = [
+            evaluate_teacher_forced(model, make_batches(corpus, vocab, vocab, size, **order))
+            for size, order in [(1, {}), (3, {}), (4, {"sort_by_length": True}), (11, {})]
+        ]
+        for run in runs[1:]:
+            assert run["loss"] == pytest.approx(runs[0]["loss"], rel=1e-12)
+            assert run["accuracy"] == runs[0]["accuracy"]
+
     def test_restarted_phase_uses_fixed_lr(self):
         batches, vocab = one_sample_batches()
         cfg = ModelConfig(
