@@ -25,18 +25,25 @@ reads:
 * ``dense_residual_layer_norm``: a post-norm sublayer's output projection,
   dropout, residual sum and norm, ``layer_norm(x + dropout(h @ W + b))``;
   the projection itself is never stored.
+* ``ffn_residual_layer_norm``: a whole post-norm FFN sublayer,
+  ``layer_norm(x + dropout(relu(x @ W1 + b1) @ W2 + b2))``; it stores what
+  ``dense_residual_layer_norm`` stores, and backward recomputes the relu
+  layer.
 * ``gather_layers``: a stack of layer outputs, optionally only its real
   rows, copied once.
 * ``layer_attention``: the fusion layer's multi-hop attention over the
   layer axis; it stores its tanh hidden layer and the hop weights.
 * ``cross_entropy``: the output projection and the mean negative
-  log-likelihood; it keeps one logits-sized buffer, exponentiated in place.
+  log-likelihood, a row block of logits at a time; while the tape is live it
+  forms its gradients in the forward pass and stores only them.
 * ``layer_norm``, ``reshape`` and ``mean_``.
 
-Four private kernels give each shared computation one implementation:
+Private kernels give each shared computation one implementation:
 ``_affine``/``_affine_vjp`` (``rows @ W + b``), ``_dropped`` (inverted
-dropout), ``_softmax`` (in place) and ``_attend_vjp`` (the backward of a
-softmax-weighted sum).
+dropout), ``_softmax`` (in place), ``_attend_vjp`` (the backward of a
+softmax-weighted sum), ``_norm_forward``/``_norm_vjp`` (layer norm),
+``_residual_norm``/``_residual_norm_vjp`` (a sublayer's dropout, residual
+sum and norm) and ``_row_blocks`` (``BLOCK_ROWS``-row slices).
 
 Dropout masks (``dropout_keep``) are boolean; an op scales the kept units by
 the scalar ``1/(1 - rate)``.  An op writes in place only into arrays it
@@ -44,8 +51,11 @@ allocated, or, in backward, into what its own forward stored, since the tape
 is single-use.  A VJP should allocate only the gradients it returns and what
 it recomputes: its other intermediates go into those buffers or into what its
 forward stored, a row block at a time where no such buffer is large enough.
-``layer_attention`` with a shared ``w1`` and ``cross_entropy`` keep to this;
-the other VJPs still make temporaries of their own.
+``layer_attention`` with a shared ``w1`` and ``cross_entropy`` (which
+allocates nothing in backward) keep to this, and ``ffn_residual_layer_norm``
+does for its [..., d_ff] arrays: the relu layer's gradient is written over
+the recomputed layer.  The [..., d] temporaries of the layer norm's VJP, and
+the other VJPs, still make arrays of their own.
 """
 
 from __future__ import annotations
@@ -173,9 +183,10 @@ def _dropped(a: np.ndarray, keep: np.ndarray, rate: float, out=None) -> np.ndarr
     return out
 
 
-def _affine(rows: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
-    """``rows @ w + b`` over [n x k] ``rows`` in a new array; None adds no bias."""
-    y = rows @ w.data
+def _affine(rows: np.ndarray, w: Tensor, b: Tensor | None, out=None) -> np.ndarray:
+    """``rows @ w + b`` over [n x k] ``rows``, into ``out`` (a new array when
+    None); None adds no bias."""
+    y = np.matmul(rows, w.data, out=out)
     if b is not None:
         y += b.data
     return y
@@ -299,10 +310,20 @@ def gather_layers(layers: Sequence[Tensor], rows: np.ndarray | None = None) -> T
 
 MASK_PENALTY = -1e9
 
-# Rows per block of the fusion layer's hidden-layer gradient in backward: at
-# d_a = 1024 a block's float64 temporary is 1 MiB, where the whole would be
-# [positions * layers, d_a].
-HIDDEN_BLOCK_ROWS = 128
+# Rows per block where an op forms a wide product a block at a time: the
+# fusion layer's hidden-layer gradient in backward (a float64 block is 1 MiB
+# at d_a = 1024) and the loss's logits (6.3 MiB at the de_en vocabulary of
+# 6428), where the whole would be [positions * layers, d_a] or [tokens, V].
+BLOCK_ROWS = 128
+
+
+def _row_blocks(m: int) -> Iterator[slice]:
+    """Near-equal slices of at most ``BLOCK_ROWS`` rows that cover ``m`` rows
+    in order; each holds at least 2 rows when m >= 2, so a product over a
+    block is a GEMM (a 1-row block is a GEMV, which rounds differently)."""
+    blocks = -(-m // BLOCK_ROWS)
+    for i in range(blocks):
+        yield slice(m * i // blocks, m * (i + 1) // blocks)
 
 
 def _softmax(s: np.ndarray) -> np.ndarray:
@@ -391,7 +412,7 @@ def layer_attention(
     layers.  The tape holds the hidden layer and the weights beside the
     output; backward recomputes ``layers + embed`` and, with a shared ``w1``,
     allocates beside its gradients only [..., n, n_hop] scratch and one row
-    block (``HIDDEN_BLOCK_ROWS`` rows) of the hidden layer's gradient at a
+    block (``BLOCK_ROWS`` rows) of the hidden layer's gradient at a
     time.  The computation follows the unfused chain call for call, so its
     values are bit-identical, up to the row blocks (see ``vjp``).
     """
@@ -435,14 +456,11 @@ def layer_attention(
         dw2 = flat.T @ de
         flat *= flat  # the tape is single-use, so tanh' is written over the hidden layer
         np.subtract(1.0, flat, out=flat)
-        # de @ w2.T in near-equal row blocks of at least 2 rows, so each is a
-        # GEMM.  An entry sums only n_hop products; on OpenBLAS (Haswell
-        # kernels) the blocks equal the whole product bit for bit when d_a is
-        # a multiple of 8; else its last d_a % 8 columns can round differently
-        m = flat.shape[0]
-        blocks = -(-m // HIDDEN_BLOCK_ROWS)
-        for i in range(blocks):
-            r = slice(m * i // blocks, m * (i + 1) // blocks)
+        # de @ w2.T in row blocks.  An entry sums only n_hop products; on
+        # OpenBLAS (Haswell kernels) the blocks equal the whole product bit
+        # for bit when d_a is a multiple of 8; else its last d_a % 8 columns
+        # can round differently
+        for r in _row_blocks(flat.shape[0]):
             flat[r] *= de[r] @ w2.data.T
         if shared:
             tagged_rows = tagged.reshape(-1, d)
@@ -495,6 +513,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _make(data, (x, gain, bias), lambda g: _norm_vjp(g, xhat, inv, gain.data))
 
 
+def _residual_norm(x, rows, w, b, gain, bias, keep, rate, eps):
+    """``layer_norm(x + dropout(rows @ w + b))`` for the sublayer ops: the
+    dropout, the residual sum and the normalization overwrite the
+    projection's buffer in place.  Returns the output, ``xhat`` (in that
+    buffer) and ``inv``."""
+    s = _affine(rows, w, b).reshape(x.shape)
+    if keep is not None:
+        _dropped(s, keep, rate, out=s)
+    s += x.data
+    return _norm_forward(s, gain.data, bias.data, eps, out=s)
+
+
+def _residual_norm_vjp(g, xhat, inv, gain, keep, rate):
+    """Gradients of ``_residual_norm`` from ``g``: with respect to x, the
+    projection's [n x d] rows (they are x's when there is no dropout), gain
+    and bias."""
+    dx, dgain, dbias = _norm_vjp(g, xhat, inv, gain.data)
+    ds = dx if keep is None else _dropped(dx, keep, rate)
+    return dx, ds.reshape(-1, ds.shape[-1]), dgain, dbias
+
+
 def dense_residual_layer_norm(
     x: Tensor,
     h: Tensor,
@@ -526,29 +565,83 @@ def dense_residual_layer_norm(
             f"dense residual shape mismatch: {x.shape} + {h.shape} x {w.shape} + {b.shape}"
         )
     rows = h.data.reshape(-1, h.shape[-1])
-    s = _affine(rows, w, b).reshape(x.shape)
-    if keep is not None:
-        _dropped(s, keep, rate, out=s)
-    s += x.data
-    data, xhat, inv = _norm_forward(s, gain.data, bias.data, eps, out=s)
+    data, xhat, inv = _residual_norm(x, rows, w, b, gain, bias, keep, rate, eps)
 
     def vjp(g):
-        dx, dgain, dbias = _norm_vjp(g, xhat, inv, gain.data)
-        ds = dx if keep is None else _dropped(dx, keep, rate)
-        dh, dw, db = _affine_vjp(ds.reshape(-1, ds.shape[-1]), rows, w, b)
+        dx, ds, dgain, dbias = _residual_norm_vjp(g, xhat, inv, gain, keep, rate)
+        dh, dw, db = _affine_vjp(ds, rows, w, b)
         return dx, dh.reshape(h.shape), dw, db, dgain, dbias
 
     return _make(data, (x, h, w, b, gain, bias), vjp)
+
+
+def ffn_residual_layer_norm(
+    x: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    gain: Tensor,
+    bias: Tensor,
+    keep: np.ndarray | None = None,
+    rate: float = 0.0,
+    eps: float = 1e-6,
+) -> Tensor:
+    """``layer_norm(x + dropout(relu(x @ w1 + b1) @ w2 + b2))`` as one node: a
+    post-norm FFN sublayer.
+
+    ``x`` [..., d] is the input and the residual, ``w1`` [d x d_ff] and
+    ``w2`` [d_ff x d] the two dense layers; ``keep`` and ``rate`` are as in
+    ``dense_residual_layer_norm``.  It computes what ``linear(x, w1, b1,
+    relu=True)`` followed by ``dense_residual_layer_norm`` computes, bit for
+    bit, and stores only what the latter stores: the relu layer [..., d_ff]
+    is freed after the forward, and backward recomputes it with the same
+    GEMM, then writes its gradient over it.
+    """
+    d = x.shape[-1]
+    if (
+        w1.data.ndim != 2
+        or w1.shape[0] != d
+        or b1.shape != w1.shape[1:]
+        or w2.shape != (w1.shape[1], d)
+        or b2.shape != (d,)
+    ):
+        raise ValueError(
+            f"ffn shape mismatch: {x.shape} x {w1.shape} + {b1.shape} x {w2.shape} + {b2.shape}"
+        )
+    rows = x.data.reshape(-1, d)
+
+    def relu_layer():
+        h = _affine(rows, w1, b1)
+        return np.maximum(h, 0.0, out=h)
+
+    data, xhat, inv = _residual_norm(x, relu_layer(), w2, b2, gain, bias, keep, rate, eps)
+
+    def vjp(g):
+        dx, ds, dgain, dbias = _residual_norm_vjp(g, xhat, inv, gain, keep, rate)
+        h = relu_layer()
+        dw2, db2 = h.T @ ds, ds.sum(axis=0)
+        active = h > 0
+        dh = np.matmul(ds, w2.data.T, out=h)  # the relu layer is spent: reuse it
+        dh *= active
+        dx_in, dw1, db1 = _affine_vjp(dh, rows, w1, b1)
+        dx += dx_in.reshape(x.shape)  # ds, which may be dx, is spent
+        return dx, dw1, db1, dw2, db2, dgain, dbias
+
+    return _make(data, (x, w1, b1, w2, b2, gain, bias), vjp)
 
 
 def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int]:
     """Mean negative log-likelihood of ``targets`` under ``softmax(x @ w + b)``,
     and how many rows have their target as the argmax (the lowest id on a tie).
 
-    ``x`` is [n x d] with n > 0; ``targets`` holds n class ids.  The op owns
-    the logits buffer: it takes the argmax and the target logits, then
-    exponentiates the shifted logits in place and keeps that one array for
-    backward, which turns it into the softmax gradient in place.
+    ``x`` is [n x d] with n > 0; ``targets`` holds n class ids.  The logits
+    are formed ``BLOCK_ROWS`` rows at a time, so no [n x V] array exists.
+    While the tape is live, each block turns its softmax into its rows of the
+    gradient of ``x`` and adds its share into those of ``w`` and ``b`` at
+    once; the tape holds the three gradients of the mean, and backward only
+    scales them by its ``g``.  Under ``no_grad`` the op computes only the
+    loss and the count.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1:] != w.shape[:1] or b.shape != w.shape[1:]:
@@ -561,26 +654,42 @@ def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int
     if targets.max() >= v or targets.min() < 0:
         raise IndexError(f"target id out of range [0, {v})")
 
-    rows = np.arange(n)
-    e = _affine(x.data, w, b)
-    correct = int((e.argmax(axis=1) == targets).sum())
-    picked = e[rows, targets]
-    m = e.max(axis=1, keepdims=True)
-    e -= m
-    np.exp(e, out=e)
-    z = e.sum(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(z[:, 0])
-    nll = lse - picked
-    data = float(nll.sum() / n)
+    live = _grad_enabled and any(t.requires_grad for t in (x, w, b))
+    dx = np.empty(x.shape, x.data.dtype) if live else None
+    dw = db = None
+    blocks = list(_row_blocks(n))
+    buf = np.empty((max(r.stop - r.start for r in blocks), v), x.data.dtype)
+    nll, correct = 0.0, 0
+    for r in blocks:
+        t = targets[r]
+        rows = np.arange(t.size)
+        e = _affine(x.data[r], w, b, out=buf[: t.size])
+        correct += int((e.argmax(axis=1) == t).sum())
+        picked = e[rows, t]
+        m = e.max(axis=1, keepdims=True)
+        e -= m
+        np.exp(e, out=e)
+        z = e.sum(axis=1, keepdims=True)
+        nll += (m[:, 0] + np.log(z[:, 0]) - picked).sum()
+        if not live:
+            continue
+        p = e  # the exp'd block becomes its softmax gradient
+        p /= z
+        p[rows, t] -= 1.0
+        p *= 1.0 / n
+        np.matmul(p, w.data.T, out=dx[r])
+        if dw is None:
+            dw, db = x.data[r].T @ p, p.sum(axis=0)
+        else:
+            dw += x.data[r].T @ p
+            db += p.sum(axis=0)
 
     def vjp(g):
-        p = e  # the tape is single-use, so the exp buffer becomes the gradient
-        p /= z
-        p[rows, targets] -= 1.0
-        p *= float(g) / n
-        return _affine_vjp(p, x.data, w, b)
+        for grad in (dx, dw, db):  # the tape is single-use: scale in place
+            grad *= float(g)
+        return dx, dw, db
 
-    return _make(np.float64(data), (x, w, b), vjp), correct
+    return _make(np.float64(nll / n), (x, w, b), vjp), correct
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def cmd_evaluate(args) -> int:
             skipped.append(line_no)
         elif src and ref and line_no not in skipped:
             pairs.append((src, ref))
-    batches = make_batches(ParallelCorpus(pairs), src_vocab, tgt_vocab, 32)
+    batches = make_batches(ParallelCorpus(pairs), src_vocab, tgt_vocab, 32, sort_by_length=True)
     forced = evaluate_teacher_forced(model, batches)
     print(f"BLEU = {bleu:.2f}")
     print(f"token_accuracy = {forced['accuracy']:.4f}")

@@ -9,21 +9,23 @@ each sentence's real tokens first, and activations are [B, L, d].  The
 embeddings of a side are one ``ad.embed`` node.  Every attention sublayer is
 the query, key and value projections and one ``ad.attention`` node, which
 splits them into heads as views, [B, H, L, d/H], so attention scores are
-[B, H, Lq, Lk] per sentence.  Each sublayer, attention or FNN, ends in one
+[B, H, Lq, Lk] per sentence.  Each attention sublayer ends in one
 ``ad.dense_residual_layer_norm`` node: its output projection, dropout,
-residual sum and norm.  One function, ``layer``, runs a layer of either
-stack: its attention sublayers in order, then the FNN.  Keys at pad
-positions, and later positions in decoder self-attention, get a -1e9
+residual sum and norm.  Each FNN sublayer is one
+``ad.ffn_residual_layer_norm`` node, which recomputes its relu layer in
+backward rather than keep it on the tape.  One function, ``layer``, runs a
+layer of either stack: its attention sublayers in order, then the FNN.  Keys
+at pad positions, and later positions in decoder self-attention, get a -1e9
 penalty that underflows to an exact zero weight after softmax, so a padded
 batch computes what one-at-a-time runs compute.
 ``forward`` trims the batch to its longest sentence and hands only the real
 target rows to the decoder-side fusion, so its representation is
 [n_target_tokens x d] in row-major token order; ``loss`` projects it to the
-vocabulary inside the loss op.  One method, ``decode_teacher_forced``, runs
-the decoder stack both over whole gold prefixes and, for decoding, at one
-new position of k hypotheses that attend over the key and value
-projections, [k, t, d], cached from earlier positions; ``attend`` is the
-one attention entry point for every sublayer.
+vocabulary inside the loss op, a row block at a time.  One method,
+``decode_teacher_forced``, runs the decoder stack both over whole gold
+prefixes and, for decoding, at one new position of k hypotheses that attend
+over the key and value projections, [k, t, d], cached from earlier
+positions; ``attend`` is the one attention entry point for every sublayer.
 """
 
 from __future__ import annotations
@@ -295,12 +297,10 @@ def attend(
     return ad.attention(q, k, v, n_heads, mask)
 
 
-def _post_norm(
-    x: Tensor, h: Tensor, params, prefix: str, proj: str, norm: str, rate, rng, tokens
-) -> Tensor:
-    """Residual wrapper ``layer_norm(x + dropout(h @ W + b))``, one tape node:
-    ``h`` is a sublayer's last hidden layer, read by the output projection
-    ``{prefix}.w{proj}`` and ``{prefix}.b{proj}``.
+def _post_norm(x: Tensor, h: Tensor, params, prefix: str, norm: str, rate, rng, tokens) -> Tensor:
+    """Residual wrapper ``layer_norm(x + dropout(h @ W + b))`` of an attention
+    sublayer, one tape node: ``h`` is its merged heads, read by the output
+    projection ``{prefix}.wo`` and ``{prefix}.bo``.
 
     The dropout mask is drawn for ``tokens`` as dropout on the projection
     would draw it, then ``ad.dense_residual_layer_norm`` applies it inside
@@ -308,7 +308,7 @@ def _post_norm(
     """
     keep = ad.dropout_keep(x.shape, rate, rng, tokens)
     return ad.dense_residual_layer_norm(
-        x, h, params[f"{prefix}.w{proj}"], params[f"{prefix}.b{proj}"],
+        x, h, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
         params[f"{norm}.gain"], params[f"{norm}.bias"], keep, rate,
     )
 
@@ -326,16 +326,20 @@ def layer(
     """One post-norm layer on [B x Lq x d]: each attention sublayer of
     ``attn``, ``(name, keys, values, mask)`` with keys and values from
     ``key_values``, in order (an encoder passes self-attention; a decoder
-    self-attention, then cross-attention), then the FNN.  Sublayer i ends in
+    self-attention, then cross-attention), then the FNN, one
+    ``ad.ffn_residual_layer_norm`` node.  Sublayer i ends in
     ``{prefix}.norm{i}``; ``tokens`` marks the real positions that dropout
     draws for."""
     for i, (name, k, v, mask) in enumerate(attn, 1):
         sub = f"{prefix}.{name}"
         heads = attend(x, k, v, n_heads, params, sub, mask)
-        x = _post_norm(x, heads, params, sub, "o", f"{prefix}.norm{i}", rate, rng, tokens)
-    ffn = f"{prefix}.ffn"
-    h = ad.linear(x, params[f"{ffn}.w1"], params[f"{ffn}.b1"], relu=True)
-    return _post_norm(x, h, params, ffn, "2", f"{prefix}.norm{len(attn) + 1}", rate, rng, tokens)
+        x = _post_norm(x, heads, params, sub, f"{prefix}.norm{i}", rate, rng, tokens)
+    ffn, norm = f"{prefix}.ffn", f"{prefix}.norm{len(attn) + 1}"
+    keep = ad.dropout_keep(x.shape, rate, rng, tokens)
+    return ad.ffn_residual_layer_norm(
+        x, *(params[f"{ffn}.{n}"] for n in ("w1", "b1", "w2", "b2")),
+        params[f"{norm}.gain"], params[f"{norm}.bias"], keep, rate,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +483,10 @@ class Transformer:
 
     def loss(self, rep: Tensor, targets) -> tuple[Tensor, int]:
         """Mean cross-entropy of the output projection of ``rep`` against
-        ``targets``, and how many rows predict their target; the logits are
-        never materialized beside the loss's own buffer."""
+        ``targets``, and how many rows predict their target.  The logits
+        exist one ``ad.BLOCK_ROWS``-row block at a time, never as a whole
+        [n_tokens x V] array; in training the loss node holds its gradients,
+        formed in the forward pass, in their place."""
         return ad.cross_entropy(
             rep, self.params["output.weight"], self.params["output.bias"], targets
         )

@@ -399,20 +399,74 @@ class TestCrossEntropy:
         for got, t in zip(grads, (x, w, b)):
             np.testing.assert_array_equal(got, t.grad)
 
-    def test_backward_turns_the_exp_buffer_into_the_gradient(self):
-        """The loss node's closure holds one [n x V] array, and backward
-        writes the softmax gradient into it rather than beside it."""
-        x = leaf(rng.standard_normal((3, 4)))
-        w, b = leaf(rng.standard_normal((4, 5))), leaf(rng.standard_normal(5))
-        loss, _ = ad.cross_entropy(x, w, b, [4, 0, 2])
-        (e,) = [c.cell_contents for c in loss._vjp.__closure__
-                if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == (3, 5)]
-        p = np.exp(x.data @ w.data + b.data)
-        p /= p.sum(axis=1, keepdims=True)
-        p[[0, 1, 2], [4, 0, 2]] -= 1.0
-        ad.backward(loss)
-        np.testing.assert_allclose(e, p / 3, rtol=1e-12, atol=1e-15)
-        np.testing.assert_array_equal(b.grad, e.sum(axis=0))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_unfused_chain_over_row_blocks(self, seed):
+        """Over several row blocks, the last one short, the loss, the count
+        and the gradient of x match the projection followed by the loss on
+        materialized logits to rounding; the weight gradients, summed block
+        by block rather than in one GEMM, to 1e-13."""
+        r = np.random.default_rng(seed)
+        n, d, v = 2 * ad.BLOCK_ROWS + 37, 6, 9
+        x = leaf(r.standard_normal((n, d)))
+        w, b = leaf(r.standard_normal((d, v))), leaf(r.standard_normal(v))
+        targets = r.integers(0, v, size=n)
+        fused, hits = ad.cross_entropy(x, w, b, targets)
+        ad.backward(fused)
+        grads = [t.grad for t in (x, w, b)]
+        for t in (x, w, b):
+            t.grad = None
+        logits = ad.linear(x, w, b)
+        chain, chain_hits = ad.cross_entropy(logits, leaf(np.eye(v)), leaf(np.zeros(v)), targets)
+        ad.backward(chain)
+        assert hits == chain_hits
+        np.testing.assert_allclose(fused.item(), chain.item(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grads[0], x.grad, rtol=1e-12, atol=0)
+        for got, t in zip(grads[1:], (w, b)):
+            np.testing.assert_allclose(got, t.grad, rtol=1e-13, atol=0)
+
+    def test_no_gradient_is_allocated_under_no_grad(self):
+        """Under ``no_grad`` the op allocates one row block of logits, numpy's
+        ufunc buffer (broadcast in-place ops) and [rows]-sized vectors:
+        neither the [n x d] nor the [d x V] gradient."""
+        n, d, v = 3 * ad.BLOCK_ROWS + 5, 256, 48
+        x, w = leaf(rng.standard_normal((n, d))), leaf(rng.standard_normal((d, v)))
+        b = leaf(np.zeros(v))
+        targets = rng.integers(0, v, size=n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with ad.no_grad():
+                loss, _ = ad.cross_entropy(x, w, b, targets)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert loss._vjp is None
+        scratch = 8 * (ad.BLOCK_ROWS * v + np.getbufsize() + 8 * ad.BLOCK_ROWS)
+        assert peak <= scratch
+        # a block holds more than BLOCK_ROWS / 2 rows, so even the smaller
+        # gradient, [d x V], would not fit beside it
+        assert w.data.nbytes > scratch - 8 * (ad.BLOCK_ROWS * v // 2 + np.getbufsize())
+
+    def test_forward_and_backward_peak_is_the_gradients_and_one_block(self):
+        """Over several row blocks, forward plus backward allocate the
+        gradients they return, one row block of logits, one [d x V] buffer
+        (a block's share of the weight gradient), numpy's ufunc buffer and
+        [rows]-sized vectors; never the whole [n x V] logits."""
+        n, d, v = 3 * ad.BLOCK_ROWS + 5, 16, 200
+        x, w = leaf(rng.standard_normal((n, d))), leaf(rng.standard_normal((d, v)))
+        b = leaf(np.zeros(v))
+        targets = rng.integers(0, v, size=n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ad.backward(ad.cross_entropy(x, w, b, targets)[0])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        returned = sum(t.grad.nbytes for t in (x, w, b))
+        scratch = 8 * (ad.BLOCK_ROWS * v + np.getbufsize() + 8 * ad.BLOCK_ROWS)
+        assert peak <= returned + w.data.nbytes + scratch
+        assert peak < 8 * n * v  # less than the logits alone
 
 
 class TestBackward:
@@ -561,6 +615,17 @@ def residual_args(mask_rows: bool = False):
     gain, bias = leaf(rng.standard_normal(6)), leaf(rng.standard_normal(6))
     mask = np.array([[True, True, False], [True, False, False]]) if mask_rows else None
     return [x, h, w, b, gain, bias], mask
+
+
+def ffn_args():
+    """Leaves x [2 x 3 x 6], w1 [6 x 5], b1, w2 [5 x 6], b2, gain and bias of
+    an FFN sublayer, and the real-token mask of a padded batch."""
+    x = leaf(rng.standard_normal((2, 3, 6)))
+    w1, b1 = leaf(rng.standard_normal((6, 5))), leaf(rng.standard_normal(5))
+    w2, b2 = leaf(rng.standard_normal((5, 6))), leaf(rng.standard_normal(6))
+    gain, bias = leaf(rng.standard_normal(6)), leaf(rng.standard_normal(6))
+    mask = np.array([[True, True, False], [True, False, False]])
+    return [x, w1, b1, w2, b2, gain, bias], mask
 
 
 def unfused_layer_attention(layers, embed, w1, w2):
@@ -742,6 +807,60 @@ class TestFusedOps:
         with pytest.raises(ValueError, match="affine shape"):
             ad.dense_residual_layer_norm(x, h, w, b, leaf(gain.data[:4]), bias)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_ffn_node_matches_relu_linear_then_dense_residual(self, rate):
+        """The FFN node gives the output, the seven gradients and the
+        generator draws of ``linear(relu=True)`` followed by
+        ``dense_residual_layer_norm`` bit for bit, over a padded batch."""
+        leaves, mask = ffn_args()
+        x, w1, b1, w2, b2, gain, bias = leaves
+        weight = ad.Tensor(rng.standard_normal(x.shape))
+
+        def fused(gen):
+            keep = ad.dropout_keep(x.shape, rate, gen, mask)
+            return ad.ffn_residual_layer_norm(*leaves, keep, rate)
+
+        def chain(gen):
+            keep = ad.dropout_keep(x.shape, rate, gen, mask)
+            h = ad.linear(x, w1, b1, relu=True)
+            return ad.dense_residual_layer_norm(x, h, w2, b2, gain, bias, keep, rate)
+
+        runs = []
+        for op in (fused, chain):
+            for t in leaves:
+                t.grad = None
+            gen = np.random.default_rng(9)
+            out = op(gen)
+            ad.backward(sum_(mul(out, weight)))
+            runs.append([out.data] + [t.grad for t in leaves] + [gen.random()])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+        assert (ad.linear(x, w1, b1, relu=True).data == 0).any()  # some units are dead
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_ffn_node_gradient(self, rate):
+        leaves, mask = ffn_args()
+        keep = ad.dropout_keep(leaves[0].shape, rate, np.random.default_rng(3), mask)
+        assert_grads_match(lambda: ad.ffn_residual_layer_norm(*leaves, keep, rate), leaves)
+
+    def test_ffn_node_stores_no_relu_layer(self):
+        """The node's closure holds no [rows x d_ff] array: the relu layer is
+        recomputed in backward."""
+        leaves, _ = ffn_args()
+        out = ad.ffn_residual_layer_norm(*leaves)
+        cells = [c.cell_contents for c in out._vjp.__closure__]
+        held = [a for a in cells if isinstance(a, np.ndarray)]
+        assert all(a.shape[-1] != leaves[1].shape[1] for a in held)
+
+    def test_ffn_node_rejects_mismatched_shapes(self):
+        (x, w1, b1, w2, b2, gain, bias), _ = ffn_args()
+        with pytest.raises(ValueError, match="ffn shape mismatch"):
+            ad.ffn_residual_layer_norm(leaf(x.data[..., :4]), w1, b1, w2, b2, gain, bias)
+        with pytest.raises(ValueError, match="ffn shape mismatch"):
+            ad.ffn_residual_layer_norm(x, w1, leaf(b1.data[:2]), w2, b2, gain, bias)
+        with pytest.raises(ValueError, match="ffn shape mismatch"):
+            ad.ffn_residual_layer_norm(x, w1, b1, leaf(w2.data[:2]), b2, gain, bias)
+
     @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
     def test_fused_ops_match_their_unfused_chains(self, rate, mask_rows):
         """Values, gradients and generator draws agree bit for bit with the
@@ -854,7 +973,7 @@ class TestFusedOps:
             ad.gather_layers([a], np.ones((2, 2), dtype=bool))
 
     # the last lead spans several row blocks of the hidden layer in backward
-    @pytest.mark.parametrize("lead", [(5,), (2, 3), (2, ad.HIDDEN_BLOCK_ROWS + 1)])
+    @pytest.mark.parametrize("lead", [(5,), (2, 3), (2, ad.BLOCK_ROWS + 1)])
     @pytest.mark.parametrize("share_w1", [True, False])
     @pytest.mark.parametrize("n_hop", [1, 4])
     def test_layer_attention_matches_unfused_chain(self, lead, share_w1, n_hop):
@@ -884,7 +1003,7 @@ class TestFusedOps:
         [rows, n, d] buffer (``layers + embed``, recomputed), one row block
         of the hidden layer and [rows, n, n_hop]-sized scratch; never a whole
         [rows * n, d_a] array."""
-        rows, n, d, d_a, n_hop = 4 * ad.HIDDEN_BLOCK_ROWS, 4, 32, 64, 2
+        rows, n, d, d_a, n_hop = 4 * ad.BLOCK_ROWS, 4, 32, 64, 2
         layers, embed, w1, w2 = layer_attention_args((rows,), n_hop, True, n, d, d_a)
         out, _ = ad.layer_attention(layers, embed, w1, w2)
         g = rng.standard_normal(out.shape)
@@ -896,7 +1015,7 @@ class TestFusedOps:
         finally:
             tracemalloc.stop()
         returned = sum(a.nbytes for a in grads)
-        scratch = 8 * (ad.HIDDEN_BLOCK_ROWS * d_a + 3 * rows * n * n_hop)
+        scratch = 8 * (ad.BLOCK_ROWS * d_a + 3 * rows * n * n_hop)
         assert peak <= returned + layers.data.nbytes + scratch
 
     def test_layer_attention_rejects_bad_shapes(self):

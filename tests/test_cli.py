@@ -574,6 +574,36 @@ class TestEvaluate:
         assert "reference line 3 has 10 tokens" in captured.err
 
 
+    def test_token_accuracy_does_not_depend_on_the_batching(self, trained, tmp_path, monkeypatch):
+        """Teacher forcing runs over length-sorted batches, so they hold less
+        padding, and a ragged file scores the accuracy that batches in corpus
+        order give."""
+        _, out = trained
+        ckpt = str(out / "last.ckpt")
+        r = np.random.default_rng(4)
+        lines = [" ".join(f"s{i}" for i in r.integers(0, 6, size=n)) for n in r.integers(1, 9, 70)]
+        src = tmp_path / "ragged.txt"
+        src.write_text("".join(line + "\n" for line in lines))
+        seen = []
+
+        def spy(model, batches):
+            seen.append((model, batches, training.evaluate_teacher_forced(model, batches)))
+            return seen[-1][2]
+
+        monkeypatch.setattr("mlrf.cli.evaluate_teacher_forced", spy)
+        assert main(["evaluate", "--checkpoint", ckpt, str(src), str(src), "--beam", "1"]) == 0
+        ((model, batches, got),) = seen
+        widths = [b.src.shape[1] for b in batches]
+        assert widths == sorted(widths) and len(set(widths)) > 1
+        meta = load_checkpoint(ckpt).meta
+        corpus = data.ParallelCorpus([(line.split(), line.split()) for line in lines])
+        in_order = data.make_batches(
+            corpus, Vocabulary(meta["src_vocab_tokens"]), Vocabulary(meta["tgt_vocab_tokens"]), 32
+        )
+        assert got["accuracy"] == training.evaluate_teacher_forced(model, in_order)["accuracy"]
+        assert 0.0 < got["accuracy"] < 1.0
+
+
 class TestExportAttention:
     def test_trace_file_groups_sum_to_one(self, trained, tmp_path):
         _, out = trained

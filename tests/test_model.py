@@ -158,21 +158,21 @@ class TestPostNorm:
         layer_norm, and consumes the generator as that chain did, so the
         pinned training losses keep their dropout draws."""
         model = toy_model()
-        prefix, norm = "encoder.layer0.ffn", "encoder.layer0.norm2"
-        names = [f"{prefix}.w2", f"{prefix}.b2", f"{norm}.gain", f"{norm}.bias"]
+        prefix, norm = "encoder.layer0.self_attn", "encoder.layer0.norm1"
+        names = [f"{prefix}.wo", f"{prefix}.bo", f"{norm}.gain", f"{norm}.bias"]
         r = np.random.default_rng(5)
         x = ad.Tensor(r.standard_normal((2, 4, 8)), requires_grad=True)
-        h = ad.Tensor(r.standard_normal((2, 4, 16)), requires_grad=True)
+        h = ad.Tensor(r.standard_normal((2, 4, 8)), requires_grad=True)
         weight = ad.Tensor(r.standard_normal((2, 4, 8)))
         tokens = np.array([[True, True, True, False], [True, True, False, False]])
         tokens = tokens if masked else None
         p = model.params
 
         def fused(gen):
-            return _post_norm(x, h, p, prefix, "2", norm, rate, gen, tokens)
+            return _post_norm(x, h, p, prefix, norm, rate, gen, tokens)
 
         def chain(gen):
-            sub = ad.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+            sub = ad.linear(h, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
             return ad.layer_norm(add(x, dropout(sub, rate, gen, tokens)), p[f"{norm}.gain"],
                                  p[f"{norm}.bias"])
 
