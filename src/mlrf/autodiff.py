@@ -19,16 +19,16 @@ reads:
   stores its output, the ids and the mask.
 * ``linear``: a dense layer ``x @ W + b`` with an optional bias and an
   optional relu; it stores its output alone.
-* ``attention``: multi-head scaled dot-product attention over [B, L, d]
-  projections, heads split as views; it stores the softmax probabilities
-  beside its merged output.
-* ``dense_residual_layer_norm``: a post-norm sublayer's output projection,
-  dropout, residual sum and norm, ``layer_norm(x + dropout(h @ W + b))``;
-  the projection itself is never stored.
+* ``attention_residual_layer_norm``: a whole post-norm attention sublayer
+  over given key and value projections, ``layer_norm(x + dropout(attention(x
+  @ Wq + bq, k, v) @ Wo + bo))``, heads split as views; it stores its
+  output, the normalized sum, the dropout mask and the softmax
+  probabilities, and backward recomputes the query projection and the
+  merged heads.
 * ``ffn_residual_layer_norm``: a whole post-norm FFN sublayer,
-  ``layer_norm(x + dropout(relu(x @ W1 + b1) @ W2 + b2))``; it stores what
-  ``dense_residual_layer_norm`` stores, and backward recomputes the relu
-  layer.
+  ``layer_norm(x + dropout(relu(x @ W1 + b1) @ W2 + b2))``; it stores its
+  output, the normalized sum and the dropout mask, and backward recomputes
+  the relu layer.
 * ``gather_layers``: a stack of layer outputs, optionally only its real
   rows, copied once.
 * ``layer_attention``: the fusion layer's multi-hop attention over the
@@ -54,8 +54,10 @@ forward stored, a row block at a time where no such buffer is large enough.
 ``layer_attention`` with a shared ``w1`` and ``cross_entropy`` (which
 allocates nothing in backward) keep to this, and ``ffn_residual_layer_norm``
 does for its [..., d_ff] arrays: the relu layer's gradient is written over
-the recomputed layer.  The [..., d] temporaries of the layer norm's VJP, and
-the other VJPs, still make arrays of their own.
+the recomputed layer.  ``attention_residual_layer_norm`` writes the merged
+heads' gradient over the recomputed heads, but its query and score
+gradients are arrays of their own.  The [..., d] temporaries of the layer
+norm's VJP, and the other VJPs, still make arrays of their own.
 """
 
 from __future__ import annotations
@@ -344,59 +346,6 @@ def _attend_vjp(g: np.ndarray, p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
     return ds, dv
 
 
-def attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None
-) -> Tensor:
-    """Scaled dot-product attention over ``n_heads`` splits of the width, as
-    one node; returns the merged heads, [B x Lq x d].
-
-    ``q`` is [B x Lq x d] and ``k``, ``v`` are [B x Lk x d]; heads are views
-    [B x H x L x d/H] of them.  The scores are ``(q . k^T) * 1/sqrt(d/H)``;
-    ``mask`` is boolean, broadcasts to [B x 1 x Lq x Lk], and its False
-    entries then get a ``MASK_PENALTY`` added, which underflows to an exact
-    zero weight after the softmax.  A row with no allowed key gets the same
-    penalty on every score, so it keeps its unmasked weights up to the
-    penalty's rounding (about 1e-7 in float64).  The tape holds the softmax
-    probabilities beside the output; backward reads them and the three
-    inputs.
-    """
-    b, lq, d = q.shape
-    lk = k.shape[1]
-    if d % n_heads or k.shape != (b, lk, d) or v.shape != k.shape:
-        raise ValueError(
-            f"attention shape mismatch: {q.shape}/{k.shape}/{v.shape}, {n_heads} heads"
-        )
-    full = (b, 1, lq, lk)
-    if mask is not None and (
-        mask.ndim != 4 or any(m not in (1, n) for m, n in zip(mask.shape, full))
-    ):
-        raise ValueError(f"mask shape {mask.shape} does not broadcast to {full}")
-    dh = d // n_heads
-    qh = q.data.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
-    kt = k.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 3, 1)
-    vh = v.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 1, 3)
-    c = 1.0 / math.sqrt(dh)
-    p = qh @ kt
-    p *= c
-    if mask is not None:
-        p += np.where(mask, 0.0, MASK_PENALTY)
-    _softmax(p)
-    out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, lq, d)
-
-    def vjp(g):
-        ds, dv = _attend_vjp(g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3), p, vh)
-        ds *= c
-        dq = ds @ kt.swapaxes(-1, -2)
-        dk = qh.swapaxes(-1, -2) @ ds
-        return (
-            dq.transpose(0, 2, 1, 3).reshape(b, lq, d),
-            dk.transpose(0, 3, 1, 2).reshape(b, lk, d),
-            dv.transpose(0, 2, 1, 3).reshape(b, lk, d),
-        )
-
-    return _make(out, (q, k, v), vjp)
-
-
 def layer_attention(
     layers: Tensor, embed: Tensor, w1: Tensor | Sequence[Tensor], w2: Tensor
 ) -> tuple[Tensor, np.ndarray]:
@@ -486,9 +435,10 @@ def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float,
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layer_norm affine shape {gain.shape} != ({d},)")
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum / d is numpy's mean without its Python wrapper: the same bits
+    mu = x.sum(axis=-1, keepdims=True) / d
     xhat = np.subtract(x, mu, out=out)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / d + eps)
     xhat *= inv
     y = xhat * gain
     y += bias
@@ -500,9 +450,10 @@ def _norm_vjp(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray
     lead = tuple(range(g.ndim - 1))
     dgain = (g * xhat).sum(axis=lead)
     dbias = g.sum(axis=lead)
+    d = g.shape[-1]
     gh = g * gain
-    dx = gh - gh.mean(axis=-1, keepdims=True)
-    dx -= xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+    dx = gh - gh.sum(axis=-1, keepdims=True) / d
+    dx -= xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / d)
     dx *= inv
     return dx, dgain, dbias
 
@@ -534,45 +485,103 @@ def _residual_norm_vjp(g, xhat, inv, gain, keep, rate):
     return dx, ds.reshape(-1, ds.shape[-1]), dgain, dbias
 
 
-def dense_residual_layer_norm(
+def attention_residual_layer_norm(
     x: Tensor,
-    h: Tensor,
-    w: Tensor,
-    b: Tensor,
+    k: Tensor,
+    v: Tensor,
+    wq: Tensor,
+    bq: Tensor,
+    wo: Tensor,
+    bo: Tensor,
     gain: Tensor,
     bias: Tensor,
+    n_heads: int,
+    mask: np.ndarray | None = None,
     keep: np.ndarray | None = None,
     rate: float = 0.0,
     eps: float = 1e-6,
 ) -> Tensor:
-    """``layer_norm(x + dropout(h @ w + b))`` as one node: a post-norm
-    sublayer's output projection, residual sum and norm.
+    """``layer_norm(x + dropout(attention(x @ wq + bq, k, v) @ wo + bo))`` as
+    one node: a whole post-norm attention sublayer over given keys and
+    values.
 
-    ``h`` [..., k] is the sublayer's last hidden layer, ``w`` [k x d] and
-    ``b`` [d] its output projection, and ``x`` [..., d] the residual input;
+    ``x`` [B x Lq x d] is the query input and the residual, ``k`` and ``v``
+    [B x Lk x d] the key and value projections, ``wq``/``bq`` and
+    ``wo``/``bo`` the query and output projections.  Heads are views
+    [B x H x L x d/H] of the query, key and value arrays, and the scores are
+    ``(q . k^T) * 1/sqrt(d/H)``.  ``mask`` is boolean and broadcasts to
+    [B x 1 x Lq x Lk]; its False entries get a ``MASK_PENALTY`` added, which
+    underflows to an exact zero weight after the softmax.  A row with no
+    allowed key gets the same penalty on every score, so it keeps its
+    unmasked weights up to the penalty's rounding (about 1e-7 in float64).
     ``keep`` is the boolean mask ``dropout_keep`` drew at ``rate`` (None: no
-    dropout).  The dropout, the residual sum and the normalization overwrite
-    the projection's buffer in place, so the tape holds the output, the
-    normalized sum and the mask, and never the projection itself.
+    dropout).
+
+    The tape holds the output, the normalized sum, the dropout mask and the
+    softmax probabilities.  Backward recomputes the query projection and the
+    merged heads ``p @ v`` with the forward's GEMMs, so the values and
+    gradients are bit for bit those of the query projection, the attention
+    and the output projection's residual norm run as three ops.
     """
+    b, lq, d = x.shape
+    lk = k.shape[1]
     if (
-        w.data.ndim != 2
-        or h.shape[-1:] != w.shape[:1]
-        or b.shape != w.shape[1:]
-        or x.shape != h.shape[:-1] + w.shape[1:]
+        d % n_heads
+        or k.shape != (b, lk, d)
+        or v.shape != k.shape
+        or any(w.shape != (d, d) for w in (wq, wo))
+        or any(t.shape != (d,) for t in (bq, bo))
     ):
         raise ValueError(
-            f"dense residual shape mismatch: {x.shape} + {h.shape} x {w.shape} + {b.shape}"
+            f"attention shape mismatch: {x.shape}/{k.shape}/{v.shape}, {n_heads} heads, "
+            f"wq {wq.shape} + {bq.shape}, wo {wo.shape} + {bo.shape}"
         )
-    rows = h.data.reshape(-1, h.shape[-1])
-    data, xhat, inv = _residual_norm(x, rows, w, b, gain, bias, keep, rate, eps)
+    full = (b, 1, lq, lk)
+    if mask is not None and (
+        mask.ndim != 4 or any(m not in (1, n) for m, n in zip(mask.shape, full))
+    ):
+        raise ValueError(f"mask shape {mask.shape} does not broadcast to {full}")
+    dh = d // n_heads
+    rows = x.data.reshape(-1, d)
+    kt = k.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 3, 1)
+    vh = v.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 1, 3)
+    c = 1.0 / math.sqrt(dh)
+
+    def query_heads():
+        return _affine(rows, wq, bq).reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merged_heads():  # [B*Lq x d]
+        return (p @ vh).transpose(0, 2, 1, 3).reshape(-1, d)
+
+    p = query_heads() @ kt
+    p *= c
+    if mask is not None:
+        p += np.where(mask, 0.0, MASK_PENALTY)
+    _softmax(p)
+    data, xhat, inv = _residual_norm(x, merged_heads(), wo, bo, gain, bias, keep, rate, eps)
 
     def vjp(g):
         dx, ds, dgain, dbias = _residual_norm_vjp(g, xhat, inv, gain, keep, rate)
-        dh, dw, db = _affine_vjp(ds, rows, w, b)
-        return dx, dh.reshape(h.shape), dw, db, dgain, dbias
+        heads = merged_heads()
+        dwo, dbo = heads.T @ ds, ds.sum(axis=0)
+        dheads = np.matmul(ds, wo.data.T, out=heads)  # the heads are spent: reuse them
+        dscores, dv = _attend_vjp(dheads.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3), p, vh)
+        dscores *= c
+        dk = query_heads().swapaxes(-1, -2) @ dscores
+        dq = (dscores @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(-1, d)
+        dx_q, dwq, dbq = _affine_vjp(dq, rows, wq, bq)
+        return (
+            dx,
+            dx_q.reshape(x.shape),
+            dk.transpose(0, 3, 1, 2).reshape(b, lk, d),
+            dv.transpose(0, 2, 1, 3).reshape(b, lk, d),
+            dwq, dbq, dwo, dbo, dgain, dbias,
+        )
 
-    return _make(data, (x, h, w, b, gain, bias), vjp)
+    # x is a parent twice, as the residual and as the query's input, so
+    # backward adds its two gradients to whatever x already holds one at a
+    # time, in the order separate residual and query nodes would
+    return _make(data, (x, x, k, v, wq, bq, wo, bo, gain, bias), vjp)
 
 
 def ffn_residual_layer_norm(
@@ -592,11 +601,11 @@ def ffn_residual_layer_norm(
 
     ``x`` [..., d] is the input and the residual, ``w1`` [d x d_ff] and
     ``w2`` [d_ff x d] the two dense layers; ``keep`` and ``rate`` are as in
-    ``dense_residual_layer_norm``.  It computes what ``linear(x, w1, b1,
-    relu=True)`` followed by ``dense_residual_layer_norm`` computes, bit for
-    bit, and stores only what the latter stores: the relu layer [..., d_ff]
-    is freed after the forward, and backward recomputes it with the same
-    GEMM, then writes its gradient over it.
+    ``attention_residual_layer_norm``.  It computes what ``linear(x, w1, b1,
+    relu=True)`` followed by the second layer's residual norm computes, bit
+    for bit, and stores only the output, the normalized sum and the mask:
+    the relu layer [..., d_ff] is freed after the forward, and backward
+    recomputes it with the same GEMM, then writes its gradient over it.
     """
     d = x.shape[-1]
     if (

@@ -180,6 +180,16 @@ def load_checkpoint(path) -> Checkpoint:
                 if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
                     raise ValueError(f"meta {key} is not a list of strings: {tokens!r}")
             model_config = ModelConfig(**header["model"])
+            # before anything is built per layer: a huge n_layers would
+            # list millions of parameters before they could be compared
+            depth = model_config.n_layers
+            for side in ("encoder", "decoder"):
+                layers = {name.split(".")[1] for name in names if name.startswith(f"{side}.layer")}
+                if len(layers) != depth or layers != {f"layer{i}" for i in range(depth)}:
+                    raise ValueError(
+                        f"model n_layers is {depth}, but the tensor index holds "
+                        f"{len(layers)} {side} layers"
+                    )
             fusion_config = FusionConfig(**header["fusion"])
             train_config = TrainConfig(**header["train"]) if header["train"] else None
         except (ValueError, TypeError) as exc:

@@ -21,6 +21,7 @@ Every parametric kind ends with its own layer normalization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,16 @@ from .autodiff import ParamStore, Tensor
 
 SIDES = ("none", "encoder", "decoder", "both")
 KINDS = ("baseline", "avg", "fnn", "self_attention")
+
+
+def check_integers(config, names: Sequence[str]) -> None:
+    """ValueError unless each field ``names`` of ``config`` holds an integer:
+    a bool (JSON's ``true`` reads as one) or a float, even an integral one,
+    is refused."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,7 @@ class FusionConfig:
         for kind in (self.enc_kind, self.dec_kind):
             if kind not in KINDS:
                 raise ValueError(f"fusion kind must be one of {KINDS}, got {kind!r}")
+        check_integers(self, ("n_hop", "d_a", "d_f"))
         if self.n_hop < 1:
             raise ValueError("n_hop must be >= 1")
         if self.d_a < 1 or self.d_f < 1:

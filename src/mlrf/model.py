@@ -7,13 +7,15 @@ any of them instead of just the top.
 A batch keeps its padded layout: ids and boolean masks are [B, L] with
 each sentence's real tokens first, and activations are [B, L, d].  The
 embeddings of a side are one ``ad.embed`` node.  Every attention sublayer is
-the query, key and value projections and one ``ad.attention`` node, which
-splits them into heads as views, [B, H, L, d/H], so attention scores are
-[B, H, Lq, Lk] per sentence.  Each attention sublayer ends in one
-``ad.dense_residual_layer_norm`` node: its output projection, dropout,
-residual sum and norm.  Each FNN sublayer is one
+its key and value projections, two ``ad.linear`` nodes that a decoding step
+reads from its cache instead, and one ``ad.attention_residual_layer_norm``
+node: the query projection, the attention, which splits the projections
+into heads as views, [B, H, L, d/H], so attention scores are [B, H, Lq, Lk]
+per sentence, and the output projection, dropout, residual sum and norm.
+That node recomputes the query projection and the merged heads in backward
+rather than keep them on the tape.  Each FNN sublayer is one
 ``ad.ffn_residual_layer_norm`` node, which recomputes its relu layer in
-backward rather than keep it on the tape.  One function, ``layer``, runs a
+backward in the same way.  One function, ``layer``, runs a
 layer of either stack: its attention sublayers in order, then the FNN.  Keys
 at pad positions, and later positions in decoder self-attention, get a -1e9
 penalty that underflows to an exact zero weight after softmax, so a padded
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .fusion import AttentionTrace, FusionConfig, fuse_side, layer_embedding_name
+from .fusion import AttentionTrace, FusionConfig, check_integers, fuse_side, layer_embedding_name
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +59,9 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        check_integers(
+            self, ("n_layers", "d_model", "d_ff", "n_heads", "src_vocab", "tgt_vocab", "max_len")
+        )
         for name in ("n_layers", "d_model", "d_ff", "n_heads", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -279,37 +284,30 @@ def attend(
     n_heads: int,
     params: ParamStore,
     prefix: str,
+    norm: str,
     mask: np.ndarray | None = None,
+    rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+    tokens: np.ndarray | None = None,
 ) -> Tensor:
-    """Multi-head attention of ``x`` [B x Lq x d] over keys ``k`` and values
-    ``v`` [B x Lk x d] from ``key_values``, so a decoder step can attend over
-    cached ones: the query projection and ``ad.attention``, two tape nodes.
-    Returns the merged heads [B x Lq x d]; ``_post_norm`` applies the output
-    projection ``wo``.
+    """The attention sublayer ``prefix`` of ``x`` [B x Lq x d] over keys
+    ``k`` and values ``v`` [B x Lk x d] from ``key_values``, so a decoder
+    step can attend over cached ones: ``layer_norm(x + dropout(heads @ wo +
+    bo))`` with the norm ``norm``, one ``ad.attention_residual_layer_norm``
+    node.
 
     ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk] ([B x 1 x 1 x Lk]
     for key padding alone).  A row with no allowed key attends as if
-    unmasked (see ``ad.attention``); it is only flagged at debug log level.
+    unmasked (see ``ad.attention_residual_layer_norm``); it is only flagged
+    at debug log level.  The dropout mask is drawn for ``tokens`` as dropout
+    on the output projection would draw it.
     """
     if mask is not None and log.isEnabledFor(logging.DEBUG) and not mask.any(axis=-1).all():
         log.debug("attention row with every key masked at %s", prefix)
-    q = ad.linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    return ad.attention(q, k, v, n_heads, mask)
-
-
-def _post_norm(x: Tensor, h: Tensor, params, prefix: str, norm: str, rate, rng, tokens) -> Tensor:
-    """Residual wrapper ``layer_norm(x + dropout(h @ W + b))`` of an attention
-    sublayer, one tape node: ``h`` is its merged heads, read by the output
-    projection ``{prefix}.wo`` and ``{prefix}.bo``.
-
-    The dropout mask is drawn for ``tokens`` as dropout on the projection
-    would draw it, then ``ad.dense_residual_layer_norm`` applies it inside
-    the norm.
-    """
     keep = ad.dropout_keep(x.shape, rate, rng, tokens)
-    return ad.dense_residual_layer_norm(
-        x, h, params[f"{prefix}.wo"], params[f"{prefix}.bo"],
-        params[f"{norm}.gain"], params[f"{norm}.bias"], keep, rate,
+    return ad.attention_residual_layer_norm(
+        x, k, v, *(params[f"{prefix}.{n}"] for n in ("wq", "bq", "wo", "bo")),
+        params[f"{norm}.gain"], params[f"{norm}.bias"], n_heads, mask, keep, rate,
     )
 
 
@@ -331,9 +329,10 @@ def layer(
     ``{prefix}.norm{i}``; ``tokens`` marks the real positions that dropout
     draws for."""
     for i, (name, k, v, mask) in enumerate(attn, 1):
-        sub = f"{prefix}.{name}"
-        heads = attend(x, k, v, n_heads, params, sub, mask)
-        x = _post_norm(x, heads, params, sub, f"{prefix}.norm{i}", rate, rng, tokens)
+        x = attend(
+            x, k, v, n_heads, params, f"{prefix}.{name}", f"{prefix}.norm{i}",
+            mask, rate, rng, tokens,
+        )
     ffn, norm = f"{prefix}.ffn", f"{prefix}.norm{len(attn) + 1}"
     keep = ad.dropout_keep(x.shape, rate, rng, tokens)
     return ad.ffn_residual_layer_norm(

@@ -2,6 +2,8 @@
 
 import ctypes
 import gc
+import json
+import math
 import os
 from pathlib import Path
 from typing import Sequence
@@ -98,6 +100,19 @@ def resident_bytes() -> int:
 needs_statm = pytest.mark.skipif(
     not Path("/proc/self/statm").exists(), reason="resident memory is read from /proc/self/statm"
 )
+
+
+def rewrite_header(path, edit) -> None:
+    """Rewrite the JSON header of the checkpoint at ``path`` in place:
+    ``edit(header)`` changes the parsed header, which is then written back
+    into the same padded length, so the data keeps its offset."""
+    magic, width, rest = Path(path).read_bytes().split(b"\n", 2)
+    n = int(width)
+    header = json.loads(rest[:n])
+    edit(header)
+    body = json.dumps(header).encode("utf-8").ljust(n)
+    assert len(body) == n
+    Path(path).write_bytes(b"\n".join([magic, width, body + rest[n:]]))
 
 
 def read_trace_file(path):
@@ -313,6 +328,100 @@ def residual_layer_norm(
         return ds, ds if keep is None else ad._dropped(ds, keep, rate), dgain, dbias
 
     return ad._make(data, (x, sub, gain, bias), vjp)
+
+
+def attention(
+    q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, n_heads: int, mask: np.ndarray | None = None
+) -> ad.Tensor:
+    """Scaled dot-product attention over ``n_heads`` splits of the width, as
+    one node; returns the merged heads, [B x Lq x d].
+
+    ``q`` is [B x Lq x d] and ``k``, ``v`` are [B x Lk x d]; heads are views
+    [B x H x L x d/H] of them.  The scores are ``(q . k^T) * 1/sqrt(d/H)``;
+    ``mask`` is boolean, broadcasts to [B x 1 x Lq x Lk], and its False
+    entries then get an ``ad.MASK_PENALTY`` added, which underflows to an exact
+    zero weight after the softmax.  A row with no allowed key gets the same
+    penalty on every score, so it keeps its unmasked weights up to the
+    penalty's rounding (about 1e-7 in float64).  The tape holds the softmax
+    probabilities beside the output; backward reads them and the three
+    inputs.
+    """
+    b, lq, d = q.shape
+    lk = k.shape[1]
+    if d % n_heads or k.shape != (b, lk, d) or v.shape != k.shape:
+        raise ValueError(
+            f"attention shape mismatch: {q.shape}/{k.shape}/{v.shape}, {n_heads} heads"
+        )
+    full = (b, 1, lq, lk)
+    if mask is not None and (
+        mask.ndim != 4 or any(m not in (1, n) for m, n in zip(mask.shape, full))
+    ):
+        raise ValueError(f"mask shape {mask.shape} does not broadcast to {full}")
+    dh = d // n_heads
+    qh = q.data.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
+    kt = k.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 3, 1)
+    vh = v.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 1, 3)
+    c = 1.0 / math.sqrt(dh)
+    p = qh @ kt
+    p *= c
+    if mask is not None:
+        p += np.where(mask, 0.0, ad.MASK_PENALTY)
+    ad._softmax(p)
+    out = (p @ vh).transpose(0, 2, 1, 3).reshape(b, lq, d)
+
+    def vjp(g):
+        ds, dv = ad._attend_vjp(g.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3), p, vh)
+        ds *= c
+        dq = ds @ kt.swapaxes(-1, -2)
+        dk = qh.swapaxes(-1, -2) @ ds
+        return (
+            dq.transpose(0, 2, 1, 3).reshape(b, lq, d),
+            dk.transpose(0, 3, 1, 2).reshape(b, lk, d),
+            dv.transpose(0, 2, 1, 3).reshape(b, lk, d),
+        )
+
+    return ad._make(out, (q, k, v), vjp)
+
+
+def dense_residual_layer_norm(
+    x: ad.Tensor,
+    h: ad.Tensor,
+    w: ad.Tensor,
+    b: ad.Tensor,
+    gain: ad.Tensor,
+    bias: ad.Tensor,
+    keep: np.ndarray | None = None,
+    rate: float = 0.0,
+    eps: float = 1e-6,
+) -> ad.Tensor:
+    """``layer_norm(x + dropout(h @ w + b))`` as one node: a post-norm
+    sublayer's output projection, residual sum and norm.
+
+    ``h`` [..., k] is the sublayer's last hidden layer, ``w`` [k x d] and
+    ``b`` [d] its output projection, and ``x`` [..., d] the residual input;
+    ``keep`` is the boolean mask ``dropout_keep`` drew at ``rate`` (None: no
+    dropout).  The dropout, the residual sum and the normalization overwrite
+    the projection's buffer in place, so the tape holds the output, the
+    normalized sum and the mask, and never the projection itself.
+    """
+    if (
+        w.data.ndim != 2
+        or h.shape[-1:] != w.shape[:1]
+        or b.shape != w.shape[1:]
+        or x.shape != h.shape[:-1] + w.shape[1:]
+    ):
+        raise ValueError(
+            f"dense residual shape mismatch: {x.shape} + {h.shape} x {w.shape} + {b.shape}"
+        )
+    rows = h.data.reshape(-1, h.shape[-1])
+    data, xhat, inv = ad._residual_norm(x, rows, w, b, gain, bias, keep, rate, eps)
+
+    def vjp(g):
+        dx, ds, dgain, dbias = ad._residual_norm_vjp(g, xhat, inv, gain, keep, rate)
+        dh, dw, db = ad._affine_vjp(ds, rows, w, b)
+        return dx, dh.reshape(h.shape), dw, db, dgain, dbias
+
+    return ad._make(data, (x, h, w, b, gain, bias), vjp)
 
 
 @pytest.fixture

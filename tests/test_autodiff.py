@@ -14,8 +14,8 @@ from mlrf import autodiff as ad
 from mlrf import training
 from mlrf.model import positional_encoding
 from tests.conftest import (
-    add, dropout, embedding_lookup, matmul, residual_layer_norm, scale, slice_, softmax, stack,
-    sum_, tanh, transpose,
+    add, attention, dense_residual_layer_norm, dropout, embedding_lookup, matmul,
+    residual_layer_norm, scale, slice_, softmax, stack, sum_, tanh, transpose,
 )
 from tests.gradcheck import max_rel_err, mul, numeric_grad
 
@@ -112,6 +112,24 @@ class TestLayerNorm:
         ad.backward(sum_(mul(ad.layer_norm(x, gain, bias), ad.Tensor(w))))
         for t in (x, gain, bias):
             assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [8, 16, 256, 300, 1024])
+    def test_statistics_are_numpys_means_bit_for_bit(self, d, dtype):
+        """The kernels divide sums by d, which is what ``mean`` does."""
+        r = np.random.default_rng(d)
+        x, g = (r.standard_normal((6, d)).astype(dtype) for _ in range(2))
+        gain, bias = np.ones(d, dtype), np.zeros(d, dtype)
+        _, xhat, inv = ad._norm_forward(x, gain, bias, 1e-6)
+        want = x - x.mean(axis=-1, keepdims=True)
+        want_inv = 1.0 / np.sqrt(np.square(want).mean(axis=-1, keepdims=True) + 1e-6)
+        want *= want_inv
+        np.testing.assert_array_equal(xhat, want)
+        np.testing.assert_array_equal(inv, want_inv)
+        dx = g - g.mean(axis=-1, keepdims=True)
+        dx -= xhat * (g * xhat).mean(axis=-1, keepdims=True)
+        dx *= inv
+        np.testing.assert_array_equal(ad._norm_vjp(g, xhat, inv, gain)[0], dx)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -522,9 +540,9 @@ class TestBackward:
         w, b = leaf(rng.standard_normal((8, 8))), leaf(rng.standard_normal(8))
         gain, bias = leaf(np.ones(8)), leaf(np.zeros(8))
         h = ad.linear(x, w, b, relu=True)
-        a = ad.attention(h, h, h, 2, np.tril(np.ones((3, 3), dtype=bool))[None, None])
+        a = attention(h, h, h, 2, np.tril(np.ones((3, 3), dtype=bool))[None, None])
         keep = ad.dropout_keep((2, 3, 8), 0.3, rng)
-        n = ad.dense_residual_layer_norm(h, a, w, b, gain, bias, keep, 0.3)
+        n = dense_residual_layer_norm(h, a, w, b, gain, bias, keep, 0.3)
         loss, _ = ad.cross_entropy(ad.reshape(n, (6, 8)), w, b, [1, 2, 3, 4, 5, 6])
         del h, a, n, keep
         ops = [t for t in ad._toposort(loss) if t._vjp is not None]
@@ -617,6 +635,24 @@ def residual_args(mask_rows: bool = False):
     return [x, h, w, b, gain, bias], mask
 
 
+def attention_node_args(kind, d=8):
+    """Leaves of an attention sublayer over a padded batch of 2 sentences of
+    4 positions: x [2 x 4 x d], the key and value sources' projections wk,
+    bk, wv, bv, then wq, bq, wo, bo, gain and bias; the key source (x, or a
+    [2 x 5 x d] memory for ``cross``, which is then the last leaf), the
+    boolean mask over the scores, and the real-token mask of x."""
+    x = leaf(rng.standard_normal((2, 4, d)))
+    dense = [leaf(rng.standard_normal(shape)) for _ in range(4) for shape in ((d, d), (d,))]
+    gain, bias = leaf(rng.standard_normal(d)), leaf(rng.standard_normal(d))
+    leaves = [x, *dense, gain, bias]
+    tokens = np.array([[True] * 4, [True, True, True, False]])
+    if kind == "cross":
+        memory = leaf(rng.standard_normal((2, 5, d)))
+        keys = np.array([[True] * 5, [True, True, False, False, False]])[:, None, None, :]
+        return leaves + [memory], memory, keys, tokens
+    return leaves, x, attention_mask(kind), tokens
+
+
 def ffn_args():
     """Leaves x [2 x 3 x 6], w1 [6 x 5], b1, w2 [5 x 6], b2, gain and bias of
     an FFN sublayer, and the real-token mask of a padded batch."""
@@ -695,7 +731,7 @@ class TestAttention:
         mask = attention_mask(kind)
         weight = ad.Tensor(rng.standard_normal((2, 4, 4)))
         runs = []
-        for op in (ad.attention, unfused_attention):
+        for op in (attention, unfused_attention):
             for t in (q, k, v):
                 t.grad = None
             out = op(q, k, v, n_heads, mask)
@@ -709,7 +745,7 @@ class TestAttention:
     def test_gradient(self, n_heads, kind):
         q, k, v = qkv()
         mask = attention_mask(kind)
-        assert_grads_match(lambda: ad.attention(q, k, v, n_heads, mask), [q, k, v])
+        assert_grads_match(lambda: attention(q, k, v, n_heads, mask), [q, k, v])
         if kind == "key_padding":  # pad keys get no weight, so no gradient
             np.testing.assert_array_equal(k.grad[1, 2:], 0.0)
             np.testing.assert_array_equal(v.grad[1, 2:], 0.0)
@@ -726,7 +762,7 @@ class TestAttention:
         for m in (mask, None):
             for t in (q, k, v):
                 t.grad = None
-            out = ad.attention(q, k, v, n_heads, m)
+            out = attention(q, k, v, n_heads, m)
             ad.backward(sum_(mul(out, ad.Tensor(weight))))
             runs.append([out.data[1, 2]] + [t.grad for t in (q, k, v)])
         assert np.isfinite(runs[0][0]).all()
@@ -737,17 +773,17 @@ class TestAttention:
         q, k, v = qkv()
         v.data[:] = 0.0
         v.data[..., 0] = 1.0  # every output's first unit sums its weights
-        out = ad.attention(q, k, v, 1, attention_mask("key_padding"))
+        out = attention(q, k, v, 1, attention_mask("key_padding"))
         np.testing.assert_allclose(out.data[..., 0], 1.0, atol=1e-12)
 
     def test_rejects_bad_shapes(self):
         q, k, v = qkv()
         with pytest.raises(ValueError, match="attention shape mismatch"):
-            ad.attention(q, k, v, 3)
+            attention(q, k, v, 3)
         with pytest.raises(ValueError, match="attention shape mismatch"):
-            ad.attention(q, k, leaf(v.data[:, :3]), 2)
+            attention(q, k, leaf(v.data[:, :3]), 2)
         with pytest.raises(ValueError, match="does not broadcast"):
-            ad.attention(q, k, v, 2, np.ones((2, 1, 3, 4), bool))
+            attention(q, k, v, 2, np.ones((2, 1, 3, 4), bool))
 
 
 class TestFusedOps:
@@ -794,18 +830,18 @@ class TestFusedOps:
         keep = ad.dropout_keep(leaves[0].shape, rate, np.random.default_rng(3), mask)
         assert (keep is None) == (rate == 0.0)
         assert keep is None or keep.dtype == bool
-        assert_grads_match(lambda: ad.dense_residual_layer_norm(*leaves, keep, rate), leaves)
+        assert_grads_match(lambda: dense_residual_layer_norm(*leaves, keep, rate), leaves)
         if mask_rows:  # masked-out rows are dropped, so the projection gets no gradient there
             np.testing.assert_array_equal(leaves[1].grad[~mask], 0.0)
 
     def test_dense_residual_layer_norm_rejects_mismatched_shapes(self):
         (x, h, w, b, gain, bias), _ = residual_args()
         with pytest.raises(ValueError, match="dense residual shape mismatch"):
-            ad.dense_residual_layer_norm(leaf(x.data[:, :2]), h, w, b, gain, bias)
+            dense_residual_layer_norm(leaf(x.data[:, :2]), h, w, b, gain, bias)
         with pytest.raises(ValueError, match="dense residual shape mismatch"):
-            ad.dense_residual_layer_norm(x, h, w, leaf(b.data[:4]), gain, bias)
+            dense_residual_layer_norm(x, h, w, leaf(b.data[:4]), gain, bias)
         with pytest.raises(ValueError, match="affine shape"):
-            ad.dense_residual_layer_norm(x, h, w, b, leaf(gain.data[:4]), bias)
+            dense_residual_layer_norm(x, h, w, b, leaf(gain.data[:4]), bias)
 
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_ffn_node_matches_relu_linear_then_dense_residual(self, rate):
@@ -823,7 +859,7 @@ class TestFusedOps:
         def chain(gen):
             keep = ad.dropout_keep(x.shape, rate, gen, mask)
             h = ad.linear(x, w1, b1, relu=True)
-            return ad.dense_residual_layer_norm(x, h, w2, b2, gain, bias, keep, rate)
+            return dense_residual_layer_norm(x, h, w2, b2, gain, bias, keep, rate)
 
         runs = []
         for op in (fused, chain):
@@ -861,6 +897,119 @@ class TestFusedOps:
         with pytest.raises(ValueError, match="ffn shape mismatch"):
             ad.ffn_residual_layer_norm(x, w1, b1, leaf(w2.data[:2]), b2, gain, bias)
 
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", ["key_padding", "causal", "cross"])
+    def test_attention_node_matches_query_attention_then_dense_residual(
+        self, kind, rate, n_heads
+    ):
+        """The attention sublayer node gives the output, every gradient and
+        the generator draws of the query ``linear``, ``attention`` and
+        ``dense_residual_layer_norm`` bit for bit.  Its input is also
+        gathered beside its output, as the fusion layer gathers a stack, so
+        the input holds a gradient before the sublayer adds its own."""
+        leaves, source, mask, tokens = attention_node_args(kind)
+        x, wk, bk, wv, bv, wq, bq, wo, bo, gain, bias = leaves[:11]
+        weight = ad.Tensor(rng.standard_normal((2, 4, 2, 8)))
+
+        def fused(k, v, keep):
+            return ad.attention_residual_layer_norm(
+                x, k, v, wq, bq, wo, bo, gain, bias, n_heads, mask, keep, rate
+            )
+
+        def chain(k, v, keep):
+            heads = attention(ad.linear(x, wq, bq), k, v, n_heads, mask)
+            return dense_residual_layer_norm(x, heads, wo, bo, gain, bias, keep, rate)
+
+        runs = []
+        for op in (fused, chain):
+            for t in leaves:
+                t.grad = None
+            gen = np.random.default_rng(9)
+            keep = ad.dropout_keep(x.shape, rate, gen, tokens)
+            out = op(ad.linear(source, wk, bk), ad.linear(source, wv, bv), keep)
+            ad.backward(sum_(mul(ad.gather_layers([x, out]), weight)))
+            runs.append([out.data] + [t.grad for t in leaves] + [gen.random()])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("rate,kind", [(0.0, "key_padding"), (0.3, "causal"), (0.3, "cross")])
+    def test_attention_node_gradient(self, rate, kind, n_heads):
+        leaves, source, mask, tokens = attention_node_args(kind, d=4)
+        x, _, _, _, _, *weights = leaves[:11]
+        k, v = leaf(rng.standard_normal(source.shape)), leaf(rng.standard_normal(source.shape))
+        keep = ad.dropout_keep(x.shape, rate, np.random.default_rng(3), tokens)
+        assert_grads_match(
+            lambda: ad.attention_residual_layer_norm(x, k, v, *weights, n_heads, mask, keep, rate),
+            [x, k, v, *weights],
+        )
+
+    def test_attention_node_in_float32_under_no_grad_matches_the_chain(self):
+        leaves, _, mask, _ = attention_node_args("causal")
+        k, v = leaf(rng.standard_normal((2, 4, 8))), leaf(rng.standard_normal((2, 4, 8)))
+        x, k, v, wq, bq, wo, bo, gain, bias = (
+            ad.Tensor(t.data.astype(np.float32), requires_grad=True)
+            for t in [leaves[0], k, v, *leaves[5:11]]
+        )
+        with ad.no_grad():
+            out = ad.attention_residual_layer_norm(x, k, v, wq, bq, wo, bo, gain, bias, 2, mask)
+            heads = attention(ad.linear(x, wq, bq), k, v, 2, mask)
+            want = dense_residual_layer_norm(x, heads, wo, bo, gain, bias)
+        assert out.data.dtype == np.float32 and out._vjp is None
+        np.testing.assert_array_equal(out.data, want.data)
+
+    def test_attention_node_stores_no_query_or_heads(self):
+        """Beside its inputs, the node holds its output, the normalized sum,
+        the norm's [rows x 1] scale, the softmax probabilities and the
+        dropout mask: no [rows x d] query or merged heads."""
+        leaves, _, mask, tokens = attention_node_args("causal")
+        x, *_, gain, bias = leaves
+        wq, bq, wo, bo = leaves[5:9]
+        k, v = leaf(rng.standard_normal(x.shape)), leaf(rng.standard_normal(x.shape))
+        keep = ad.dropout_keep(x.shape, 0.3, rng, tokens)
+        out = ad.attention_residual_layer_norm(
+            x, k, v, wq, bq, wo, bo, gain, bias, 2, mask, keep, 0.3
+        )
+        inputs = {id(t.data) for t in leaves + [k, v]}
+        held = {}
+        cells = [c.cell_contents for c in out._vjp.__closure__]
+        for a in [out.data] + [c for c in cells if isinstance(c, np.ndarray)]:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if id(a) not in inputs:
+                held[id(a)] = a.nbytes
+        b, lq, d = x.shape
+        probs = 8 * b * 2 * lq * lq
+        assert sum(held.values()) == 2 * out.data.nbytes + 8 * b * lq + probs + keep.nbytes
+
+    def test_attention_node_rejects_mismatched_shapes(self):
+        leaves, _, _, _ = attention_node_args("causal")
+        x, *_, gain, bias = leaves
+        wq, bq, wo, bo = leaves[5:9]
+        k = v = leaf(rng.standard_normal(x.shape))
+
+        def call(x=x, k=k, v=v, wq=wq, bq=bq, wo=wo, bo=bo, gain=gain, n_heads=2, mask=None):
+            return ad.attention_residual_layer_norm(
+                x, k, v, wq, bq, wo, bo, gain, bias, n_heads, mask
+            )
+
+        for bad in (
+            dict(n_heads=3),
+            dict(v=leaf(v.data[:, :3])),
+            dict(k=leaf(k.data[:1])),
+            dict(wq=leaf(wq.data[:4])),
+            dict(wo=leaf(wo.data[:, :4])),
+            dict(bq=leaf(bq.data[:4])),
+            dict(bo=leaf(bo.data[:4])),
+        ):
+            with pytest.raises(ValueError, match="attention shape mismatch"):
+                call(**bad)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            call(mask=np.ones((2, 1, 3, 4), bool))
+        with pytest.raises(ValueError, match="affine shape"):
+            call(gain=leaf(gain.data[:4]))
+
     @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
     def test_fused_ops_match_their_unfused_chains(self, rate, mask_rows):
         """Values, gradients and generator draws agree bit for bit with the
@@ -873,7 +1022,7 @@ class TestFusedOps:
 
         def fused(gen):
             keep = ad.dropout_keep(x.shape, rate, gen, mask)
-            return ad.linear(ad.dense_residual_layer_norm(*leaves, keep, rate), w2, b2)
+            return ad.linear(dense_residual_layer_norm(*leaves, keep, rate), w2, b2)
 
         def before(gen):
             keep = ad.dropout_keep(x.shape, rate, gen, mask)

@@ -21,7 +21,7 @@ from mlrf.fusion import FusionConfig
 from mlrf.model import Transformer
 from mlrf.training import AdamState, TrainConfig, adam_step
 from tests.conftest import (
-    needs_statm, padded, random_sentences, resident_bytes, toy_config, toy_model,
+    needs_statm, padded, random_sentences, resident_bytes, rewrite_header, toy_config, toy_model,
 )
 
 
@@ -402,6 +402,19 @@ class TestValidation:
         raw = path.read_bytes()
         path.write_bytes(raw.replace(b'"d_model"', b'"d_modxl"', 1))  # same length
         with pytest.raises(ValueError, match=r"corrupt checkpoint .*m\.ckpt.*d_modxl"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("depth", [1, 10**6])
+    def test_rejects_n_layers_that_the_tensor_index_does_not_hold(self, tmp_path, depth):
+        """Refused before anything is built per layer, so a huge depth costs
+        nothing."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, toy_model(), None, None, {})
+        rewrite_header(path, lambda header: header["model"].update(n_layers=depth))
+        with pytest.raises(
+            ValueError, match=rf"corrupt checkpoint .*m\.ckpt: model n_layers is {depth}, "
+            r"but the tensor index holds 2 encoder layers"
+        ):
             load_checkpoint(path)
 
     def test_rejects_non_checkpoint_file(self, tmp_path):

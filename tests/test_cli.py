@@ -2,7 +2,6 @@
 
 import configparser
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from mlrf.decoding import BeamConfig, SentenceScorer, greedy_decode
 from mlrf.fusion import FusionConfig
 from mlrf.model import ModelConfig
 from mlrf.training import TrainConfig
-from tests.conftest import read_trace_file, scale, toy_model
+from tests.conftest import read_trace_file, rewrite_header, scale, toy_model
 
 TINY_CFG = """\
 [run]
@@ -414,13 +413,7 @@ def write_broken_checkpoint(path, broken):
     model = toy_model()
     save_checkpoint(path, model, training.AdamState(model.params), meta=meta)
     if broken in BAD_HEADERS:
-        magic, width, rest = path.read_bytes().split(b"\n", 2)
-        n = int(width)
-        header = json.loads(rest[:n])
-        header.update(BAD_HEADERS[broken](header))
-        body = json.dumps(header).encode("utf-8").ljust(n)
-        assert len(body) == n
-        path.write_bytes(b"\n".join([magic, width, body + rest[n:]]))
+        rewrite_header(path, lambda header: header.update(BAD_HEADERS[broken](header)))
 
 
 class TestCheckpointErrors:
@@ -443,6 +436,22 @@ class TestCheckpointErrors:
         assert str(ckpt) in err[0]
         if broken in BAD_HEADERS:
             assert err[0].startswith(f"error: corrupt checkpoint {ckpt}: ")
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_layers", 2.5), ("n_layers", 1e308), ("max_len", 2.5), ("max_len", True),
+        ("n_heads", True),
+    ])
+    def test_mistyped_model_header_is_one_error_line(self, tmp_path, capsys, key, value):
+        ckpt = tmp_path / "model.ckpt"
+        meta = {"seed": 0, "src_vocab_tokens": ["s0"], "tgt_vocab_tokens": ["s0"]}
+        save_checkpoint(ckpt, toy_model(), meta=meta)
+        rewrite_header(ckpt, lambda header: header["model"].update({key: value}))
+        inp = tmp_path / "in.txt"
+        inp.write_text("s0 s1\n")
+        assert main(["translate", "--checkpoint", str(ckpt), str(inp)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == f"error: corrupt checkpoint {ckpt}: {key} must be an integer, got {value!r}"
 
     def test_checkpoint_with_zero_heads_is_one_error_line(self, trained, tmp_path, capsys):
         _, out = trained

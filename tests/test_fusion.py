@@ -374,3 +374,8 @@ class TestConfigValidation:
     def test_bad_hops(self):
         with pytest.raises(ValueError):
             FusionConfig(n_hop=0)
+
+    @pytest.mark.parametrize("key,value", [("n_hop", True), ("d_a", 16.0), ("d_f", 2.5)])
+    def test_integer_fields_refuse_bools_and_floats(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            FusionConfig(**{key: value})

@@ -7,7 +7,6 @@ from mlrf import autodiff as ad
 from mlrf.fusion import FusionConfig
 from mlrf.model import (
     Transformer,
-    _post_norm,
     attend,
     init_parameters,
     key_values,
@@ -15,7 +14,7 @@ from mlrf.model import (
     positional_encoding,
 )
 from tests.conftest import (
-    add, dropout, padded, random_sentences, sum_, toy_config, toy_fusion, toy_model,
+    add, attention, dropout, padded, random_sentences, sum_, toy_config, toy_fusion, toy_model,
 )
 from tests.gradcheck import max_rel_err, mul, numeric_grad_at
 
@@ -39,10 +38,30 @@ class TestPositionalEncoding:
 
 
 def self_attention(x, params, prefix, mask=None):
-    """The attention sublayer up to its residual: ``attend``, then the output
-    projection that ``_post_norm`` folds into the norm."""
-    heads = attend(x, *key_values(x, params, prefix), 2, params, prefix, mask)
-    return ad.linear(heads, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    """The self-attention sublayer ``prefix`` (of layer 0, so its norm is
+    ``norm1``) as ``attend`` runs it, unmasked and without dropout."""
+    norm = prefix.rsplit(".", 1)[0] + ".norm1"
+    return attend(x, *key_values(x, params, prefix), 2, params, prefix, norm, mask)
+
+
+def post_norm(x, sub):
+    """``layer_norm(x + sub)`` at a fresh norm's unit gain and zero bias."""
+    s = x + sub
+    s -= s.mean(axis=-1, keepdims=True)
+    return s / np.sqrt((s * s).mean(axis=-1, keepdims=True) + 1e-6)
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("n_layers", 2.5), ("n_heads", True), ("max_len", True), ("max_len", 2.5),
+        ("d_model", 8.0), ("src_vocab", False),
+    ])
+    def test_integer_fields_refuse_bools_and_floats(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            toy_config(**{key: value})
+
+    def test_numpy_integers_are_integers(self):
+        assert toy_config(n_layers=np.int64(3)).n_layers == 3
 
 
 class TestMultiHeadAttention:
@@ -58,7 +77,7 @@ class TestMultiHeadAttention:
         p = self.params
         v = x.data[0] @ p[f"{self.prefix}.wv"].data + p[f"{self.prefix}.bv"].data
         expect = v @ p[f"{self.prefix}.wo"].data + p[f"{self.prefix}.bo"].data
-        np.testing.assert_allclose(out.data[0], expect, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], post_norm(x.data[0], expect), atol=1e-12)
 
     def test_fully_masked_row_is_finite_and_flagged(self, caplog):
         r = np.random.default_rng(0)
@@ -89,7 +108,7 @@ class TestMultiHeadAttention:
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
             merged.append(w @ v[s])
         expect = np.hstack(merged) @ p[f"{self.prefix}.wo"].data + p[f"{self.prefix}.bo"].data
-        np.testing.assert_allclose(out.data[0], expect, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], post_norm(x.data[0], expect), atol=1e-12)
 
     def test_key_padding_hides_pad_keys(self):
         r = np.random.default_rng(3)
@@ -154,36 +173,40 @@ class TestEncoderLayer:
 class TestPostNorm:
     @pytest.mark.parametrize("rate,masked", [(0.0, False), (0.3, False), (0.3, True)])
     def test_matches_the_unfused_chain_bit_for_bit(self, rate, masked):
-        """_post_norm gives the values and grads of linear, dropout, add and
-        layer_norm, and consumes the generator as that chain did, so the
-        pinned training losses keep their dropout draws."""
+        """``attend`` gives the values and grads of the query projection,
+        attention, output projection, dropout, add and layer_norm, and
+        consumes the generator as that chain did, so the pinned training
+        losses keep their dropout draws."""
         model = toy_model()
         prefix, norm = "encoder.layer0.self_attn", "encoder.layer0.norm1"
-        names = [f"{prefix}.wo", f"{prefix}.bo", f"{norm}.gain", f"{norm}.bias"]
+        names = [f"{prefix}.{n}" for n in ("wq", "bq", "wo", "bo")]
+        names += [f"{norm}.gain", f"{norm}.bias"]
         r = np.random.default_rng(5)
-        x = ad.Tensor(r.standard_normal((2, 4, 8)), requires_grad=True)
-        h = ad.Tensor(r.standard_normal((2, 4, 8)), requires_grad=True)
+        x, k, v = (ad.Tensor(r.standard_normal((2, 4, 8)), requires_grad=True) for _ in range(3))
         weight = ad.Tensor(r.standard_normal((2, 4, 8)))
         tokens = np.array([[True, True, True, False], [True, True, False, False]])
         tokens = tokens if masked else None
+        keys = None if tokens is None else tokens[:, None, None, :]
         p = model.params
 
         def fused(gen):
-            return _post_norm(x, h, p, prefix, norm, rate, gen, tokens)
+            return attend(x, k, v, 2, p, prefix, norm, keys, rate, gen, tokens)
 
         def chain(gen):
-            sub = ad.linear(h, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+            q = ad.linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+            sub = ad.linear(attention(q, k, v, 2, keys), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
             return ad.layer_norm(add(x, dropout(sub, rate, gen, tokens)), p[f"{norm}.gain"],
                                  p[f"{norm}.bias"])
 
         runs = []
         for op in (fused, chain):
             gen = np.random.default_rng(11)
-            for t in [x, h] + [p[n] for n in names]:
+            for t in [x, k, v] + [p[n] for n in names]:
                 t.grad = None
             out = op(gen)
             ad.backward(sum_(mul(out, weight)))
-            runs.append([out.data, x.grad, h.grad] + [p[n].grad for n in names] + [gen.random()])
+            runs.append([out.data] + [t.grad for t in [x, k, v]] + [p[n].grad for n in names]
+                        + [gen.random()])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
 
