@@ -2,7 +2,9 @@
 
 Layout: one magic line, one line with the header byte length, a JSON text
 header (configs, counters, run metadata, and a tensor index), then the named
-raw tensor blocks as little-endian float64 in index order.  A save pads the
+raw tensor blocks as little-endian float64 in index order.  The configs and
+the run metadata are dataclasses that check their fields' types when built
+(``fusion.check_types``), so a save refuses what a load would.  A save pads the
 header with trailing spaces, inside its declared length, and writes that
 length with leading zeros to a width fixed by the header's size, so the
 tensor data starts at a multiple of ``ALIGN`` bytes; the file size then does
@@ -37,12 +39,30 @@ from typing import Any
 import numpy as np
 
 from .autodiff import ParamStore, Tensor
-from .fusion import FusionConfig
+from .fusion import FusionConfig, check_types
 from .model import ModelConfig, Transformer
 from .training import AdamState, TrainConfig
 
 MAGIC = "MLRF-CHECKPOINT 1"
 ALIGN = 4096
+
+
+@dataclass
+class RunMeta:
+    """A checkpoint's run: seed, epochs finished, validation scores (loss inf
+    before any) and the content tokens of its vocabularies, if it has them."""
+
+    seed: int = 0
+    epochs_done: int = 0
+    best_valid_loss: float = math.inf
+    last_valid_acc: float | None = None
+    src_vocab_tokens: list[str] | None = None
+    tgt_vocab_tokens: list[str] | None = None
+
+    def __post_init__(self):
+        check_types(self)
+        if self.epochs_done < 0:
+            raise ValueError(f"epochs_done must be >= 0, got {self.epochs_done}")
 
 
 @dataclass
@@ -55,7 +75,7 @@ class Checkpoint:
     opt_v: dict[str, np.ndarray] | None
     opt_t: int
     phase: str
-    meta: dict[str, Any]  # seed, epoch counter, validation scores, vocabularies
+    meta: RunMeta
     mapping: mmap.mmap  # the file, mapped copy-on-write; every block is a view of it
 
 
@@ -66,6 +86,8 @@ def save_checkpoint(
     train_config: TrainConfig | None = None,
     meta: dict[str, Any] | None = None,
 ) -> None:
+    """Write the model and what is given of its Adam state, train config and
+    ``meta`` (``RunMeta``'s keyword arguments, checked first) to ``path``."""
     params = model.params
     entries = [(name, t.data) for name, t in params.items()]
     opt = None
@@ -78,7 +100,7 @@ def save_checkpoint(
         "fusion": asdict(model.fusion),
         "train": asdict(train_config) if train_config is not None else None,
         "optimizer": opt,
-        "meta": meta or {},
+        "meta": asdict(RunMeta(**(meta or {}))),
         "tensors": [[name, list(arr.shape)] for name, arr in entries],
     }
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -106,11 +128,6 @@ def save_checkpoint(
 
 
 _HEADER_KEYS = ("model", "fusion", "train", "optimizer", "tensors")
-
-
-def _is_number(value) -> bool:
-    """An int or float from JSON, infinities included, NaN and bool not."""
-    return type(value) in (int, float) and not math.isnan(value)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -161,24 +178,7 @@ def load_checkpoint(path) -> Checkpoint:
                 param_names = [name for name in names if not name.startswith("opt.")]
                 if moments != sorted(f"opt.{k}.{name}" for k in "mv" for name in param_names):
                     raise ValueError("the Adam moment blocks are not one m and one v per parameter")
-            meta = header.get("meta", {})
-            if not isinstance(meta, dict):
-                raise ValueError(f"meta is not an object: {meta!r}")
-            if type(meta.get("seed", 0)) is not int:
-                raise ValueError(f"meta seed is not an integer: {meta['seed']!r}")
-            done = meta.get("epochs_done", 0)
-            if not (type(done) is int and done >= 0):
-                raise ValueError(f"meta epochs_done is not an integer >= 0: {done!r}")
-            best = meta.get("best_valid_loss", math.inf)  # inf: no validation yet
-            if not _is_number(best):
-                raise ValueError(f"meta best_valid_loss is not a number: {best!r}")
-            acc = meta.get("last_valid_acc")
-            if not (acc is None or _is_number(acc)):
-                raise ValueError(f"meta last_valid_acc is neither null nor a number: {acc!r}")
-            for key in ("src_vocab_tokens", "tgt_vocab_tokens"):
-                tokens = meta.get(key, [])
-                if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-                    raise ValueError(f"meta {key} is not a list of strings: {tokens!r}")
+            meta = RunMeta(**header.get("meta", {}))
             model_config = ModelConfig(**header["model"])
             # before anything is built per layer: a huge n_layers would
             # list millions of parameters before they could be compared
@@ -237,7 +237,7 @@ def _copied_model(ckpt: Checkpoint, dtype) -> Transformer:
         if end > first and hasattr(mapping, "madvise"):
             mapping.madvise(mmap.MADV_DONTNEED, first, end - first)
     return Transformer(
-        ckpt.model_config, ckpt.fusion_config, params=params, seed=ckpt.meta.get("seed", 0)
+        ckpt.model_config, ckpt.fusion_config, params=params, seed=ckpt.meta.seed
     )
 
 

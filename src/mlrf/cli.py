@@ -16,14 +16,14 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .checkpoint import build_model, load_checkpoint, restore_training, save_checkpoint
+from .checkpoint import RunMeta, build_model, load_checkpoint, restore_training, save_checkpoint
 from .config import ConfigError, RunConfig, build_corpora, load_config
 from .data import (
     BOS_ID, EOS_ID, RESERVED, ParallelCorpus, Vocabulary, make_batches, synthetic_vocabulary,
@@ -100,22 +100,22 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         raise ConfigError("training corpus is empty")
     model_cfg = run_cfg.model_config(len(src_vocab), len(tgt_vocab))
 
-    epochs_done = 0
-    best_valid = float("inf")
-    last_valid_acc: float | None = None
     if resume is not None:
         ckpt, (model, state) = _read_checkpoint(resume, restore_training)
         if ckpt.model_config != model_cfg or ckpt.fusion_config != run_cfg.fusion:
             raise ConfigError(f"resume checkpoint {resume} was built from a different config")
-        # load_checkpoint has checked these counters' types
-        epochs_done = ckpt.meta.get("epochs_done", 0)
-        best_valid = float(ckpt.meta.get("best_valid_loss", float("inf")))
-        last_valid_acc = ckpt.meta.get("last_valid_acc")
+        meta = ckpt.meta  # its epoch counter and validation scores carry on
         del ckpt  # the optimizer holds its mapped moments; drop the rest
-        log.info("resumed from %s at epoch %d, step %d", resume, epochs_done, state.t)
+        log.info("resumed from %s at epoch %d, step %d", resume, meta.epochs_done, state.t)
     else:
         model = Transformer(model_cfg, run_cfg.fusion, seed=seed)
         state = AdamState(model.params)
+        meta = RunMeta()
+    epochs_done = meta.epochs_done
+    meta.seed = seed
+    # the content tokens: Vocabulary prepends RESERVED when it reads them
+    meta.src_vocab_tokens = src_vocab.decode(range(len(RESERVED), len(src_vocab)), False)
+    meta.tgt_vocab_tokens = tgt_vocab.decode(range(len(RESERVED), len(tgt_vocab)), False)
 
     valid_batches = None
     if valid_corpus is not None and len(valid_corpus) > 0:
@@ -124,16 +124,8 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         )
 
     def save(path, epochs_finished: int) -> None:
-        meta = {
-            "seed": seed,
-            "epochs_done": epochs_finished,
-            "best_valid_loss": best_valid,
-            "last_valid_acc": last_valid_acc,
-            # the content tokens: Vocabulary prepends RESERVED when it reads them
-            "src_vocab_tokens": src_vocab.decode(range(len(RESERVED), len(src_vocab)), False),
-            "tgt_vocab_tokens": tgt_vocab.decode(range(len(RESERVED), len(tgt_vocab)), False),
-        }
-        save_checkpoint(path, model, state, tcfg, meta)
+        meta.epochs_done = epochs_finished
+        save_checkpoint(path, model, state, tcfg, asdict(meta))
 
     metrics_path = out_dir / "metrics.tsv"
     report = RunReport()
@@ -143,7 +135,7 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
     def on_step(m: StepMetrics) -> None:
         # validation runs after the epoch: a row carries the last completed score
         if m.step % tcfg.log_every == 0:
-            report.add(m, last_valid_acc)
+            report.add(m, meta.last_valid_acc)
 
     total_epochs = tcfg.epochs_phase1 + tcfg.epochs_phase2
     for epoch in range(epochs_done, total_epochs):
@@ -168,15 +160,15 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         report.write(metrics_path)
         if valid_batches is not None:
             valid = evaluate_teacher_forced(model, valid_batches)
-            last_valid_acc = valid["accuracy"]
-            if valid["loss"] < best_valid:
-                best_valid = valid["loss"]
+            meta.last_valid_acc = valid["accuracy"]
+            if valid["loss"] < meta.best_valid_loss:
+                meta.best_valid_loss = valid["loss"]
                 save(out_dir / "best.ckpt", epoch + 1)
         save(out_dir / "last.ckpt", epoch + 1)
         log.info(
             "epoch %d/%d [%s] loss %.4f acc %.4f%s",
             epoch + 1, total_epochs, phase, stats["loss"], stats["accuracy"],
-            f" valid_acc {last_valid_acc:.4f}" if last_valid_acc is not None else "",
+            f" valid_acc {meta.last_valid_acc:.4f}" if meta.last_valid_acc is not None else "",
         )
     if valid_batches is None:
         save(out_dir / "best.ckpt", epochs_done if total_epochs == 0 else total_epochs)
@@ -222,10 +214,10 @@ def _load_model_and_vocabs(path):
     Adam moments are mapped but never read, so they are never paged in; the
     mapping goes with the rest of the checkpoint before any decoding."""
     ckpt, model = _read_checkpoint(path)
-    meta = ckpt.meta
-    if not {"src_vocab_tokens", "tgt_vocab_tokens"} <= meta.keys():
+    src, tgt = ckpt.meta.src_vocab_tokens, ckpt.meta.tgt_vocab_tokens
+    if src is None or tgt is None:
         raise ConfigError(f"checkpoint {path} holds no vocabularies")
-    return model, Vocabulary(meta["src_vocab_tokens"]), Vocabulary(meta["tgt_vocab_tokens"])
+    return model, Vocabulary(src), Vocabulary(tgt)
 
 
 def _beam_config(args) -> BeamConfig:

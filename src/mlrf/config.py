@@ -2,8 +2,9 @@
 
 Sections ``[run]`` (version, seed), ``[model]``, ``[fusion]``, ``[train]``
 and ``[data]``.  A section's keys are the fields of its dataclass, typed by
-their annotations (``X | None`` reads as ``X``); a field with no default is
-a required key.  Exceptions: ``[model]`` calls ``n_layers``/``n_heads``
+their annotations (``fusion.field_types``, which ``check_types`` also reads
+when a dataclass is built); a field with no default is a required key.
+Exceptions: ``[model]`` calls ``n_layers``/``n_heads``
 ``layers``/``heads`` and may leave out the vocabulary sizes, which are then
 derived from the data; ``[train]``'s seed is ``[run]``'s.  Every config
 object is built, and so checked, at load, and every unknown key or bad value
@@ -16,7 +17,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import MISSING, Field, asdict, dataclass, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from .data import (
     ParallelCorpus,
@@ -27,7 +27,7 @@ from .data import (
     load_parallel_text,
     synthetic_vocabulary,
 )
-from .fusion import FusionConfig
+from .fusion import FusionConfig, check_types, field_types
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -58,6 +58,7 @@ class DataConfig:
     max_vocab: int = 30000
 
     def __post_init__(self):
+        check_types(self)
         for src, tgt in (("train_src", "train_tgt"), ("valid_src", "valid_tgt")):
             if bool(getattr(self, src)) != bool(getattr(self, tgt)):
                 raise ValueError(f"{src} and {tgt} must be set together")
@@ -115,6 +116,7 @@ class _RunSection:
     seed: int = 1
 
     def __post_init__(self):
+        check_types(self)
         if self.version != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {self.version}")
 
@@ -134,13 +136,13 @@ _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0":
 def section_keys(section: str) -> dict[str, tuple[Field, type]]:
     """``[section]``'s keys, each with its dataclass field and scalar type."""
     cls = _SECTIONS[section]
-    hints = get_type_hints(cls)
+    typed = field_types(cls)
     keys = {}
     for f in fields(cls):
         if section == "train" and f.name == "seed":
             continue  # the run seed, from [run]
-        typ = next((t for t in get_args(hints[f.name]) if t is not type(None)), hints[f.name])
-        keys[_MODEL_KEYS.get(f.name, f.name) if section == "model" else f.name] = (f, typ)
+        key = _MODEL_KEYS.get(f.name, f.name) if section == "model" else f.name
+        keys[key] = (f, typed[f.name][0])
     return keys
 
 

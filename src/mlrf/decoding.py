@@ -23,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import BOS_ID, EOS_ID
+from .fusion import check_types
 from .model import Transformer, one_sentence
 
 # step(tokens [k], parents [k] or None) -> next-token log-probs [k x V]
@@ -36,6 +37,7 @@ class BeamConfig:
     max_len: int = 50
 
     def __post_init__(self):
+        check_types(self)
         if self.width < 1:
             raise ValueError("beam width must be >= 1")
         if self.max_len < 1:

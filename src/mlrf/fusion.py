@@ -21,9 +21,11 @@ Every parametric kind ends with its own layer normalization.
 
 from __future__ import annotations
 
+import functools
 import numbers
+import types
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -34,14 +36,41 @@ SIDES = ("none", "encoder", "decoder", "both")
 KINDS = ("baseline", "avg", "fnn", "self_attention")
 
 
-def check_integers(config, names: Sequence[str]) -> None:
-    """ValueError unless each field ``names`` of ``config`` holds an integer:
-    a bool (JSON's ``true`` reads as one) or a float, even an integral one,
-    is refused."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+@functools.cache
+def field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Each field of dataclass ``cls``: its annotated type, ``X | None`` read
+    as ``X``, and whether it may hold None."""
+    out = {}
+    for name, hint in get_type_hints(cls).items():
+        args = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        out[name] = (args[0], type(None) in args)
+    return out
+
+
+def _is_real(v) -> bool:  # JSON's true reads as a bool, which Python counts as an int
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# annotated type -> (what an error calls it, the test of a value)
+_TYPE_CHECKS = {
+    int: ("an integer", lambda v: _is_real(v) and isinstance(v, numbers.Integral)),
+    float: ("a number", lambda v: _is_real(v) and v == v),  # NaN is unequal to itself
+    bool: ("a bool", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list[str]: (
+        "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
+    ),
+}
+
+
+def check_types(obj) -> None:
+    """ValueError unless each field of dataclass ``obj`` holds its annotated
+    type: an int field refuses a bool or a float, a float field a bool or NaN."""
+    for name, (typ, optional) in field_types(type(obj)).items():
+        what, ok = _TYPE_CHECKS[typ]
+        value = getattr(obj, name)
+        if not (ok(value) or optional and value is None):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,12 +94,12 @@ class FusionConfig:
     share_layer_embedding: bool = True
 
     def __post_init__(self):
+        check_types(self)
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
         for kind in (self.enc_kind, self.dec_kind):
             if kind not in KINDS:
                 raise ValueError(f"fusion kind must be one of {KINDS}, got {kind!r}")
-        check_integers(self, ("n_hop", "d_a", "d_f"))
         if self.n_hop < 1:
             raise ValueError("n_hop must be >= 1")
         if self.d_a < 1 or self.d_f < 1:
@@ -97,14 +126,6 @@ class AttentionTrace:
 
     weights: np.ndarray
     first_layer: int = 0
-
-    @property
-    def n_hops(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def n_layers(self) -> int:
-        return self.weights.shape[2]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .fusion import AttentionTrace, FusionConfig, check_integers, fuse_side, layer_embedding_name
+from .fusion import AttentionTrace, FusionConfig, check_types, fuse_side, layer_embedding_name
 
 log = logging.getLogger(__name__)
 
@@ -59,9 +59,7 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        check_integers(
-            self, ("n_layers", "d_model", "d_ff", "n_heads", "src_vocab", "tgt_vocab", "max_len")
-        )
+        check_types(self)
         for name in ("n_layers", "d_model", "d_ff", "n_heads", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -230,13 +228,14 @@ def check_params(params: ParamStore, specs: Sequence[ParamSpec]) -> None:
         )
 
 
-def positional_encoding(seq_len: int, d: int) -> np.ndarray:
-    """Fixed sine/cosine position table; not trainable."""
+def positional_encoding(end: int, d: int, start: int = 0) -> np.ndarray:
+    """Rows ``start`` to ``end - 1`` of the fixed sine/cosine position table
+    (not trainable), equal bit for bit to those rows of a longer table."""
     if d % 2 != 0:
         raise ValueError("positional encoding needs an even width")
-    pos = np.arange(seq_len, dtype=np.float64)[:, None]
+    pos = np.arange(start, end, dtype=np.float64)[:, None]
     freq = np.power(10000.0, -np.arange(0, d, 2, dtype=np.float64) / d)
-    pe = np.empty((seq_len, d))
+    pe = np.empty((len(pos), d))
     pe[:, 0::2] = np.sin(pos * freq)
     pe[:, 1::2] = np.cos(pos * freq)
     return pe
@@ -373,21 +372,21 @@ class Transformer:
             check_params(params, param_specs(config, self.fusion))
         self.params = params
         self.dropout_rng = np.random.default_rng(seed)
-        # in the parameters' dtype, so a float32 model embeds in float32
-        dtype = params["src_embed.weight"].data.dtype
-        self._pe = positional_encoding(config.max_len, config.d_model).astype(dtype, copy=False)
 
     # -- embedding + stacks
 
     def _embed(self, table: str, ids, tokens, train: bool, start: int = 0) -> Tensor:
-        """Embed [B x L] ids at positions ``start`` to ``start + L - 1``."""
+        """Embed [B x L] ids at positions ``start`` to ``start + L - 1``, in
+        the table's dtype; only those positions are computed."""
         ids = np.asarray(ids, dtype=np.int64)
         end = start + ids.shape[1]
         if end > self.config.max_len:
             raise ValueError(f"sentence length {end} exceeds max_len={self.config.max_len}")
         rate = self.config.dropout if train else 0.0
         keep = ad.dropout_keep(ids.shape + (self.config.d_model,), rate, self.dropout_rng, tokens)
-        return ad.embed(self.params[table], ids, self._pe[start:end], keep, rate)
+        weights = self.params[table]
+        pe = positional_encoding(end, self.config.d_model, start)
+        return ad.embed(weights, ids, pe.astype(weights.data.dtype, copy=False), keep, rate)
 
     def encode(self, src_ids, src_mask, train: bool = False) -> list[Tensor]:
         """Run the encoder on [B x L] ids; returns n_layers+1 reps of

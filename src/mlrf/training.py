@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
+from .fusion import check_types
 from .model import Transformer
 
 log = logging.getLogger(__name__)
@@ -40,13 +41,14 @@ class TrainConfig:
     log_every: int = 10
 
     def __post_init__(self):
+        check_types(self)
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("Adam betas must lie in (0, 1)")
         for name in ("warmup_steps", "batch_phase1", "batch_phase2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.restart_lr <= 0 or self.adam_eps <= 0:
-            raise ValueError("restart_lr and adam_eps must be positive")
+        if not (0 < self.restart_lr < math.inf and 0 < self.adam_eps < math.inf):
+            raise ValueError("restart_lr and adam_eps must be positive and finite")
         if self.epochs_phase1 < 0 or self.epochs_phase2 < 0:
             raise ValueError("epochs_phase1 and epochs_phase2 must be >= 0")
         if self.log_every < 1:

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,6 @@ class TestRoundTrip:
         meta = {
             "seed": 51,
             "epochs_done": 1,
-            "dropout_rng": model.dropout_rng.bit_generator.state,
             "src_vocab_tokens": ["s0", "s1"],
             "tgt_vocab_tokens": ["s0", "s1"],
         }
@@ -116,9 +115,8 @@ class TestRoundTrip:
 
         ckpt = load_checkpoint(first)
         again, state2 = restore_training(ckpt)
-        again.dropout_rng.bit_generator.state = ckpt.meta["dropout_rng"]
         second = tmp_path / "b.ckpt"
-        save_checkpoint(second, again, state2, ckpt.train_config, ckpt.meta)
+        save_checkpoint(second, again, state2, ckpt.train_config, asdict(ckpt.meta))
         assert first.read_bytes() == second.read_bytes()
 
     def test_size_does_not_depend_on_counter_digits(self, tmp_path):
@@ -133,7 +131,7 @@ class TestRoundTrip:
             data = sum(8 * t.size for _, t in model.params.items()) * 3
             assert (len(raw) - data) % ALIGN == 0
             sizes.append(len(raw))
-            assert load_checkpoint(path).meta == {"epochs_done": epochs}
+            assert load_checkpoint(path).meta.epochs_done == epochs
         assert sizes[0] == sizes[1]
 
     def test_unpadded_file_still_loads(self, tmp_path):

@@ -1,14 +1,27 @@
 """End-to-end command-line runs on a miniature copy task."""
 
 import configparser
+import contextlib
 import dataclasses
+import io
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import types
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlrf import autodiff as ad
 from mlrf import config, data, training
-from mlrf.checkpoint import build_model, load_checkpoint, save_checkpoint
+from mlrf.checkpoint import RunMeta, build_model, load_checkpoint, save_checkpoint
 from mlrf.cli import main
 from mlrf.config import ConfigError, DataConfig, RunConfig, load_config
 from mlrf.data import EOS_ID, Vocabulary
@@ -229,6 +242,10 @@ BAD_VALUES = [
     ("train", {"clip_norm": "0"}, "clip_norm must be above 0"),
     ("train", {"epochs_phase1": "-1"}, "epochs_phase1"),
     ("train", {"epochs_phase2": "-1"}, "epochs_phase2"),
+    ("train", {"restart_lr": "nan"}, "restart_lr"),
+    ("train", {"restart_lr": "inf"}, "restart_lr"),
+    ("train", {"adam_eps": "nan"}, "adam_eps"),
+    ("train", {"adam_eps": "inf"}, "adam_eps"),
     ("data", {"task": "copyy"}, "unknown synthetic task 'copyy'"),
     ("data", {"min_len": "12"}, "min_len <= max_len"),
     ("data", {"task": None, "train_src": "a.txt"}, "train_src and train_tgt"),
@@ -470,19 +487,24 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("command", ["translate", "evaluate", "export-attention", "train"])
     @pytest.mark.parametrize("key,value,why", [
-        ("seed", [1], "meta seed is not an integer"),
-        ("src_vocab_tokens", 5, "meta src_vocab_tokens is not a list of strings"),
-        ("tgt_vocab_tokens", ["s0", 1], "meta tgt_vocab_tokens is not a list of strings"),
-        ("epochs_done", [2], "meta epochs_done is not an integer >= 0"),
-        ("best_valid_loss", "0.5", "meta best_valid_loss is not a number"),
-        ("last_valid_acc", [0.5], "meta last_valid_acc is neither null nor a number"),
+        ("seed", [1], "seed must be an integer"),
+        ("src_vocab_tokens", 5, "src_vocab_tokens must be a list of strings"),
+        ("tgt_vocab_tokens", ["s0", 1], "tgt_vocab_tokens must be a list of strings"),
+        ("epochs_done", [2], "epochs_done must be an integer"),
+        ("epochs_done", -1, "epochs_done must be >= 0"),
+        ("best_valid_loss", "0.5", "best_valid_loss must be a number"),
+        ("last_valid_acc", [0.5], "last_valid_acc must be a number"),
     ])
     def test_wrongly_typed_meta_is_a_corrupt_checkpoint(
         self, tmp_path, capsys, command, key, value, why
     ):
         ckpt = tmp_path / "model.ckpt"
-        meta = {"seed": 0, "src_vocab_tokens": ["s0"], "tgt_vocab_tokens": ["s0"], key: value}
+        meta = {"seed": 0, "src_vocab_tokens": ["s0"], "tgt_vocab_tokens": ["s0"]}
         save_checkpoint(ckpt, toy_model(), meta=meta)
+        with pytest.raises(ValueError, match=why):
+            save_checkpoint(tmp_path / "refused.ckpt", toy_model(), meta={**meta, key: value})
+        assert not (tmp_path / "refused.ckpt").exists()
+        rewrite_header(ckpt, lambda header: header["meta"].update({key: value}))
         with pytest.raises(ValueError, match=f"corrupt checkpoint .*{why}"):
             load_checkpoint(ckpt)
         inp = tmp_path / "in.txt"
@@ -502,8 +524,116 @@ class TestCheckpointErrors:
         meta = {"seed": 0, "epochs_done": 2, "best_valid_loss": float("inf"),
                 "last_valid_acc": None}
         save_checkpoint(ckpt, toy_model(), meta=meta)
-        assert load_checkpoint(ckpt).meta == meta
+        assert load_checkpoint(ckpt).meta == RunMeta(**meta)
 
+
+# every field of a checkpoint header, with its annotated type
+HEADER_FIELDS = [
+    (section, f.name, typing.get_type_hints(cls)[f.name])
+    for section, cls in [
+        ("model", ModelConfig), ("fusion", FusionConfig), ("train", TrainConfig), ("meta", RunMeta),
+    ]
+    for f in dataclasses.fields(cls)
+] + [("optimizer", "t", int), ("optimizer", "phase", str)]
+
+# type swaps, then extremes
+HEADER_VALUES = [
+    "x", 2.5, True, None, [1], math.nan, -1, 0, 10**6, 1e308, math.inf, -math.inf,
+]
+
+
+def is_of_type(value, hint) -> bool:
+    """``value``, as JSON reads it, is of the annotated type ``hint``: a
+    float may be an int, but NaN is no number."""
+    if isinstance(hint, types.UnionType):
+        return any(is_of_type(value, h) for h in typing.get_args(hint))
+    if hint is float:
+        return type(value) in (int, float) and not math.isnan(value)
+    if hint == list[str]:
+        return type(value) is list and all(type(v) is str for v in value)
+    return type(value) is hint
+
+
+@pytest.fixture(scope="module")
+def resumable(tmp_path_factory):
+    """A tiny run's checkpoint after its first epoch, a config that resumes
+    it for a second epoch, and a source file."""
+    tmp_path = tmp_path_factory.mktemp("resumable")
+    out = tmp_path / "out"
+    assert main(["train", "--config", write_cfg(tmp_path, "one.cfg", 1, 0), "--out", str(out)]) == 0
+    inp = tmp_path / "in.txt"
+    inp.write_text("s0 s1 s2\n")
+    return out / "last.ckpt", write_cfg(tmp_path, "two.cfg", 1, 1), inp
+
+
+class TestHeaderFuzz:
+    @pytest.mark.parametrize(
+        "section,name,hint", HEADER_FIELDS, ids=[f"{s}.{n}" for s, n, _ in HEADER_FIELDS]
+    )
+    def test_one_edited_header_value_is_exit_0_or_one_error_line(
+        self, resumable, section, name, hint
+    ):
+        """``translate`` and ``train --resume`` on a checkpoint with one
+        header value edited end in exit 0, or in exit 2 with one ``error:``
+        line, never in another exception; a value of the wrong type is
+        always exit 2."""
+        base, cfg, inp = resumable
+
+        @given(value=st.sampled_from(HEADER_VALUES), command=st.sampled_from(["translate", "train"]))
+        @settings(max_examples=24, deadline=None, database=None)
+        def check(value, command):
+            with tempfile.TemporaryDirectory() as tmp:
+                ckpt = Path(tmp) / "m.ckpt"
+                shutil.copyfile(base, ckpt)
+                rewrite_header(ckpt, lambda header: header[section].update({name: value}))
+                if command == "translate":
+                    argv = ["translate", "--checkpoint", str(ckpt), str(inp)]
+                else:
+                    argv = ["train", "--config", cfg, "--out", tmp, "--resume", str(ckpt)]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+            assert (code, len(errors)) in ((0, 0), (2, 1)), (code, err.getvalue())
+            if not is_of_type(value, hint):
+                assert code == 2
+
+        check()
+
+    @pytest.mark.parametrize("key,value,exit_code", [("max_len", 10**8, 0), ("n_layers", 10**6, 2)])
+    def test_huge_header_size_costs_little_memory(
+        self, trained, tmp_path, key, value, exit_code
+    ):
+        """A huge size in the header allocates nothing in proportion: only
+        the positions a sentence uses are computed (at 10**8 the whole
+        position table would take 12.8 GB), and a depth is compared with the
+        tensor index before anything is built per layer.  The child process
+        is capped at 1 GiB of address space."""
+        _, out = trained
+        ckpt = tmp_path / "huge.ckpt"
+        shutil.copyfile(out / "last.ckpt", ckpt)
+        rewrite_header(ckpt, lambda header: header["model"].update({key: value}))
+        inp = tmp_path / "in.txt"
+        inp.write_text("s0 s1 s2\n")
+        code = (
+            "import resource, sys; cap = 1 << 30; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "from mlrf.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "translate", "--checkpoint", str(ckpt), str(inp)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == exit_code, proc.stderr
+        if exit_code == 0:
+            assert len(proc.stdout.splitlines()) == 1
+        else:
+            assert proc.stderr.startswith(f"error: corrupt checkpoint {ckpt}: model n_layers")
+            assert len(proc.stderr.splitlines()) == 1
 
 class TestTranslate:
     def test_writes_one_line_per_input(self, trained, tmp_path):
@@ -536,7 +666,7 @@ class TestTranslate:
         ])
         ckpt = load_checkpoint(out / "last.ckpt")
         model = build_model(ckpt)
-        vocab = Vocabulary(ckpt.meta["tgt_vocab_tokens"])
+        vocab = Vocabulary(ckpt.meta.tgt_vocab_tokens)
         ids = vocab.encode("s1 s2 s3".split()) + [EOS_ID]
         expect = greedy_decode(SentenceScorer(model, ids), max_len=8)
         assert dest.read_text().splitlines()[0].split() == vocab.decode(expect)
@@ -607,7 +737,7 @@ class TestEvaluate:
         meta = load_checkpoint(ckpt).meta
         corpus = data.ParallelCorpus([(line.split(), line.split()) for line in lines])
         in_order = data.make_batches(
-            corpus, Vocabulary(meta["src_vocab_tokens"]), Vocabulary(meta["tgt_vocab_tokens"]), 32
+            corpus, Vocabulary(meta.src_vocab_tokens), Vocabulary(meta.tgt_vocab_tokens), 32
         )
         assert got["accuracy"] == training.evaluate_teacher_forced(model, in_order)["accuracy"]
         assert 0.0 < got["accuracy"] < 1.0

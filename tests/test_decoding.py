@@ -154,9 +154,13 @@ class TestBeam:
         with pytest.raises(ValueError):
             BeamConfig(width=0)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize("alpha,why", [
+        (float("nan"), "length_alpha must be a number, got nan"),  # the field's type check
+        (float("inf"), "finite"),
+        (-float("inf"), "finite"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_alpha_rejected(self, alpha, why):
+        with pytest.raises(ValueError, match=why):
             BeamConfig(length_alpha=alpha)
 
     def test_negative_alpha_allowed(self):

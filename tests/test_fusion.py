@@ -1,11 +1,19 @@
 """Fusion functions: values, shapes, distributions, reachability, counts."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
-from mlrf.fusion import FusionConfig, fuse_avg, fuse_self_attention, fuse_side
+from mlrf import config
+from mlrf.checkpoint import RunMeta
+from mlrf.config import DataConfig
+from mlrf.decoding import BeamConfig
+from mlrf.fusion import FusionConfig, field_types, fuse_avg, fuse_self_attention, fuse_side
 from mlrf.model import Transformer, init_parameters, param_specs
+from mlrf.training import TrainConfig
 from tests.conftest import (
     count_scalars, padded, random_sentences, stack, sum_, toy_config, toy_model,
 )
@@ -122,7 +130,7 @@ class TestSelfAttention:
         model.params["fusion.decoder.att.w2"].data[:] = 0.0
         result, _ = forward_toy(model)
         trace = result.decoder_trace
-        np.testing.assert_allclose(trace.weights, 1.0 / trace.n_layers, atol=1e-12)
+        np.testing.assert_allclose(trace.weights, 1.0 / trace.weights.shape[2], atol=1e-12)
 
     def test_single_hop_degrades_to_one_vector(self):
         model = toy_model("decoder", "self_attention", n_hop=1)
@@ -130,7 +138,7 @@ class TestSelfAttention:
         # the hop stack flattens to a single width-d vector per position
         assert model.params["fusion.decoder.fnn.w1"].shape == (d, d_f)
         result, _ = forward_toy(model)
-        assert result.decoder_trace.n_hops == 1
+        assert result.decoder_trace.weights.shape[1] == 1
 
     def test_weights_are_distributions_everywhere(self):
         model = toy_model("both", "self_attention", seed=17)
@@ -231,7 +239,7 @@ class TestAttach:
         with_emb = toy_model("decoder", "self_attention", include_embedding=True)
         without = toy_model("decoder", "self_attention", include_embedding=False)
         (ra, _), (rb, _) = forward_toy(with_emb), forward_toy(without)
-        assert ra.decoder_trace.n_layers == rb.decoder_trace.n_layers + 1
+        assert ra.decoder_trace.weights.shape[2] == rb.decoder_trace.weights.shape[2] + 1
         assert ra.decoder_trace.first_layer == 0
         assert rb.decoder_trace.first_layer == 1
 
@@ -379,3 +387,42 @@ class TestConfigValidation:
     def test_integer_fields_refuse_bools_and_floats(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             FusionConfig(**{key: value})
+
+
+# (config class, field values, the error): one field of each type, and each
+# config class that checks its fields
+MISTYPED = [
+    (FusionConfig, {"include_embedding": "x"}, "include_embedding must be a bool, got 'x'"),
+    (FusionConfig, {"share_w1": 1}, "share_w1 must be a bool, got 1"),
+    (FusionConfig, {"side": 1}, "side must be a string, got 1"),
+    (TrainConfig, {"clip_norm": True}, "clip_norm must be a number, got True"),
+    (TrainConfig, {"restart_lr": math.nan}, "restart_lr must be a number, got nan"),
+    (TrainConfig, {"seed": "x"}, "seed must be an integer, got 'x'"),
+    (DataConfig, {"alphabet": 20.0}, "alphabet must be an integer, got 20.0"),
+    (DataConfig, {"task": 3}, "task must be a string, got 3"),
+    (config._RunSection, {"seed": True}, "seed must be an integer, got True"),
+    (BeamConfig, {"width": 2.0}, "width must be an integer, got 2.0"),
+    (BeamConfig, {"length_alpha": None}, "length_alpha must be a number, got None"),
+    (RunMeta, {"src_vocab_tokens": ["a", 1]}, "src_vocab_tokens must be a list of strings"),
+    (RunMeta, {"tgt_vocab_tokens": "ab"}, "tgt_vocab_tokens must be a list of strings"),
+]
+
+
+class TestCheckTypes:
+    @pytest.mark.parametrize(
+        "cls,kw,message", MISTYPED, ids=[f"{c.__name__}.{next(iter(k))}" for c, k, _ in MISTYPED]
+    )
+    def test_a_field_refuses_a_value_of_another_type(self, cls, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**kw)
+
+    def test_a_float_field_takes_an_int_and_an_optional_field_none(self):
+        assert TrainConfig(restart_lr=1, clip_norm=None).restart_lr == 1
+        assert RunMeta(last_valid_acc=None, src_vocab_tokens=None).src_vocab_tokens is None
+        assert toy_config(dropout=0).dropout == 0
+
+    def test_field_types_reads_optional_annotations(self):
+        types = field_types(RunMeta)
+        assert types["seed"] == (int, False)
+        assert types["last_valid_acc"] == (float, True)
+        assert types["src_vocab_tokens"] == (list[str], True)

@@ -36,6 +36,13 @@ class TestPositionalEncoding:
         with pytest.raises(ValueError):
             positional_encoding(4, 5)
 
+    @pytest.mark.parametrize("d", [16, 32, 256, 300])
+    def test_rows_from_start_equal_the_full_table_bit_for_bit(self, d):
+        full = positional_encoding(1024, d)
+        for start in range(0, 1024, 31):
+            for end in {start + 1, min(start + 7, 1024), min(start + 100, 1024), 1024}:
+                np.testing.assert_array_equal(positional_encoding(end, d, start), full[start:end])
+
 
 def self_attention(x, params, prefix, mask=None):
     """The self-attention sublayer ``prefix`` (of layer 0, so its norm is
