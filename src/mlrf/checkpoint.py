@@ -3,15 +3,15 @@
 Layout: one magic line, one line with the header byte length, a JSON text
 header (configs, counters, run metadata, and a tensor index), then the named
 raw tensor blocks as little-endian float64 in index order.  The configs and
-the run metadata are dataclasses that check their fields' types when built
-(``fusion.check_types``), so a save refuses what a load would.  A save pads the
-header with trailing spaces, inside its declared length, and writes that
-length with leading zeros to a width fixed by the header's size, so the
-tensor data starts at a multiple of ``ALIGN`` bytes; the file size then does
-not change when a counter gains a digit.  Serialization is canonical (sorted
-keys, fixed separators), so save -> load -> save is byte-identical.  A save
-writes a temporary file beside the target, fsyncs it and renames it over the
-target, so the previous file survives a failed write.
+the run metadata (``RunMeta``) check their fields' types when built, so a save
+refuses what a load would; a load ignores a meta key that no field names.  A
+save pads the header with trailing spaces, inside its declared length, and
+writes that length with leading zeros to a width fixed by the header's size,
+so the tensor data starts at a multiple of ``ALIGN`` bytes; the file size then
+does not change when a counter gains a digit.  Serialization is canonical
+(sorted keys, fixed separators), so save -> load -> save is byte-identical.  A
+save writes a temporary file beside the target, fsyncs it and renames it over
+the target, so the previous file survives a failed write.
 
 A load maps the file copy-on-write, and every block, parameter or Adam
 moment, is a view of that mapping, paged in only when read.  Two builders
@@ -39,7 +39,7 @@ from typing import Any
 import numpy as np
 
 from .autodiff import ParamStore, Tensor
-from .fusion import FusionConfig, check_types
+from .fusion import FusionConfig, check_types, field_types
 from .model import ModelConfig, Transformer
 from .training import AdamState, TrainConfig
 
@@ -49,8 +49,7 @@ ALIGN = 4096
 
 @dataclass
 class RunMeta:
-    """A checkpoint's run: seed, epochs finished, validation scores (loss inf
-    before any) and the content tokens of its vocabularies, if it has them."""
+    """A run's seed, epochs done, validation scores and vocabulary tokens."""
 
     seed: int = 0
     epochs_done: int = 0
@@ -84,10 +83,9 @@ def save_checkpoint(
     model: Transformer,
     state: AdamState | None = None,
     train_config: TrainConfig | None = None,
-    meta: dict[str, Any] | None = None,
+    meta: RunMeta | dict[str, Any] | None = None,  # a dict holds RunMeta's keyword arguments
 ) -> None:
-    """Write the model and what is given of its Adam state, train config and
-    ``meta`` (``RunMeta``'s keyword arguments, checked first) to ``path``."""
+    """Write the model and what is given of its Adam state, config and run to ``path``."""
     params = model.params
     entries = [(name, t.data) for name, t in params.items()]
     opt = None
@@ -100,7 +98,7 @@ def save_checkpoint(
         "fusion": asdict(model.fusion),
         "train": asdict(train_config) if train_config is not None else None,
         "optimizer": opt,
-        "meta": asdict(RunMeta(**(meta or {}))),
+        "meta": asdict(meta if isinstance(meta, RunMeta) else RunMeta(**(meta or {}))),
         "tensors": [[name, list(arr.shape)] for name, arr in entries],
     }
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -178,7 +176,10 @@ def load_checkpoint(path) -> Checkpoint:
                 param_names = [name for name in names if not name.startswith("opt.")]
                 if moments != sorted(f"opt.{k}.{name}" for k in "mv" for name in param_names):
                     raise ValueError("the Adam moment blocks are not one m and one v per parameter")
-            meta = RunMeta(**header.get("meta", {}))
+            meta = header.get("meta", {})
+            if not isinstance(meta, dict):
+                raise ValueError(f"meta is not an object: {meta!r}")
+            meta = RunMeta(**{k: v for k, v in meta.items() if k in field_types(RunMeta)})
             model_config = ModelConfig(**header["model"])
             # before anything is built per layer: a huge n_layers would
             # list millions of parameters before they could be compared
@@ -236,9 +237,7 @@ def _copied_model(ckpt: Checkpoint, dtype) -> Transformer:
         first, end = -(-start // page) * page, (start + arr.nbytes) // page * page
         if end > first and hasattr(mapping, "madvise"):
             mapping.madvise(mmap.MADV_DONTNEED, first, end - first)
-    return Transformer(
-        ckpt.model_config, ckpt.fusion_config, params=params, seed=ckpt.meta.seed
-    )
+    return Transformer(ckpt.model_config, ckpt.fusion_config, params=params, seed=ckpt.meta.seed)
 
 
 def build_model(ckpt: Checkpoint) -> Transformer:

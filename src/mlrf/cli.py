@@ -16,7 +16,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +111,6 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         model = Transformer(model_cfg, run_cfg.fusion, seed=seed)
         state = AdamState(model.params)
         meta = RunMeta()
-    epochs_done = meta.epochs_done
     meta.seed = seed
     # the content tokens: Vocabulary prepends RESERVED when it reads them
     meta.src_vocab_tokens = src_vocab.decode(range(len(RESERVED), len(src_vocab)), False)
@@ -122,10 +121,6 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         valid_batches = make_batches(
             valid_corpus, src_vocab, tgt_vocab, tcfg.batch_phase2, sort_by_length=True
         )
-
-    def save(path, epochs_finished: int) -> None:
-        meta.epochs_done = epochs_finished
-        save_checkpoint(path, model, state, tcfg, asdict(meta))
 
     metrics_path = out_dir / "metrics.tsv"
     report = RunReport()
@@ -138,7 +133,7 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
             report.add(m, meta.last_valid_acc)
 
     total_epochs = tcfg.epochs_phase1 + tcfg.epochs_phase2
-    for epoch in range(epochs_done, total_epochs):
+    for epoch in range(meta.epochs_done, total_epochs):
         if epoch < tcfg.epochs_phase1:
             phase, batch_size = "warmup_schedule", tcfg.batch_phase1
         else:
@@ -158,20 +153,22 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         stats = train_epoch(model, batches, state, tcfg, on_step=on_step)
         # before the checkpoints: a resume from the last one keeps these rows
         report.write(metrics_path)
+        meta.epochs_done = epoch + 1
         if valid_batches is not None:
             valid = evaluate_teacher_forced(model, valid_batches)
             meta.last_valid_acc = valid["accuracy"]
             if valid["loss"] < meta.best_valid_loss:
                 meta.best_valid_loss = valid["loss"]
-                save(out_dir / "best.ckpt", epoch + 1)
-        save(out_dir / "last.ckpt", epoch + 1)
+                save_checkpoint(out_dir / "best.ckpt", model, state, tcfg, meta)
+        save_checkpoint(out_dir / "last.ckpt", model, state, tcfg, meta)
         log.info(
             "epoch %d/%d [%s] loss %.4f acc %.4f%s",
             epoch + 1, total_epochs, phase, stats["loss"], stats["accuracy"],
             f" valid_acc {meta.last_valid_acc:.4f}" if meta.last_valid_acc is not None else "",
         )
     if valid_batches is None:
-        save(out_dir / "best.ckpt", epochs_done if total_epochs == 0 else total_epochs)
+        meta.epochs_done = total_epochs or meta.epochs_done  # as loaded when no epochs are set
+        save_checkpoint(out_dir / "best.ckpt", model, state, tcfg, meta)
 
     report.steps = state.t
     report.write(metrics_path)

@@ -4,12 +4,12 @@ Sections ``[run]`` (version, seed), ``[model]``, ``[fusion]``, ``[train]``
 and ``[data]``.  A section's keys are the fields of its dataclass, typed by
 their annotations (``fusion.field_types``, which ``check_types`` also reads
 when a dataclass is built); a field with no default is a required key.
-Exceptions: ``[model]`` calls ``n_layers``/``n_heads``
-``layers``/``heads`` and may leave out the vocabulary sizes, which are then
-derived from the data; ``[train]``'s seed is ``[run]``'s.  Every config
-object is built, and so checked, at load, and every unknown key or bad value
-is reported in one error that names its section.  ``[data]`` is either a
-synthetic task (task/alphabet/lengths/counts) or parallel text files.
+Exceptions: ``[model]`` calls ``n_layers``/``n_heads`` ``layers``/``heads``
+and may leave out the vocabulary sizes, which are then derived from the
+data; ``[train]``'s seed is ``[run]``'s.  Every config object is built, and
+so checked, at load, and every unknown key or bad value is reported in one
+error that names its section.  ``[data]`` is either a synthetic task
+(task/alphabet/lengths/counts) or parallel text files.
 """
 
 from __future__ import annotations
@@ -136,13 +136,12 @@ _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0":
 def section_keys(section: str) -> dict[str, tuple[Field, type]]:
     """``[section]``'s keys, each with its dataclass field and scalar type."""
     cls = _SECTIONS[section]
-    typed = field_types(cls)
     keys = {}
     for f in fields(cls):
         if section == "train" and f.name == "seed":
             continue  # the run seed, from [run]
         key = _MODEL_KEYS.get(f.name, f.name) if section == "model" else f.name
-        keys[key] = (f, typed[f.name][0])
+        keys[key] = (f, field_types(cls)[f.name][0])
     return keys
 
 

@@ -38,10 +38,9 @@ class BeamConfig:
 
     def __post_init__(self):
         check_types(self)
-        if self.width < 1:
-            raise ValueError("beam width must be >= 1")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        for name in ("width", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"beam {name} must be >= 1")
         if not math.isfinite(self.length_alpha):
             raise ValueError(f"length alpha must be finite, got {self.length_alpha}")
 

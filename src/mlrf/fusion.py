@@ -38,24 +38,18 @@ KINDS = ("baseline", "avg", "fnn", "self_attention")
 
 @functools.cache
 def field_types(cls) -> dict[str, tuple[type, bool]]:
-    """Each field of dataclass ``cls``: its annotated type, ``X | None`` read
-    as ``X``, and whether it may hold None."""
-    out = {}
-    for name, hint in get_type_hints(cls).items():
-        args = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-        out[name] = (args[0], type(None) in args)
-    return out
+    """Field name -> (annotated type, ``X | None`` read as X; whether None is allowed)."""
+    hints = get_type_hints(cls)
+    unions = {k: get_args(h) if isinstance(h, types.UnionType) else (h,) for k, h in hints.items()}
+    return {name: (args[0], type(None) in args) for name, args in unions.items()}
 
 
-def _is_real(v) -> bool:  # JSON's true reads as a bool, which Python counts as an int
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-# annotated type -> (what an error calls it, the test of a value)
+# annotated type -> (what an error calls it, the test of a value); JSON's true
+# reads as a bool, which Python counts as an int, and NaN is unequal to itself
 _TYPE_CHECKS = {
-    int: ("an integer", lambda v: _is_real(v) and isinstance(v, numbers.Integral)),
-    float: ("a number", lambda v: _is_real(v) and v == v),  # NaN is unequal to itself
-    bool: ("a bool", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and type(v) is not bool),
+    float: ("a number", lambda v: isinstance(v, numbers.Real) and type(v) is not bool and v == v),
+    bool: ("a bool", lambda v: type(v) is bool),
     str: ("a string", lambda v: isinstance(v, str)),
     list[str]: (
         "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
@@ -64,8 +58,7 @@ _TYPE_CHECKS = {
 
 
 def check_types(obj) -> None:
-    """ValueError unless each field of dataclass ``obj`` holds its annotated
-    type: an int field refuses a bool or a float, a float field a bool or NaN."""
+    """ValueError unless each field of dataclass ``obj`` holds its annotated type."""
     for name, (typ, optional) in field_types(type(obj)).items():
         what, ok = _TYPE_CHECKS[typ]
         value = getattr(obj, name)
@@ -100,10 +93,9 @@ class FusionConfig:
         for kind in (self.enc_kind, self.dec_kind):
             if kind not in KINDS:
                 raise ValueError(f"fusion kind must be one of {KINDS}, got {kind!r}")
-        if self.n_hop < 1:
-            raise ValueError("n_hop must be >= 1")
-        if self.d_a < 1 or self.d_f < 1:
-            raise ValueError("d_a and d_f must be >= 1")
+        for name in ("n_hop", "d_a", "d_f"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def kind_for(self, side: str) -> str:
         """Active kind on ``side`` ('encoder'/'decoder'), 'baseline' if off."""

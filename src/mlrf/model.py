@@ -229,8 +229,7 @@ def check_params(params: ParamStore, specs: Sequence[ParamSpec]) -> None:
 
 
 def positional_encoding(end: int, d: int, start: int = 0) -> np.ndarray:
-    """Rows ``start`` to ``end - 1`` of the fixed sine/cosine position table
-    (not trainable), equal bit for bit to those rows of a longer table."""
+    """Rows ``start`` to ``end - 1`` of the fixed sine/cosine position table."""
     if d % 2 != 0:
         raise ValueError("positional encoding needs an even width")
     pos = np.arange(start, end, dtype=np.float64)[:, None]
@@ -376,8 +375,7 @@ class Transformer:
     # -- embedding + stacks
 
     def _embed(self, table: str, ids, tokens, train: bool, start: int = 0) -> Tensor:
-        """Embed [B x L] ids at positions ``start`` to ``start + L - 1``, in
-        the table's dtype; only those positions are computed."""
+        """Embed [B x L] ids at positions ``start`` to ``start + L - 1``, in the table's dtype."""
         ids = np.asarray(ids, dtype=np.int64)
         end = start + ids.shape[1]
         if end > self.config.max_len:

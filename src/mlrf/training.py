@@ -44,15 +44,13 @@ class TrainConfig:
         check_types(self)
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("Adam betas must lie in (0, 1)")
-        for name in ("warmup_steps", "batch_phase1", "batch_phase2"):
+        for name in ("warmup_steps", "batch_phase1", "batch_phase2", "log_every"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be >= 1")
         if not (0 < self.restart_lr < math.inf and 0 < self.adam_eps < math.inf):
             raise ValueError("restart_lr and adam_eps must be positive and finite")
         if self.epochs_phase1 < 0 or self.epochs_phase2 < 0:
             raise ValueError("epochs_phase1 and epochs_phase2 must be >= 0")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be above 0, got {self.clip_norm}")
 
