@@ -32,7 +32,8 @@ reads:
 * ``gather_layers``: a stack of layer outputs, optionally only its real
   rows, copied once.
 * ``layer_attention``: the fusion layer's multi-hop attention over the
-  layer axis; it stores its tanh hidden layer and the hop weights.
+  layer axis; it stores its output and the hop weights, and backward
+  recomputes the tanh hidden layer a block of positions at a time.
 * ``cross_entropy``: the output projection and the mean negative
   log-likelihood, a row block of logits at a time; while the tape is live it
   forms its gradients in the forward pass and stores only them.
@@ -43,7 +44,7 @@ Private kernels give each shared computation one implementation:
 dropout), ``_softmax`` (in place), ``_attend_vjp`` (the backward of a
 softmax-weighted sum), ``_norm_forward``/``_norm_vjp`` (layer norm),
 ``_residual_norm``/``_residual_norm_vjp`` (a sublayer's dropout, residual
-sum and norm) and ``_row_blocks`` (``BLOCK_ROWS``-row slices).
+sum and norm) and ``_row_blocks`` (near-equal row slices).
 
 Dropout masks (``dropout_keep``) are boolean; an op scales the kept units by
 the scalar ``1/(1 - rate)``.  An op writes in place only into arrays it
@@ -51,8 +52,8 @@ allocated, or, in backward, into what its own forward stored, since the tape
 is single-use.  A VJP should allocate only the gradients it returns and what
 it recomputes: its other intermediates go into those buffers or into what its
 forward stored, a row block at a time where no such buffer is large enough.
-``layer_attention`` with a shared ``w1`` and ``cross_entropy`` (which
-allocates nothing in backward) keep to this, and ``ffn_residual_layer_norm``
+``layer_attention`` (block by block) and ``cross_entropy`` (which allocates
+nothing in backward) keep to this, and ``ffn_residual_layer_norm``
 does for its [..., d_ff] arrays: the relu layer's gradient is written over
 the recomputed layer.  ``attention_residual_layer_norm`` writes the merged
 heads' gradient over the recomputed heads, but its query and score
@@ -313,19 +314,22 @@ def gather_layers(layers: Sequence[Tensor], rows: np.ndarray | None = None) -> T
 MASK_PENALTY = -1e9
 
 # Rows per block where an op forms a wide product a block at a time: the
-# fusion layer's hidden-layer gradient in backward (a float64 block is 1 MiB
-# at d_a = 1024) and the loss's logits (6.3 MiB at the de_en vocabulary of
-# 6428), where the whole would be [positions * layers, d_a] or [tokens, V].
+# loss's logits (6.3 MiB at the de_en vocabulary of 6428) and the fusion
+# layer's positions (its forward's hidden rows are 4 MiB at 4 layers and
+# d_a = 1024), where the whole would be [tokens, V] or [positions * layers,
+# d_a].  The fusion backward takes about this many hidden rows per block.
 BLOCK_ROWS = 128
+# Columns per block where the loss adds a row block's share into its weight
+# gradient, so the share is at most [d, BLOCK_COLS] (2 MiB at d = 256).
+BLOCK_COLS = 1024
 
 
-def _row_blocks(m: int) -> Iterator[slice]:
-    """Near-equal slices of at most ``BLOCK_ROWS`` rows that cover ``m`` rows
-    in order; each holds at least 2 rows when m >= 2, so a product over a
-    block is a GEMM (a 1-row block is a GEMV, which rounds differently)."""
-    blocks = -(-m // BLOCK_ROWS)
-    for i in range(blocks):
-        yield slice(m * i // blocks, m * (i + 1) // blocks)
+def _row_blocks(m: int, size: int = BLOCK_ROWS) -> list[slice]:
+    """Near-equal slices of at most ``size`` (>= 4) rows that cover ``m``
+    rows in order; each holds at least 2 rows when m >= 2, so a product over
+    a block is a GEMM (a 1-row block is a GEMV, which rounds differently)."""
+    blocks = -(-m // size)
+    return [slice(m * i // blocks, m * (i + 1) // blocks) for i in range(blocks)]
 
 
 def _softmax(s: np.ndarray) -> np.ndarray:
@@ -336,10 +340,13 @@ def _softmax(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _attend_vjp(g: np.ndarray, p: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _attend_vjp(
+    g: np.ndarray, p: np.ndarray, v: np.ndarray, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``softmax(s) @ v`` from ``g``, given the softmax ``p``:
-    with respect to the scores ``s`` and to ``v``."""
-    dv = p.swapaxes(-1, -2) @ g
+    with respect to the scores ``s`` and to ``v``, the latter into ``out``
+    (a new array when None)."""
+    dv = np.matmul(p.swapaxes(-1, -2), g, out=out)
     gy = (g @ v.swapaxes(-1, -2)) * p
     ds = p * gy.sum(axis=-1, keepdims=True)
     np.subtract(gy, ds, out=ds)
@@ -358,12 +365,20 @@ def layer_attention(
     a sequence of n such matrices, one per layer; ``w2`` [d_a x n_hop] turns
     it into one energy per layer and hop.  A softmax over the layers gives
     each hop its weights, and hop p's sum is the weighted sum of the tagged
-    layers.  The tape holds the hidden layer and the weights beside the
-    output; backward recomputes ``layers + embed`` and, with a shared ``w1``,
-    allocates beside its gradients only [..., n, n_hop] scratch and one row
-    block (``BLOCK_ROWS`` rows) of the hidden layer's gradient at a
-    time.  The computation follows the unfused chain call for call, so its
-    values are bit-identical, up to the row blocks (see ``vjp``).
+    layers.
+
+    Both passes take the positions a block at a time, with one buffer for a
+    block's hidden rows, so neither holds the whole hidden layer: the tape
+    holds the output and the hop weights alone.  Backward recomputes each
+    block's ``layers + embed`` and hidden rows with the forward's GEMMs and
+    allocates beside its gradients only block-sized scratch.  The forward
+    takes ``BLOCK_ROWS`` positions per block, not ``BLOCK_ROWS`` hidden rows
+    as backward does: OpenBLAS rounds a GEMM of under 2**20 multiply-adds,
+    such as a small block's energies (n_hop columns), with another kernel
+    than the whole product.  The computation follows the unfused chain call
+    for call, so its values and the gradients of ``layers`` and ``embed``
+    are bit-identical; the weight gradients are sums over the blocks, so
+    with more than one block they differ in the last bits.
     """
     *lead, n, d = layers.shape
     lead = tuple(lead)
@@ -380,52 +395,71 @@ def layer_attention(
             f"layer_attention shape mismatch: layers {layers.shape}, layer embedding "
             f"{embed.shape}, w1 {[w.shape for w in w1s]}, w2 {w2.shape}"
         )
-    tagged = layers.data + embed.data
-    if shared:
-        hidden = tagged.reshape(-1, d) @ w1.data
-        np.tanh(hidden, out=hidden)
-    else:
-        parts = []
-        for l, w in enumerate(w1s):  # each GEMM reads a contiguous copy, as the chain's did
-            part = tagged[..., l, :].copy().reshape(-1, d) @ w.data
-            np.tanh(part, out=part)
-            parts.append(part.reshape(lead + (d_a,)))
-        hidden = np.stack(parts, axis=-2)
-    energies = (hidden.reshape(-1, d_a) @ w2.data).reshape(lead + (n, n_hop))
-    k = len(lead)
-    swap = tuple(range(k)) + (k + 1, k)
-    p = _softmax(energies.transpose(swap))
-    hops = p @ tagged
+    t, dtype = math.prod(lead), layers.data.dtype
+
+    def block_buffer(blocks):
+        """An array for the hidden rows of the largest of ``blocks``."""
+        return np.empty((n * max((r.stop - r.start for r in blocks), default=0), d_a), dtype)
+
+    def hidden_layer(tagged, out):
+        """The tanh hidden layer of [k x n x d] ``tagged``, into the first
+        k * n rows of ``out``."""
+        h = out[: tagged.shape[0] * n]
+        if shared:
+            np.matmul(tagged.reshape(-1, d), w1.data, out=h)
+        else:
+            parts = h.reshape(-1, n, d_a)
+            for l, w in enumerate(w1s):  # each GEMM reads a contiguous copy, as the chain's did
+                np.matmul(tagged[:, l].copy(), w.data, out=parts[:, l])
+        return np.tanh(h, out=h)
+
+    energies = np.empty((t, n, n_hop), dtype)
+    p_rows = energies.transpose(0, 2, 1)  # the hop weights, position by position
+    hops = np.empty((t, n_hop, d), dtype)
+    blocks = _row_blocks(t)
+    x, hidden = layers.data.reshape(t, n, d), block_buffer(blocks)
+    for r in blocks:
+        tagged = x[r] + embed.data
+        np.matmul(hidden_layer(tagged, hidden), w2.data, out=energies[r].reshape(-1, n_hop))
+        _softmax(p_rows[r])
+        np.matmul(p_rows[r], tagged, out=hops[r])
 
     def vjp(g):
-        tagged = layers.data + embed.data
-        de, dtagged = _attend_vjp(g.reshape(lead + (n_hop, d)), p, tagged)
-        de = de.transpose(swap).reshape(-1, n_hop)
-        flat = hidden.reshape(-1, d_a)
-        dw2 = flat.T @ de
-        flat *= flat  # the tape is single-use, so tanh' is written over the hidden layer
-        np.subtract(1.0, flat, out=flat)
-        # de @ w2.T in row blocks.  An entry sums only n_hop products; on
-        # OpenBLAS (Haswell kernels) the blocks equal the whole product bit
-        # for bit when d_a is a multiple of 8; else its last d_a % 8 columns
-        # can round differently
-        for r in _row_blocks(flat.shape[0]):
-            flat[r] *= de[r] @ w2.data.T
-        if shared:
-            tagged_rows = tagged.reshape(-1, d)
-            dw1s = [tagged_rows.T @ flat]
-            np.matmul(flat, w1.data.T, out=tagged_rows)  # tagged is spent: reuse it
-            dtagged += tagged
-        else:
-            dw1s = []
-            for l, w in enumerate(w1s):  # contiguous copies, as in the forward
-                dy = hidden[..., l, :].copy().reshape(-1, d_a)
-                dtagged[..., l, :] += (dy @ w.data.T).reshape(lead + (d,))
-                dw1s.append(tagged[..., l, :].copy().reshape(-1, d).T @ dy)
-        return (dtagged, dtagged.sum(axis=tuple(range(k))), *dw1s, dw2)
+        x, g = layers.data.reshape(t, n, d), g.reshape(t, n_hop, d)
+        dtagged = np.empty((t, n, d), dtype)
+        dw1s = [np.zeros(w.shape, dtype) for w in w1s]
+        dw2 = np.zeros(w2.shape, dtype)
+        blocks = _row_blocks(t, max(BLOCK_ROWS // n, 4))
+        hidden, dhidden = block_buffer(blocks), block_buffer(blocks)
+        for r in blocks:
+            tagged = x[r] + embed.data
+            de, _ = _attend_vjp(g[r], p_rows[r], tagged, out=dtagged[r])
+            de = de.transpose(0, 2, 1).reshape(-1, n_hop)
+            h = hidden_layer(tagged, hidden)
+            dw2 += h.T @ de
+            h *= h  # tanh' = 1 - h^2, written over the recomputed layer
+            np.subtract(1.0, h, out=h)
+            # a block of the chain's de @ w2.T.  An entry sums only n_hop
+            # products; on OpenBLAS (Haswell kernels) the blocks equal the
+            # whole product bit for bit when d_a is a multiple of 8; else its
+            # last d_a % 8 columns can round differently
+            h *= np.matmul(de, w2.data.T, out=dhidden[: len(h)])
+            if shared:
+                rows = tagged.reshape(-1, d)
+                dw1s[0] += rows.T @ h
+                np.matmul(h, w1.data.T, out=rows)  # tagged is spent: reuse it
+                dtagged[r] += tagged
+            else:
+                hs = h.reshape(-1, n, d_a)
+                for l, w in enumerate(w1s):  # contiguous copies, as in the forward
+                    dy = hs[:, l].copy()
+                    dtagged[r, l] += dy @ w.data.T
+                    dw1s[l] += tagged[:, l].copy().T @ dy
+        dtagged = dtagged.reshape(lead + (n, d))
+        return (dtagged, dtagged.sum(axis=tuple(range(len(lead)))), *dw1s, dw2)
 
     out = hops.reshape(lead + (n_hop * d,))
-    return _make(out, (layers, embed, *w1s, w2), vjp), p
+    return _make(out, (layers, embed, *w1s, w2), vjp), p_rows.reshape(lead + (n_hop, n))
 
 
 def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float, out=None):
@@ -647,10 +681,11 @@ def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int
     ``x`` is [n x d] with n > 0; ``targets`` holds n class ids.  The logits
     are formed ``BLOCK_ROWS`` rows at a time, so no [n x V] array exists.
     While the tape is live, each block turns its softmax into its rows of the
-    gradient of ``x`` and adds its share into those of ``w`` and ``b`` at
-    once; the tape holds the three gradients of the mean, and backward only
-    scales them by its ``g``.  Under ``no_grad`` the op computes only the
-    loss and the count.
+    gradient of ``x`` and adds its share into those of ``w`` (``BLOCK_COLS``
+    columns at a time, so no [d x V] share exists) and ``b`` at once; the
+    tape holds the three gradients of the mean, and backward only scales
+    them by its ``g``.  Under ``no_grad`` the op computes only the loss and
+    the count.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1:] != w.shape[:1] or b.shape != w.shape[1:]:
@@ -666,7 +701,7 @@ def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int
     live = _grad_enabled and any(t.requires_grad for t in (x, w, b))
     dx = np.empty(x.shape, x.data.dtype) if live else None
     dw = db = None
-    blocks = list(_row_blocks(n))
+    blocks = _row_blocks(n)
     buf = np.empty((max(r.stop - r.start for r in blocks), v), x.data.dtype)
     nll, correct = 0.0, 0
     for r in blocks:
@@ -690,7 +725,8 @@ def cross_entropy(x: Tensor, w: Tensor, b: Tensor, targets) -> tuple[Tensor, int
         if dw is None:
             dw, db = x.data[r].T @ p, p.sum(axis=0)
         else:
-            dw += x.data[r].T @ p
+            for c in range(0, v, BLOCK_COLS):
+                dw[:, c : c + BLOCK_COLS] += x.data[r].T @ p[:, c : c + BLOCK_COLS]
             db += p.sum(axis=0)
 
     def vjp(g):
@@ -741,7 +777,9 @@ def backward(loss: Tensor) -> None:
 
     A leaf keeps the array its VJP returned when backward alone holds it (a
     new array that went to no other tensor) and a copy of a view or of an
-    array shared with another tensor, so no two leaves share a ``grad``.
+    array shared with another tensor, so no two leaves share a ``grad``.  A
+    node's later gradients are added in place into such an array, and into
+    a new sum otherwise.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -767,11 +805,16 @@ def backward(loss: Tensor) -> None:
             if pg is None or not parent.requires_grad:
                 continue
             held = buf.get(id(parent))
-            if held is not None:
-                buf[id(parent)] = (held[0] + pg, True)
-            else:
+            if held is None:
                 alone = pg.base is None and (own or pg is not g)
                 buf[id(parent)] = (pg, alone and sum(q is pg for q in grads) == 1)
+                continue
+            acc, alone = held
+            if alone:  # no tensor or view shares the array: add in place
+                acc += pg
+            else:
+                acc = acc + pg
+            buf[id(parent)] = (acc, True)
         node._parents = ()
         node._vjp = _spent
 

@@ -193,7 +193,7 @@ def load_checkpoint(path) -> Checkpoint:
                     )
             fusion_config = FusionConfig(**header["fusion"])
             train_config = TrainConfig(**header["train"]) if header["train"] else None
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:  # a deeply nested header recurses
             raise ValueError(f"corrupt checkpoint {path}: {exc}") from exc
         mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
         offset = f.tell()

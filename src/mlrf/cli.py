@@ -214,7 +214,15 @@ def _load_model_and_vocabs(path):
     src, tgt = ckpt.meta.src_vocab_tokens, ckpt.meta.tgt_vocab_tokens
     if src is None or tgt is None:
         raise ConfigError(f"checkpoint {path} holds no vocabularies")
-    return model, Vocabulary(src), Vocabulary(tgt)
+    vocabs = Vocabulary(src), Vocabulary(tgt)
+    sizes = model.config.src_vocab, model.config.tgt_vocab
+    for side, vocab, size in zip(("src", "tgt"), vocabs, sizes):
+        if len(vocab) != size:
+            raise ConfigError(
+                f"corrupt checkpoint {path}: {side}_vocab_tokens make a vocabulary of "
+                f"{len(vocab)}, but the model's {side}_vocab is {size}"
+            )
+    return (model, *vocabs)
 
 
 def _beam_config(args) -> BeamConfig:

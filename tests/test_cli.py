@@ -20,7 +20,7 @@ import pytest
 
 from mlrf import autodiff as ad
 from mlrf import config, data, training
-from mlrf.checkpoint import RunMeta, build_model, load_checkpoint, save_checkpoint
+from mlrf.checkpoint import MAGIC, RunMeta, build_model, load_checkpoint, save_checkpoint
 from mlrf.cli import main
 from mlrf.config import ConfigError, DataConfig, RunConfig, load_config
 from mlrf.data import EOS_ID, Vocabulary
@@ -517,6 +517,43 @@ class TestCheckpointErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: corrupt checkpoint {ckpt}: {why}")
+
+    @pytest.mark.parametrize("command", ["translate", "evaluate", "export-attention"])
+    @pytest.mark.parametrize("side,count", [("tgt", 1), ("src", 8)])
+    def test_vocabulary_unlike_the_model_is_a_corrupt_checkpoint(
+        self, tmp_path, capsys, command, side, count
+    ):
+        """The toy model has 11 ids: the 4 reserved ones and 7 tokens.  A
+        shorter target or a longer source token list is one error line."""
+        meta = {"seed": 0, "src_vocab_tokens": [f"s{i}" for i in range(7)],
+                "tgt_vocab_tokens": [f"s{i}" for i in range(7)]}
+        meta[f"{side}_vocab_tokens"] = [f"s{i}" for i in range(count)]
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, toy_model(), meta=meta)
+        inp = tmp_path / "in.txt"
+        inp.write_text("s0 s1\n")
+        files = [str(inp), str(inp)] if command == "evaluate" else [str(inp)]
+        assert main([command, "--checkpoint", str(ckpt), *files]) == 2
+        err = capsys.readouterr().err.splitlines()
+        size = len(data.RESERVED) + count
+        assert err == [
+            f"error: corrupt checkpoint {ckpt}: {side}_vocab_tokens make a vocabulary of "
+            f"{size}, but the model's {side}_vocab is 11"
+        ]
+
+    def test_deeply_nested_header_is_one_error_line(self, tmp_path, capsys):
+        """A header of 100,000 nested lists exhausts the JSON decoder's
+        recursion limit: a corrupt checkpoint, not a traceback."""
+        header = b"[" * 100_000
+        ckpt = tmp_path / "nested.ckpt"
+        ckpt.write_bytes(MAGIC.encode("ascii") + b"\n%d\n" % len(header) + header)
+        with pytest.raises(ValueError, match="corrupt checkpoint .*recursion"):
+            load_checkpoint(ckpt)
+        inp = tmp_path / "in.txt"
+        inp.write_text("s0 s1\n")
+        assert main(["translate", "--checkpoint", str(ckpt), str(inp)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: corrupt checkpoint {ckpt}: ")
 
     def test_counters_of_a_run_without_validation_load(self, tmp_path):
         ckpt = tmp_path / "model.ckpt"

@@ -546,7 +546,7 @@ def tape_bytes(order) -> int:
 # a float64 dropout scale kept by a closure) shows in the bytes.
 @pytest.mark.parametrize("side,kind,nodes,op_bytes", [
     ("none", "baseline", 115, 73912),
-    ("decoder", "self_attention", 127, 94280),
+    ("decoder", "self_attention", 127, 86984),
     ("both", "fnn", 135, 93680),
     ("decoder", "avg", 118, 80144),
 ])
@@ -587,7 +587,7 @@ def test_de_en_training_graph_is_pinned():
     loss, _ = model.loss(result.rep, batch.tgt_out[batch.tgt_mask])
     order = ad._toposort(loss)
     ops = [t for t in order if t._vjp is not None]
-    assert (len(ops), tape_bytes(order)) == (41, 21572496)
+    assert (len(ops), tape_bytes(order)) == (41, 20032400)
 
 
 class TestCounts:
