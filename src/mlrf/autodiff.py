@@ -19,12 +19,13 @@ reads:
   stores its output, the ids and the mask.
 * ``linear``: a dense layer ``x @ W + b`` with an optional bias and an
   optional relu; it stores its output alone.
-* ``attention_residual_layer_norm``: a whole post-norm attention sublayer
-  over given key and value projections, ``layer_norm(x + dropout(attention(x
-  @ Wq + bq, k, v) @ Wo + bo))``, heads split as views; it stores its
-  output, the normalized sum, the dropout mask and the softmax
-  probabilities, and backward recomputes the query projection and the
-  merged heads.
+* ``attention_residual_layer_norm``: a whole post-norm attention sublayer,
+  ``layer_norm(x + dropout(attention(x @ Wq + bq, k, v) @ Wo + bo))`` with
+  keys and values projected from a source (``src @ Wk + bk``, ``src @ Wv +
+  bv``) after any cached ones, heads split as views; it stores its output,
+  the normalized sum, the dropout mask and the softmax probabilities, and
+  backward recomputes the values, the merged heads, the query projection
+  and the keys, one projection at a time.
 * ``ffn_residual_layer_norm``: a whole post-norm FFN sublayer,
   ``layer_norm(x + dropout(relu(x @ W1 + b1) @ W2 + b2))``; it stores its
   output, the normalized sum and the dropout mask, and backward recomputes
@@ -40,11 +41,13 @@ reads:
 * ``layer_norm``, ``reshape`` and ``mean_``.
 
 Private kernels give each shared computation one implementation:
-``_affine``/``_affine_vjp`` (``rows @ W + b``), ``_dropped`` (inverted
-dropout), ``_softmax`` (in place), ``_attend_vjp`` (the backward of a
-softmax-weighted sum), ``_norm_forward``/``_norm_vjp`` (layer norm),
-``_residual_norm``/``_residual_norm_vjp`` (a sublayer's dropout, residual
-sum and norm) and ``_row_blocks`` (near-equal row slices).
+``_affine``/``_affine_vjp`` (``rows @ W + b``), ``_projection`` (an attention
+sublayer's keys or values, which ``key_values`` also gives a decoder to
+cache), ``_dropped`` (inverted dropout), ``_softmax`` (in place),
+``_attend_vjp`` (the backward of a softmax-weighted sum),
+``_norm_forward``/``_norm_vjp`` (layer norm), ``_residual_norm``/
+``_residual_norm_vjp`` (a sublayer's dropout, residual sum and norm) and
+``_row_blocks`` (near-equal row slices).
 
 Dropout masks (``dropout_keep``) are boolean; an op scales the kept units by
 the scalar ``1/(1 - rate)``.  An op writes in place only into arrays it
@@ -56,9 +59,10 @@ forward stored, a row block at a time where no such buffer is large enough.
 nothing in backward) keep to this, and ``ffn_residual_layer_norm``
 does for its [..., d_ff] arrays: the relu layer's gradient is written over
 the recomputed layer.  ``attention_residual_layer_norm`` writes the merged
-heads' gradient over the recomputed heads, but its query and score
-gradients are arrays of their own.  The [..., d] temporaries of the layer
-norm's VJP, and the other VJPs, still make arrays of their own.
+heads' gradient over the recomputed heads and drops the recomputed values
+and their gradient before it recomputes the keys, but its query, score, key
+and value gradients are arrays of their own.  The [..., d] temporaries of
+the layer norm's VJP, and the other VJPs, still make arrays of their own.
 """
 
 from __future__ import annotations
@@ -375,10 +379,15 @@ def layer_attention(
     takes ``BLOCK_ROWS`` positions per block, not ``BLOCK_ROWS`` hidden rows
     as backward does: OpenBLAS rounds a GEMM of under 2**20 multiply-adds,
     such as a small block's energies (n_hop columns), with another kernel
-    than the whole product.  The computation follows the unfused chain call
-    for call, so its values and the gradients of ``layers`` and ``embed``
-    are bit-identical; the weight gradients are sums over the blocks, so
-    with more than one block they differ in the last bits.
+    than a larger one.  The computation follows the unfused chain call for
+    call, but its values are bit-identical to the chain's only while each
+    block's energy GEMM falls on the same side of that threshold as the
+    whole product: at de_en widths (4 layers, d_a = 1024, 4 hops) a full
+    block has 2**21 multiply-adds and every block of several has at
+    least 2**20, while 2 hops would put a block of a longer batch under it.
+    Where the values match, so do the gradients of ``layers`` and
+    ``embed``; the weight gradients are sums over the blocks, so with more
+    than one block they differ in the last bits.
     """
     *lead, n, d = layers.shape
     lead = tuple(lead)
@@ -519,12 +528,35 @@ def _residual_norm_vjp(g, xhat, inv, gain, keep, rate):
     return dx, ds.reshape(-1, ds.shape[-1]), dgain, dbias
 
 
+def _projection(src: Tensor | None, w: Tensor, b: Tensor, past: np.ndarray | None) -> np.ndarray:
+    """Keys or values [B x Lk x d]: the cached rows ``past``, then the
+    projection ``src @ w + b`` of ``src`` [B x Ls x d]; None stands for no
+    rows."""
+    if src is None:
+        return past
+    y = _affine(src.data.reshape(-1, src.shape[-1]), w, b).reshape(src.shape)
+    return y if past is None else np.concatenate([past, y], axis=1)
+
+
+def key_values(
+    src: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor
+) -> tuple[np.ndarray, np.ndarray]:
+    """The key and value projections of ``src`` [B x L x d], off the tape:
+    what ``attention_residual_layer_norm`` computes from ``src``, for a
+    decoder to cache."""
+    return _projection(src, wk, bk, None), _projection(src, wv, bv, None)
+
+
 def attention_residual_layer_norm(
     x: Tensor,
-    k: Tensor,
-    v: Tensor,
+    src: Tensor | None,
+    past: tuple[np.ndarray, np.ndarray] | None,
     wq: Tensor,
     bq: Tensor,
+    wk: Tensor,
+    bk: Tensor,
+    wv: Tensor,
+    bv: Tensor,
     wo: Tensor,
     bo: Tensor,
     gain: Tensor,
@@ -534,41 +566,49 @@ def attention_residual_layer_norm(
     keep: np.ndarray | None = None,
     rate: float = 0.0,
     eps: float = 1e-6,
-) -> Tensor:
+) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
     """``layer_norm(x + dropout(attention(x @ wq + bq, k, v) @ wo + bo))`` as
-    one node: a whole post-norm attention sublayer over given keys and
-    values.
+    one node: a whole post-norm attention sublayer.  Returns the node and
+    the keys and values ``(k, v)``, which a decoder caches.
 
-    ``x`` [B x Lq x d] is the query input and the residual, ``k`` and ``v``
-    [B x Lk x d] the key and value projections, ``wq``/``bq`` and
-    ``wo``/``bo`` the query and output projections.  Heads are views
-    [B x H x L x d/H] of the query, key and value arrays, and the scores are
-    ``(q . k^T) * 1/sqrt(d/H)``.  ``mask`` is boolean and broadcasts to
-    [B x 1 x Lq x Lk]; its False entries get a ``MASK_PENALTY`` added, which
-    underflows to an exact zero weight after the softmax.  A row with no
-    allowed key gets the same penalty on every score, so it keeps its
-    unmasked weights up to the penalty's rounding (about 1e-7 in float64).
-    ``keep`` is the boolean mask ``dropout_keep`` drew at ``rate`` (None: no
-    dropout).
+    ``x`` [B x Lq x d] is the query input and the residual, ``wq``/``bq``
+    and ``wo``/``bo`` the query and output projections.  The keys and values
+    [B x Lk x d] are the cached ``past`` (not differentiated), then the
+    projections ``src @ wk + bk`` and ``src @ wv + bv`` of ``src`` [B x Ls
+    x d]; either may be None, not both.  Heads are views [B x H x L x d/H]
+    of the query, key and value arrays, and the scores are ``(q . k^T) *
+    1/sqrt(d/H)``.  ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk];
+    its False entries get a ``MASK_PENALTY`` added, which underflows to an
+    exact zero weight after the softmax.  A row with no allowed key gets the
+    same penalty on every score, so it keeps its unmasked weights up to the
+    penalty's rounding (about 1e-7 in float64).  ``keep`` is the boolean
+    mask ``dropout_keep`` drew at ``rate`` (None: no dropout).
 
     The tape holds the output, the normalized sum, the dropout mask and the
-    softmax probabilities.  Backward recomputes the query projection and the
-    merged heads ``p @ v`` with the forward's GEMMs, so the values and
-    gradients are bit for bit those of the query projection, the attention
-    and the output projection's residual norm run as three ops.
+    softmax probabilities (and ``past``, if given).  Backward recomputes the
+    values and the merged heads ``p @ v``, then the query projection and the
+    keys, with the forward's GEMMs, and drops the values and their gradient
+    before it forms the keys.  The values and gradients are bit for bit
+    those of the key, value and query projections, the attention and the
+    output projection's residual norm run as separate ops: ``src``'s two
+    gradients come after ``x``'s two, in the order the key and value
+    projections would add them.
     """
     b, lq, d = x.shape
-    lk = k.shape[1]
+    lp = 0 if past is None else past[0].shape[1]
+    lk = lp + (0 if src is None else src.shape[1])
     if (
         d % n_heads
-        or k.shape != (b, lk, d)
-        or v.shape != k.shape
-        or any(w.shape != (d, d) for w in (wq, wo))
-        or any(t.shape != (d,) for t in (bq, bo))
+        or (src is None and past is None)
+        or (src is not None and src.shape != (b, lk - lp, d))
+        or (past is not None and (past[0].shape != (b, lp, d) or past[1].shape != past[0].shape))
+        or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
+        or any(t.shape != (d,) for t in (bq, bk, bv, bo))
     ):
         raise ValueError(
-            f"attention shape mismatch: {x.shape}/{k.shape}/{v.shape}, {n_heads} heads, "
-            f"wq {wq.shape} + {bq.shape}, wo {wo.shape} + {bo.shape}"
+            f"attention shape mismatch: x {x.shape}, src {None if src is None else src.shape}, "
+            f"past {None if past is None else [a.shape for a in past]}, {n_heads} heads, "
+            f"weights {[w.shape for w in (wq, wk, wv, wo)]} + {[t.shape for t in (bq, bk, bv, bo)]}"
         )
     full = (b, 1, lq, lk)
     if mask is not None and (
@@ -577,45 +617,69 @@ def attention_residual_layer_norm(
         raise ValueError(f"mask shape {mask.shape} does not broadcast to {full}")
     dh = d // n_heads
     rows = x.data.reshape(-1, d)
-    kt = k.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 3, 1)
-    vh = v.data.reshape(b, lk, n_heads, dh).transpose(0, 2, 1, 3)
+    past_k, past_v = (None, None) if past is None else past
     c = 1.0 / math.sqrt(dh)
 
+    def split(a, axes):  # [B x L x d] -> a view of its heads, axes of [B x L x H x d/H]
+        return a.reshape(b, -1, n_heads, dh).transpose(axes)
+
     def query_heads():
-        return _affine(rows, wq, bq).reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3)
+        return split(_affine(rows, wq, bq), (0, 2, 1, 3))
 
-    def merged_heads():  # [B*Lq x d]
-        return (p @ vh).transpose(0, 2, 1, 3).reshape(-1, d)
+    def merged_heads(v):  # [B*Lq x d]
+        return (p @ split(v, (0, 2, 1, 3))).transpose(0, 2, 1, 3).reshape(-1, d)
 
-    p = query_heads() @ kt
+    k = _projection(src, wk, bk, past_k)
+    p = query_heads() @ split(k, (0, 2, 3, 1))
     p *= c
     if mask is not None:
         p += np.where(mask, 0.0, MASK_PENALTY)
     _softmax(p)
-    data, xhat, inv = _residual_norm(x, merged_heads(), wo, bo, gain, bias, keep, rate, eps)
+    v = _projection(src, wv, bv, past_v)
+    data, xhat, inv = _residual_norm(x, merged_heads(v), wo, bo, gain, bias, keep, rate, eps)
+
+    def source_vjp(dheads, w, w_bias):
+        """``src``'s gradient and those of ``w`` and ``w_bias`` from the
+        gradient of the keys' or values' heads, laid out [B x Lk x H x d/H]."""
+        g = dheads.reshape(b, lk, d)[:, lp:].reshape(-1, d)
+        dsrc, dw, db = _affine_vjp(g, src.data.reshape(-1, d), w, w_bias)
+        return dsrc.reshape(src.shape), dw, db
 
     def vjp(g):
         dx, ds, dgain, dbias = _residual_norm_vjp(g, xhat, inv, gain, keep, rate)
-        heads = merged_heads()
+        v = _projection(src, wv, bv, past_v)
+        heads = merged_heads(v)
         dwo, dbo = heads.T @ ds, ds.sum(axis=0)
         dheads = np.matmul(ds, wo.data.T, out=heads)  # the heads are spent: reuse them
-        dscores, dv = _attend_vjp(dheads.reshape(b, lq, n_heads, dh).transpose(0, 2, 1, 3), p, vh)
+        dscores, dv = _attend_vjp(split(dheads, (0, 2, 1, 3)), p, split(v, (0, 2, 1, 3)))
+        del v, heads, dheads
+        if src is not None:
+            dsrc_v, *dwv = source_vjp(dv.transpose(0, 2, 1, 3), wv, bv)
+        del dv
         dscores *= c
-        dk = query_heads().swapaxes(-1, -2) @ dscores
-        dq = (dscores @ kt.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(-1, d)
+        k = _projection(src, wk, bk, past_k)
+        dq = (dscores @ split(k, (0, 2, 1, 3))).transpose(0, 2, 1, 3).reshape(-1, d)
+        del k
         dx_q, dwq, dbq = _affine_vjp(dq, rows, wq, bq)
+        if src is None:
+            return dx, dx_q.reshape(x.shape), dwq, dbq, dwo, dbo, dgain, dbias
+        dk = query_heads().swapaxes(-1, -2) @ dscores
+        del dscores
+        dsrc_k, *dwk = source_vjp(dk.transpose(0, 3, 1, 2), wk, bk)
         return (
-            dx,
-            dx_q.reshape(x.shape),
-            dk.transpose(0, 3, 1, 2).reshape(b, lk, d),
-            dv.transpose(0, 2, 1, 3).reshape(b, lk, d),
-            dwq, dbq, dwo, dbo, dgain, dbias,
+            dx, dx_q.reshape(x.shape), dsrc_k, dsrc_v,
+            dwq, dbq, *dwk, *dwv, dwo, dbo, dgain, dbias,
         )
 
-    # x is a parent twice, as the residual and as the query's input, so
-    # backward adds its two gradients to whatever x already holds one at a
-    # time, in the order separate residual and query nodes would
-    return _make(data, (x, x, k, v, wq, bq, wo, bo, gain, bias), vjp)
+    # x is a parent twice, as the residual and as the query's input, and src
+    # twice, as the keys' and the values' (src may be x), so backward adds
+    # their gradients to whatever they already hold one at a time, in the
+    # order separate residual, query, key and value nodes would
+    if src is None:
+        parents = (x, x, wq, bq, wo, bo, gain, bias)
+    else:
+        parents = (x, x, src, src, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias)
+    return _make(data, parents, vjp), (k, v)
 
 
 def ffn_residual_layer_norm(
@@ -815,6 +879,9 @@ def backward(loss: Tensor) -> None:
             else:
                 acc = acc + pg
             buf[id(parent)] = (acc, True)
+        # the gradients just added in place are garbage: free them before the
+        # next VJP runs rather than when it returns
+        grads = pg = None
         node._parents = ()
         node._vjp = _spent
 

@@ -3,8 +3,9 @@
 Layout: one magic line, one line with the header byte length, a JSON text
 header (configs, counters, run metadata, and a tensor index), then the named
 raw tensor blocks as little-endian float64 in index order.  The configs and
-the run metadata (``RunMeta``) check their fields' types when built, so a save
-refuses what a load would; a load ignores a meta key that no field names.  A
+the run metadata (``RunMeta``) and the optimizer counters (``OptimizerHeader``)
+check their fields' types when built, so a save refuses what a load would; a
+load ignores a meta or optimizer key that no field names.  A
 save pads the header with trailing spaces, inside its declared length, and
 writes that length with leading zeros to a width fixed by the header's size,
 so the tensor data starts at a multiple of ``ALIGN`` bytes; the file size then
@@ -65,6 +66,21 @@ class RunMeta:
 
 
 @dataclass
+class OptimizerHeader:
+    """The Adam step count and schedule phase a checkpoint with moments holds."""
+
+    t: int
+    phase: str
+
+    def __post_init__(self):
+        check_types(self)
+        if self.t < 0:
+            raise ValueError(f"optimizer t must be >= 0, got {self.t}")
+        if self.phase not in ("warmup_schedule", "restarted"):
+            raise ValueError(f"unknown optimizer phase {self.phase!r}")
+
+
+@dataclass
 class Checkpoint:
     model_config: ModelConfig
     fusion_config: FusionConfig
@@ -90,7 +106,7 @@ def save_checkpoint(
     entries = [(name, t.data) for name, t in params.items()]
     opt = None
     if state is not None:
-        opt = {"t": state.t, "phase": state.phase}
+        opt = asdict(OptimizerHeader(state.t, state.phase))
         entries += [(f"opt.m.{name}", state.m[name]) for name in params.names()]
         entries += [(f"opt.v.{name}", state.v[name]) for name in params.names()]
     header = {
@@ -163,11 +179,11 @@ def load_checkpoint(path) -> Checkpoint:
                     f"{left - n} data bytes, but its tensor index needs {8 * sum(counts)}"
                 )
             opt = header["optimizer"]
-            if opt is not None and not (
-                isinstance(opt, dict) and type(opt.get("t")) is int and opt["t"] >= 0
-                and opt.get("phase") in ("warmup_schedule", "restarted")
-            ):
-                raise ValueError(f"bad optimizer state {opt!r}")
+            if opt is not None:
+                if not isinstance(opt, dict):
+                    raise ValueError(f"optimizer state is not an object: {opt!r}")
+                fields = field_types(OptimizerHeader)
+                opt = OptimizerHeader(**{k: v for k, v in opt.items() if k in fields})
             names = [name for name, _ in index]
             moments = sorted(name for name in names if name.startswith("opt."))
             if opt is None and moments:
@@ -214,8 +230,8 @@ def load_checkpoint(path) -> Checkpoint:
         tensors=params,
         opt_m=opt_m,
         opt_v=opt_v,
-        opt_t=opt["t"] if opt else 0,
-        phase=opt["phase"] if opt else "warmup_schedule",
+        opt_t=opt.t if opt else 0,
+        phase=opt.phase if opt else "warmup_schedule",
         meta=meta,
         mapping=mapping,
     )

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import BOS_ID, EOS_ID
 from .fusion import check_types
-from .model import Transformer, one_sentence
+from .model import KeyValues, Transformer, one_sentence
 
 # step(tokens [k], parents [k] or None) -> next-token log-probs [k x V]
 StepFn = Callable[[np.ndarray, "Sequence[int] | None"], np.ndarray]
@@ -178,18 +178,17 @@ class SentenceScorer:
             stack = model.encode(src, src_mask)
             enc_rep, _ = model.encoder_output(stack, src_mask)
             self.cross_kv = model.cross_key_values(enc_rep)
-        self._past: list[tuple[ad.Tensor, ad.Tensor]] | None = None  # previous call's rows
+        self._past: list[KeyValues] | None = None  # previous call's rows
 
     def __call__(self, tokens: np.ndarray, parents: Sequence[int] | None) -> np.ndarray:
         ids = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
         k = len(ids)
         cross_kv = [
-            tuple(ad.Tensor(np.broadcast_to(h.data, (k,) + h.shape[1:])) for h in kv)
-            for kv in self.cross_kv
+            tuple(np.broadcast_to(a, (k,) + a.shape[1:]) for a in kv) for kv in self.cross_kv
         ]
         with ad.no_grad():
             past = None if parents is None else [
-                (ad.Tensor(key.data[parents]), ad.Tensor(v.data[parents])) for key, v in self._past
+                (key[parents], v[parents]) for key, v in self._past
             ]
             stack, self._past = self.model.decode_teacher_forced(ids, None, cross_kv, None, past=past)
             rep, _ = self.model.decoder_output(stack, np.ones((k, 1), dtype=bool))

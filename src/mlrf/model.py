@@ -7,13 +7,13 @@ any of them instead of just the top.
 A batch keeps its padded layout: ids and boolean masks are [B, L] with
 each sentence's real tokens first, and activations are [B, L, d].  The
 embeddings of a side are one ``ad.embed`` node.  Every attention sublayer is
-its key and value projections, two ``ad.linear`` nodes that a decoding step
-reads from its cache instead, and one ``ad.attention_residual_layer_norm``
-node: the query projection, the attention, which splits the projections
-into heads as views, [B, H, L, d/H], so attention scores are [B, H, Lq, Lk]
-per sentence, and the output projection, dropout, residual sum and norm.
-That node recomputes the query projection and the merged heads in backward
-rather than keep them on the tape.  Each FNN sublayer is one
+one ``ad.attention_residual_layer_norm`` node: the key and value
+projections of its source, after any cached ones, and the query
+projection, the attention, which splits the projections into heads as
+views, [B, H, L, d/H], so attention scores are [B, H, Lq, Lk] per sentence,
+and the output projection, dropout, residual sum and norm.  That node
+recomputes the keys, the values, the query projection and the merged heads
+in backward rather than keep them on the tape.  Each FNN sublayer is one
 ``ad.ffn_residual_layer_norm`` node, which recomputes its relu layer in
 backward in the same way.  One function, ``layer``, runs a
 layer of either stack: its attention sublayers in order, then the FNN.  Keys
@@ -26,8 +26,9 @@ target rows to the decoder-side fusion, so its representation is
 vocabulary inside the loss op, a row block at a time.  One method,
 ``decode_teacher_forced``, runs the decoder stack both over whole gold
 prefixes and, for decoding, at one new position of k hypotheses that attend
-over the key and value projections, [k, t, d], cached from earlier
-positions; ``attend`` is the one attention entry point for every sublayer.
+over the keys and values, [k, t, d], cached from earlier positions, and over
+the cross-attention ones, projected once per sentence; ``attend`` is the one
+attention entry point for every sublayer.
 """
 
 from __future__ import annotations
@@ -266,19 +267,14 @@ def _trim_batch(ids, mask) -> tuple[np.ndarray, np.ndarray]:
 # sublayers
 
 
-def key_values(x: Tensor, params: ParamStore, prefix: str) -> tuple[Tensor, Tensor]:
-    """The key and value projections [B x Lk x d] of the attention sublayer
-    ``prefix`` reading ``x`` [B x Lk x d]."""
-    return (
-        ad.linear(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"]),
-        ad.linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]),
-    )
+# A sublayer's keys and values [B x Lk x d], as arrays: a decoder's cache.
+KeyValues = tuple[np.ndarray, np.ndarray]
 
 
 def attend(
     x: Tensor,
-    k: Tensor,
-    v: Tensor,
+    src: Tensor | None,
+    past: KeyValues | None,
     n_heads: int,
     params: ParamStore,
     prefix: str,
@@ -287,56 +283,62 @@ def attend(
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
     tokens: np.ndarray | None = None,
-) -> Tensor:
-    """The attention sublayer ``prefix`` of ``x`` [B x Lq x d] over keys
-    ``k`` and values ``v`` [B x Lk x d] from ``key_values``, so a decoder
-    step can attend over cached ones: ``layer_norm(x + dropout(heads @ wo +
-    bo))`` with the norm ``norm``, one ``ad.attention_residual_layer_norm``
-    node.
+) -> tuple[Tensor, KeyValues]:
+    """The attention sublayer ``prefix`` of ``x`` [B x Lq x d]: ``layer_norm(x
+    + dropout(heads @ wo + bo))`` with the norm ``norm``, one
+    ``ad.attention_residual_layer_norm`` node; returns it and the sublayer's
+    keys and values.
 
-    ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk] ([B x 1 x 1 x Lk]
-    for key padding alone).  A row with no allowed key attends as if
-    unmasked (see ``ad.attention_residual_layer_norm``); it is only flagged
-    at debug log level.  The dropout mask is drawn for ``tokens`` as dropout
-    on the output projection would draw it.
+    The keys and values are the cached ``past``, then the projections of
+    ``src`` [B x Ls x d] (x itself for self-attention); a decoding step
+    passes cached rows, which are not differentiated, so it never projects
+    them again.  ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk]
+    ([B x 1 x 1 x Lk] for key padding alone).  A row with no allowed key
+    attends as if unmasked (see ``ad.attention_residual_layer_norm``); it is
+    only flagged at debug log level.  The dropout mask is drawn for
+    ``tokens`` as dropout on the output projection would draw it.
     """
     if mask is not None and log.isEnabledFor(logging.DEBUG) and not mask.any(axis=-1).all():
         log.debug("attention row with every key masked at %s", prefix)
     keep = ad.dropout_keep(x.shape, rate, rng, tokens)
+    names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
     return ad.attention_residual_layer_norm(
-        x, k, v, *(params[f"{prefix}.{n}"] for n in ("wq", "bq", "wo", "bo")),
+        x, src, past, *(params[f"{prefix}.{n}"] for n in names),
         params[f"{norm}.gain"], params[f"{norm}.bias"], n_heads, mask, keep, rate,
     )
 
 
 def layer(
     x: Tensor,
-    attn: Sequence[tuple[str, Tensor, Tensor, np.ndarray | None]],
+    attn: Sequence[tuple[str, Tensor | None, KeyValues | None, np.ndarray | None]],
     params: ParamStore,
     prefix: str,
     n_heads: int,
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
     tokens: np.ndarray | None = None,
-) -> Tensor:
+) -> tuple[Tensor, list[KeyValues]]:
     """One post-norm layer on [B x Lq x d]: each attention sublayer of
-    ``attn``, ``(name, keys, values, mask)`` with keys and values from
-    ``key_values``, in order (an encoder passes self-attention; a decoder
-    self-attention, then cross-attention), then the FNN, one
-    ``ad.ffn_residual_layer_norm`` node.  Sublayer i ends in
-    ``{prefix}.norm{i}``; ``tokens`` marks the real positions that dropout
-    draws for."""
-    for i, (name, k, v, mask) in enumerate(attn, 1):
-        x = attend(
-            x, k, v, n_heads, params, f"{prefix}.{name}", f"{prefix}.norm{i}",
+    ``attn``, ``(name, src, past, mask)`` as ``attend`` takes them, in order
+    (an encoder passes self-attention; a decoder self-attention, then
+    cross-attention), then the FNN, one ``ad.ffn_residual_layer_norm``
+    node.  Returns the layer's output and each attention sublayer's keys
+    and values.  Sublayer i ends in ``{prefix}.norm{i}``; ``tokens`` marks
+    the real positions that dropout draws for."""
+    kv = []
+    for i, (name, src, past, mask) in enumerate(attn, 1):
+        x, kv_i = attend(
+            x, src, past, n_heads, params, f"{prefix}.{name}", f"{prefix}.norm{i}",
             mask, rate, rng, tokens,
         )
+        kv.append(kv_i)
     ffn, norm = f"{prefix}.ffn", f"{prefix}.norm{len(attn) + 1}"
     keep = ad.dropout_keep(x.shape, rate, rng, tokens)
-    return ad.ffn_residual_layer_norm(
+    out = ad.ffn_residual_layer_norm(
         x, *(params[f"{ffn}.{n}"] for n in ("w1", "b1", "w2", "b2")),
         params[f"{norm}.gain"], params[f"{norm}.bias"], keep, rate,
     )
+    return out, kv
 
 
 # ---------------------------------------------------------------------------
@@ -395,34 +397,37 @@ class Transformer:
         keys = src_mask[:, None, None, :]
         stack = [self._embed("src_embed.weight", src_ids, src_mask, train)]
         for i in range(cfg.n_layers):
-            x, prefix = stack[-1], f"encoder.layer{i}"
-            attn = [("self_attn", *key_values(x, self.params, f"{prefix}.self_attn"), keys)]
-            stack.append(
-                layer(x, attn, self.params, prefix, cfg.n_heads, rate, self.dropout_rng, src_mask)
+            x = stack[-1]
+            out, _ = layer(
+                x, [("self_attn", x, None, keys)], self.params, f"encoder.layer{i}",
+                cfg.n_heads, rate, self.dropout_rng, src_mask,
             )
+            stack.append(out)
         return stack
 
     def decode_teacher_forced(
         self,
         tgt_in_ids,
         tgt_mask,
-        cross_kv: list[tuple[Tensor, Tensor]],
+        memory: Tensor | Sequence[KeyValues],
         src_mask,
         train: bool = False,
-        past: list[tuple[Tensor, Tensor]] | None = None,
-    ) -> tuple[list[Tensor], list[tuple[Tensor, Tensor]]]:
+        past: Sequence[KeyValues] | None = None,
+    ) -> tuple[list[Tensor], list[KeyValues]]:
         """The decoder stack on [B x L] ids at target positions t to t+L-1,
         where t is the number of positions in ``past`` (0 when it is None).
 
-        ``cross_kv`` is ``cross_key_values`` of the encoder output.  Teacher
-        forcing passes the BOS-shifted gold prefixes with their masks and no
-        ``past``: pad keys and later positions are masked and ``train``
-        turns dropout on.  A decoding step passes the newest tokens of k
-        hypotheses with no masks and ``past`` from the previous step, which
-        each new row reads in full; ``past`` is not differentiated through.
-        Returns the n_layers+1 reps [B x L x d] (embedding output first) and
-        each layer's self-attention key and value projections [B x t+L x d]
-        over positions 0 to t+L-1.
+        ``memory`` is the encoder output [B x Ls x d], which each layer's
+        cross-attention node projects, or ``cross_key_values`` of it, cached.
+        Teacher forcing passes the BOS-shifted gold prefixes with their masks
+        and no ``past``: pad keys and later positions are masked and
+        ``train`` turns dropout on.  A decoding step passes the newest tokens
+        of k hypotheses with no masks, the cached cross keys and values, and
+        ``past`` from the previous step, which each new row reads in full;
+        cached arrays are not differentiated through.  Returns the
+        n_layers+1 reps [B x L x d] (embedding output first) and each layer's
+        self-attention keys and values [B x t+L x d] over positions 0 to
+        t+L-1.
         """
         cfg = self.config
         rate = cfg.dropout if train else 0.0
@@ -432,28 +437,34 @@ class Transformer:
             n = tgt_mask.shape[1]
             self_mask = np.tril(np.ones((n, n), dtype=bool)) & tgt_mask[:, None, None, :]
             cross_mask = np.asarray(src_mask, dtype=bool)[:, None, None, :]
+        if isinstance(memory, Tensor):
+            cross = [(memory, None)] * cfg.n_layers
+        else:
+            cross = [(None, kv) for kv in memory]
         t = 0 if past is None else past[0][0].shape[1]
         stack = [self._embed("tgt_embed.weight", tgt_in_ids, tgt_mask, train, start=t)]
         self_kv = []
         for i in range(cfg.n_layers):
-            z, prefix = stack[-1], f"decoder.layer{i}"
-            k, v = key_values(z, self.params, f"{prefix}.self_attn")
-            if past is not None:
-                k = Tensor(np.concatenate([past[i][0].data, k.data], axis=1))
-                v = Tensor(np.concatenate([past[i][1].data, v.data], axis=1))
-            self_kv.append((k, v))
-            attn = [("self_attn", k, v, self_mask), ("cross_attn", *cross_kv[i], cross_mask)]
-            stack.append(
-                layer(z, attn, self.params, prefix, cfg.n_heads, rate, self.dropout_rng, tgt_mask)
+            z = stack[-1]
+            attn = [
+                ("self_attn", z, None if past is None else past[i], self_mask),
+                ("cross_attn", *cross[i], cross_mask),
+            ]
+            out, (kv, _) = layer(
+                z, attn, self.params, f"decoder.layer{i}", cfg.n_heads, rate,
+                self.dropout_rng, tgt_mask,
             )
+            stack.append(out)
+            self_kv.append(kv)
         return stack, self_kv
 
-    def cross_key_values(self, enc_rep: Tensor) -> list[tuple[Tensor, Tensor]]:
-        """Each decoder layer's cross-attention key and value projections of
-        ``enc_rep``."""
+    def cross_key_values(self, enc_rep: Tensor) -> list[KeyValues]:
+        """Each decoder layer's cross-attention keys and values of
+        ``enc_rep``, off the tape, for a decoder to cache."""
+        prefixes = [f"decoder.layer{i}.cross_attn" for i in range(self.config.n_layers)]
         return [
-            key_values(enc_rep, self.params, f"decoder.layer{i}.cross_attn")
-            for i in range(self.config.n_layers)
+            ad.key_values(enc_rep, *(self.params[f"{p}.{n}"] for n in ("wk", "bk", "wv", "bv")))
+            for p in prefixes
         ]
 
     # -- fusion hooks
@@ -503,9 +514,8 @@ class Transformer:
         enc_rep, enc_trace = self.encoder_output(
             self.encode(src_ids, src_mask, train), src_mask
         )
-        stack, _ = self.decode_teacher_forced(
-            tgt_in_ids, tgt_mask, self.cross_key_values(enc_rep), src_mask, train
-        )
+        # the self-attention keys and values it also returns are dropped at once
+        stack = self.decode_teacher_forced(tgt_in_ids, tgt_mask, enc_rep, src_mask, train)[0]
         dec_rep, dec_trace = self.decoder_output(stack, tgt_mask)
         return ForwardResult(dec_rep, enc_trace, dec_trace)
 

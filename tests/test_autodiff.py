@@ -3,6 +3,7 @@
 import ast
 import tracemalloc
 import weakref
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,14 @@ from tests.conftest import (
 from tests.gradcheck import max_rel_err, mul, numeric_grad
 
 rng = np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def seeded_rng(request):
+    """Reseed the module's generator from the test's node id, so a test
+    draws the same inputs whichever tests ran before it."""
+    global rng
+    rng = np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))
 
 
 def leaf(arr):
@@ -417,14 +426,21 @@ class TestCrossEntropy:
         for got, t in zip(grads, (x, w, b)):
             np.testing.assert_array_equal(got, t.grad)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_unfused_chain_over_row_blocks(self, seed):
+    @pytest.mark.parametrize("seed,v", [
+        *(pytest.param(seed, 9, id=str(seed)) for seed in (0, 1)),
+        *(pytest.param(seed, ad.BLOCK_COLS + 9, id=f"{seed}-wide") for seed in (0, 1)),
+    ])
+    def test_matches_unfused_chain_over_row_blocks(self, seed, v):
         """Over several row blocks, the last one short, the loss, the count
         and the gradient of x match the projection followed by the loss on
         materialized logits to rounding; the weight gradients, summed block
-        by block rather than in one GEMM, to 1e-13."""
+        by block rather than in one GEMM, to 1e-13.  Over more than
+        ``BLOCK_COLS`` classes an entry of a gradient sums many products of
+        both signs, so the gradients match to 1e-12 (x) and 1e-13 (w, b) of
+        their largest entry instead (single entries near zero cancel to
+        fewer bits)."""
         r = np.random.default_rng(seed)
-        n, d, v = 2 * ad.BLOCK_ROWS + 37, 6, 9
+        n, d = 2 * ad.BLOCK_ROWS + 37, 6
         x = leaf(r.standard_normal((n, d)))
         w, b = leaf(r.standard_normal((d, v))), leaf(r.standard_normal(v))
         targets = r.integers(0, v, size=n)
@@ -438,9 +454,11 @@ class TestCrossEntropy:
         ad.backward(chain)
         assert hits == chain_hits
         np.testing.assert_allclose(fused.item(), chain.item(), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(grads[0], x.grad, rtol=1e-12, atol=0)
-        for got, t in zip(grads[1:], (w, b)):
-            np.testing.assert_allclose(got, t.grad, rtol=1e-13, atol=0)
+        for got, t, tol in zip(grads, (x, w, b), (1e-12, 1e-13, 1e-13)):
+            if v > ad.BLOCK_COLS:
+                np.testing.assert_allclose(got, t.grad, rtol=0, atol=tol * np.abs(t.grad).max())
+            else:
+                np.testing.assert_allclose(got, t.grad, rtol=tol, atol=0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_weight_gradient_over_column_blocks_matches_one_product(self, seed):
@@ -662,6 +680,16 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad[~kept], 0.0)
 
 
+def closure_arrays(f):
+    """The arrays the closure of ``f`` holds, through nested closures."""
+    for cell in f.__closure__ or ():
+        c = cell.cell_contents
+        if isinstance(c, np.ndarray):
+            yield c
+        elif callable(c) and getattr(c, "__closure__", None):
+            yield from closure_arrays(c)
+
+
 def unfused_linear(x, w, b):
     return add(matmul(x, w), b)
 
@@ -684,8 +712,8 @@ def residual_args(mask_rows: bool = False):
 
 def attention_node_args(kind, d=8):
     """Leaves of an attention sublayer over a padded batch of 2 sentences of
-    4 positions: x [2 x 4 x d], the key and value sources' projections wk,
-    bk, wv, bv, then wq, bq, wo, bo, gain and bias; the key source (x, or a
+    4 positions: x [2 x 4 x d], then its weights in the op's order, wq, bq,
+    wk, bk, wv, bv, wo, bo, gain and bias; the key and value source (x, or a
     [2 x 5 x d] memory for ``cross``, which is then the last leaf), the
     boolean mask over the scores, and the real-token mask of x."""
     x = leaf(rng.standard_normal((2, 4, d)))
@@ -950,110 +978,181 @@ class TestFusedOps:
     def test_attention_node_matches_query_attention_then_dense_residual(
         self, kind, rate, n_heads
     ):
-        """The attention sublayer node gives the output, every gradient and
-        the generator draws of the query ``linear``, ``attention`` and
+        """The attention sublayer node gives the output, the keys and values,
+        every gradient and the generator draws of the key and value
+        ``linear`` nodes, the query ``linear``, ``attention`` and
         ``dense_residual_layer_norm`` bit for bit.  Its input is also
         gathered beside its output, as the fusion layer gathers a stack, so
         the input holds a gradient before the sublayer adds its own."""
         leaves, source, mask, tokens = attention_node_args(kind)
-        x, wk, bk, wv, bv, wq, bq, wo, bo, gain, bias = leaves[:11]
+        x, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = leaves[:11]
         weight = ad.Tensor(rng.standard_normal((2, 4, 2, 8)))
 
-        def fused(k, v, keep):
+        def fused(keep):
             return ad.attention_residual_layer_norm(
-                x, k, v, wq, bq, wo, bo, gain, bias, n_heads, mask, keep, rate
+                x, source, None, *leaves[1:11], n_heads, mask, keep, rate
             )
 
-        def chain(k, v, keep):
+        def chain(keep):
+            k, v = ad.linear(source, wk, bk), ad.linear(source, wv, bv)
             heads = attention(ad.linear(x, wq, bq), k, v, n_heads, mask)
-            return dense_residual_layer_norm(x, heads, wo, bo, gain, bias, keep, rate)
+            out = dense_residual_layer_norm(x, heads, wo, bo, gain, bias, keep, rate)
+            return out, (k.data, v.data)
 
         runs = []
         for op in (fused, chain):
             for t in leaves:
                 t.grad = None
             gen = np.random.default_rng(9)
-            keep = ad.dropout_keep(x.shape, rate, gen, tokens)
-            out = op(ad.linear(source, wk, bk), ad.linear(source, wv, bv), keep)
+            out, kv = op(ad.dropout_keep(x.shape, rate, gen, tokens))
             ad.backward(sum_(mul(ad.gather_layers([x, out]), weight)))
-            runs.append([out.data] + [t.grad for t in leaves] + [gen.random()])
+            runs.append([out.data, *kv] + [t.grad for t in leaves] + [gen.random()])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n_heads", [1, 2])
-    @pytest.mark.parametrize("rate,kind", [(0.0, "key_padding"), (0.3, "causal"), (0.3, "cross")])
+    @pytest.mark.parametrize(
+        "rate,kind", [(0.0, "key_padding"), (0.3, "causal"), (0.3, "cross"), (0.3, "past")]
+    )
     def test_attention_node_gradient(self, rate, kind, n_heads):
-        leaves, source, mask, tokens = attention_node_args(kind, d=4)
-        x, _, _, _, _, *weights = leaves[:11]
-        k, v = leaf(rng.standard_normal(source.shape)), leaf(rng.standard_normal(source.shape))
-        keep = ad.dropout_keep(x.shape, rate, np.random.default_rng(3), tokens)
+        """Every input, the key and value source and its projections
+        included, against central differences; with ``past``, 3 cached key
+        and value rows come before the source's, and get no gradient.  A
+        key bias adds the same to every score of a row, so without ``past``
+        its exact gradient is zero, and it is compared by absolute value."""
+        leaves, source, mask, tokens = attention_node_args("none" if kind == "past" else kind, d=4)
+        past = None
+        if kind == "past":
+            past = tuple(rng.standard_normal((2, 3, 4)) for _ in range(2))
+            mask = np.tril(np.ones((4, 7), bool), 3)[None, None]
+        keep = ad.dropout_keep(leaves[0].shape, rate, np.random.default_rng(3), tokens)
+        bk = leaves[4]
         assert_grads_match(
-            lambda: ad.attention_residual_layer_norm(x, k, v, *weights, n_heads, mask, keep, rate),
-            [x, k, v, *weights],
+            lambda: ad.attention_residual_layer_norm(
+                leaves[0], source, past, *leaves[1:11], n_heads, mask, keep, rate
+            )[0],
+            [t for t in leaves if past is not None or t is not bk],
         )
+        if past is None:
+            assert np.abs(bk.grad).max() < 1e-13
 
     def test_attention_node_in_float32_under_no_grad_matches_the_chain(self):
         leaves, _, mask, _ = attention_node_args("causal")
-        k, v = leaf(rng.standard_normal((2, 4, 8))), leaf(rng.standard_normal((2, 4, 8)))
-        x, k, v, wq, bq, wo, bo, gain, bias = (
-            ad.Tensor(t.data.astype(np.float32), requires_grad=True)
-            for t in [leaves[0], k, v, *leaves[5:11]]
+        x, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = (
+            ad.Tensor(t.data.astype(np.float32), requires_grad=True) for t in leaves
         )
         with ad.no_grad():
-            out = ad.attention_residual_layer_norm(x, k, v, wq, bq, wo, bo, gain, bias, 2, mask)
-            heads = attention(ad.linear(x, wq, bq), k, v, 2, mask)
+            out, (k, v) = ad.attention_residual_layer_norm(
+                x, x, None, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, 2, mask
+            )
+            want_k, want_v = ad.linear(x, wk, bk), ad.linear(x, wv, bv)
+            heads = attention(ad.linear(x, wq, bq), want_k, want_v, 2, mask)
             want = dense_residual_layer_norm(x, heads, wo, bo, gain, bias)
-        assert out.data.dtype == np.float32 and out._vjp is None
-        np.testing.assert_array_equal(out.data, want.data)
+        assert out.data.dtype == k.dtype == v.dtype == np.float32 and out._vjp is None
+        for got, want in [(out.data, want.data), (k, want_k.data), (v, want_v.data)]:
+            np.testing.assert_array_equal(got, want)
 
-    def test_attention_node_stores_no_query_or_heads(self):
+    def test_attention_node_over_cached_keys_and_values_projects_only_src(self):
+        """With ``past``, the keys and values are the cached rows followed by
+        the projections of ``src``, and the output equals the node's over
+        the whole source at the new rows; with ``past`` alone, nothing is
+        projected: the node returns the cached arrays themselves."""
+        leaves, _, _, _ = attention_node_args("none")
+        x, weights = leaves[0], leaves[1:11]
+        with ad.no_grad():
+            whole, (k, v) = ad.attention_residual_layer_norm(
+                x, x, None, *weights, 2, np.tril(np.ones((4, 4), bool))[None, None]
+            )
+            new = ad.Tensor(x.data[:, 3:])
+            step, (k_step, v_step) = ad.attention_residual_layer_norm(
+                new, new, (k[:, :3], v[:, :3]), *weights, 2
+            )
+            cached, kv = ad.attention_residual_layer_norm(new, None, (k, v), *weights, 2)
+        np.testing.assert_allclose(step.data, whole.data[:, 3:], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(k_step, k)
+        np.testing.assert_array_equal(v_step, v)
+        np.testing.assert_allclose(cached.data, whole.data[:, 3:], rtol=1e-12, atol=1e-12)
+        assert kv[0] is k and kv[1] is v
+
+    @pytest.mark.parametrize("kind", ["causal", "cross"])
+    def test_attention_node_stores_no_query_or_heads(self, kind):
         """Beside its inputs, the node holds its output, the normalized sum,
         the norm's [rows x 1] scale, the softmax probabilities and the
-        dropout mask: no [rows x d] query or merged heads."""
-        leaves, _, mask, tokens = attention_node_args("causal")
-        x, *_, gain, bias = leaves
-        wq, bq, wo, bo = leaves[5:9]
-        k, v = leaf(rng.standard_normal(x.shape)), leaf(rng.standard_normal(x.shape))
+        dropout mask: no [rows x d] query or merged heads, and no [B x Lk x
+        d] keys or values, though it returns them."""
+        leaves, source, mask, tokens = attention_node_args(kind)
+        x = leaves[0]
         keep = ad.dropout_keep(x.shape, 0.3, rng, tokens)
-        out = ad.attention_residual_layer_norm(
-            x, k, v, wq, bq, wo, bo, gain, bias, 2, mask, keep, 0.3
+        out, kv = ad.attention_residual_layer_norm(
+            x, source, None, *leaves[1:11], 2, mask, keep, 0.3
         )
-        inputs = {id(t.data) for t in leaves + [k, v]}
+        inputs = {id(t.data) for t in leaves}
         held = {}
-        cells = [c.cell_contents for c in out._vjp.__closure__]
-        for a in [out.data] + [c for c in cells if isinstance(c, np.ndarray)]:
+        for a in [out.data, *closure_arrays(out._vjp)]:
             while isinstance(a.base, np.ndarray):
                 a = a.base
             if id(a) not in inputs:
                 held[id(a)] = a.nbytes
-        b, lq, d = x.shape
-        probs = 8 * b * 2 * lq * lq
+        assert all(id(a) not in held for a in kv)
+        (b, lq, d), lk = x.shape, source.shape[1]
+        probs = 8 * b * 2 * lq * lk
         assert sum(held.values()) == 2 * out.data.nbytes + 8 * b * lq + probs + keep.nbytes
+
+    def test_attention_node_backward_holds_one_projection_at_a_time(self):
+        """Beside the gradients it returns, backward holds at most two
+        arrays the size of the keys: a recomputed projection and its
+        gradient, or a gradient in the heads' layout and its contiguous
+        copy.  Add the scores' gradient and numpy's ufunc buffer; a third
+        [B x Lk x d] array, such as the keys beside the values, would not
+        fit."""
+        b, lq, lk, d = 2, 2, 1024, 32
+        x, src = leaf(rng.standard_normal((b, lq, d))), leaf(rng.standard_normal((b, lk, d)))
+        weights = [leaf(rng.standard_normal(s) / 4) for _ in range(4) for s in ((d, d), (d,))]
+        norm = [leaf(np.ones(d)), leaf(np.zeros(d))]
+        out, _ = ad.attention_residual_layer_norm(x, src, None, *weights, *norm, 2)
+        g = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = out._vjp(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in grads)
+        projection, scores = src.data.nbytes, 8 * b * 2 * lq * lk
+        scratch = 2 * projection + scores + 8 * np.getbufsize()
+        assert peak <= returned + scratch
+        assert scratch < 3 * projection
 
     def test_attention_node_rejects_mismatched_shapes(self):
         leaves, _, _, _ = attention_node_args("causal")
-        x, *_, gain, bias = leaves
-        wq, bq, wo, bo = leaves[5:9]
-        k = v = leaf(rng.standard_normal(x.shape))
+        x, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = leaves
+        kv = (np.ones((2, 3, 8)), np.ones((2, 3, 8)))
 
-        def call(x=x, k=k, v=v, wq=wq, bq=bq, wo=wo, bo=bo, gain=gain, n_heads=2, mask=None):
+        def call(x=x, src=x, past=None, wq=wq, bk=bk, wv=wv, bo=bo, gain=gain, n_heads=2,
+                 mask=None):
             return ad.attention_residual_layer_norm(
-                x, k, v, wq, bq, wo, bo, gain, bias, n_heads, mask
+                x, src, past, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, n_heads, mask
             )
 
         for bad in (
             dict(n_heads=3),
-            dict(v=leaf(v.data[:, :3])),
-            dict(k=leaf(k.data[:1])),
+            dict(src=None),
+            dict(src=leaf(x.data[:1])),
+            dict(src=leaf(x.data[..., :4])),
+            dict(past=(kv[0], kv[1][:, :2])),
+            dict(past=(kv[0][:1], kv[1][:1])),
             dict(wq=leaf(wq.data[:4])),
-            dict(wo=leaf(wo.data[:, :4])),
-            dict(bq=leaf(bq.data[:4])),
+            dict(wv=leaf(wv.data[:, :4])),
+            dict(bk=leaf(bk.data[:4])),
             dict(bo=leaf(bo.data[:4])),
         ):
             with pytest.raises(ValueError, match="attention shape mismatch"):
                 call(**bad)
         with pytest.raises(ValueError, match="does not broadcast"):
             call(mask=np.ones((2, 1, 3, 4), bool))
+        with pytest.raises(ValueError, match="does not broadcast"):
+            call(past=kv, mask=np.ones((2, 1, 4, 4), bool))  # 3 cached keys and 4 new
         with pytest.raises(ValueError, match="affine shape"):
             call(gain=leaf(gain.data[:4]))
 
@@ -1176,7 +1275,8 @@ class TestFusedOps:
         """The output, the hop weights and the gradients of the layers and
         the layer embedding equal the chain's bit for bit; so do the weight
         gradients over one block of positions.  Over several blocks those
-        are sums of the blocks' shares, and match to 1e-13."""
+        are sums of the blocks' shares, and match to 1e-13 of their largest
+        entry (single entries near zero cancel to fewer bits)."""
         layers, embed, w1, w2 = layer_attention_args(lead, n_hop, share_w1)
         leaves = [layers, embed, *([w1] if share_w1 else w1), w2]
         weight = ad.Tensor(rng.standard_normal(lead + (n_hop * 4,)))
@@ -1190,10 +1290,27 @@ class TestFusedOps:
         blocks = len(ad._row_blocks(int(np.prod(lead)), ad.BLOCK_ROWS // 3))  # backward's, n = 3
         for i, (got, want) in enumerate(zip(*runs)):
             if i >= 4 and blocks > 1:  # w1 (one or per layer) and w2
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
             else:
                 np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(runs[0][1].sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_layer_attention_forward_at_de_en_widths_is_the_whole_product(self):
+        """At de_en widths (4 layers, d = 256, d_a = 1024, 4 hops) each of
+        several blocks of positions has an energy GEMM of over 2**20
+        multiply-adds, as the whole product has, so OpenBLAS rounds both
+        with one kernel: the output and the hop weights equal the unfused
+        chain's bit for bit."""
+        lead, n, d, d_a, n_hop = (2 * ad.BLOCK_ROWS + 37,), 4, 256, 1024, 4
+        layers, embed, w1, w2 = layer_attention_args(lead, n_hop, True, n, d, d_a)
+        blocks = ad._row_blocks(lead[0])
+        assert len(blocks) > 1
+        assert min(r.stop - r.start for r in blocks) * n * d_a * n_hop > 2**20
+        with ad.no_grad():
+            got, weights = ad.layer_attention(layers, embed, w1, w2)
+            want, want_weights = unfused_layer_attention(layers, embed, w1, w2)
+        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(weights, want_weights)
 
     @pytest.mark.parametrize("share_w1", [True, False])
     @pytest.mark.parametrize("n_hop", [1, 4])
@@ -1210,16 +1327,8 @@ class TestFusedOps:
         out, weights = ad.layer_attention(layers, embed, w1, w2)
         inputs = {id(t.data) for t in [layers, embed, *([w1] if share_w1 else w1), w2]}
 
-        def arrays(f):  # the arrays a closure holds, through nested closures
-            for cell in f.__closure__ or ():
-                c = cell.cell_contents
-                if isinstance(c, np.ndarray):
-                    yield c
-                elif callable(c) and getattr(c, "__closure__", None):
-                    yield from arrays(c)
-
         held = {}
-        for a in [out.data, *arrays(out._vjp)]:
+        for a in [out.data, *closure_arrays(out._vjp)]:
             while isinstance(a.base, np.ndarray):
                 a = a.base
             if id(a) not in inputs:

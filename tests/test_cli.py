@@ -20,7 +20,9 @@ import pytest
 
 from mlrf import autodiff as ad
 from mlrf import config, data, training
-from mlrf.checkpoint import MAGIC, RunMeta, build_model, load_checkpoint, save_checkpoint
+from mlrf.checkpoint import (
+    MAGIC, OptimizerHeader, RunMeta, build_model, load_checkpoint, save_checkpoint,
+)
 from mlrf.cli import main
 from mlrf.config import ConfigError, DataConfig, RunConfig, load_config
 from mlrf.data import EOS_ID, Vocabulary
@@ -580,15 +582,28 @@ class TestCheckpointErrors:
         assert main(["train", "--config", cfg, "--out", str(out), "--resume", str(ckpt)]) == 0
         assert load_checkpoint(out / "last.ckpt").meta.epochs_done == 2
 
+    def test_optimizer_keys_no_field_names_are_ignored(self, resumable, tmp_path):
+        """An optimizer header key that ``OptimizerHeader`` does not name is
+        ignored, as a meta key is; the counters still load and resume."""
+        base, cfg, _ = resumable
+        ckpt = tmp_path / "extra.ckpt"
+        shutil.copyfile(base, ckpt)
+        rewrite_header(ckpt, lambda header: header["optimizer"].update({"reserved": [1]}))
+        got, want = load_checkpoint(ckpt), load_checkpoint(base)
+        assert (got.opt_t, got.phase) == (want.opt_t, want.phase) and got.opt_t > 0
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out), "--resume", str(ckpt)]) == 0
+
 
 # every field of a checkpoint header, with its annotated type
 HEADER_FIELDS = [
     (section, f.name, typing.get_type_hints(cls)[f.name])
     for section, cls in [
         ("model", ModelConfig), ("fusion", FusionConfig), ("train", TrainConfig), ("meta", RunMeta),
+        ("optimizer", OptimizerHeader),
     ]
     for f in dataclasses.fields(cls)
-] + [("optimizer", "t", int), ("optimizer", "phase", str)]
+]
 
 # type swaps, then extremes
 HEADER_VALUES = [

@@ -9,7 +9,6 @@ from mlrf.model import (
     Transformer,
     attend,
     init_parameters,
-    key_values,
     layer,
     positional_encoding,
 )
@@ -48,7 +47,7 @@ def self_attention(x, params, prefix, mask=None):
     """The self-attention sublayer ``prefix`` (of layer 0, so its norm is
     ``norm1``) as ``attend`` runs it, unmasked and without dropout."""
     norm = prefix.rsplit(".", 1)[0] + ".norm1"
-    return attend(x, *key_values(x, params, prefix), 2, params, prefix, norm, mask)
+    return attend(x, x, None, 2, params, prefix, norm, mask)[0]
 
 
 def post_norm(x, sub):
@@ -134,8 +133,7 @@ class TestMultiHeadAttention:
 
 def encoder_layer(x, params, prefix):
     """``layer`` as ``Transformer.encode`` runs it, unmasked and without dropout."""
-    k, v = key_values(x, params, f"{prefix}.self_attn")
-    return layer(x, [("self_attn", k, v, None)], params, prefix, 2)
+    return layer(x, [("self_attn", x, None, None)], params, prefix, 2)[0]
 
 
 class TestEncoderLayer:
@@ -180,16 +178,16 @@ class TestEncoderLayer:
 class TestPostNorm:
     @pytest.mark.parametrize("rate,masked", [(0.0, False), (0.3, False), (0.3, True)])
     def test_matches_the_unfused_chain_bit_for_bit(self, rate, masked):
-        """``attend`` gives the values and grads of the query projection,
-        attention, output projection, dropout, add and layer_norm, and
-        consumes the generator as that chain did, so the pinned training
-        losses keep their dropout draws."""
+        """``attend`` gives the output, the keys and values and the grads of
+        the key, value and query projections, attention, output projection,
+        dropout, add and layer_norm, and consumes the generator as that chain
+        did, so the pinned training losses keep their dropout draws."""
         model = toy_model()
         prefix, norm = "encoder.layer0.self_attn", "encoder.layer0.norm1"
-        names = [f"{prefix}.{n}" for n in ("wq", "bq", "wo", "bo")]
+        names = [f"{prefix}.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
         names += [f"{norm}.gain", f"{norm}.bias"]
         r = np.random.default_rng(5)
-        x, k, v = (ad.Tensor(r.standard_normal((2, 4, 8)), requires_grad=True) for _ in range(3))
+        x = ad.Tensor(r.standard_normal((2, 4, 8)), requires_grad=True)
         weight = ad.Tensor(r.standard_normal((2, 4, 8)))
         tokens = np.array([[True, True, True, False], [True, True, False, False]])
         tokens = tokens if masked else None
@@ -197,23 +195,23 @@ class TestPostNorm:
         p = model.params
 
         def fused(gen):
-            return attend(x, k, v, 2, p, prefix, norm, keys, rate, gen, tokens)
+            return attend(x, x, None, 2, p, prefix, norm, keys, rate, gen, tokens)
 
         def chain(gen):
-            q = ad.linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+            q, k, v = (ad.linear(x, p[f"{prefix}.w{n}"], p[f"{prefix}.b{n}"]) for n in "qkv")
             sub = ad.linear(attention(q, k, v, 2, keys), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-            return ad.layer_norm(add(x, dropout(sub, rate, gen, tokens)), p[f"{norm}.gain"],
-                                 p[f"{norm}.bias"])
+            out = ad.layer_norm(add(x, dropout(sub, rate, gen, tokens)), p[f"{norm}.gain"],
+                                p[f"{norm}.bias"])
+            return out, (k.data, v.data)
 
         runs = []
         for op in (fused, chain):
             gen = np.random.default_rng(11)
-            for t in [x, k, v] + [p[n] for n in names]:
+            for t in [x] + [p[n] for n in names]:
                 t.grad = None
-            out = op(gen)
+            out, kv = op(gen)
             ad.backward(sum_(mul(out, weight)))
-            runs.append([out.data] + [t.grad for t in [x, k, v]] + [p[n].grad for n in names]
-                        + [gen.random()])
+            runs.append([out.data, *kv, x.grad] + [p[n].grad for n in names] + [gen.random()])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
 

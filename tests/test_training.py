@@ -545,10 +545,10 @@ def tape_bytes(order) -> int:
 # array in a sublayer (say, an unfused bias add, an FFN's relu layer or
 # a float64 dropout scale kept by a closure) shows in the bytes.
 @pytest.mark.parametrize("side,kind,nodes,op_bytes", [
-    ("none", "baseline", 115, 73912),
-    ("decoder", "self_attention", 127, 86984),
-    ("both", "fnn", 135, 93680),
-    ("decoder", "avg", 118, 80144),
+    ("none", "baseline", 103, 55480),
+    ("decoder", "self_attention", 115, 68552),
+    ("both", "fnn", 123, 75248),
+    ("decoder", "avg", 106, 61712),
 ])
 def test_training_graph_is_pinned(side, kind, nodes, op_bytes):
     spec = SyntheticTaskSpec("copy", alphabet=7, min_len=1, max_len=6, count=4, seed=12)
@@ -565,13 +565,12 @@ def test_de_en_training_graph_is_pinned():
     """The paper's shape (configs/de_en_shaped.cfg, pinned here as perfbench
     pins it) on a 2-sentence batch: the op-node count, which does not depend
     on the batch, is the one perfbench's ``autodiff.tape_nodes`` reports for
-    batch 32 (one ``embed`` per side, 4 nodes per encoder layer, 2 cross
-    key/value projections and 5 nodes per decoder layer, 5 in the fusion,
-    1 loss).  An encoder layer is its key and value projections, one
-    attention sublayer node and one FFN node; a decoder layer adds a
-    cross-attention node.  The bytes include the loss's gradients, which it
-    forms in the forward pass: 13.2 MB of them are the [256 x 6428] output
-    weights'."""
+    batch 32 (one ``embed`` per side, 2 nodes per encoder layer, 3 per
+    decoder layer, 5 in the fusion, 1 loss).  An encoder layer is one
+    attention sublayer node, which projects its own keys and values, and
+    one FFN node; a decoder layer adds a cross-attention node.  The bytes
+    include the loss's gradients, which it forms in the forward pass: 13.2
+    MB of them are the [256 x 6428] output weights'."""
     config = ModelConfig(
         n_layers=3, d_model=256, d_ff=1024, n_heads=4,
         src_vocab=8389, tgt_vocab=6428, max_len=128, dropout=0.1,
@@ -587,7 +586,7 @@ def test_de_en_training_graph_is_pinned():
     loss, _ = model.loss(result.rep, batch.tgt_out[batch.tgt_mask])
     order = ad._toposort(loss)
     ops = [t for t in order if t._vjp is not None]
-    assert (len(ops), tape_bytes(order)) == (41, 20032400)
+    assert (len(ops), tape_bytes(order)) == (23, 18262928)
 
 
 class TestCounts:
