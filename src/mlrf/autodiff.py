@@ -17,8 +17,8 @@ reads:
 
 * ``embed``: a word-embedding lookup plus fixed positions, with dropout; it
   stores its output, the ids and the mask.
-* ``linear``: a dense layer ``x @ W + b`` with an optional bias and an
-  optional relu; it stores its output alone.
+* ``linear``: a dense layer ``x @ W + b`` with an optional bias; it stores
+  its output alone.
 * ``attention_residual_layer_norm``: a whole post-norm attention sublayer,
   ``layer_norm(x + dropout(attention(x @ Wq + bq, k, v) @ Wo + bo))`` with
   keys and values projected from a source (``src @ Wk + bk``, ``src @ Wv +
@@ -27,7 +27,8 @@ reads:
   backward recomputes the values, the merged heads, the query projection
   and the keys, one projection at a time.
 * ``ffn_residual_layer_norm``: a whole post-norm FFN sublayer,
-  ``layer_norm(x + dropout(relu(x @ W1 + b1) @ W2 + b2))``; it stores its
+  ``layer_norm(x + dropout(relu(x @ W1 + b1) @ W2 + b2))``, or without
+  ``x +`` the fusion layer's FNN and norm, as wide as W2; it stores its
   output, the normalized sum and the dropout mask, and backward recomputes
   the relu layer.
 * ``gather_layers``: a stack of layer outputs, optionally only its real
@@ -205,14 +206,12 @@ def _affine_vjp(g: np.ndarray, rows: np.ndarray, w: Tensor, b: Tensor | None) ->
     return grads if b is None else grads + (g.sum(axis=0),)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
-    """Dense layer ``x @ w + b`` over the last axis of ``x``, as one node,
-    with a relu when ``relu``; ``b`` None adds no bias.
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Dense layer ``x @ w + b`` over the last axis of ``x``, as one node;
+    ``b`` None adds no bias.
 
-    One GEMM runs over the flattened rows of ``x``, and the bias and the relu
-    are applied in place into its output, so the tape holds that one array.
-    Backward reads only the output: relu's mask is ``y > 0`` (a NaN passes
-    on, with a zero gradient).
+    One GEMM runs over the flattened rows of ``x``, and the bias is added in
+    place into its output, so the tape holds that one array.
     """
     if (
         w.data.ndim != 2
@@ -223,14 +222,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
         raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape}{bias}")
     rows = x.data.reshape(-1, x.shape[-1])
     y = _affine(rows, w, b)
-    if relu:
-        np.maximum(y, 0.0, out=y)
 
     def vjp(g):
-        g = g.reshape(-1, g.shape[-1])
-        if relu:
-            g = g * (y > 0)
-        dx, *rest = _affine_vjp(g, rows, w, b)
+        dx, *rest = _affine_vjp(g.reshape(-1, g.shape[-1]), rows, w, b)
         return (dx.reshape(x.shape), *rest)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -507,22 +501,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _make(data, (x, gain, bias), lambda g: _norm_vjp(g, xhat, inv, gain.data))
 
 
-def _residual_norm(x, rows, w, b, gain, bias, keep, rate, eps):
-    """``layer_norm(x + dropout(rows @ w + b))`` for the sublayer ops: the
-    dropout, the residual sum and the normalization overwrite the
-    projection's buffer in place.  Returns the output, ``xhat`` (in that
-    buffer) and ``inv``."""
-    s = _affine(rows, w, b).reshape(x.shape)
+def _residual_norm(x, rows, w, b, gain, bias, keep, rate, eps, residual=True):
+    """``layer_norm(x + dropout(rows @ w + b))`` for the sublayer ops, with
+    ``x`` [..., d] added only when ``residual``: the dropout, the residual
+    sum and the normalization overwrite the projection's buffer in place.
+    Returns the output, ``xhat`` (in that buffer) and ``inv``."""
+    s = _affine(rows, w, b).reshape(x.shape[:-1] + w.shape[1:])
     if keep is not None:
         _dropped(s, keep, rate, out=s)
-    s += x.data
+    if residual:
+        s += x.data
     return _norm_forward(s, gain.data, bias.data, eps, out=s)
 
 
 def _residual_norm_vjp(g, xhat, inv, gain, keep, rate):
-    """Gradients of ``_residual_norm`` from ``g``: with respect to x, the
-    projection's [n x d] rows (they are x's when there is no dropout), gain
-    and bias."""
+    """Gradients of ``_residual_norm`` from ``g``: with respect to the sum
+    (x's, with the residual), the projection's [n x d] rows (the sum's when
+    there is no dropout), gain and bias."""
     dx, dgain, dbias = _norm_vjp(g, xhat, inv, gain.data)
     ds = dx if keep is None else _dropped(dx, keep, rate)
     return dx, ds.reshape(-1, ds.shape[-1]), dgain, dbias
@@ -693,28 +688,34 @@ def ffn_residual_layer_norm(
     keep: np.ndarray | None = None,
     rate: float = 0.0,
     eps: float = 1e-6,
+    residual: bool = True,
 ) -> Tensor:
     """``layer_norm(x + dropout(relu(x @ w1 + b1) @ w2 + b2))`` as one node: a
-    post-norm FFN sublayer.
+    post-norm FFN sublayer, or without ``residual`` (no ``x +``) the fusion
+    layer's FNN and norm.
 
-    ``x`` [..., d] is the input and the residual, ``w1`` [d x d_ff] and
-    ``w2`` [d_ff x d] the two dense layers; ``keep`` and ``rate`` are as in
-    ``attention_residual_layer_norm``.  It computes what ``linear(x, w1, b1,
-    relu=True)`` followed by the second layer's residual norm computes, bit
-    for bit, and stores only the output, the normalized sum and the mask:
-    the relu layer [..., d_ff] is freed after the forward, and backward
-    recomputes it with the same GEMM, then writes its gradient over it.
+    ``x`` [..., d] is the input, ``w1`` [d x d_ff] and ``w2`` [d_ff x d_out]
+    the two dense layers, and the output [..., d_out]; d_out must be d with
+    the residual.  ``keep`` and ``rate`` are as in
+    ``attention_residual_layer_norm``.  It computes what a relu of
+    ``linear(x, w1, b1)`` followed by the second layer's (residual) norm
+    computes, bit for bit, and stores only the output, the normalized sum
+    and the mask: the relu layer [..., d_ff] is freed after the forward, and
+    backward recomputes it with the same GEMM, then writes its gradient over
+    it.
     """
     d = x.shape[-1]
     if (
         w1.data.ndim != 2
         or w1.shape[0] != d
         or b1.shape != w1.shape[1:]
-        or w2.shape != (w1.shape[1], d)
-        or b2.shape != (d,)
+        or w2.shape[:-1] != w1.shape[1:]
+        or b2.shape != w2.shape[1:]
+        or residual and w2.shape[1] != d
     ):
         raise ValueError(
             f"ffn shape mismatch: {x.shape} x {w1.shape} + {b1.shape} x {w2.shape} + {b2.shape}"
+            + ("" if residual else " without residual")
         )
     rows = x.data.reshape(-1, d)
 
@@ -722,7 +723,7 @@ def ffn_residual_layer_norm(
         h = _affine(rows, w1, b1)
         return np.maximum(h, 0.0, out=h)
 
-    data, xhat, inv = _residual_norm(x, relu_layer(), w2, b2, gain, bias, keep, rate, eps)
+    data, xhat, inv = _residual_norm(x, relu_layer(), w2, b2, gain, bias, keep, rate, eps, residual)
 
     def vjp(g):
         dx, ds, dgain, dbias = _residual_norm_vjp(g, xhat, inv, gain, keep, rate)
@@ -732,7 +733,10 @@ def ffn_residual_layer_norm(
         dh = np.matmul(ds, w2.data.T, out=h)  # the relu layer is spent: reuse it
         dh *= active
         dx_in, dw1, db1 = _affine_vjp(dh, rows, w1, b1)
-        dx += dx_in.reshape(x.shape)  # ds, which may be dx, is spent
+        if residual:
+            dx += dx_in.reshape(x.shape)  # ds, which may be dx, is spent
+        else:
+            dx = dx_in.reshape(x.shape)
         return dx, dw1, db1, dw2, db2, dgain, dbias
 
     return _make(data, (x, w1, b1, w2, b2, gain, bias), vjp)

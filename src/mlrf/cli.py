@@ -91,7 +91,10 @@ def _rows_through(path: Path, phase: str, step: int) -> list[str]:
 def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunReport:
     """Phase 1 (warmup schedule) then phase 2 (restarted Adam), per config."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # say, a file of that name; before any corpus is built
+        raise ConfigError(f"cannot make directory {out_dir}: {exc.strerror or exc}") from exc
     seed = run_cfg.seed
     tcfg = run_cfg.train
 

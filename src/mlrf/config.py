@@ -168,12 +168,16 @@ def _parse_section(parser, section: str, errors: list[str]) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # say, a directory or bytes that are not UTF-8
+        detail = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config {path}: {detail}") from exc
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 

@@ -16,7 +16,10 @@ the layer axis.  Four kinds are supported:
                          distribution over layers and a weighted sum, the hops
                          are flattened and mixed by a final FNN
 
-Every parametric kind ends with its own layer normalization.
+Every parametric kind ends with its own layer normalization; ``fnn`` and
+``self_attention`` run their FNN and that norm as one node, the FFN
+sublayer's ``ad.ffn_residual_layer_norm`` without the residual.  ``fuse_side``
+dispatches all four kinds.
 """
 
 from __future__ import annotations
@@ -121,65 +124,11 @@ class AttentionTrace:
 
 
 # ---------------------------------------------------------------------------
-# fusion kinds
-
-
-def _final_norm(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    return ad.layer_norm(
-        x, params[f"{prefix}.post_norm.gain"], params[f"{prefix}.post_norm.bias"]
-    )
-
-
-def fuse_avg(layers: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    """Mean of the stacked layers ``[..., n, d]``, then the post-fusion norm."""
-    return _final_norm(ad.mean_(layers, axis=-2), params, prefix)
-
-
-def _fusion_fnn(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    h = ad.linear(x, params[f"{prefix}.fnn.w1"], params[f"{prefix}.fnn.b1"], relu=True)
-    return ad.linear(h, params[f"{prefix}.fnn.w2"], params[f"{prefix}.fnn.b2"])
+# dispatch
 
 
 def _flatten_last_two(x: Tensor) -> Tensor:
     return ad.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
-
-
-def fuse_fnn(layers: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    """Flatten the stacked layers ``[..., n, d]`` to ``[..., n*d]`` (layer 0's
-    features first) and mix them with an FNN."""
-    flat = _flatten_last_two(layers)
-    return _final_norm(_fusion_fnn(flat, params, prefix), params, prefix)
-
-
-def fuse_self_attention(
-    layers: Tensor,
-    params: ParamStore,
-    prefix: str,
-    layer_embed: Tensor,
-    share_w1: bool,
-    first_layer: int = 0,
-) -> tuple[Tensor, AttentionTrace]:
-    """Multi-hop attention over the layer axis of ``layers`` ``[..., n, d]``.
-
-    Every layer gets its index embedding (row l of the ``[n, d]`` table)
-    added.  Energies ``[..., n, n_hop]`` come from a one-hidden-layer network
-    with a tanh inner activation; ``att.w2`` has one column per hop.  A
-    softmax across the layer axis gives every hop a distribution over
-    layers, and the hop-wise weighted sums ``[..., n_hop, d]``, flattened, are
-    mixed by the final FNN; ``ad.layer_attention`` computes them as one node.
-    With a single hop the flattened intermediate is just one width-d vector.
-    """
-    if share_w1:
-        w1 = params[f"{prefix}.att.w1"]
-    else:
-        w1 = [params[f"{prefix}.att.w1.layer{l}"] for l in range(layers.shape[-2])]
-    hops, weights = ad.layer_attention(layers, layer_embed, w1, params[f"{prefix}.att.w2"])
-    fused = _final_norm(_fusion_fnn(hops, params, prefix), params, prefix)
-    return fused, AttentionTrace(weights, first_layer)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
 
 
 def layer_embedding_name(cfg: FusionConfig, side: str) -> str:
@@ -200,7 +149,16 @@ def fuse_side(
     ``baseline`` returns the top of the stack untouched: no normalization,
     no parameters.  ``rows``, a boolean mask over the leading axes, keeps
     only those positions; ``ad.gather_layers`` applies it once, as it
-    gathers the fusion input.
+    gathers the fusion input, the included layers stacked as ``[..., n, d]``.
+
+    ``avg`` normalizes their mean.  ``fnn`` flattens them to ``[..., n*d]``,
+    layer 0's features first.  ``self_attention`` adds each layer's index
+    embedding (row l of the ``[n, d]`` table) and takes the hop sums
+    ``[..., n_hop*d]`` of ``ad.layer_attention``: a tanh hidden layer
+    (``att.w1``, shared or one per layer) and ``att.w2``, one column per hop,
+    give energies whose softmax over the layers weights each hop's sum.
+    Both then run the FNN and the norm as one residual-free
+    ``ad.ffn_residual_layer_norm`` node.
     """
     kind = cfg.kind_for(side)
     if kind == "baseline":
@@ -208,16 +166,20 @@ def fuse_side(
             return stack[-1], None
         return _flatten_last_two(ad.gather_layers(stack[-1:], rows)), None
     layers = ad.gather_layers(stack if cfg.include_embedding else stack[1:], rows)
-    prefix = f"fusion.{side}"
+    p = f"fusion.{side}"
+    norm = params[f"{p}.post_norm.gain"], params[f"{p}.post_norm.bias"]
     if kind == "avg":
-        return fuse_avg(layers, params, prefix), None
+        return ad.layer_norm(ad.mean_(layers, axis=-2), *norm), None
+    trace = None
     if kind == "fnn":
-        return fuse_fnn(layers, params, prefix), None
-    return fuse_self_attention(
-        layers,
-        params,
-        prefix,
-        params[layer_embedding_name(cfg, side)],
-        cfg.share_w1,
-        first_layer=0 if cfg.include_embedding else 1,
-    )
+        x = _flatten_last_two(layers)
+    else:
+        if cfg.share_w1:
+            w1 = params[f"{p}.att.w1"]
+        else:
+            w1 = [params[f"{p}.att.w1.layer{l}"] for l in range(layers.shape[-2])]
+        embed = params[layer_embedding_name(cfg, side)]
+        x, weights = ad.layer_attention(layers, embed, w1, params[f"{p}.att.w2"])
+        trace = AttentionTrace(weights, 0 if cfg.include_embedding else 1)
+    fnn = (params[f"{p}.fnn.{name}"] for name in ("w1", "b1", "w2", "b2"))
+    return ad.ffn_residual_layer_norm(x, *fnn, *norm, residual=False), trace

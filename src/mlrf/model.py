@@ -425,9 +425,10 @@ class Transformer:
         of k hypotheses with no masks, the cached cross keys and values, and
         ``past`` from the previous step, which each new row reads in full;
         cached arrays are not differentiated through.  Returns the
-        n_layers+1 reps [B x L x d] (embedding output first) and each layer's
-        self-attention keys and values [B x t+L x d] over positions 0 to
-        t+L-1.
+        n_layers+1 reps [B x L x d] (embedding output first) and, for a
+        decoding step, each layer's self-attention keys and values [B x t+L x
+        d] over positions 0 to t+L-1; teacher forcing collects none, so each
+        layer's are freed as the next layer starts.
         """
         cfg = self.config
         rate = cfg.dropout if train else 0.0
@@ -455,7 +456,8 @@ class Transformer:
                 self.dropout_rng, tgt_mask,
             )
             stack.append(out)
-            self_kv.append(kv)
+            if tgt_mask is None:
+                self_kv.append(kv)
         return stack, self_kv
 
     def cross_key_values(self, enc_rep: Tensor) -> list[KeyValues]:
@@ -514,8 +516,7 @@ class Transformer:
         enc_rep, enc_trace = self.encoder_output(
             self.encode(src_ids, src_mask, train), src_mask
         )
-        # the self-attention keys and values it also returns are dropped at once
-        stack = self.decode_teacher_forced(tgt_in_ids, tgt_mask, enc_rep, src_mask, train)[0]
+        stack, _ = self.decode_teacher_forced(tgt_in_ids, tgt_mask, enc_rep, src_mask, train)
         dec_rep, dec_trace = self.decoder_output(stack, tgt_mask)
         return ForwardResult(dec_rep, enc_trace, dec_trace)
 

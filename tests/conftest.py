@@ -187,6 +187,20 @@ def tanh(x: ad.Tensor) -> ad.Tensor:
     return ad._make(y, (x,), vjp)
 
 
+def relu(x: ad.Tensor) -> ad.Tensor:
+    """Elementwise relu; backward reads only the output: its mask is ``y > 0``
+    (a NaN passes on, with a zero gradient)."""
+    y = np.maximum(x.data, 0.0)
+    return ad._make(y, (x,), lambda g: (g * (y > 0),))
+
+
+def fusion_tail(x, w1, b1, w2, b2, gain, bias) -> ad.Tensor:
+    """``layer_norm(relu(x @ w1 + b1) @ w2 + b2)`` as the ``linear`` + relu,
+    ``linear`` and ``layer_norm`` chain that the residual-free
+    ``ffn_residual_layer_norm`` node replaced in the fusion layer."""
+    return ad.layer_norm(ad.linear(relu(ad.linear(x, w1, b1)), w2, b2), gain, bias)
+
+
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting)."""
     extra = grad.ndim - len(shape)

@@ -15,8 +15,8 @@ from mlrf import autodiff as ad
 from mlrf import training
 from mlrf.model import positional_encoding
 from tests.conftest import (
-    add, attention, dense_residual_layer_norm, dropout, embedding_lookup, matmul,
-    residual_layer_norm, scale, slice_, softmax, stack, sum_, tanh, transpose,
+    add, attention, dense_residual_layer_norm, dropout, embedding_lookup, fusion_tail, matmul,
+    relu, residual_layer_norm, scale, slice_, softmax, stack, sum_, tanh, transpose,
 )
 from tests.gradcheck import max_rel_err, mul, numeric_grad
 
@@ -578,7 +578,7 @@ class TestBackward:
         x = leaf(rng.standard_normal((2, 3, 8)))
         w, b = leaf(rng.standard_normal((8, 8))), leaf(rng.standard_normal(8))
         gain, bias = leaf(np.ones(8)), leaf(np.zeros(8))
-        h = ad.linear(x, w, b, relu=True)
+        h = ad.linear(x, w, b)
         a = attention(h, h, h, 2, np.tril(np.ones((3, 3), dtype=bool))[None, None])
         keep = ad.dropout_keep((2, 3, 8), 0.3, rng)
         n = dense_residual_layer_norm(h, a, w, b, gain, bias, keep, 0.3)
@@ -728,13 +728,14 @@ def attention_node_args(kind, d=8):
     return leaves, x, attention_mask(kind), tokens
 
 
-def ffn_args():
-    """Leaves x [2 x 3 x 6], w1 [6 x 5], b1, w2 [5 x 6], b2, gain and bias of
-    an FFN sublayer, and the real-token mask of a padded batch."""
+def ffn_args(d_out=6):
+    """Leaves x [2 x 3 x 6], w1 [6 x 5], b1, w2 [5 x d_out], b2, gain and bias
+    of an FFN sublayer (d_out 6) or of a fusion tail, and the real-token mask
+    of a padded batch."""
     x = leaf(rng.standard_normal((2, 3, 6)))
     w1, b1 = leaf(rng.standard_normal((6, 5))), leaf(rng.standard_normal(5))
-    w2, b2 = leaf(rng.standard_normal((5, 6))), leaf(rng.standard_normal(6))
-    gain, bias = leaf(rng.standard_normal(6)), leaf(rng.standard_normal(6))
+    w2, b2 = leaf(rng.standard_normal((5, d_out))), leaf(rng.standard_normal(d_out))
+    gain, bias = leaf(rng.standard_normal(d_out)), leaf(rng.standard_normal(d_out))
     mask = np.array([[True, True, False], [True, False, False]])
     return [x, w1, b1, w2, b2, gain, bias], mask
 
@@ -869,28 +870,10 @@ class TestFusedOps:
         assert ad.linear(x, w, b).shape == shape[:-1] + (3,)
         assert_grads_match(lambda: ad.linear(x, w, b), [x, w, b])
 
-    @pytest.mark.parametrize("activation", [None, "relu"])
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_linear_activation_gradient(self, activation, bias):
-        x = leaf(rng.standard_normal((2, 3, 4)))
-        w = leaf(rng.standard_normal((4, 5)))
-        b = leaf(rng.standard_normal(5)) if bias else None
-        z = x.data @ w.data + (b.data if bias else 0.0)
-        want = {None: z, "relu": np.maximum(z, 0.0)}[activation]
-        relu = activation == "relu"
-        np.testing.assert_allclose(ad.linear(x, w, b, relu).data, want, atol=1e-14)
-        leaves = [x, w, b] if bias else [x, w]
-        assert_grads_match(lambda: ad.linear(x, w, b, relu), leaves)
-
-    def test_linear_relu_passes_nan_on(self):
-        """A NaN input stays NaN in the output and reaches the weight grad,
-        so the finite-gradient check sees it; its own unit gets no grad."""
-        x, w = leaf([[np.nan], [-1.0], [2.0]]), leaf([[1.0]])
-        out = ad.linear(x, w, relu=True)
-        np.testing.assert_array_equal(out.data, [[np.nan], [0.0], [2.0]])
-        ad.backward(sum_(out))
-        np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [1.0]])
-        assert np.isnan(w.grad).all()
+    def test_linear_without_bias_gradient(self):
+        x, w = leaf(rng.standard_normal((2, 3, 4))), leaf(rng.standard_normal((4, 5)))
+        np.testing.assert_allclose(ad.linear(x, w).data, x.data @ w.data, atol=1e-14)
+        assert_grads_match(lambda: ad.linear(x, w), [x, w])
 
     def test_linear_rejects_mismatched_shapes(self):
         x, w = leaf(np.ones((2, 4))), leaf(np.ones((4, 3)))
@@ -921,7 +904,7 @@ class TestFusedOps:
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_ffn_node_matches_relu_linear_then_dense_residual(self, rate):
         """The FFN node gives the output, the seven gradients and the
-        generator draws of ``linear(relu=True)`` followed by
+        generator draws of a relu of ``linear`` followed by
         ``dense_residual_layer_norm`` bit for bit, over a padded batch."""
         leaves, mask = ffn_args()
         x, w1, b1, w2, b2, gain, bias = leaves
@@ -933,7 +916,7 @@ class TestFusedOps:
 
         def chain(gen):
             keep = ad.dropout_keep(x.shape, rate, gen, mask)
-            h = ad.linear(x, w1, b1, relu=True)
+            h = relu(ad.linear(x, w1, b1))
             return dense_residual_layer_norm(x, h, w2, b2, gain, bias, keep, rate)
 
         runs = []
@@ -946,13 +929,40 @@ class TestFusedOps:
             runs.append([out.data] + [t.grad for t in leaves] + [gen.random()])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
-        assert (ad.linear(x, w1, b1, relu=True).data == 0).any()  # some units are dead
+        assert (relu(ad.linear(x, w1, b1)).data == 0).any()  # some units are dead
 
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_ffn_node_gradient(self, rate):
         leaves, mask = ffn_args()
         keep = ad.dropout_keep(leaves[0].shape, rate, np.random.default_rng(3), mask)
         assert_grads_match(lambda: ad.ffn_residual_layer_norm(*leaves, keep, rate), leaves)
+
+    def test_residual_free_ffn_node_matches_the_fusion_tail_chain(self):
+        """Without the residual, the node gives the output [2 x 3 x 4] and
+        the seven gradients of the ``linear`` + relu, ``linear`` and
+        ``layer_norm`` chain bit for bit."""
+        leaves, _ = ffn_args(d_out=4)
+        weight = ad.Tensor(rng.standard_normal((2, 3, 4)))
+        runs = []
+        for op in (lambda: ad.ffn_residual_layer_norm(*leaves, residual=False),
+                   lambda: fusion_tail(*leaves)):
+            for t in leaves:
+                t.grad = None
+            out = op()
+            ad.backward(sum_(mul(out, weight)))
+            runs.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+        assert runs[0][0].shape == (2, 3, 4)
+        assert (relu(ad.linear(leaves[0], *leaves[1:3])).data == 0).any()  # some units are dead
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_residual_free_ffn_node_gradient(self, rate):
+        leaves, mask = ffn_args(d_out=4)
+        keep = ad.dropout_keep((2, 3, 4), rate, np.random.default_rng(3), mask)
+        assert_grads_match(
+            lambda: ad.ffn_residual_layer_norm(*leaves, keep, rate, residual=False), leaves
+        )
 
     def test_ffn_node_stores_no_relu_layer(self):
         """The node's closure holds no [rows x d_ff] array: the relu layer is
@@ -971,6 +981,16 @@ class TestFusedOps:
             ad.ffn_residual_layer_norm(x, w1, leaf(b1.data[:2]), w2, b2, gain, bias)
         with pytest.raises(ValueError, match="ffn shape mismatch"):
             ad.ffn_residual_layer_norm(x, w1, b1, leaf(w2.data[:2]), b2, gain, bias)
+
+    def test_ffn_node_refuses_an_output_width_unlike_x_with_the_residual(self):
+        """w2 [5 x 4] over x [..., 6] makes a fusion tail, but no residual sum."""
+        (x, w1, b1, w2, b2, gain, bias), _ = ffn_args(d_out=4)
+        with pytest.raises(ValueError, match="ffn shape mismatch"):
+            ad.ffn_residual_layer_norm(x, w1, b1, w2, b2, gain, bias)
+        tail = ad.ffn_residual_layer_norm(x, w1, b1, w2, b2, gain, bias, residual=False)
+        assert tail.shape == (2, 3, 4)
+        with pytest.raises(ValueError, match="ffn shape mismatch: .* without residual"):
+            ad.ffn_residual_layer_norm(x, w1, b1, w2, leaf(b2.data[:2]), gain, bias, residual=False)
 
     @pytest.mark.parametrize("n_heads", [1, 2])
     @pytest.mark.parametrize("rate", [0.0, 0.3])

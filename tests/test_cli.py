@@ -1016,6 +1016,36 @@ class TestInputErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(src) in err[0]
 
+    @pytest.mark.parametrize("command", ["train", "param-count"])
+    @pytest.mark.parametrize("fault", ["not UTF-8", "directory"])
+    def test_unreadable_config_is_one_error_line(self, tmp_path, capsys, command, fault):
+        """configparser skips a file it cannot open, which read as a config
+        with every required key missing, and a decode error was a traceback."""
+        path = tmp_path / "run.cfg"
+        if fault == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(TINY_CFG.format(phase1=1, phase2=0).encode() + b"# caf\xe9\n")
+        out = ["--out", str(tmp_path / "out")] if command == "train" else []
+        assert main([command, "--config", str(path), *out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read config {path}: ")
+        assert "missing required key" not in err[0]
+
+    def test_train_out_naming_a_file_is_one_error_line_before_any_corpus(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unwritable --out reached corpus building")
+
+        monkeypatch.setattr("mlrf.cli.build_corpora", refuse)
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory\n")
+        assert main(["train", "--config", write_cfg(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+        assert out.read_text() == "a file, not a directory\n"
+
 
 class TestOneSourceLinePath:
     @pytest.mark.parametrize("flags", [[], ["--beam", "1", "--alpha", "0"], ["--beam", "3"]])

@@ -11,11 +11,11 @@ from mlrf import config
 from mlrf.checkpoint import RunMeta
 from mlrf.config import DataConfig
 from mlrf.decoding import BeamConfig
-from mlrf.fusion import FusionConfig, field_types, fuse_avg, fuse_self_attention, fuse_side
+from mlrf.fusion import FusionConfig, field_types, fuse_side
 from mlrf.model import Transformer, init_parameters, param_specs
 from mlrf.training import TrainConfig
 from tests.conftest import (
-    count_scalars, padded, random_sentences, stack, sum_, toy_config, toy_model,
+    count_scalars, fusion_tail, padded, random_sentences, sum_, toy_config, toy_model,
 )
 from tests.gradcheck import max_rel_err, mul, numeric_grad, numeric_grad_at
 
@@ -65,8 +65,7 @@ class TestAvg:
     def test_equal_layers_give_normalized_value(self):
         model = toy_model("decoder", "avg")
         v = np.random.default_rng(0).standard_normal((4, 8))
-        stack = ad.Tensor(np.stack([v] * 3, axis=-2))
-        out = fuse_avg(stack, model.params, "fusion.decoder")
+        out, _ = fuse_side([ad.Tensor(v)] * 3, "decoder", model.fusion, model.params)
         gain = model.params["fusion.decoder.post_norm.gain"]
         bias = model.params["fusion.decoder.post_norm.bias"]
         expect = ad.layer_norm(ad.Tensor(v), gain, bias)
@@ -76,7 +75,7 @@ class TestAvg:
         model = toy_model("decoder", "avg")
         a = ad.Tensor(np.tile([1.0, 3.0], (1, 4)))
         b = ad.Tensor(np.tile([3.0, 5.0], (1, 4)))
-        out = fuse_avg(stack([a, b], axis=-2), model.params, "fusion.decoder")
+        out, _ = fuse_side([a, b], "decoder", model.fusion, model.params)
         gain = model.params["fusion.decoder.post_norm.gain"]
         bias = model.params["fusion.decoder.post_norm.bias"]
         mean = ad.Tensor(np.tile([2.0, 4.0], (1, 4)))
@@ -150,12 +149,9 @@ class TestSelfAttention:
 
     def test_layer_embedding_row_count_must_match(self):
         model = toy_model("decoder", "self_attention")
-        stack = ad.Tensor(np.zeros((2, 2, 8)))  # too short: config fuses 3
-        with pytest.raises(ValueError):
-            fuse_self_attention(
-                stack, model.params, "fusion.decoder",
-                model.params["fusion.layer_embed.weight"], True,
-            )
+        stack = [ad.Tensor(np.zeros((2, 8)))] * 2  # too short: config fuses 3
+        with pytest.raises(ValueError, match="layer_attention shape mismatch"):
+            fuse_side(stack, "decoder", model.fusion, model.params)
 
     def test_gradient_through_fusion(self):
         model = toy_model("decoder", "self_attention", seed=19)
@@ -219,6 +215,47 @@ class TestFuseSideGradients:
             assert max_rel_err(t.grad, numeric_grad(loss, t.data)) < 1e-5
         for t in stack:
             assert t.grad is None if t not in fused else not t.grad[~rows].any()
+
+
+class TestFusionTail:
+    @pytest.mark.parametrize("kind", ["fnn", "self_attention"])
+    def test_one_node_equals_the_three_node_chain(self, kind):
+        """``fuse_side`` ends ``fnn`` and ``self_attention`` in one
+        residual-free FFN node.  Its output and every gradient, of the layers
+        and of each fusion parameter, equal those of the ``linear`` + relu,
+        ``linear`` and ``layer_norm`` chain bit for bit, over more than one
+        block of ``ad.BLOCK_ROWS`` positions."""
+        model = toy_model("decoder", kind, seed=29)
+        params, p = model.params, "fusion.decoder"
+        r = np.random.default_rng(6)
+        rows = r.random((3, ad.BLOCK_ROWS // 2)) < 0.9
+        assert rows.sum() > ad.BLOCK_ROWS
+        stack = [ad.Tensor(r.standard_normal(rows.shape + (8,)), requires_grad=True)
+                 for _ in range(3)]
+        weight = ad.Tensor(r.standard_normal((int(rows.sum()), 8)))
+        fusion = [t for name, t in params.items() if name.startswith("fusion.")]
+
+        def chain():
+            layers = ad.gather_layers(stack, rows)
+            if kind == "fnn":
+                x = ad.reshape(layers, layers.shape[:-2] + (3 * 8,))
+            else:
+                x, _ = ad.layer_attention(
+                    layers, params["fusion.layer_embed.weight"],
+                    params[f"{p}.att.w1"], params[f"{p}.att.w2"],
+                )
+            names = ("fnn.w1", "fnn.b1", "fnn.w2", "fnn.b2", "post_norm.gain", "post_norm.bias")
+            return fusion_tail(x, *(params[f"{p}.{n}"] for n in names))
+
+        runs = []
+        for run in (lambda: fuse_side(stack, "decoder", model.fusion, params, rows)[0], chain):
+            for t in stack + fusion:
+                t.grad = None
+            out = run()
+            ad.backward(sum_(mul(out, weight)))
+            runs.append([out.data] + [t.grad for t in stack + fusion])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestAttach:

@@ -1,5 +1,7 @@
 """Transformer core: positions, attention, layer contracts, causality."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,30 @@ class TestStacks:
             for lo, hi in zip(stack, stack[1:]):
                 assert lo.shape == hi.shape
                 assert not np.allclose(lo.data, hi.data)
+
+    def test_only_decoding_collects_self_attention_keys_and_values(self, rng, monkeypatch):
+        """Teacher forcing, which passes a target mask, keeps no layer's
+        self-attention keys and values once the next layer has run; a
+        decoding step, which passes none, returns each layer's."""
+        model = toy_model(seed=6)
+        ids, mask = padded(*random_sentences(rng, 2))
+        enc, _ = model.encoder_output(model.encode(ids, mask), mask)
+        cross_kv = model.cross_key_values(enc)
+        real, made = ad.attention_residual_layer_norm, []
+
+        def spy(x, src, past, *args):
+            out, kv = real(x, src, past, *args)
+            if past is None:  # self-attention: cross-attention reads the cache
+                made.extend(weakref.ref(a) for a in kv)
+            return out, kv
+
+        monkeypatch.setattr(ad, "attention_residual_layer_norm", spy)
+        stack, kv = model.decode_teacher_forced(ids, mask, cross_kv, mask, train=True)
+        assert kv == [] and len(made) == 2 * model.config.n_layers
+        assert [r for r in made if r() is not None] == []  # the tape holds none either
+        assert stack[-1].requires_grad
+        _, kv = model.decode_teacher_forced(ids[:, :2], None, cross_kv, None)
+        assert [k.shape for k, _ in kv] == [(2, 2, model.config.d_model)] * model.config.n_layers
 
     def test_too_long_sentence_rejected(self):
         model = toy_model()
