@@ -17,8 +17,6 @@ reads:
 
 * ``embed``: a word-embedding lookup plus fixed positions, with dropout; it
   stores its output, the ids and the mask.
-* ``linear``: a dense layer ``x @ W + b`` with an optional bias; it stores
-  its output alone.
 * ``attention_residual_layer_norm``: a whole post-norm attention sublayer,
   ``layer_norm(x + dropout(attention(x @ Wq + bq, k, v) @ Wo + bo))`` with
   keys and values projected from a source (``src @ Wk + bk``, ``src @ Wv +
@@ -31,15 +29,15 @@ reads:
   ``x +`` the fusion layer's FNN and norm, as wide as W2; it stores its
   output, the normalized sum and the dropout mask, and backward recomputes
   the relu layer.
-* ``gather_layers``: a stack of layer outputs, optionally only its real
-  rows, copied once.
-* ``layer_attention``: the fusion layer's multi-hop attention over the
-  layer axis; it stores its output and the hop weights, and backward
+* ``gather_layers``: a stack of layer outputs side by side on the feature
+  axis, optionally only its real rows.
+* ``layer_attention``: the fusion layer's multi-hop attention over gathered
+  layers; it stores its output and the hop weights, and backward
   recomputes the tanh hidden layer a block of positions at a time.
 * ``cross_entropy``: the output projection and the mean negative
   log-likelihood, a row block of logits at a time; while the tape is live it
   forms its gradients in the forward pass and stores only them.
-* ``layer_norm``, ``reshape`` and ``mean_``.
+* ``layer_norm`` and ``mean_`` (over gathered layers).
 
 Private kernels give each shared computation one implementation:
 ``_affine``/``_affine_vjp`` (``rows @ W + b``), ``_projection`` (an attention
@@ -138,21 +136,17 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape ops, dropout, dense layers, lookups and gathers
+# means, dropout, dense kernels, lookups and gathers
 
 
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    old = x.shape
-    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-
-
-def mean_(x: Tensor, axis: int) -> Tensor:
-    """The mean over ``axis``, as one node: the sum times ``1/n``."""
-    c, shape = 1.0 / x.shape[axis], x.shape
+def mean_(x: Tensor, n: int) -> Tensor:
+    """The mean of the ``n`` equal parts of the last axis of ``x``, as one
+    node: their sum times ``1/n``."""
+    c = 1.0 / n
     return _make(
-        x.data.sum(axis=axis) * c,
+        x.data.reshape(x.shape[:-1] + (n, -1)).sum(axis=-2) * c,
         (x,),
-        lambda g: (np.broadcast_to(np.expand_dims(g * c, axis), shape).copy(),),
+        lambda g: (np.concatenate([g * c] * n, axis=-1),),
     )
 
 
@@ -206,31 +200,6 @@ def _affine_vjp(g: np.ndarray, rows: np.ndarray, w: Tensor, b: Tensor | None) ->
     return grads if b is None else grads + (g.sum(axis=0),)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dense layer ``x @ w + b`` over the last axis of ``x``, as one node;
-    ``b`` None adds no bias.
-
-    One GEMM runs over the flattened rows of ``x``, and the bias is added in
-    place into its output, so the tape holds that one array.
-    """
-    if (
-        w.data.ndim != 2
-        or x.shape[-1:] != w.shape[:1]
-        or (b is not None and b.shape != w.shape[1:])
-    ):
-        bias = "" if b is None else f" + {b.shape}"
-        raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape}{bias}")
-    rows = x.data.reshape(-1, x.shape[-1])
-    y = _affine(rows, w, b)
-
-    def vjp(g):
-        dx, *rest = _affine_vjp(g.reshape(-1, g.shape[-1]), rows, w, b)
-        return (dx.reshape(x.shape), *rest)
-
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(y.reshape(x.shape[:-1] + w.shape[1:]), parents, vjp)
-
-
 def embed(
     table: Tensor,
     ids,
@@ -271,36 +240,33 @@ def embed(
 
 
 def gather_layers(layers: Sequence[Tensor], rows: np.ndarray | None = None) -> Tensor:
-    """Equal-shaped layers [..., d] stacked on a new axis -2, [..., n, d], as
-    one node.
+    """Equal-shaped layers [..., d] side by side on the last axis, [..., n * d]
+    with layer 0's features first, as one node.
 
     With a boolean ``rows`` over the leading axes, only the rows it marks
-    are kept, [t x n x d] in row-major order.  Each layer is copied once
-    into the result, and backward hands each layer its own gradient, zero
-    outside ``rows``.
+    are kept, [t x n * d] in row-major order.  Backward hands each layer its
+    own gradient, zero outside ``rows``.
     """
     shape, dtype = layers[0].shape, layers[0].data.dtype
     if any(t.shape != shape for t in layers):
         raise ValueError(f"gather_layers needs equal shapes, got {[t.shape for t in layers]}")
-    if rows is None:
-        data = np.stack([t.data for t in layers], axis=-2)
-    else:
+    if rows is not None:
         rows = np.asarray(rows, dtype=bool)
         if rows.shape != shape[:-1]:
             raise ValueError(f"rows {rows.shape} do not match layers {shape}")
-        data = np.empty((int(np.count_nonzero(rows)), len(layers)) + shape[-1:], dtype)
-        for l, t in enumerate(layers):
-            data[:, l] = t.data[rows]
+    lead = shape[:-1] if rows is None else (int(np.count_nonzero(rows)),)
+    data = np.empty(lead + (len(layers) * shape[-1],), dtype)
+    for part, t in zip(np.split(data, len(layers), axis=-1), layers):
+        part[...] = t.data if rows is None else t.data[rows]
 
     def vjp(g):
+        parts = np.split(g, len(layers), axis=-1)
         if rows is None:
-            return tuple(np.moveaxis(g, -2, 0))
-        grads = []
-        for l in range(len(layers)):
-            buf = np.zeros(shape, dtype)
-            buf[rows] = g[:, l]
-            grads.append(buf)
-        return tuple(grads)
+            return tuple(parts)
+        grads = tuple(np.zeros(shape, dtype) for _ in layers)
+        for buf, part in zip(grads, parts):
+            buf[rows] = part
+        return grads
 
     return _make(data, layers, vjp)
 
@@ -354,9 +320,9 @@ def _attend_vjp(
 def layer_attention(
     layers: Tensor, embed: Tensor, w1: Tensor | Sequence[Tensor], w2: Tensor
 ) -> tuple[Tensor, np.ndarray]:
-    """Multi-hop attention over the layer axis of ``layers`` [..., n, d], as
-    one node; returns the hop sums flattened to [..., n_hop * d] and the hop
-    weights [..., n_hop, n].
+    """Multi-hop attention over the n layers that ``layers`` [..., n * d]
+    holds side by side (``gather_layers``), as one node; returns the hop
+    sums flattened to [..., n_hop * d] and the hop weights [..., n_hop, n].
 
     Row l of ``embed`` [n x d] is added to layer l.  A tanh hidden layer
     [..., n, d_a] comes from ``w1`` [d x d_a], shared by every layer, or from
@@ -383,13 +349,12 @@ def layer_attention(
     ``embed``; the weight gradients are sums over the blocks, so with more
     than one block they differ in the last bits.
     """
-    *lead, n, d = layers.shape
-    lead = tuple(lead)
+    lead, (n, d) = layers.shape[:-1], embed.shape
     shared = isinstance(w1, Tensor)
     w1s = [w1] if shared else list(w1)
     d_a, n_hop = w2.shape[0], w2.shape[-1]
     if (
-        embed.shape != (n, d)
+        layers.shape[-1] != n * d
         or len(w1s) != (1 if shared else n)
         or any(w.shape != (d, d_a) for w in w1s)
         or w2.data.ndim != 2
@@ -458,8 +423,8 @@ def layer_attention(
                     dy = hs[:, l].copy()
                     dtagged[r, l] += dy @ w.data.T
                     dw1s[l] += tagged[:, l].copy().T @ dy
-        dtagged = dtagged.reshape(lead + (n, d))
-        return (dtagged, dtagged.sum(axis=tuple(range(len(lead)))), *dw1s, dw2)
+        dembed = dtagged.reshape(lead + (n, d)).sum(axis=tuple(range(len(lead))))
+        return dtagged.reshape(layers.shape), dembed, *dw1s, dw2
 
     out = hops.reshape(lead + (n_hop * d,))
     return _make(out, (layers, embed, *w1s, w2), vjp), p_rows.reshape(lead + (n_hop, n))
@@ -697,8 +662,8 @@ def ffn_residual_layer_norm(
     ``x`` [..., d] is the input, ``w1`` [d x d_ff] and ``w2`` [d_ff x d_out]
     the two dense layers, and the output [..., d_out]; d_out must be d with
     the residual.  ``keep`` and ``rate`` are as in
-    ``attention_residual_layer_norm``.  It computes what a relu of
-    ``linear(x, w1, b1)`` followed by the second layer's (residual) norm
+    ``attention_residual_layer_norm``.  It computes what a relu of the GEMM
+    ``x @ w1 + b1`` followed by the second layer's (residual) norm
     computes, bit for bit, and stores only the output, the normalized sum
     and the mask: the relu layer [..., d_ff] is freed after the forward, and
     backward recomputes it with the same GEMM, then writes its gradient over

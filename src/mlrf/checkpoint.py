@@ -122,11 +122,8 @@ def save_checkpoint(
     digits = len(str(len(body) + ALIGN))  # wide enough for any padded length
     start = len(magic) + digits + 1
     n = -(-(start + len(body)) // ALIGN) * ALIGN - start
-    # write beside the target and rename over it, so a crash mid-write
-    # leaves the previous file whole
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
+
+    def write(tmp):
         with open(tmp, "wb") as f:
             f.write(magic)
             f.write(b"%0*d\n" % (digits, n))
@@ -135,6 +132,24 @@ def save_checkpoint(
                 f.write(np.ascontiguousarray(arr, dtype="<f8"))
             f.flush()
             os.fsync(f.fileno())
+
+    _replace(path, write)
+
+
+def link_checkpoint(src, dst) -> None:
+    """Name the saved checkpoint ``src`` also ``dst``, by a hard link renamed
+    over ``dst``; saves only rename new files into place, so a later save of
+    either name leaves the other as it was.  OSError where links fail."""
+    _replace(dst, lambda tmp: os.link(src, tmp))
+
+
+def _replace(path, make) -> None:
+    """``make`` a new file beside ``path``, then rename it over: a failure leaves the old file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.unlink(missing_ok=True)  # a crash can leave it, maybe as a link: never write into it
+    try:
+        make(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

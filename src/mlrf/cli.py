@@ -23,7 +23,9 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .checkpoint import RunMeta, build_model, load_checkpoint, restore_training, save_checkpoint
+from .checkpoint import (
+    RunMeta, build_model, link_checkpoint, load_checkpoint, restore_training, save_checkpoint,
+)
 from .config import ConfigError, RunConfig, build_corpora, load_config
 from .data import (
     BOS_ID, EOS_ID, RESERVED, ParallelCorpus, Vocabulary, make_batches, synthetic_vocabulary,
@@ -157,13 +159,17 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
         # before the checkpoints: a resume from the last one keeps these rows
         report.write(metrics_path)
         meta.epochs_done = epoch + 1
+        best = meta.best_valid_loss
         if valid_batches is not None:
             valid = evaluate_teacher_forced(model, valid_batches)
             meta.last_valid_acc = valid["accuracy"]
-            if valid["loss"] < meta.best_valid_loss:
-                meta.best_valid_loss = valid["loss"]
-                save_checkpoint(out_dir / "best.ckpt", model, state, tcfg, meta)
+            meta.best_valid_loss = min(best, valid["loss"])
         save_checkpoint(out_dir / "last.ckpt", model, state, tcfg, meta)
+        if meta.best_valid_loss < best:  # the same bytes: link them, not write them again
+            try:
+                link_checkpoint(out_dir / "last.ckpt", out_dir / "best.ckpt")
+            except OSError:
+                save_checkpoint(out_dir / "best.ckpt", model, state, tcfg, meta)
         log.info(
             "epoch %d/%d [%s] loss %.4f acc %.4f%s",
             epoch + 1, total_epochs, phase, stats["loss"], stats["accuracy"],

@@ -192,7 +192,7 @@ class SentenceScorer:
             ]
             stack, self._past = self.model.decode_teacher_forced(ids, None, cross_kv, None, past=past)
             rep, _ = self.model.decoder_output(stack, np.ones((k, 1), dtype=bool))
-            logits = self.model.output_logits(rep).data
+            logits = self.model.output_logits(rep)
         z = logits - logits.max(axis=1, keepdims=True)
         return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 

@@ -3,15 +3,14 @@
 A fusion layer sits on top of the encoder stack, the decoder stack, or both.
 It sees every layer's representation at a position (optionally including the
 embedding layer at index 0) and produces a single width-d vector, so nothing
-downstream changes size.  The parametric kinds take the included layers as
-one stacked tensor ``[..., n, d]``: leading axes are positions, axis -2 is
-the layer axis.  Four kinds are supported:
+downstream changes size.  The parametric kinds take the included layers side
+by side as ``[..., n*d]``, layer 0's features first.  Four kinds are supported:
 
 * ``baseline``         - the top layer, untouched (no extra parameters)
-* ``avg``              - arithmetic mean over the layer axis
-* ``fnn``              - the layers flattened to ``[..., n*d]`` (a featurewise
+* ``avg``              - arithmetic mean over the layers
+* ``fnn``              - the layers as they are joined (a featurewise
                          concatenation), then a one-hidden-layer FNN
-* ``self_attention``   - multi-hop attention over the layer axis with learned
+* ``self_attention``   - multi-hop attention over the layers with learned
                          layer-index embeddings; each hop yields a probability
                          distribution over layers and a weighted sum, the hops
                          are flattened and mixed by a final FNN
@@ -127,10 +126,6 @@ class AttentionTrace:
 # dispatch
 
 
-def _flatten_last_two(x: Tensor) -> Tensor:
-    return ad.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
-
-
 def layer_embedding_name(cfg: FusionConfig, side: str) -> str:
     if cfg.share_layer_embedding:
         return "fusion.layer_embed.weight"
@@ -149,37 +144,34 @@ def fuse_side(
     ``baseline`` returns the top of the stack untouched: no normalization,
     no parameters.  ``rows``, a boolean mask over the leading axes, keeps
     only those positions; ``ad.gather_layers`` applies it once, as it
-    gathers the fusion input, the included layers stacked as ``[..., n, d]``.
+    gathers the fusion input, the n included layers side by side as
+    ``[..., n*d]``, layer 0's features first.
 
-    ``avg`` normalizes their mean.  ``fnn`` flattens them to ``[..., n*d]``,
-    layer 0's features first.  ``self_attention`` adds each layer's index
-    embedding (row l of the ``[n, d]`` table) and takes the hop sums
-    ``[..., n_hop*d]`` of ``ad.layer_attention``: a tanh hidden layer
-    (``att.w1``, shared or one per layer) and ``att.w2``, one column per hop,
-    give energies whose softmax over the layers weights each hop's sum.
-    Both then run the FNN and the norm as one residual-free
-    ``ad.ffn_residual_layer_norm`` node.
+    ``avg`` normalizes their mean.  ``fnn`` takes them as they are joined.
+    ``self_attention`` adds each layer's index embedding (row l of the
+    ``[n, d]`` table) and takes the hop sums ``[..., n_hop*d]`` of
+    ``ad.layer_attention``: a tanh hidden layer (``att.w1``, shared or one
+    per layer) and ``att.w2``, one column per hop, give energies whose
+    softmax over the layers weights each hop's sum.  Both then run the FNN
+    and the norm as one residual-free ``ad.ffn_residual_layer_norm`` node.
     """
     kind = cfg.kind_for(side)
     if kind == "baseline":
-        if rows is None:
-            return stack[-1], None
-        return _flatten_last_two(ad.gather_layers(stack[-1:], rows)), None
-    layers = ad.gather_layers(stack if cfg.include_embedding else stack[1:], rows)
+        return stack[-1] if rows is None else ad.gather_layers(stack[-1:], rows), None
+    included = stack if cfg.include_embedding else stack[1:]
+    x = ad.gather_layers(included, rows)
     p = f"fusion.{side}"
     norm = params[f"{p}.post_norm.gain"], params[f"{p}.post_norm.bias"]
     if kind == "avg":
-        return ad.layer_norm(ad.mean_(layers, axis=-2), *norm), None
+        return ad.layer_norm(ad.mean_(x, len(included)), *norm), None
     trace = None
-    if kind == "fnn":
-        x = _flatten_last_two(layers)
-    else:
+    if kind == "self_attention":
         if cfg.share_w1:
             w1 = params[f"{p}.att.w1"]
         else:
-            w1 = [params[f"{p}.att.w1.layer{l}"] for l in range(layers.shape[-2])]
+            w1 = [params[f"{p}.att.w1.layer{l}"] for l in range(len(included))]
         embed = params[layer_embedding_name(cfg, side)]
-        x, weights = ad.layer_attention(layers, embed, w1, params[f"{p}.att.w2"])
+        x, weights = ad.layer_attention(x, embed, w1, params[f"{p}.att.w2"])
         trace = AttentionTrace(weights, 0 if cfg.include_embedding else 1)
     fnn = (params[f"{p}.fnn.{name}"] for name in ("w1", "b1", "w2", "b2"))
     return ad.ffn_residual_layer_norm(x, *fnn, *norm, residual=False), trace

@@ -484,11 +484,11 @@ class Transformer:
     def decoder_output(self, stack: list[Tensor], tgt_mask):
         """Representation handed to the output projection, [n_tokens x d]:
         the real target rows, taken before fusion so padding costs nothing."""
-        tgt_mask = np.asarray(tgt_mask, dtype=bool)
         return fuse_side(stack, "decoder", self.fusion, self.params, rows=tgt_mask)
 
-    def output_logits(self, rep: Tensor) -> Tensor:
-        return ad.linear(rep, self.params["output.weight"], self.params["output.bias"])
+    def output_logits(self, rep: Tensor) -> np.ndarray:
+        """The logits [n_tokens x V] of ``rep`` for decoding, from arrays: no tape node."""
+        return rep.data @ self.params["output.weight"].data + self.params["output.bias"].data
 
     def loss(self, rep: Tensor, targets) -> tuple[Tensor, int]:
         """Mean cross-entropy of the output projection of ``rep`` against

@@ -300,17 +300,18 @@ def train_epoch(
     cfg: TrainConfig,
     on_step: Callable[[StepMetrics], None] | None = None,
 ) -> dict[str, float]:
-    """One pass over ``batches``; returns mean loss and token accuracy."""
+    """One pass over ``batches``; returns its loss and accuracy per target token."""
     if not batches:
         raise ValueError("empty dataset")
-    losses, accs = [], []
+    stats, tokens = [], []
     for batch in batches:
         metrics = train_step(model, batch, state, cfg)
-        losses.append(metrics.loss)
-        accs.append(metrics.accuracy)
+        stats.append((metrics.loss, metrics.accuracy))
+        tokens.append(batch.tgt_mask.sum())
         if on_step is not None:
             on_step(metrics)
-    return {"loss": float(np.mean(losses)), "accuracy": float(np.mean(accs))}
+    loss, accuracy = np.average(stats, axis=0, weights=tokens)
+    return {"loss": float(loss), "accuracy": float(accuracy)}
 
 
 def evaluate_teacher_forced(model: Transformer, batches: Sequence) -> dict[str, float]:

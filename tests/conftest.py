@@ -133,6 +133,11 @@ def as_tensor(x) -> ad.Tensor:
     return x if isinstance(x, ad.Tensor) else ad.Tensor(x)
 
 
+def reshape(x: ad.Tensor, shape: Sequence[int]) -> ad.Tensor:
+    old = x.shape
+    return ad._make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
+
+
 def scale(x: ad.Tensor, c: float) -> ad.Tensor:
     c = float(c)
     return ad._make(x.data * c, (x,), lambda g: (g * c,))
@@ -194,11 +199,36 @@ def relu(x: ad.Tensor) -> ad.Tensor:
     return ad._make(y, (x,), lambda g: (g * (y > 0),))
 
 
+def linear(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor | None = None) -> ad.Tensor:
+    """Dense layer ``x @ w + b`` over the last axis of ``x``, as one node;
+    ``b`` None adds no bias.
+
+    One GEMM runs over the flattened rows of ``x``, and the bias is added in
+    place into its output, so the tape holds that one array.
+    """
+    if (
+        w.data.ndim != 2
+        or x.shape[-1:] != w.shape[:1]
+        or (b is not None and b.shape != w.shape[1:])
+    ):
+        bias = "" if b is None else f" + {b.shape}"
+        raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape}{bias}")
+    rows = x.data.reshape(-1, x.shape[-1])
+    y = ad._affine(rows, w, b)
+
+    def vjp(g):
+        dx, *rest = ad._affine_vjp(g.reshape(-1, g.shape[-1]), rows, w, b)
+        return (dx.reshape(x.shape), *rest)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return ad._make(y.reshape(x.shape[:-1] + w.shape[1:]), parents, vjp)
+
+
 def fusion_tail(x, w1, b1, w2, b2, gain, bias) -> ad.Tensor:
     """``layer_norm(relu(x @ w1 + b1) @ w2 + b2)`` as the ``linear`` + relu,
     ``linear`` and ``layer_norm`` chain that the residual-free
     ``ffn_residual_layer_norm`` node replaced in the fusion layer."""
-    return ad.layer_norm(ad.linear(relu(ad.linear(x, w1, b1)), w2, b2), gain, bias)
+    return ad.layer_norm(linear(relu(linear(x, w1, b1)), w2, b2), gain, bias)
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -198,7 +198,7 @@ def test_c03_baseline_equivalence():
             res = model.forward(*padded(src_ids, src_lens), *padded(tgt_ids, tgt_lens), train=True)
             model.params.zero_grads()
             ad.backward(model.loss(res.rep, tgt_out)[0])
-            grads.append((model.output_logits(res.rep).data, model))
+            grads.append((model.output_logits(res.rep), model))
         (la, ma), (lb, mb) = grads
         np.testing.assert_array_equal(la, lb)
         for name, p in ma.params.items():
@@ -407,10 +407,10 @@ def test_c10_determinism_and_persistence(tmp_path):
     with ad.no_grad():
         la = model.output_logits(
             model.forward(*padded(src_ids, src_lens), *padded(src_ids, src_lens)).rep
-        ).data
+        )
         lb = again.output_logits(
             again.forward(*padded(src_ids, src_lens), *padded(src_ids, src_lens)).rep
-        ).data
+        )
     np.testing.assert_array_equal(la, lb)
 
     run_training(_tiny_run_config(phase1=2, phase2=0), tmp_path / "partial")

@@ -15,8 +15,9 @@ from mlrf import autodiff as ad
 from mlrf import training
 from mlrf.model import positional_encoding
 from tests.conftest import (
-    add, attention, dense_residual_layer_norm, dropout, embedding_lookup, fusion_tail, matmul,
-    relu, residual_layer_norm, scale, slice_, softmax, stack, sum_, tanh, transpose,
+    add, attention, dense_residual_layer_norm, dropout, embedding_lookup, fusion_tail, linear,
+    matmul, relu, reshape, residual_layer_norm, scale, slice_, softmax, stack, sum_, tanh,
+    transpose,
 )
 from tests.gradcheck import max_rel_err, mul, numeric_grad
 
@@ -376,7 +377,7 @@ class TestCrossEntropy:
         w.data[:, 1] = w.data[:, 0]  # ids 0 and 1 tie on every row
         b.data[1] = b.data[0]
         _, correct = ad.cross_entropy(x, w, b, targets)
-        logits = ad.linear(x, w, b).data
+        logits = linear(x, w, b).data
         assert correct / targets.size == token_accuracy(logits, targets)
 
     def test_zero_rows_is_an_error(self):
@@ -419,7 +420,7 @@ class TestCrossEntropy:
         grads = [t.grad for t in (x, w, b)]
         for t in (x, w, b):
             t.grad = None
-        logits = ad.linear(x, w, b)
+        logits = linear(x, w, b)
         chain, _ = ad.cross_entropy(logits, leaf(np.eye(7)), leaf(np.zeros(7)), targets)
         assert fused.item() == chain.item()
         ad.backward(chain)
@@ -449,7 +450,7 @@ class TestCrossEntropy:
         grads = [t.grad for t in (x, w, b)]
         for t in (x, w, b):
             t.grad = None
-        logits = ad.linear(x, w, b)
+        logits = linear(x, w, b)
         chain, chain_hits = ad.cross_entropy(logits, leaf(np.eye(v)), leaf(np.zeros(v)), targets)
         ad.backward(chain)
         assert hits == chain_hits
@@ -475,7 +476,7 @@ class TestCrossEntropy:
         ad.backward(ad.cross_entropy(x, w, b, targets)[0])
         grads = [w.grad, b.grad]
         w.grad = b.grad = None
-        logits = ad.linear(x, w, b)
+        logits = linear(x, w, b)
         ad.backward(ad.cross_entropy(logits, leaf(np.eye(v)), leaf(np.zeros(v)), targets)[0])
         for got, t in zip(grads, (w, b)):
             np.testing.assert_allclose(got, t.grad, rtol=0, atol=1e-13 * np.abs(t.grad).max())
@@ -548,7 +549,7 @@ class TestBackward:
             # softmax([1, 2]) minus the one-hot target 1
             (
                 lambda x: ad.cross_entropy(
-                    ad.reshape(x, (1, 2)), ad.Tensor(np.eye(2)), ad.Tensor(np.zeros(2)), [1]
+                    reshape(x, (1, 2)), ad.Tensor(np.eye(2)), ad.Tensor(np.zeros(2)), [1]
                 )[0],
                 [1.0 / (1.0 + np.e), -1.0 / (1.0 + np.e)],
             ),
@@ -578,11 +579,11 @@ class TestBackward:
         x = leaf(rng.standard_normal((2, 3, 8)))
         w, b = leaf(rng.standard_normal((8, 8))), leaf(rng.standard_normal(8))
         gain, bias = leaf(np.ones(8)), leaf(np.zeros(8))
-        h = ad.linear(x, w, b)
+        h = linear(x, w, b)
         a = attention(h, h, h, 2, np.tril(np.ones((3, 3), dtype=bool))[None, None])
         keep = ad.dropout_keep((2, 3, 8), 0.3, rng)
         n = dense_residual_layer_norm(h, a, w, b, gain, bias, keep, 0.3)
-        loss, _ = ad.cross_entropy(ad.reshape(n, (6, 8)), w, b, [1, 2, 3, 4, 5, 6])
+        loss, _ = ad.cross_entropy(reshape(n, (6, 8)), w, b, [1, 2, 3, 4, 5, 6])
         del h, a, n, keep
         ops = [t for t in ad._toposort(loss) if t._vjp is not None]
         assert len(ops) == 5
@@ -741,9 +742,9 @@ def ffn_args(d_out=6):
 
 
 def unfused_layer_attention(layers, embed, w1, w2):
-    """The add, tanh projection, energy, transpose, softmax, weighted sum and
-    reshape chain that ``layer_attention`` fuses."""
-    tagged = add(layers, embed)
+    """The reshape, add, tanh projection, energy, transpose, softmax,
+    weighted sum and reshape chain that ``layer_attention`` fuses."""
+    tagged = add(reshape(layers, layers.shape[:-1] + embed.shape), embed)
     if isinstance(w1, ad.Tensor):
         hidden = tanh(matmul(tagged, w1))
     else:
@@ -751,16 +752,16 @@ def unfused_layer_attention(layers, embed, w1, w2):
             [tanh(matmul(slice_(tagged, (..., l, slice(None))), w)) for l, w in enumerate(w1)],
             axis=-2,
         )
-    lead = tuple(range(len(layers.shape) - 2))
+    lead = tuple(range(len(layers.shape) - 1))
     energies = transpose(matmul(hidden, w2), lead + (len(lead) + 1, len(lead)))
     att = softmax(energies, axis=-1)
     hops = matmul(att, tagged)
-    return ad.reshape(hops, hops.shape[:-2] + (-1,)), att.data
+    return reshape(hops, hops.shape[:-2] + (-1,)), att.data
 
 
 def layer_attention_args(lead, n_hop, share_w1, n=3, d=4, d_a=6):
-    """Leaves layers [*lead, n, d], embed [n, d], w1 (one or n) and w2."""
-    layers, embed = leaf(rng.standard_normal(lead + (n, d))), leaf(rng.standard_normal((n, d)))
+    """Leaves layers [*lead, n * d], embed [n, d], w1 (one or n) and w2."""
+    layers, embed = leaf(rng.standard_normal(lead + (n * d,))), leaf(rng.standard_normal((n, d)))
     w1 = [leaf(rng.standard_normal((d, d_a))) for _ in range(1 if share_w1 else n)]
     return layers, embed, w1[0] if share_w1 else w1, leaf(rng.standard_normal((d_a, n_hop)))
 
@@ -771,7 +772,7 @@ def unfused_attention(q, k, v, n_heads, mask):
     lk, dh = k.shape[1], d // n_heads
 
     def heads(x, length, axes):
-        return transpose(ad.reshape(x, (b, length, n_heads, dh)), axes)
+        return transpose(reshape(x, (b, length, n_heads, dh)), axes)
 
     scores = scale(
         matmul(heads(q, lq, (0, 2, 1, 3)), heads(k, lk, (0, 2, 3, 1))), 1.0 / np.sqrt(dh)
@@ -779,7 +780,7 @@ def unfused_attention(q, k, v, n_heads, mask):
     if mask is not None:
         scores = add(scores, ad.Tensor(np.where(mask, 0.0, -1e9)))
     out = matmul(softmax(scores, axis=-1), heads(v, lk, (0, 2, 1, 3)))
-    return ad.reshape(transpose(out, (0, 2, 1, 3)), (b, lq, d))
+    return reshape(transpose(out, (0, 2, 1, 3)), (b, lq, d))
 
 
 def attention_mask(kind):
@@ -867,20 +868,20 @@ class TestFusedOps:
     def test_linear_gradient(self, shape):
         x = leaf(rng.standard_normal(shape))
         w, b = leaf(rng.standard_normal((4, 3))), leaf(rng.standard_normal(3))
-        assert ad.linear(x, w, b).shape == shape[:-1] + (3,)
-        assert_grads_match(lambda: ad.linear(x, w, b), [x, w, b])
+        assert linear(x, w, b).shape == shape[:-1] + (3,)
+        assert_grads_match(lambda: linear(x, w, b), [x, w, b])
 
     def test_linear_without_bias_gradient(self):
         x, w = leaf(rng.standard_normal((2, 3, 4))), leaf(rng.standard_normal((4, 5)))
-        np.testing.assert_allclose(ad.linear(x, w).data, x.data @ w.data, atol=1e-14)
-        assert_grads_match(lambda: ad.linear(x, w), [x, w])
+        np.testing.assert_allclose(linear(x, w).data, x.data @ w.data, atol=1e-14)
+        assert_grads_match(lambda: linear(x, w), [x, w])
 
     def test_linear_rejects_mismatched_shapes(self):
         x, w = leaf(np.ones((2, 4))), leaf(np.ones((4, 3)))
         with pytest.raises(ValueError, match="linear shape mismatch"):
-            ad.linear(x, w, leaf(np.ones(4)))
+            linear(x, w, leaf(np.ones(4)))
         with pytest.raises(ValueError, match="linear shape mismatch"):
-            ad.linear(leaf(np.ones((2, 3))), w, leaf(np.ones(3)))
+            linear(leaf(np.ones((2, 3))), w, leaf(np.ones(3)))
 
     @pytest.mark.parametrize("rate,mask_rows", [(0.0, False), (0.4, False), (0.4, True)])
     def test_dense_residual_layer_norm_gradient(self, rate, mask_rows):
@@ -916,7 +917,7 @@ class TestFusedOps:
 
         def chain(gen):
             keep = ad.dropout_keep(x.shape, rate, gen, mask)
-            h = relu(ad.linear(x, w1, b1))
+            h = relu(linear(x, w1, b1))
             return dense_residual_layer_norm(x, h, w2, b2, gain, bias, keep, rate)
 
         runs = []
@@ -929,7 +930,7 @@ class TestFusedOps:
             runs.append([out.data] + [t.grad for t in leaves] + [gen.random()])
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
-        assert (relu(ad.linear(x, w1, b1)).data == 0).any()  # some units are dead
+        assert (relu(linear(x, w1, b1)).data == 0).any()  # some units are dead
 
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_ffn_node_gradient(self, rate):
@@ -954,7 +955,7 @@ class TestFusedOps:
         for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
         assert runs[0][0].shape == (2, 3, 4)
-        assert (relu(ad.linear(leaves[0], *leaves[1:3])).data == 0).any()  # some units are dead
+        assert (relu(linear(leaves[0], *leaves[1:3])).data == 0).any()  # some units are dead
 
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_residual_free_ffn_node_gradient(self, rate):
@@ -1006,7 +1007,7 @@ class TestFusedOps:
         the input holds a gradient before the sublayer adds its own."""
         leaves, source, mask, tokens = attention_node_args(kind)
         x, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias = leaves[:11]
-        weight = ad.Tensor(rng.standard_normal((2, 4, 2, 8)))
+        weight = ad.Tensor(rng.standard_normal((2, 4, 2 * 8)))
 
         def fused(keep):
             return ad.attention_residual_layer_norm(
@@ -1014,8 +1015,8 @@ class TestFusedOps:
             )
 
         def chain(keep):
-            k, v = ad.linear(source, wk, bk), ad.linear(source, wv, bv)
-            heads = attention(ad.linear(x, wq, bq), k, v, n_heads, mask)
+            k, v = linear(source, wk, bk), linear(source, wv, bv)
+            heads = attention(linear(x, wq, bq), k, v, n_heads, mask)
             out = dense_residual_layer_norm(x, heads, wo, bo, gain, bias, keep, rate)
             return out, (k.data, v.data)
 
@@ -1065,8 +1066,8 @@ class TestFusedOps:
             out, (k, v) = ad.attention_residual_layer_norm(
                 x, x, None, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias, 2, mask
             )
-            want_k, want_v = ad.linear(x, wk, bk), ad.linear(x, wv, bv)
-            heads = attention(ad.linear(x, wq, bq), want_k, want_v, 2, mask)
+            want_k, want_v = linear(x, wk, bk), linear(x, wv, bv)
+            heads = attention(linear(x, wq, bq), want_k, want_v, 2, mask)
             want = dense_residual_layer_norm(x, heads, wo, bo, gain, bias)
         assert out.data.dtype == k.dtype == v.dtype == np.float32 and out._vjp is None
         for got, want in [(out.data, want.data), (k, want_k.data), (v, want_v.data)]:
@@ -1188,12 +1189,12 @@ class TestFusedOps:
 
         def fused(gen):
             keep = ad.dropout_keep(x.shape, rate, gen, mask)
-            return ad.linear(dense_residual_layer_norm(*leaves, keep, rate), w2, b2)
+            return linear(dense_residual_layer_norm(*leaves, keep, rate), w2, b2)
 
         def before(gen):
             keep = ad.dropout_keep(x.shape, rate, gen, mask)
-            sub = ad.linear(h, w, b)
-            return ad.linear(residual_layer_norm(x, sub, gain, bias, keep, rate), w2, b2)
+            sub = linear(h, w, b)
+            return linear(residual_layer_norm(x, sub, gain, bias, keep, rate), w2, b2)
 
         def chain(gen):
             norm = unfused_dense_residual_norm(x, h, w, b, gain, bias, rate, gen, mask)
@@ -1252,17 +1253,18 @@ class TestFusedOps:
     @pytest.mark.parametrize("first", [0, 1], ids=["with_embedding", "without_embedding"])
     @pytest.mark.parametrize("mask_rows", [False, True])
     def test_gather_layers_matches_stack_then_rows(self, first, mask_rows):
-        """Bit for bit the stack and row gather it fuses, over the whole
-        stack or from layer 1 on, as ``include_embedding`` picks; layers get
-        no gradient outside ``rows``."""
+        """Bit for bit the stack, flatten and row gather it fuses, over the
+        whole stack or from layer 1 on, as ``include_embedding`` picks;
+        layers get no gradient outside ``rows``."""
         stack_ = [leaf(rng.standard_normal((2, 3, 4))) for _ in range(3)]
         layers = stack_[first:]
         mask = np.array([[True, True, False], [True, False, False]]) if mask_rows else None
-        weight = ad.Tensor(rng.standard_normal(((3,) if mask_rows else (2, 3)) + (len(layers), 4)))
+        lead = (3,) if mask_rows else (2, 3)
+        weight = ad.Tensor(rng.standard_normal(lead + (len(layers) * 4,)))
 
         def chain():
-            stacked = stack(layers, axis=-2)
-            return stacked if mask is None else slice_(stacked, mask)
+            joined = reshape(stack(layers, axis=-2), (2, 3, len(layers) * 4))
+            return joined if mask is None else slice_(joined, mask)
 
         runs = []
         for op in (lambda: ad.gather_layers(layers, mask), chain):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
-from mlrf import config, data, training
+from mlrf import cli, config, data, training
 from mlrf.checkpoint import (
     MAGIC, OptimizerHeader, RunMeta, build_model, load_checkpoint, save_checkpoint,
 )
@@ -160,6 +160,58 @@ class TestTrain:
             ])
         assert (out / "last.ckpt").read_bytes() == before
         assert (out / "metrics.tsv").read_bytes() == rows_before
+        assert sorted(p.name for p in out.iterdir()) == ["best.ckpt", "last.ckpt", "metrics.tsv"]
+
+    @pytest.fixture
+    def saves(self, monkeypatch):
+        """Each checkpoint save of a run, as (file name, bytes written)."""
+        saved = []
+
+        def spy(path, *args, **kwargs):
+            save_checkpoint(path, *args, **kwargs)
+            saved.append((Path(path).name, Path(path).read_bytes()))
+
+        monkeypatch.setattr(cli, "save_checkpoint", spy)
+        return saved
+
+    def test_improving_epoch_saves_once_and_links_best(self, tmp_path, saves):
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_cfg(tmp_path, phase1=1, phase2=0),
+                     "--out", str(out)]) == 0
+        assert [name for name, _ in saves] == ["last.ckpt"]
+        assert (out / "best.ckpt").read_bytes() == (out / "last.ckpt").read_bytes() == saves[0][1]
+        assert os.path.samefile(out / "best.ckpt", out / "last.ckpt")
+
+    def test_later_save_of_last_leaves_best(self, tmp_path, saves, monkeypatch):
+        real = cli.evaluate_teacher_forced
+        losses = iter([1.0, 2.0])  # the second epoch does not improve
+
+        def scored(model, batches):
+            return {**real(model, batches), "loss": next(losses)}
+
+        monkeypatch.setattr(cli, "evaluate_teacher_forced", scored)
+        out = tmp_path / "out"
+        assert main(["train", "--config", write_cfg(tmp_path, phase1=2, phase2=0),
+                     "--out", str(out)]) == 0
+        assert [name for name, _ in saves] == ["last.ckpt", "last.ckpt"]
+        assert (out / "best.ckpt").read_bytes() == saves[0][1] != saves[1][1]
+        assert (out / "last.ckpt").read_bytes() == saves[1][1]
+
+    def test_best_is_saved_with_the_same_bytes_where_links_fail(
+        self, tmp_path, saves, monkeypatch
+    ):
+        cfg = write_cfg(tmp_path, phase1=1, phase2=0)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "linked")]) == 0
+
+        def no_link(src, dst):
+            raise PermissionError("hard links not permitted")
+
+        monkeypatch.setattr(os, "link", no_link)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert [name for name, _ in saves] == ["last.ckpt", "last.ckpt", "best.ckpt"]
+        assert (out / "best.ckpt").read_bytes() == (tmp_path / "linked/best.ckpt").read_bytes()
+        assert not os.path.samefile(out / "best.ckpt", out / "last.ckpt")
         assert sorted(p.name for p in out.iterdir()) == ["best.ckpt", "last.ckpt", "metrics.tsv"]
 
     def test_run_that_dies_keeps_the_finished_epochs_rows(self, tmp_path, monkeypatch):

@@ -192,7 +192,7 @@ class TestBatches:
             a = model.forward(*_batch_args(batch))
             b = model.forward(*_batch_args(wide))
         np.testing.assert_array_equal(
-            model.output_logits(a.rep).data, model.output_logits(b.rep).data
+            model.output_logits(a.rep), model.output_logits(b.rep)
         )
 
 

@@ -17,7 +17,7 @@ from mlrf.decoding import (
     translate_ids,
 )
 from mlrf.model import one_sentence
-from tests.conftest import per_prefix, toy_model
+from tests.conftest import padded, per_prefix, random_sentences, toy_model
 
 EOS = 2
 A, B = 4, 5
@@ -251,9 +251,30 @@ def teacher_forced_last_row(model, src, prefix):
     """Next-token log-probs of ``prefix`` from a full teacher-forced pass."""
     with ad.no_grad():
         rep = model.forward(*one_sentence(src), *one_sentence(prefix)).rep
-        logits = model.output_logits(rep).data[-1]
+        logits = model.output_logits(rep)[-1]
     z = logits - logits.max()
     return z - np.log(np.exp(z).sum())
+
+
+@pytest.mark.parametrize("side, kind", [("none", "baseline"), ("decoder", "self_attention")])
+def test_decoding_projection_scores_as_the_loss(side, kind):
+    """The logits that decoding reads (``output_logits``) give the loss's
+    mean negative log-likelihood to 1e-12 and its argmax hits exactly, over
+    more than one of the loss's ``ad.BLOCK_ROWS``-row blocks."""
+    model = toy_model(side, kind, seed=59)
+    r = np.random.default_rng(61)
+    src, tgt = random_sentences(r, 60, max_len=7), random_sentences(r, 60, max_len=7)
+    targets = r.integers(0, model.config.tgt_vocab, size=tgt[0].size)
+    assert targets.size > ad.BLOCK_ROWS
+    with ad.no_grad():
+        rep = model.forward(*padded(*src), *padded(*tgt)).rep
+        loss, correct = model.loss(rep, targets)
+        logits = model.output_logits(rep)
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    nll = -log_probs[np.arange(targets.size), targets].mean()
+    assert abs(nll - loss.item()) <= 1e-12
+    assert correct == int((logits.argmax(axis=1) == targets).sum()) > 0
 
 
 def assert_rows_match(model, scorer, prefixes, parents):

@@ -46,7 +46,7 @@ class TestBaseline:
         fused = toy_model("decoder", "baseline", seed=21)
         (ra, out), (rb, _) = forward_toy(plain), forward_toy(fused)
         np.testing.assert_array_equal(
-            plain.output_logits(ra.rep).data, fused.output_logits(rb.rep).data
+            plain.output_logits(ra.rep), fused.output_logits(rb.rep)
         )
 
         for model, result in ((plain, ra), (fused, rb)):
@@ -236,12 +236,10 @@ class TestFusionTail:
         fusion = [t for name, t in params.items() if name.startswith("fusion.")]
 
         def chain():
-            layers = ad.gather_layers(stack, rows)
-            if kind == "fnn":
-                x = ad.reshape(layers, layers.shape[:-2] + (3 * 8,))
-            else:
+            x = ad.gather_layers(stack, rows)
+            if kind == "self_attention":
                 x, _ = ad.layer_attention(
-                    layers, params["fusion.layer_embed.weight"],
+                    x, params["fusion.layer_embed.weight"],
                     params[f"{p}.att.w1"], params[f"{p}.att.w2"],
                 )
             names = ("fnn.w1", "fnn.b1", "fnn.w2", "fnn.b2", "post_norm.gain", "post_norm.bias")

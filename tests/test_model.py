@@ -15,7 +15,8 @@ from mlrf.model import (
     positional_encoding,
 )
 from tests.conftest import (
-    add, attention, dropout, padded, random_sentences, sum_, toy_config, toy_fusion, toy_model,
+    add, attention, dropout, linear, padded, random_sentences, sum_, toy_config, toy_fusion,
+    toy_model,
 )
 from tests.gradcheck import max_rel_err, mul, numeric_grad_at
 
@@ -200,8 +201,8 @@ class TestPostNorm:
             return attend(x, x, None, 2, p, prefix, norm, keys, rate, gen, tokens)
 
         def chain(gen):
-            q, k, v = (ad.linear(x, p[f"{prefix}.w{n}"], p[f"{prefix}.b{n}"]) for n in "qkv")
-            sub = ad.linear(attention(q, k, v, 2, keys), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+            q, k, v = (linear(x, p[f"{prefix}.w{n}"], p[f"{prefix}.b{n}"]) for n in "qkv")
+            sub = linear(attention(q, k, v, 2, keys), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
             out = ad.layer_norm(add(x, dropout(sub, rate, gen, tokens)), p[f"{norm}.gain"],
                                 p[f"{norm}.bias"])
             return out, (k.data, v.data)
@@ -302,8 +303,8 @@ class TestCausality:
                 *padded(tgt_ids[to[i] : to[i + 1]], [tgt_lens[i]]),
             )
             np.testing.assert_allclose(
-                model.output_logits(res.rep).data[to[i] : to[i + 1]],
-                model.output_logits(single.rep).data,
+                model.output_logits(res.rep)[to[i] : to[i + 1]],
+                model.output_logits(single.rep),
                 atol=1e-9,
             )
 

@@ -390,6 +390,26 @@ class TestTrainLoop:
 
         assert run() == run()
 
+    def test_epoch_means_are_token_weighted(self):
+        """The epoch's loss and accuracy weight each step's by its real
+        target tokens, as validation does, over batches of unequal sizes."""
+        spec = SyntheticTaskSpec("copy", alphabet=7, min_len=1, max_len=6, count=14, seed=8)
+        vocab = Vocabulary(f"s{i}" for i in range(7))
+        batches = make_batches(generate_synthetic(spec), vocab, vocab, 4)
+        tokens = np.array([int(b.tgt_mask.sum()) for b in batches])
+        assert len(set(tokens)) > 1
+        model = toy_model(seed=6)
+        steps = []
+        stats = train_epoch(
+            model, batches, AdamState(model.params), TrainConfig(warmup_steps=4),
+            on_step=steps.append,
+        )
+        losses = np.array([m.loss for m in steps])
+        accuracies = np.array([m.accuracy for m in steps])
+        assert abs(losses.mean() - losses @ tokens / tokens.sum()) > 1e-6
+        assert abs(stats["loss"] - losses @ tokens / tokens.sum()) <= 1e-12
+        assert abs(stats["accuracy"] - accuracies @ tokens / tokens.sum()) <= 1e-12
+
     def test_empty_dataset_rejected(self):
         model = toy_model()
         with pytest.raises(ValueError):
@@ -545,9 +565,9 @@ def tape_bytes(order) -> int:
 # array in a sublayer (say, an unfused bias add, an FFN's relu layer or
 # a float64 dropout scale kept by a closure) shows in the bytes.
 @pytest.mark.parametrize("side,kind,nodes,op_bytes", [
-    ("none", "baseline", 103, 55480),
+    ("none", "baseline", 102, 55480),
     ("decoder", "self_attention", 113, 65512),
-    ("both", "fnn", 119, 68368),
+    ("both", "fnn", 117, 68368),
     ("decoder", "avg", 106, 61712),
 ])
 def test_training_graph_is_pinned(side, kind, nodes, op_bytes):
