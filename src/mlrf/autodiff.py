@@ -279,9 +279,8 @@ MASK_PENALTY = -1e9
 
 # Rows per block where an op forms a wide product a block at a time: the
 # loss's logits (6.3 MiB at the de_en vocabulary of 6428) and the fusion
-# layer's positions (its forward's hidden rows are 4 MiB at 4 layers and
-# d_a = 1024), where the whole would be [tokens, V] or [positions * layers,
-# d_a].  The fusion backward takes about this many hidden rows per block.
+# backward's hidden rows (1 MiB at d_a = 1024), where the whole would be
+# [tokens, V] or [positions * layers, d_a].
 BLOCK_ROWS = 128
 # Columns per block where the loss adds a row block's share into its weight
 # gradient, so the share is at most [d, BLOCK_COLS] (2 MiB at d = 256).
@@ -331,23 +330,14 @@ def layer_attention(
     each hop its weights, and hop p's sum is the weighted sum of the tagged
     layers.
 
-    Both passes take the positions a block at a time, with one buffer for a
-    block's hidden rows, so neither holds the whole hidden layer: the tape
-    holds the output and the hop weights alone.  Backward recomputes each
-    block's ``layers + embed`` and hidden rows with the forward's GEMMs and
-    allocates beside its gradients only block-sized scratch.  The forward
-    takes ``BLOCK_ROWS`` positions per block, not ``BLOCK_ROWS`` hidden rows
-    as backward does: OpenBLAS rounds a GEMM of under 2**20 multiply-adds,
-    such as a small block's energies (n_hop columns), with another kernel
-    than a larger one.  The computation follows the unfused chain call for
-    call, but its values are bit-identical to the chain's only while each
-    block's energy GEMM falls on the same side of that threshold as the
-    whole product: at de_en widths (4 layers, d_a = 1024, 4 hops) a full
-    block has 2**21 multiply-adds and every block of several has at
-    least 2**20, while 2 hops would put a block of a longer batch under it.
-    Where the values match, so do the gradients of ``layers`` and
-    ``embed``; the weight gradients are sums over the blocks, so with more
-    than one block they differ in the last bits.
+    The forward forms the whole tanh hidden layer, its energies and the hop
+    sums in one pass, call for call as the unfused chain does, and equals it
+    bit for bit; the tape then holds the output and the hop weights alone.
+    Backward takes about ``BLOCK_ROWS`` hidden rows at a time: it recomputes
+    each block's ``layers + embed`` and hidden rows with the forward's GEMMs
+    and allocates beside its gradients only block-sized scratch.  The
+    weight gradients are sums over the blocks, so with more than one block
+    they differ from the chain's in the last bits.
     """
     lead, (n, d) = layers.shape[:-1], embed.shape
     shared = isinstance(w1, Tensor)
@@ -365,10 +355,6 @@ def layer_attention(
         )
     t, dtype = math.prod(lead), layers.data.dtype
 
-    def block_buffer(blocks):
-        """An array for the hidden rows of the largest of ``blocks``."""
-        return np.empty((n * max((r.stop - r.start for r in blocks), default=0), d_a), dtype)
-
     def hidden_layer(tagged, out):
         """The tanh hidden layer of [k x n x d] ``tagged``, into the first
         k * n rows of ``out``."""
@@ -381,16 +367,11 @@ def layer_attention(
                 np.matmul(tagged[:, l].copy(), w.data, out=parts[:, l])
         return np.tanh(h, out=h)
 
-    energies = np.empty((t, n, n_hop), dtype)
-    p_rows = energies.transpose(0, 2, 1)  # the hop weights, position by position
-    hops = np.empty((t, n_hop, d), dtype)
-    blocks = _row_blocks(t)
-    x, hidden = layers.data.reshape(t, n, d), block_buffer(blocks)
-    for r in blocks:
-        tagged = x[r] + embed.data
-        np.matmul(hidden_layer(tagged, hidden), w2.data, out=energies[r].reshape(-1, n_hop))
-        _softmax(p_rows[r])
-        np.matmul(p_rows[r], tagged, out=hops[r])
+    tagged = layers.data.reshape(t, n, d) + embed.data
+    energies = hidden_layer(tagged, np.empty((t * n, d_a), dtype)) @ w2.data
+    # the hop weights, position by position
+    p_rows = _softmax(energies.reshape(t, n, n_hop).transpose(0, 2, 1))
+    hops = p_rows @ tagged
 
     def vjp(g):
         x, g = layers.data.reshape(t, n, d), g.reshape(t, n_hop, d)
@@ -398,7 +379,8 @@ def layer_attention(
         dw1s = [np.zeros(w.shape, dtype) for w in w1s]
         dw2 = np.zeros(w2.shape, dtype)
         blocks = _row_blocks(t, max(BLOCK_ROWS // n, 4))
-        hidden, dhidden = block_buffer(blocks), block_buffer(blocks)
+        size = n * max((r.stop - r.start for r in blocks), default=0)
+        hidden, dhidden = np.empty((size, d_a), dtype), np.empty((size, d_a), dtype)
         for r in blocks:
             tagged = x[r] + embed.data
             de, _ = _attend_vjp(g[r], p_rows[r], tagged, out=dtagged[r])

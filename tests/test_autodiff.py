@@ -1289,7 +1289,7 @@ class TestFusedOps:
         with pytest.raises(ValueError, match="rows"):
             ad.gather_layers([a], np.ones((2, 2), dtype=bool))
 
-    # the last lead spans several row blocks of positions in both passes
+    # the last lead spans several of backward's row blocks of positions
     @pytest.mark.parametrize("lead", [(5,), (2, 3), (2, ad.BLOCK_ROWS + 1)])
     @pytest.mark.parametrize("share_w1", [True, False])
     @pytest.mark.parametrize("n_hop", [1, 4])
@@ -1317,17 +1317,16 @@ class TestFusedOps:
                 np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(runs[0][1].sum(axis=-1), 1.0, atol=1e-12)
 
-    def test_layer_attention_forward_at_de_en_widths_is_the_whole_product(self):
-        """At de_en widths (4 layers, d = 256, d_a = 1024, 4 hops) each of
-        several blocks of positions has an energy GEMM of over 2**20
-        multiply-adds, as the whole product has, so OpenBLAS rounds both
-        with one kernel: the output and the hop weights equal the unfused
-        chain's bit for bit."""
-        lead, n, d, d_a, n_hop = (2 * ad.BLOCK_ROWS + 37,), 4, 256, 1024, 4
-        layers, embed, w1, w2 = layer_attention_args(lead, n_hop, True, n, d, d_a)
-        blocks = ad._row_blocks(lead[0])
-        assert len(blocks) > 1
-        assert min(r.stop - r.start for r in blocks) * n * d_a * n_hop > 2**20
+    @pytest.mark.parametrize(
+        "positions, n_hop", [(2 * ad.BLOCK_ROWS + 37, 4), (600, 2), (1000, 1)]
+    )
+    def test_layer_attention_forward_at_de_en_widths_equals_the_chain(self, positions, n_hop):
+        """At de_en widths (4 layers, d = 256, d_a = 1024) the output and the
+        hop weights equal the unfused chain's bit for bit, at any number of
+        positions and hops: the forward forms the whole product as the chain
+        does, so OpenBLAS picks the same kernel for both."""
+        n, d, d_a = 4, 256, 1024
+        layers, embed, w1, w2 = layer_attention_args((positions,), n_hop, True, n, d, d_a)
         with ad.no_grad():
             got, weights = ad.layer_attention(layers, embed, w1, w2)
             want, want_weights = unfused_layer_attention(layers, embed, w1, w2)
@@ -1356,6 +1355,24 @@ class TestFusedOps:
             if id(a) not in inputs:
                 held[id(a)] = a.nbytes
         assert sum(held.values()) == out.data.nbytes + weights.nbytes
+
+    @pytest.mark.parametrize("share_w1", [True, False])
+    def test_layer_attention_forward_allocates_one_hidden_layer(self, share_w1):
+        """Beside its output and the hop weights, the forward holds one
+        [rows * n, d_a] hidden layer, one [rows, n, d] ``layers + embed`` and
+        numpy's ufunc buffer; never a second hidden layer."""
+        rows, n, d, d_a, n_hop = 4 * ad.BLOCK_ROWS, 4, 32, 64, 2
+        layers, embed, w1, w2 = layer_attention_args((rows,), n_hop, share_w1, n, d, d_a)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, weights = ad.layer_attention(layers, embed, w1, w2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        scratch = 8 * (rows * n * d_a + rows * n * d + np.getbufsize())
+        assert peak <= out.data.nbytes + weights.nbytes + scratch
+        assert rows * n * d + np.getbufsize() < rows * n * d_a  # no room for a second hidden layer
 
     @pytest.mark.parametrize("share_w1", [True, False])
     def test_layer_attention_backward_allocates_only_its_gradients(self, share_w1):
