@@ -23,7 +23,8 @@ reads:
   bv``) after any cached ones, heads split as views; it stores its output,
   the normalized sum, the dropout mask and the softmax probabilities, and
   backward recomputes the values, the merged heads, the query projection
-  and the keys, one projection at a time.
+  and the keys, one projection at a time.  Cached keys and values are
+  forward-only: they need ``no_grad``.
 * ``ffn_residual_layer_norm``: a whole post-norm FFN sublayer,
   ``layer_norm(x + dropout(relu(x @ W1 + b1) @ W2 + b2))``, or without
   ``x +`` the fusion layer's FNN and norm, as wide as W2; it stores its
@@ -515,22 +516,24 @@ def attention_residual_layer_norm(
 
     ``x`` [B x Lq x d] is the query input and the residual, ``wq``/``bq``
     and ``wo``/``bo`` the query and output projections.  The keys and values
-    [B x Lk x d] are the cached ``past`` (not differentiated), then the
-    projections ``src @ wk + bk`` and ``src @ wv + bv`` of ``src`` [B x Ls
-    x d]; either may be None, not both.  Heads are views [B x H x L x d/H]
-    of the query, key and value arrays, and the scores are ``(q . k^T) *
-    1/sqrt(d/H)``.  ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk];
-    its False entries get a ``MASK_PENALTY`` added, which underflows to an
-    exact zero weight after the softmax.  A row with no allowed key gets the
-    same penalty on every score, so it keeps its unmasked weights up to the
-    penalty's rounding (about 1e-7 in float64).  ``keep`` is the boolean
-    mask ``dropout_keep`` drew at ``rate`` (None: no dropout).
+    [B x Lk x d] are the cached ``past``, then the projections ``src @ wk +
+    bk`` and ``src @ wv + bv`` of ``src`` [B x Ls x d]; either may be None,
+    not both.  ``past`` is forward-only: it is a ValueError while the tape
+    is live, so a decoder passes cached keys and values under ``no_grad``.
+    Heads are views [B x H x L x d/H] of the query, key and value arrays,
+    and the scores are ``(q . k^T) * 1/sqrt(d/H)``.  ``mask`` is boolean and
+    broadcasts to [B x 1 x Lq x Lk]; its False entries get a
+    ``MASK_PENALTY`` added, which underflows to an exact zero weight after
+    the softmax.  A row with no allowed key gets the same penalty on every
+    score, so it keeps its unmasked weights up to the penalty's rounding
+    (about 1e-7 in float64).  ``keep`` is the boolean mask ``dropout_keep``
+    drew at ``rate`` (None: no dropout).
 
     The tape holds the output, the normalized sum, the dropout mask and the
-    softmax probabilities (and ``past``, if given).  Backward recomputes the
-    values and the merged heads ``p @ v``, then the query projection and the
-    keys, with the forward's GEMMs, and drops the values and their gradient
-    before it forms the keys.  The values and gradients are bit for bit
+    softmax probabilities.  Backward recomputes the values and the merged
+    heads ``p @ v``, then the query projection and the keys, with the
+    forward's GEMMs, and drops the values and their gradient before it
+    forms the keys.  The values and gradients are bit for bit
     those of the key, value and query projections, the attention and the
     output projection's residual norm run as separate ops: ``src``'s two
     gradients come after ``x``'s two, in the order the key and value
@@ -557,6 +560,8 @@ def attention_residual_layer_norm(
         mask.ndim != 4 or any(m not in (1, n) for m, n in zip(mask.shape, full))
     ):
         raise ValueError(f"mask shape {mask.shape} does not broadcast to {full}")
+    if past is not None and _grad_enabled:
+        raise ValueError("cached keys and values are forward-only: pass past under no_grad()")
     dh = d // n_heads
     rows = x.data.reshape(-1, d)
     past_k, past_v = (None, None) if past is None else past
@@ -582,29 +587,25 @@ def attention_residual_layer_norm(
 
     def source_vjp(dheads, w, w_bias):
         """``src``'s gradient and those of ``w`` and ``w_bias`` from the
-        gradient of the keys' or values' heads, laid out [B x Lk x H x d/H]."""
-        g = dheads.reshape(b, lk, d)[:, lp:].reshape(-1, d)
-        dsrc, dw, db = _affine_vjp(g, src.data.reshape(-1, d), w, w_bias)
+        gradient of the keys' or values' heads, laid out [B x Ls x H x d/H]."""
+        dsrc, dw, db = _affine_vjp(dheads.reshape(-1, d), src.data.reshape(-1, d), w, w_bias)
         return dsrc.reshape(src.shape), dw, db
 
-    def vjp(g):
+    def vjp(g):  # only without ``past``, so every key and value is src's
         dx, ds, dgain, dbias = _residual_norm_vjp(g, xhat, inv, gain, keep, rate)
-        v = _projection(src, wv, bv, past_v)
+        v = _projection(src, wv, bv, None)
         heads = merged_heads(v)
         dwo, dbo = heads.T @ ds, ds.sum(axis=0)
         dheads = np.matmul(ds, wo.data.T, out=heads)  # the heads are spent: reuse them
         dscores, dv = _attend_vjp(split(dheads, (0, 2, 1, 3)), p, split(v, (0, 2, 1, 3)))
         del v, heads, dheads
-        if src is not None:
-            dsrc_v, *dwv = source_vjp(dv.transpose(0, 2, 1, 3), wv, bv)
+        dsrc_v, *dwv = source_vjp(dv.transpose(0, 2, 1, 3), wv, bv)
         del dv
         dscores *= c
-        k = _projection(src, wk, bk, past_k)
+        k = _projection(src, wk, bk, None)
         dq = (dscores @ split(k, (0, 2, 1, 3))).transpose(0, 2, 1, 3).reshape(-1, d)
         del k
         dx_q, dwq, dbq = _affine_vjp(dq, rows, wq, bq)
-        if src is None:
-            return dx, dx_q.reshape(x.shape), dwq, dbq, dwo, dbo, dgain, dbias
         dk = query_heads().swapaxes(-1, -2) @ dscores
         del dscores
         dsrc_k, *dwk = source_vjp(dk.transpose(0, 3, 1, 2), wk, bk)
@@ -617,10 +618,7 @@ def attention_residual_layer_norm(
     # twice, as the keys' and the values' (src may be x), so backward adds
     # their gradients to whatever they already hold one at a time, in the
     # order separate residual, query, key and value nodes would
-    if src is None:
-        parents = (x, x, wq, bq, wo, bo, gain, bias)
-    else:
-        parents = (x, x, src, src, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias)
+    parents = (x, x, src, src, wq, bq, wk, bk, wv, bv, wo, bo, gain, bias)
     return _make(data, parents, vjp), (k, v)
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from .autodiff import ParamStore, Tensor
 from .fusion import FusionConfig, check_types, field_types
 from .model import ModelConfig, Transformer
-from .training import AdamState, TrainConfig
+from .training import PHASES, AdamState, TrainConfig
 
 MAGIC = "MLRF-CHECKPOINT 1"
 ALIGN = 4096
@@ -76,7 +76,7 @@ class OptimizerHeader:
         check_types(self)
         if self.t < 0:
             raise ValueError(f"optimizer t must be >= 0, got {self.t}")
-        if self.phase not in ("warmup_schedule", "restarted"):
+        if self.phase not in PHASES:
             raise ValueError(f"unknown optimizer phase {self.phase!r}")
 
 
@@ -246,7 +246,7 @@ def load_checkpoint(path) -> Checkpoint:
         opt_m=opt_m,
         opt_v=opt_v,
         opt_t=opt.t if opt else 0,
-        phase=opt.phase if opt else "warmup_schedule",
+        phase=opt.phase if opt else PHASES[0],
         meta=meta,
         mapping=mapping,
     )

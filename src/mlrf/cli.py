@@ -34,6 +34,7 @@ from .decoding import BeamConfig, translate_ids
 from .metrics import corpus_bleu
 from .model import Transformer, one_sentence, param_specs, parameter_breakdown
 from .training import (
+    PHASES,
     AdamState,
     StepMetrics,
     evaluate_teacher_forced,
@@ -44,7 +45,6 @@ from .training import (
 log = logging.getLogger("mlrf")
 
 METRICS_HEADER = "step\tphase\tlr\tloss\ttrain_acc\tvalid_acc"
-PHASES = ("warmup_schedule", "restarted")  # in training order
 
 
 @dataclass
@@ -138,11 +138,12 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
             report.add(m, meta.last_valid_acc)
 
     total_epochs = tcfg.epochs_phase1 + tcfg.epochs_phase2
-    for epoch in range(meta.epochs_done, total_epochs):
+    epochs = range(meta.epochs_done, total_epochs)
+    for epoch in epochs:
         if epoch < tcfg.epochs_phase1:
-            phase, batch_size = "warmup_schedule", tcfg.batch_phase1
+            phase, batch_size = PHASES[0], tcfg.batch_phase1
         else:
-            phase, batch_size = "restarted", tcfg.batch_phase2
+            phase, batch_size = PHASES[1], tcfg.batch_phase2
             if not state.restarted():
                 restart_adam(state)
                 log.info(
@@ -165,7 +166,8 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
             meta.last_valid_acc = valid["accuracy"]
             meta.best_valid_loss = min(best, valid["loss"])
         save_checkpoint(out_dir / "last.ckpt", model, state, tcfg, meta)
-        if meta.best_valid_loss < best:  # the same bytes: link them, not write them again
+        # an improving epoch, or without validation the last, is best: link, not write again
+        if meta.best_valid_loss < best or valid_batches is None and epoch == epochs[-1]:
             try:
                 link_checkpoint(out_dir / "last.ckpt", out_dir / "best.ckpt")
             except OSError:
@@ -175,7 +177,7 @@ def run_training(run_cfg: RunConfig, out_dir, resume: str | None = None) -> RunR
             epoch + 1, total_epochs, phase, stats["loss"], stats["accuracy"],
             f" valid_acc {meta.last_valid_acc:.4f}" if meta.last_valid_acc is not None else "",
         )
-    if valid_batches is None:
+    if valid_batches is None and not epochs:  # no last.ckpt of this run to link
         meta.epochs_done = total_epochs or meta.epochs_done  # as loaded when no epochs are set
         save_checkpoint(out_dir / "best.ckpt", model, state, tcfg, meta)
 

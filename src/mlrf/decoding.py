@@ -4,13 +4,14 @@ Decoders are written against a batched step function
 ``step(tokens, parents) -> [k x V]``: row i of a call extends row
 ``parents[i]`` of the previous call by ``tokens[i]``, and the result holds
 each row's next-token log-probs.  ``parents=None`` starts k new prefixes
-from empty (a search's first call passes BOS).  Greedy decoding scores one
-row per step, beam search every live hypothesis at once.  ``SentenceScorer``
-adapts a trained model to that contract: the encoder and the cross-attention
-keys and values run once per sentence, and each step runs only the newest
-token of every row through the decoder's one stack method,
-``Transformer.decode_teacher_forced``, reading the keys and values cached
-for its parent row.
+from empty (a search's first call passes BOS).  Beam search scores every
+live hypothesis at once; greedy decoding is its loop at width 1.
+``SentenceScorer`` adapts a trained model to that contract: the encoder and
+the cross-attention keys and values run once per sentence, and each step
+runs only the newest token of every row through the decoder's one stack
+method, ``Transformer.decode_teacher_forced``, reading the keys and values
+cached for its parent row.  It runs off the tape (``ad.no_grad``), as cached
+keys and values require.
 """
 
 from __future__ import annotations
@@ -54,11 +55,9 @@ class Hypothesis:
     finished: bool = False
 
     def output_ids(self) -> list[int]:
-        """Token ids without BOS and without the terminating EOS."""
-        toks = list(self.tokens[1:])
-        if toks and toks[-1] == EOS_ID:
-            toks.pop()
-        return toks
+        """Token ids without BOS and, if finished, without the EOS that
+        finished it."""
+        return list(self.tokens[1 : len(self.tokens) - self.finished])
 
     def score(self, alpha: float) -> float:
         return length_normalized_score(self.logprob, max(len(self.tokens) - 1, 1), alpha)
@@ -71,15 +70,9 @@ def length_normalized_score(logprob: float, length: int, alpha: float) -> float:
 
 def greedy_decode(step_fn: StepFn, max_len: int, bos: int = BOS_ID, eos: int = EOS_ID) -> list[int]:
     """Best-token decoding, ranked by ``top_tokens`` (ties resolve to the
-    lowest token id); returns the ids without BOS and EOS."""
-    out, tok, parents = [], bos, None
-    for _ in range(max_len):
-        tok = int(top_tokens(step_fn(np.array([tok]), parents), 1)[0, 0])
-        if tok == eos:
-            break
-        out.append(tok)
-        parents = [0]
-    return out
+    lowest token id): the search at width 1.  Returns the ids without BOS
+    and EOS."""
+    return _search(step_fn, 1, 0.0, max_len, bos, eos)[0].output_ids()
 
 
 def top_tokens(logps: np.ndarray, width: int) -> np.ndarray:
@@ -112,25 +105,28 @@ def top_tokens(logps: np.ndarray, width: int) -> np.ndarray:
 
 
 def beam_search(
-    step_fn: StepFn,
-    config: BeamConfig,
-    bos: int = BOS_ID,
-    eos: int = EOS_ID,
+    step_fn: StepFn, config: BeamConfig, bos: int = BOS_ID, eos: int = EOS_ID
 ) -> list[Hypothesis]:
     """Standard beam search; returns hypotheses ranked by normalized score.
 
     Each step scores every live hypothesis in one ``step_fn`` call, as the
     child of the previous call's row it grew from.  Live hypotheses expand
     by their top-``width`` tokens each step (``top_tokens``) and the best
-    ``width`` by cumulative log-prob survive.  A hypothesis emitting EOS
+    ``width`` by cumulative log-prob survive.  A hypothesis emitting ``eos``
     moves to the completed pool and stops expanding.  If nothing finishes by
     ``max_len``, the live beam is returned as-is.
     """
-    width = config.width
+    return _search(step_fn, config.width, config.length_alpha, config.max_len, bos, eos)
+
+
+def _search(
+    step_fn: StepFn, width: int, alpha: float, max_len: int, bos: int, eos: int
+) -> list[Hypothesis]:
+    """``beam_search``'s loop, which ``greedy_decode`` runs at width 1."""
     live = [Hypothesis((bos,), 0.0)]
     parents: list[int] | None = None  # the row each live hypothesis grew from
     done: list[Hypothesis] = []
-    for _ in range(config.max_len):
+    for _ in range(max_len):
         if not live:
             break
         candidates: list[tuple[Hypothesis, int]] = []
@@ -156,7 +152,7 @@ def beam_search(
             if len(done) >= width and len(live) >= width:
                 break
     pool = done if done else live
-    return sorted(pool, key=lambda h: -h.score(config.length_alpha))[: width]
+    return sorted(pool, key=lambda h: -h.score(alpha))[:width]
 
 
 class SentenceScorer:
@@ -211,4 +207,4 @@ def translate_ids(
     if beam is None or beam.width == 1:
         return greedy_decode(scorer, max_len)
     best = beam_search(scorer, BeamConfig(beam.width, beam.length_alpha, max_len))
-    return best[0].output_ids() if best else []
+    return best[0].output_ids()

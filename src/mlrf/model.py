@@ -291,11 +291,11 @@ def attend(
 
     The keys and values are the cached ``past``, then the projections of
     ``src`` [B x Ls x d] (x itself for self-attention); a decoding step
-    passes cached rows, which are not differentiated, so it never projects
-    them again.  ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk]
-    ([B x 1 x 1 x Lk] for key padding alone).  A row with no allowed key
-    attends as if unmasked (see ``ad.attention_residual_layer_norm``); it is
-    only flagged at debug log level.  The dropout mask is drawn for
+    passes cached rows, forward-only (under ``ad.no_grad``), so it never
+    projects them again.  ``mask`` is boolean and broadcasts to [B x 1 x Lq
+    x Lk] ([B x 1 x 1 x Lk] for key padding alone).  A row with no allowed
+    key attends as if unmasked (see ``ad.attention_residual_layer_norm``);
+    it is only flagged at debug log level.  The dropout mask is drawn for
     ``tokens`` as dropout on the output projection would draw it.
     """
     if mask is not None and log.isEnabledFor(logging.DEBUG) and not mask.any(axis=-1).all():
@@ -423,12 +423,13 @@ class Transformer:
         and no ``past``: pad keys and later positions are masked and
         ``train`` turns dropout on.  A decoding step passes the newest tokens
         of k hypotheses with no masks, the cached cross keys and values, and
-        ``past`` from the previous step, which each new row reads in full;
-        cached arrays are not differentiated through.  Returns the
-        n_layers+1 reps [B x L x d] (embedding output first) and, for a
-        decoding step, each layer's self-attention keys and values [B x t+L x
-        d] over positions 0 to t+L-1; teacher forcing collects none, so each
-        layer's are freed as the next layer starts.
+        ``past`` from the previous step, which each new row reads in full.
+        Cached arrays are forward-only: a pass over them runs under
+        ``ad.no_grad``.  Returns the n_layers+1 reps [B x L x d] (embedding
+        output first) and, for a decoding step, each layer's self-attention
+        keys and values [B x t+L x d] over positions 0 to t+L-1; teacher
+        forcing collects none, so each layer's are freed as the next layer
+        starts.
         """
         cfg = self.config
         rate = cfg.dropout if train else 0.0

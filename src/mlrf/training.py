@@ -24,6 +24,8 @@ from .model import Transformer
 
 log = logging.getLogger(__name__)
 
+PHASES = ("warmup_schedule", "restarted")  # in training order
+
 
 @dataclass
 class TrainConfig:
@@ -92,12 +94,12 @@ class AdamState:
         self.m = {name: np.zeros(t.shape) for name, t in params.items()}
         self.v = {name: np.zeros(t.shape) for name, t in params.items()}
         self.t = 0
-        self.phase = "warmup_schedule"
+        self.phase = PHASES[0]
         self.workers = _usable_cores()
         self._pool: ThreadPoolExecutor | None = None
 
     def restarted(self) -> bool:
-        return self.phase == "restarted"
+        return self.phase == PHASES[1]
 
     def _executor(self) -> ThreadPoolExecutor:
         if self._pool is None:
@@ -207,7 +209,7 @@ def restart_adam(state: AdamState) -> None:
     for v in state.v.values():
         v[:] = 0.0
     state.t = 0
-    state.phase = "restarted"
+    state.phase = PHASES[1]
 
 
 def grad_norm(params: ParamStore) -> float:

@@ -1032,30 +1032,32 @@ class TestFusedOps:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n_heads", [1, 2])
-    @pytest.mark.parametrize(
-        "rate,kind", [(0.0, "key_padding"), (0.3, "causal"), (0.3, "cross"), (0.3, "past")]
-    )
+    @pytest.mark.parametrize("rate,kind", [(0.0, "key_padding"), (0.3, "causal"), (0.3, "cross")])
     def test_attention_node_gradient(self, rate, kind, n_heads):
         """Every input, the key and value source and its projections
-        included, against central differences; with ``past``, 3 cached key
-        and value rows come before the source's, and get no gradient.  A
-        key bias adds the same to every score of a row, so without ``past``
-        its exact gradient is zero, and it is compared by absolute value."""
-        leaves, source, mask, tokens = attention_node_args("none" if kind == "past" else kind, d=4)
-        past = None
-        if kind == "past":
-            past = tuple(rng.standard_normal((2, 3, 4)) for _ in range(2))
-            mask = np.tril(np.ones((4, 7), bool), 3)[None, None]
+        included, against central differences.  A key bias adds the same to
+        every score of a row, so its exact gradient is zero, and it is
+        compared by absolute value."""
+        leaves, source, mask, tokens = attention_node_args(kind, d=4)
         keep = ad.dropout_keep(leaves[0].shape, rate, np.random.default_rng(3), tokens)
         bk = leaves[4]
         assert_grads_match(
             lambda: ad.attention_residual_layer_norm(
-                leaves[0], source, past, *leaves[1:11], n_heads, mask, keep, rate
+                leaves[0], source, None, *leaves[1:11], n_heads, mask, keep, rate
             )[0],
-            [t for t in leaves if past is not None or t is not bk],
+            [t for t in leaves if t is not bk],
         )
-        if past is None:
-            assert np.abs(bk.grad).max() < 1e-13
+        assert np.abs(bk.grad).max() < 1e-13
+
+    @pytest.mark.parametrize("with_src", [True, False])
+    def test_attention_node_refuses_cached_keys_on_a_live_tape(self, with_src):
+        """Cached keys and values are forward-only: with ``past``, the node
+        runs only under ``no_grad``."""
+        leaves, _, _, _ = attention_node_args("none")
+        x = leaves[0]
+        past = (x.data[:, :2].copy(), x.data[:, :2].copy())
+        with pytest.raises(ValueError, match="forward-only"):
+            ad.attention_residual_layer_norm(x, x if with_src else None, past, *leaves[1:11], 2)
 
     def test_attention_node_in_float32_under_no_grad_matches_the_chain(self):
         leaves, _, mask, _ = attention_node_args("causal")

@@ -182,6 +182,21 @@ class TestTrain:
         assert (out / "best.ckpt").read_bytes() == (out / "last.ckpt").read_bytes() == saves[0][1]
         assert os.path.samefile(out / "best.ckpt", out / "last.ckpt")
 
+    @pytest.mark.parametrize("epochs, written", [(1, "last.ckpt"), (0, "best.ckpt")])
+    def test_run_without_validation_writes_its_last_state_once(
+        self, tmp_path, saves, epochs, written
+    ):
+        """Without validation, best.ckpt is the run's last state: a link to
+        last.ckpt when an epoch ran, its own save when none did."""
+        cfg = Path(write_cfg(tmp_path, phase1=epochs, phase2=0))
+        cfg.write_text(cfg.read_text().replace("valid_count = 8", "valid_count = 0"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [name for name, _ in saves] == [written]
+        assert (out / "best.ckpt").read_bytes() == saves[0][1]
+        assert (out / "last.ckpt").exists() == (epochs > 0)
+        assert epochs == 0 or os.path.samefile(out / "best.ckpt", out / "last.ckpt")
+
     def test_later_save_of_last_leaves_best(self, tmp_path, saves, monkeypatch):
         real = cli.evaluate_teacher_forced
         losses = iter([1.0, 2.0])  # the second epoch does not improve

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mlrf import autodiff as ad
+from mlrf import decoding
 from mlrf.decoding import (
     BeamConfig,
     SentenceScorer,
@@ -112,6 +113,29 @@ class TestBeam:
         cfg = BeamConfig(width=1, length_alpha=0.0, max_len=5)
         best = beam_search(per_prefix(GREEDY_TRAP), cfg)[0]
         assert best.output_ids() == greedy_decode(per_prefix(GREEDY_TRAP), max_len=5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.6, -0.5])
+    def test_width_one_equals_greedy_for_any_eos(self, alpha):
+        """Over random tables of 10 tokens, a width-1 beam gives greedy's
+        ids for a custom ``eos``: it strips the search's EOS, not the
+        module's, which is an ordinary token here."""
+        for eos in (7, 9):
+            for trial in range(20):
+                gen = np.random.default_rng([eos, trial])
+                table: dict[tuple[int, ...], np.ndarray] = {}
+
+                def oracle(prefix):
+                    if prefix not in table:
+                        table[prefix] = np.log(gen.dirichlet(np.ones(10)))
+                    return table[prefix]
+
+                greedy = greedy_decode(per_prefix(oracle), 6, eos=eos)
+                beam = beam_search(per_prefix(oracle), BeamConfig(1, alpha, 6), eos=eos)
+                assert [h.output_ids() for h in beam] == [greedy], (eos, trial)
+        only_eos_id = per_prefix(lambda prefix: log_dist({EOS: 1.0}, 10))
+        assert greedy_decode(only_eos_id, 3, eos=9) == [EOS] * 3
+        best = beam_search(only_eos_id, BeamConfig(1, alpha, 3), eos=9)[0]
+        assert best.output_ids() == [EOS] * 3
 
     def test_beam_two_recovers_global_best_that_greedy_misses(self):
         cfg = BeamConfig(width=2, length_alpha=0.0, max_len=5)
@@ -237,6 +261,38 @@ class TestModelAdapter:
         assert translate_ids(model, src, BeamConfig(1, 1.6, 6)) == greedy
         beam1 = beam_search(SentenceScorer(model, src), BeamConfig(1, 1.6, 6))[0]
         assert beam1.output_ids() == greedy
+
+    @pytest.mark.parametrize("width, search", [(1, "greedy_decode"), (3, "beam_search")])
+    def test_each_width_steps_inside_one_named_search(self, monkeypatch, width, search):
+        """``translate_ids`` sends a width-1 beam to ``greedy_decode`` and a
+        wider one to ``beam_search``, and neither calls the other, so every
+        scorer call runs directly inside the one search that the width
+        names (perfbench counts steps per search this way)."""
+        inside, seen = [], []
+
+        def spy(name):
+            real = getattr(decoding, name)
+
+            def wrapped(*args, **kwargs):
+                inside.append(name)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(decoding, name, wrapped)
+
+        spy("greedy_decode")
+        spy("beam_search")
+        real_call = SentenceScorer.__call__
+
+        def call(self, tokens, parents):
+            seen.append(tuple(inside))
+            return real_call(self, tokens, parents)
+
+        monkeypatch.setattr(SentenceScorer, "__call__", call)
+        translate_ids(toy_model(seed=37), [4, 5, 2], BeamConfig(width, 1.6, 6))
+        assert seen and set(seen) == {(search,)}
 
     def test_decoding_is_deterministic(self):
         model = toy_model(seed=37)

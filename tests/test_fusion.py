@@ -100,8 +100,9 @@ class TestFnn:
             enc, _ = model.encoder_output(model.encode(src, src_mask), src_mask)
             tgt, tgt_mask = padded(np.array([1, 4]), [2])
             cross_kv = model.cross_key_values(enc)
-            stack, _ = model.decode_teacher_forced(tgt, tgt_mask, cross_kv, src_mask)
-            fused, _ = model.decoder_output(stack, tgt_mask)
+            with ad.no_grad():  # cached keys and values are forward-only
+                stack, _ = model.decode_teacher_forced(tgt, tgt_mask, cross_kv, src_mask)
+                fused, _ = model.decoder_output(stack, tgt_mask)
             assert fused.shape == (2, d)
 
     def test_gradient_through_fusion(self):
@@ -309,8 +310,9 @@ class TestReachabilityAndShapes:
         assert enc.shape == (2, 4, model.config.d_model)
         tgt, tgt_mask = padded(np.array([1, 4, 5, 1]), [3, 1])
         cross_kv = model.cross_key_values(enc)
-        dec_stack, _ = model.decode_teacher_forced(tgt, tgt_mask, cross_kv, src_mask)
-        dec, _ = model.decoder_output(dec_stack, tgt_mask)
+        with ad.no_grad():  # cached keys and values are forward-only
+            dec_stack, _ = model.decode_teacher_forced(tgt, tgt_mask, cross_kv, src_mask)
+            dec, _ = model.decoder_output(dec_stack, tgt_mask)
         assert dec.shape == (4, model.config.d_model)
 
 

@@ -235,10 +235,9 @@ class TestStacks:
         model = toy_model(seed=6)
         ids, mask = padded(*random_sentences(rng, 2))
         enc, _ = model.encoder_output(model.encode(ids, mask), mask)
-        for stack in (
-            model.encode(ids, mask),
-            model.decode_teacher_forced(ids, mask, model.cross_key_values(enc), mask)[0],
-        ):
+        with ad.no_grad():  # cached keys and values are forward-only
+            dec = model.decode_teacher_forced(ids, mask, model.cross_key_values(enc), mask)[0]
+        for stack in (model.encode(ids, mask), dec):
             assert len(stack) == model.config.n_layers + 1
             for lo, hi in zip(stack, stack[1:]):
                 assert lo.shape == hi.shape
@@ -256,16 +255,17 @@ class TestStacks:
 
         def spy(x, src, past, *args):
             out, kv = real(x, src, past, *args)
-            if past is None:  # self-attention: cross-attention reads the cache
+            if src is x:  # self-attention
                 made.extend(weakref.ref(a) for a in kv)
             return out, kv
 
         monkeypatch.setattr(ad, "attention_residual_layer_norm", spy)
-        stack, kv = model.decode_teacher_forced(ids, mask, cross_kv, mask, train=True)
+        stack, kv = model.decode_teacher_forced(ids, mask, enc, mask, train=True)
         assert kv == [] and len(made) == 2 * model.config.n_layers
         assert [r for r in made if r() is not None] == []  # the tape holds none either
         assert stack[-1].requires_grad
-        _, kv = model.decode_teacher_forced(ids[:, :2], None, cross_kv, None)
+        with ad.no_grad():  # cached keys and values are forward-only
+            _, kv = model.decode_teacher_forced(ids[:, :2], None, cross_kv, None)
         assert [k.shape for k, _ in kv] == [(2, 2, model.config.d_model)] * model.config.n_layers
 
     def test_too_long_sentence_rejected(self):
@@ -284,8 +284,9 @@ class TestCausality:
         j = 2
         tgt_b[j + 1 :] = [9, 10]  # change only positions after j
         cross_kv = model.cross_key_values(enc)
-        stack_a, _ = model.decode_teacher_forced(*padded(tgt_a, [5]), cross_kv, src_mask)
-        stack_b, _ = model.decode_teacher_forced(*padded(tgt_b, [5]), cross_kv, src_mask)
+        with ad.no_grad():  # cached keys and values are forward-only
+            stack_a, _ = model.decode_teacher_forced(*padded(tgt_a, [5]), cross_kv, src_mask)
+            stack_b, _ = model.decode_teacher_forced(*padded(tgt_b, [5]), cross_kv, src_mask)
         for a, b in zip(stack_a, stack_b):
             np.testing.assert_array_equal(a.data[:, : j + 1], b.data[:, : j + 1])
 
