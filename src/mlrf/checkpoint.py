@@ -133,18 +133,19 @@ def save_checkpoint(
             f.flush()
             os.fsync(f.fileno())
 
-    _replace(path, write)
+    replace_file(path, write)
 
 
 def link_checkpoint(src, dst) -> None:
     """Name the saved checkpoint ``src`` also ``dst``, by a hard link renamed
     over ``dst``; saves only rename new files into place, so a later save of
     either name leaves the other as it was.  OSError where links fail."""
-    _replace(dst, lambda tmp: os.link(src, tmp))
+    replace_file(dst, lambda tmp: os.link(src, tmp))
 
 
-def _replace(path, make) -> None:
-    """``make`` a new file beside ``path``, then rename it over: a failure leaves the old file."""
+def replace_file(path, make) -> None:
+    """``make(tmp)`` a new file at ``tmp``, beside ``path``, then rename it
+    over ``path``: a failure leaves the old file whole and removes ``tmp``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.unlink(missing_ok=True)  # a crash can leave it, maybe as a link: never write into it

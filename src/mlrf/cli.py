@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .checkpoint import (
-    RunMeta, build_model, link_checkpoint, load_checkpoint, restore_training, save_checkpoint,
+    RunMeta, build_model, link_checkpoint, load_checkpoint, replace_file, restore_training,
+    save_checkpoint,
 )
 from .config import ConfigError, RunConfig, build_corpora, load_config
 from .data import (
@@ -68,9 +69,8 @@ class RunReport:
         for step, phase, lr, loss, acc, vacc in self.records:
             v = "" if vacc is None else f"{vacc:.6f}"
             lines.append(f"{step}\t{phase}\t{lr:.8e}\t{loss:.8f}\t{acc:.6f}\t{v}")
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-        os.replace(tmp, path)
+        text = "".join(l + "\n" for l in lines)
+        replace_file(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _rows_through(path: Path, phase: str, step: int) -> list[str]:

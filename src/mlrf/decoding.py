@@ -187,7 +187,7 @@ class SentenceScorer:
                 (key[parents], v[parents]) for key, v in self._past
             ]
             stack, self._past = self.model.decode_teacher_forced(ids, None, cross_kv, None, past=past)
-            rep, _ = self.model.decoder_output(stack, np.ones((k, 1), dtype=bool))
+            rep, _ = self.model.decoder_output(stack, None)
             logits = self.model.output_logits(rep)
         z = logits - logits.max(axis=1, keepdims=True)
         return z - np.log(np.exp(z).sum(axis=1, keepdims=True))

@@ -27,8 +27,8 @@ vocabulary inside the loss op, a row block at a time.  One method,
 ``decode_teacher_forced``, runs the decoder stack both over whole gold
 prefixes and, for decoding, at one new position of k hypotheses that attend
 over the keys and values, [k, t, d], cached from earlier positions, and over
-the cross-attention ones, projected once per sentence; ``attend`` is the one
-attention entry point for every sublayer.
+the cross-attention ones, projected once per sentence.  Those rows are all
+real, so a decoding step's fusion takes them with no rows mask.
 """
 
 from __future__ import annotations
@@ -271,43 +271,6 @@ def _trim_batch(ids, mask) -> tuple[np.ndarray, np.ndarray]:
 KeyValues = tuple[np.ndarray, np.ndarray]
 
 
-def attend(
-    x: Tensor,
-    src: Tensor | None,
-    past: KeyValues | None,
-    n_heads: int,
-    params: ParamStore,
-    prefix: str,
-    norm: str,
-    mask: np.ndarray | None = None,
-    rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-    tokens: np.ndarray | None = None,
-) -> tuple[Tensor, KeyValues]:
-    """The attention sublayer ``prefix`` of ``x`` [B x Lq x d]: ``layer_norm(x
-    + dropout(heads @ wo + bo))`` with the norm ``norm``, one
-    ``ad.attention_residual_layer_norm`` node; returns it and the sublayer's
-    keys and values.
-
-    The keys and values are the cached ``past``, then the projections of
-    ``src`` [B x Ls x d] (x itself for self-attention); a decoding step
-    passes cached rows, forward-only (under ``ad.no_grad``), so it never
-    projects them again.  ``mask`` is boolean and broadcasts to [B x 1 x Lq
-    x Lk] ([B x 1 x 1 x Lk] for key padding alone).  A row with no allowed
-    key attends as if unmasked (see ``ad.attention_residual_layer_norm``);
-    it is only flagged at debug log level.  The dropout mask is drawn for
-    ``tokens`` as dropout on the output projection would draw it.
-    """
-    if mask is not None and log.isEnabledFor(logging.DEBUG) and not mask.any(axis=-1).all():
-        log.debug("attention row with every key masked at %s", prefix)
-    keep = ad.dropout_keep(x.shape, rate, rng, tokens)
-    names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-    return ad.attention_residual_layer_norm(
-        x, src, past, *(params[f"{prefix}.{n}"] for n in names),
-        params[f"{norm}.gain"], params[f"{norm}.bias"], n_heads, mask, keep, rate,
-    )
-
-
 def layer(
     x: Tensor,
     attn: Sequence[tuple[str, Tensor | None, KeyValues | None, np.ndarray | None]],
@@ -319,17 +282,32 @@ def layer(
     tokens: np.ndarray | None = None,
 ) -> tuple[Tensor, list[KeyValues]]:
     """One post-norm layer on [B x Lq x d]: each attention sublayer of
-    ``attn``, ``(name, src, past, mask)`` as ``attend`` takes them, in order
-    (an encoder passes self-attention; a decoder self-attention, then
-    cross-attention), then the FNN, one ``ad.ffn_residual_layer_norm``
-    node.  Returns the layer's output and each attention sublayer's keys
-    and values.  Sublayer i ends in ``{prefix}.norm{i}``; ``tokens`` marks
-    the real positions that dropout draws for."""
+    ``attn``, ``(name, src, past, mask)``, in order (an encoder passes
+    self-attention; a decoder self-attention, then cross-attention), then
+    the FNN.  Sublayer i ends in the norm ``{prefix}.norm{i}``.
+
+    An attention sublayer is one ``ad.attention_residual_layer_norm`` node,
+    ``layer_norm(x + dropout(heads @ wo + bo))``, over the keys and values
+    of the cached ``past``, then the projections of ``src`` [B x Ls x d]
+    (x itself for self-attention); a decoding step passes cached rows,
+    forward-only (under ``ad.no_grad``), so it never projects them again.
+    ``mask`` is boolean and broadcasts to [B x 1 x Lq x Lk] ([B x 1 x 1 x
+    Lk] for key padding alone).  A row with no allowed key attends as if
+    unmasked (see ``ad.attention_residual_layer_norm``); it is only flagged
+    at debug log level.  The FNN is one ``ad.ffn_residual_layer_norm``
+    node.  Each sublayer in turn draws its dropout mask for ``tokens``, the
+    real positions.  Returns the layer's output and each attention
+    sublayer's keys and values."""
     kv = []
+    names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
     for i, (name, src, past, mask) in enumerate(attn, 1):
-        x, kv_i = attend(
-            x, src, past, n_heads, params, f"{prefix}.{name}", f"{prefix}.norm{i}",
-            mask, rate, rng, tokens,
+        sub, norm = f"{prefix}.{name}", f"{prefix}.norm{i}"
+        if mask is not None and log.isEnabledFor(logging.DEBUG) and not mask.any(axis=-1).all():
+            log.debug("attention row with every key masked at %s", sub)
+        keep = ad.dropout_keep(x.shape, rate, rng, tokens)
+        x, kv_i = ad.attention_residual_layer_norm(
+            x, src, past, *(params[f"{sub}.{n}"] for n in names),
+            params[f"{norm}.gain"], params[f"{norm}.bias"], n_heads, mask, keep, rate,
         )
         kv.append(kv_i)
     ffn, norm = f"{prefix}.ffn", f"{prefix}.norm{len(attn) + 1}"
@@ -483,13 +461,19 @@ class Transformer:
         return rep, trace
 
     def decoder_output(self, stack: list[Tensor], tgt_mask):
-        """Representation handed to the output projection, [n_tokens x d]:
-        the real target rows, taken before fusion so padding costs nothing."""
+        """Representation handed to the output projection: with a
+        ``tgt_mask``, its real rows [n_tokens x d], taken before fusion so
+        padding costs nothing; with None (a decoding step, whose rows are
+        all real), the fusion of every row, [B x L x d]."""
         return fuse_side(stack, "decoder", self.fusion, self.params, rows=tgt_mask)
 
     def output_logits(self, rep: Tensor) -> np.ndarray:
-        """The logits [n_tokens x V] of ``rep`` for decoding, from arrays: no tape node."""
-        return rep.data @ self.params["output.weight"].data + self.params["output.bias"].data
+        """The logits [n_tokens x V] of ``rep`` [..., d] for decoding, from
+        arrays: no tape node.  The leading axes are flattened first, so the
+        product is one [n_tokens x d] @ [d x V] GEMM, whatever the layout of
+        ``rep``; a batched product rounds differently."""
+        rows = rep.data.reshape(-1, rep.shape[-1])
+        return rows @ self.params["output.weight"].data + self.params["output.bias"].data
 
     def loss(self, rep: Tensor, targets) -> tuple[Tensor, int]:
         """Mean cross-entropy of the output projection of ``rep`` against

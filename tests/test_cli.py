@@ -245,6 +245,35 @@ class TestTrain:
             main(["train", "--config", write_cfg(tmp_path, "two.cfg", 2, 0), "--out", str(out)])
         assert (out / "metrics.tsv").read_bytes() == (one / "metrics.tsv").read_bytes()
 
+    def test_failed_metrics_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.tsv"
+        report = cli.RunReport()
+        report.add(training.StepMetrics(1, "phase1", 1e-3, 2.5, 0.25), None)
+        report.write(path)
+        before = path.read_bytes()
+        report.add(training.StepMetrics(2, "phase1", 1e-3, 2.0, 0.5), 0.5)
+
+        def no_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(OSError, match="disk full"):
+            report.write(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.tsv"]
+
+    def test_metrics_write_never_writes_through_a_stale_temp_link(self, tmp_path):
+        """A crash can leave ``metrics.tsv.tmp`` behind as a link: the write
+        removes it rather than write into the file it names."""
+        other = tmp_path / "other.txt"
+        other.write_text("kept\n")
+        (tmp_path / "metrics.tsv.tmp").symlink_to(other)
+        cli.RunReport().write(tmp_path / "metrics.tsv")
+        assert other.read_text() == "kept\n"
+        assert not (tmp_path / "metrics.tsv").is_symlink()
+        assert (tmp_path / "metrics.tsv").read_text() == cli.METRICS_HEADER + "\n"
+
     def test_resume_into_its_own_directory_keeps_the_earlier_rows(self, trained, tmp_path):
         """The file of a run resumed in place is the uninterrupted run's, also
         when the checkpoint is older than the file's last row."""

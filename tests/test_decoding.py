@@ -294,6 +294,22 @@ class TestModelAdapter:
         translate_ids(toy_model(seed=37), [4, 5, 2], BeamConfig(width, 1.6, 6))
         assert seen and set(seen) == {(search,)}
 
+    @pytest.mark.parametrize("kind", ["baseline", "avg", "fnn", "self_attention"])
+    def test_step_rows_need_no_mask(self, kind):
+        """A decoding step's rows are all real: its fusion and logits, with no
+        rows mask, equal those of the rows a mask gathers, bit for bit.  The
+        logits are one [k, d] @ [d, V] GEMM whatever the layout; a batched
+        [k, 1, d] product rounds differently and would move decoded ids."""
+        model = toy_model("decoder", kind, seed=59)
+        r = np.random.default_rng(59)
+        shape = (8, 1, model.config.d_model)
+        stack = [ad.Tensor(r.standard_normal(shape)) for _ in range(model.config.n_layers + 1)]
+        with ad.no_grad():
+            rep, _ = model.decoder_output(stack, None)
+            rows, _ = model.decoder_output(stack, np.ones(shape[:2], dtype=bool))
+        np.testing.assert_array_equal(rep.data.reshape(rows.shape), rows.data)
+        np.testing.assert_array_equal(model.output_logits(rep), model.output_logits(rows))
+
     def test_decoding_is_deterministic(self):
         model = toy_model(seed=37)
         outs = {tuple(translate_ids(model, [4, 5, 2], BeamConfig(3, 1.0, 6))) for _ in range(3)}

@@ -9,7 +9,6 @@ from mlrf import autodiff as ad
 from mlrf.fusion import FusionConfig
 from mlrf.model import (
     Transformer,
-    attend,
     init_parameters,
     layer,
     positional_encoding,
@@ -46,11 +45,23 @@ class TestPositionalEncoding:
                 np.testing.assert_array_equal(positional_encoding(end, d, start), full[start:end])
 
 
+def attention_sublayer(x, params, prefix, norm, mask=None, rate=0.0, gen=None, tokens=None):
+    """The attention sublayer ``prefix`` of ``x`` with the norm ``norm``, as
+    ``layer`` runs it: the dropout mask for ``tokens``, then the node.
+    Returns its output and its keys and values."""
+    keep = ad.dropout_keep(x.shape, rate, gen, tokens)
+    names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+    return ad.attention_residual_layer_norm(
+        x, x, None, *(params[f"{prefix}.{n}"] for n in names),
+        params[f"{norm}.gain"], params[f"{norm}.bias"], 2, mask, keep, rate,
+    )
+
+
 def self_attention(x, params, prefix, mask=None):
     """The self-attention sublayer ``prefix`` (of layer 0, so its norm is
-    ``norm1``) as ``attend`` runs it, unmasked and without dropout."""
+    ``norm1``) as ``layer`` runs it, unmasked and without dropout."""
     norm = prefix.rsplit(".", 1)[0] + ".norm1"
-    return attend(x, x, None, 2, params, prefix, norm, mask)[0]
+    return attention_sublayer(x, params, prefix, norm, mask)[0]
 
 
 def post_norm(x, sub):
@@ -93,8 +104,8 @@ class TestMultiHeadAttention:
         x = ad.Tensor(r.standard_normal((1, 3, 8)))
         mask = np.ones((1, 1, 3, 3), bool)
         mask[..., 1, :] = False  # every key hidden from query 1
-        with caplog.at_level("DEBUG", logger="mlrf.model"):
-            out = self_attention(x, self.params, self.prefix, mask)
+        with caplog.at_level("DEBUG", logger="mlrf.model"):  # the flag is ``layer``'s
+            out, _ = layer(x, [("self_attn", x, None, mask)], self.params, "encoder.layer0", 2)
         assert np.isfinite(out.data).all()
         assert any("every key masked" in rec.message for rec in caplog.records)
 
@@ -181,10 +192,11 @@ class TestEncoderLayer:
 class TestPostNorm:
     @pytest.mark.parametrize("rate,masked", [(0.0, False), (0.3, False), (0.3, True)])
     def test_matches_the_unfused_chain_bit_for_bit(self, rate, masked):
-        """``attend`` gives the output, the keys and values and the grads of
-        the key, value and query projections, attention, output projection,
-        dropout, add and layer_norm, and consumes the generator as that chain
-        did, so the pinned training losses keep their dropout draws."""
+        """An attention sublayer, as ``layer`` runs it, gives the output, the
+        keys and values and the grads of the key, value and query
+        projections, attention, output projection, dropout, add and
+        layer_norm, and consumes the generator as that chain did, so the
+        pinned training losses keep their dropout draws."""
         model = toy_model()
         prefix, norm = "encoder.layer0.self_attn", "encoder.layer0.norm1"
         names = [f"{prefix}.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
@@ -198,7 +210,7 @@ class TestPostNorm:
         p = model.params
 
         def fused(gen):
-            return attend(x, x, None, 2, p, prefix, norm, keys, rate, gen, tokens)
+            return attention_sublayer(x, p, prefix, norm, keys, rate, gen, tokens)
 
         def chain(gen):
             q, k, v = (linear(x, p[f"{prefix}.w{n}"], p[f"{prefix}.b{n}"]) for n in "qkv")
